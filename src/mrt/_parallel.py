@@ -3,7 +3,7 @@
 Work items are computed on a thread pool but results are always reduced in
 input order, so output is bit-identical for every thread count. The default
 degree comes from the MRT_THREADS environment variable, falling back to the
-available core count.
+number of CPUs the process may run on.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ def default_threads() -> int:
             return max(1, int(raw))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        # the CPUs this process may run on, not every core of the machine
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

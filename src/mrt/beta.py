@@ -20,10 +20,20 @@ arbitrarily far from one member of the family, but the coupled scores live in
 empty cubes contribute 0 to every max. The reported value is a certified upper
 bound: it is the exact score of a concrete witness line, chosen from per-cube
 minimizers, the global minimizer, atom-pair lines, and a deterministic
-pattern-search refinement. The p = 1 search additionally scores the p = 2
-witness and the star_c search scores the star witness, so the computed values
-inherit the monotonicity of the definitions: nondecreasing in p on {1, 2} and
-star_c <= star cube by cube.
+pattern-search refinement.
+
+The search objective and the certified value are kept apart. For p = 2 the
+refinement's pattern search evaluates lines from per-entry moments (mass,
+centroid and scatter of the weights scaled by diam^-2, the L^2 quantities of
+Lerman, CPAM 2003) in O(entries) per line instead of rescanning every atom
+slot; this agrees with the direct score up to rounding. Each search's end
+line is then scored directly and replaces the witness only if that exact
+score is lower, so the reported value is never a search value and never
+exceeds the unrefined witness's score. Other p search on the direct score.
+
+The p = 1 search additionally scores the p = 2 witness and the star_c search
+scores the star witness, so the computed values inherit the monotonicity of
+the definitions: nondecreasing in p on {1, 2} and star_c <= star cube by cube.
 
 beta_sup_set is the set version (sup over points instead of the mass
 integral), exact in the plane via the minimum-width strip.
@@ -32,6 +42,7 @@ integral), exact in the plane via the minimum-width strip.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -154,8 +165,10 @@ class BetaCache:
     """Per-measure memo for nearby-cube enumeration and beta_multi values.
 
     Jones sums and tree draws evaluate the same cubes many times; the cache
-    keys are exact (cube, p, variant, c) tuples so hits are bit-identical to
-    recomputation.
+    keys are exact (cube, p, variant, c, refine) tuples so hits are
+    bit-identical to recomputation. Threads may share one cache: each key is
+    computed once, and a thread asking for a key that another thread is
+    computing waits for that value.
     """
 
     def __init__(self, mu: DiscreteMeasure):
@@ -163,6 +176,8 @@ class BetaCache:
         self._triples: dict[int, list[tuple[DyadicCube, np.ndarray, float]]] = {}
         self._tripidx: dict[int, np.ndarray] = {}
         self._values: dict[tuple, BetaValue] = {}
+        self._locks: dict[tuple, threading.Lock] = {}
+        self._locks_guard = threading.Lock()
 
     def mass_triples(self, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:
         """All scale-k cubes R with mu(3R) > 0, with atom indices and masses."""
@@ -198,10 +213,32 @@ class BetaCache:
         return idx
 
     def get(self, key):
-        return self._values.get(key)
+        """The value stored for key, or None; waits while another thread computes it."""
+        value = self._values.get(key)
+        if value is None and key in self._locks:
+            with self._locks[key]:
+                value = self._values.get(key)
+        return value
 
-    def put(self, key, value: BetaValue):
-        self._values[key] = value
+    def get_or_compute(self, key, compute):
+        """The value for key, calling compute() only if no thread has stored one.
+
+        Holding a key's lock, compute() may ask for other keys, never for its
+        own: beta_multi's sibling calls only go from p = 1 to p = 2 and from
+        star_c to star, an order without cycles, so the per-key locks cannot
+        deadlock.
+        """
+        value = self._values.get(key)
+        if value is not None:
+            return value
+        with self._locks_guard:
+            lock = self._locks.setdefault(key, threading.Lock())
+        with lock:
+            value = self._values.get(key)
+            if value is None:
+                value = compute()
+                self._values[key] = value
+        return value
 
 
 def nearby_cubes_with_mass(
@@ -288,88 +325,100 @@ def beta_multi(
             raise ValueError("variant star_c needs c > 0")
     if not (isinstance(p, (int, float)) and p >= 1):
         raise ValueError("beta_multi needs numeric p >= 1")
+    if cache is None:
+        return _beta_multi(mu, Q, p, variant, c, refine, cache)
     key = (Q, p, variant, c, bool(refine))
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    return cache.get_or_compute(key, lambda: _beta_multi(mu, Q, p, variant, c, refine, cache))
 
-    raw_entries = nearby_cubes_with_mass(mu, Q, cache)
+
+def _triple_diams(Q: DyadicCube) -> dict[int, float]:
     # triple diameters depend only on the scale; the family spans two scales
-    diam3 = {kk: 3.0 * float(np.sqrt(Q.dim)) * 2.0**-kk for kk in (Q.k, Q.k - 1)}
-    if variant == "star_c":
-        raw_entries = [e for e in raw_entries if e[2] >= c * diam3[e[0].k]]
-    if not raw_entries:
-        result = BetaValue(0.0, None, p, variant, Q, {"nearby_mass_cubes": 0})
-        if cache is not None:
-            cache.put(key, result)
-        return result
-    # same-scale cubes with identical atom sets have identical scores: keep
-    # one representative. A coarse cube whose triple holds exactly the same
-    # atoms as a same-family fine cube is dominated outright: halving the
-    # diameter quadruples b^2 and cannot shrink the density weight, so the
-    # fine twin scores at least as much at every line.
-    entries = []
-    seen_sets: set = set()
-    fine_sets: set = set()
-    k_fine = max(R.k for (R, _, _) in raw_entries)
-    for R, atoms, mass in raw_entries:
-        if R.k == k_fine:
-            fine_sets.add(atoms.tobytes())
-    for R, atoms, mass in raw_entries:
-        sig = (R.k, atoms.tobytes())
-        if sig in seen_sets:
-            continue
-        if R.k < k_fine and atoms.tobytes() in fine_sets:
-            continue
-        seen_sets.add(sig)
-        entries.append((R, atoms, mass))
+    return {kk: 3.0 * float(np.sqrt(Q.dim)) * 2.0**-kk for kk in (Q.k, Q.k - 1)}
 
-    # flat slot arrays: one distance pass scores the whole family
-    atom_arrays = [a for (_, a, _) in entries]
-    slots = np.concatenate(atom_arrays)
-    entry_id = np.repeat(np.arange(len(entries)), [len(a) for a in atom_arrays])
-    P = mu.points[slots]
-    W = mu.weights[slots]
-    counts = np.array([len(a) for a in atom_arrays])
-    starts = np.zeros(len(counts), dtype=np.intp)
-    starts[1:] = np.cumsum(counts)[:-1]
-    cen = P.mean(axis=0)
-    Pc = P - cen
-    inv_diam = np.array([1.0 / diam3[R.k] for (R, _, _) in entries])
-    inv_mass = np.array([1.0 / mass for (_, _, mass) in entries])
-    slot_inv_diam = inv_diam[entry_id]
-    if variant == "star":
-        entry_factor = np.minimum(
-            np.array([mass / diam3[R.k] for (R, _, mass) in entries]), 1.0
-        )
-    elif variant == "star_c":
-        entry_factor = np.full(len(entries), min(float(c), 1.0))
-    else:
-        entry_factor = None
 
-    def entry_betas(line: Line, cap: bool = True) -> np.ndarray:
-        Y = P - line.base
+class _Family:
+    """The distinct mass-carrying members of a nearby family, as flat atom slots.
+
+    Each entry (R, atoms of 3R, mu(3R)) owns one slot per atom, so one
+    distance pass over the slots scores the whole family. `score` is the
+    exact coupled objective of a line (the max over entries of the capped,
+    weighted beta^2 for star and star_c, of the capped beta for star_star);
+    every value beta_multi reports is a `score`.
+    """
+
+    def __init__(self, mu: DiscreteMeasure, Q: DyadicCube, p, variant: str, c, raw_entries):
+        diam3 = _triple_diams(Q)
+        # same-scale cubes with identical atom sets have identical scores: keep
+        # one representative. A coarse cube whose triple holds exactly the same
+        # atoms as a same-family fine cube is dominated outright: halving the
+        # diameter quadruples b^2 and cannot shrink the density weight, so the
+        # fine twin scores at least as much at every line.
+        entries = []
+        seen_sets: set = set()
+        fine_sets: set = set()
+        k_fine = max(R.k for (R, _, _) in raw_entries)
+        for R, atoms, mass in raw_entries:
+            if R.k == k_fine:
+                fine_sets.add(atoms.tobytes())
+        for R, atoms, mass in raw_entries:
+            sig = (R.k, atoms.tobytes())
+            if sig in seen_sets:
+                continue
+            if R.k < k_fine and atoms.tobytes() in fine_sets:
+                continue
+            seen_sets.add(sig)
+            entries.append((R, atoms, mass))
+        self.p = p
+        self.n_raw = len(raw_entries)
+        self.entries = entries
+        atom_arrays = [a for (_, a, _) in entries]
+        self.slots = np.concatenate(atom_arrays)
+        self.entry_id = np.repeat(np.arange(len(entries)), [len(a) for a in atom_arrays])
+        self.P = mu.points[self.slots]
+        self.W = mu.weights[self.slots]
+        counts = np.array([len(a) for a in atom_arrays])
+        self.starts = np.zeros(len(counts), dtype=np.intp)
+        self.starts[1:] = np.cumsum(counts)[:-1]
+        self.cen = self.P.mean(axis=0)
+        self.Pc = self.P - self.cen
+        inv_diam = np.array([1.0 / diam3[R.k] for (R, _, _) in entries])
+        self.inv_mass = np.array([1.0 / mass for (_, _, mass) in entries])
+        self.slot_inv_diam = inv_diam[self.entry_id]
+        if variant == "star":
+            self.entry_factor = np.minimum(
+                np.array([mass / diam3[R.k] for (R, _, mass) in entries]), 1.0
+            )
+        elif variant == "star_c":
+            self.entry_factor = np.full(len(entries), min(float(c), 1.0))
+        else:
+            self.entry_factor = None
+        self._moments = None
+
+    def entry_betas(self, line: Line, cap: bool = True) -> np.ndarray:
+        p = self.p
+        Y = self.P - line.base
         t = Y @ line.direction
         resid = Y - t[:, None] * line.direction
         d = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-        contrib = W * (d * slot_inv_diam) ** p
-        sums = np.bincount(entry_id, weights=contrib, minlength=len(entries))
-        b = (sums * inv_mass) ** (1.0 / p)
+        contrib = self.W * (d * self.slot_inv_diam) ** p
+        sums = np.bincount(self.entry_id, weights=contrib, minlength=len(self.entries))
+        b = (sums * self.inv_mass) ** (1.0 / p)
         # per-cube betas are truncated at 1: a line can sit arbitrarily far
         # from one nearby cube, but the variant scores live in [0, 1]
         return np.minimum(b, 1.0) if cap else b
 
-    def score(line: Line) -> float:
-        b = entry_betas(line)
-        vals = b * b * entry_factor if entry_factor is not None else b
+    def score(self, line: Line) -> float:
+        b = self.entry_betas(line)
+        vals = b * b * self.entry_factor if self.entry_factor is not None else b
         return float(vals.max())
 
-    def score_many(lines: list[Line]) -> np.ndarray:
+    def score_many(self, lines: list[Line]) -> np.ndarray:
         # one pass over all candidates; distances via d^2 = |y|^2 - (y . dir)^2
         # on family-centered coordinates so the subtraction stays accurate
+        p, Pc, W, starts = self.p, self.Pc, self.W, self.starts
+        inv_mass, entry_factor, slot_inv_diam = self.inv_mass, self.entry_factor, self.slot_inv_diam
         dirs = np.array([ln.direction for ln in lines])
-        bases = np.array([ln.base for ln in lines]) - cen
+        bases = np.array([ln.base for ln in lines]) - self.cen
         t = Pc @ dirs.T - np.einsum("cj,cj->c", bases, dirs)[None, :]
         sq = (
             np.einsum("ij,ij->i", Pc, Pc)[:, None]
@@ -390,6 +439,49 @@ def beta_multi(
         b = np.minimum((sums * inv_mass[:, None]) ** (1.0 / p), 1.0)
         vals = b * b * entry_factor[:, None] if entry_factor is not None else b
         return vals.max(axis=0)
+
+    def moment_score(self, base: np.ndarray, direction: np.ndarray) -> float:
+        """score(Line(base, direction)) for p = 2, from per-entry moments.
+
+        With slot weights q = w / diam(3R)^2, an entry's mass S0 = sum q,
+        centroid m and scatter C = sum q (x - m)(x - m)^T give its weighted
+        sum of squared distances to the line {b + t u} as
+        tr C - u.Cu + S0 (|m - b|^2 - ((m - b).u)^2). A call costs O(entries)
+        instead of O(slots), in any dimension; direction must be a unit vector.
+        """
+        if self._moments is None:
+            # centroids relative to the family centre keep their digits when
+            # the family sits far from the origin
+            q = self.W * self.slot_inv_diam**2
+            S0 = np.add.reduceat(q, self.starts)
+            m = np.add.reduceat(q[:, None] * self.Pc, self.starts, axis=0) / S0[:, None]
+            D = self.Pc - m[self.entry_id]
+            C = np.add.reduceat(q[:, None, None] * D[:, :, None] * D[:, None, :], self.starts, axis=0)
+            self._moments = (S0, m, C, np.trace(C, axis1=1, axis2=2))
+        S0, m, C, trC = self._moments
+        v = m - (base - self.cen)
+        vu = v @ direction
+        sq = trC - (C @ direction) @ direction + S0 * (np.einsum("ij,ij->i", v, v) - vu * vu)
+        b2 = np.minimum(np.maximum(sq, 0.0) * self.inv_mass, 1.0)
+        vals = b2 * self.entry_factor if self.entry_factor is not None else np.sqrt(b2)
+        return float(vals.max())
+
+
+def _family(mu, Q, p, variant, c, cache) -> _Family | None:
+    """Q's nearby family for a variant (star_c keeps the dense members); None if empty."""
+    raw_entries = nearby_cubes_with_mass(mu, Q, cache)
+    if variant == "star_c":
+        diam3 = _triple_diams(Q)
+        raw_entries = [e for e in raw_entries if e[2] >= c * diam3[e[0].k]]
+    return _Family(mu, Q, p, variant, c, raw_entries) if raw_entries else None
+
+
+def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
+    fam = _family(mu, Q, p, variant, c, cache)
+    if fam is None:
+        return BetaValue(0.0, None, p, variant, Q, {"nearby_mass_cubes": 0})
+    entries, slots, P, W, Pc, cen = fam.entries, fam.slots, fam.P, fam.W, fam.Pc, fam.cen
+    starts, slot_inv_diam, inv_mass, entry_factor = fam.starts, fam.slot_inv_diam, fam.inv_mass, fam.entry_factor
 
     fit_p = p if p in (1, 2) else 2
     candidates: list[Line] = []
@@ -564,15 +656,14 @@ def beta_multi(
             witness_ids.append(len(candidates))
             candidates.append(sib.line)
 
-    approx = score_many(candidates)
+    approx = fam.score_many(candidates)
     rank = np.argsort(approx, kind="stable")
     # the reported value must be an exact evaluation at the witness line, and
     # the monotonicity guarantees need the sibling witnesses scored the same
     # way, so the leaders and every witness go through the one-line scorer
     exact_pool = sorted({int(i) for i in rank[:3]} | set(witness_ids))
-    best_score, best_i = min((score(candidates[i]), i) for i in exact_pool)
+    best_score, best_i = min((fam.score(candidates[i]), i) for i in exact_pool)
     best_line = candidates[best_i]
-    scored = [(float(approx[i]), int(i), candidates[int(i)]) for i in rank]
 
     if refine and best_score > 0:
         n = Q.dim
@@ -583,31 +674,34 @@ def beta_multi(
             nrm = float(np.linalg.norm(raw))
             if nrm < 1e-9:
                 return 1e30
-            return score(Line(x[:n], raw / nrm))
+            if p == 2:
+                return fam.moment_score(x[:n], raw / nrm)
+            return fam.score(Line(x[:n], raw / nrm))
 
-        for _, _, ln in scored[: min(3, len(scored))]:
+        for i in rank[:3]:
+            ln = candidates[int(i)]
             x0 = np.concatenate([ln.base, ln.direction])
             steps = np.concatenate([np.full(n, step0), np.full(n, 0.05)])
-            val, x = pattern_search(objective, x0, steps, max_iter=60, tol=1e-12)
+            _val, x = pattern_search(objective, x0, steps, max_iter=60, tol=1e-12)
+            # the search only proposes a line; its direct score decides
+            line = Line(x[:n], unit(x[n:]))
+            val = fam.score(line)
             if val < best_score:
                 best_score = val
-                best_line = Line(x[:n], unit(x[n:]))
+                best_line = line
 
     value = float(np.sqrt(best_score)) if variant in ("star", "star_c") else float(best_score)
-    max_plain = float(entry_betas(best_line, cap=False).max())
-    result = BetaValue(
+    max_plain = float(fam.entry_betas(best_line, cap=False).max())
+    return BetaValue(
         value,
         best_line,
         p,
         variant,
         Q,
         {
-            "nearby_mass_cubes": int(len(raw_entries)),
+            "nearby_mass_cubes": fam.n_raw,
             "distinct_atom_sets": int(len(entries)),
             "witness_max_beta": float(max_plain),
             "big_box_mass": mu.mass(big),
         },
     )
-    if cache is not None:
-        cache.put(key, result)
-    return result

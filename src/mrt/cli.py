@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", default="auto", choices=("auto", "csv", "json"))
         sp.add_argument("-o", "--output", default=None, help="report path (default: stdout)")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: MRT_THREADS or core count)")
+                        help="worker threads (default: MRT_THREADS or the usable CPU count)")
         sp.add_argument("--seed", type=int, default=0, help="echoed into the report")
 
     sp = sub.add_parser("beta", help="per-cube beta numbers over mass-carrying cubes")

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, EmptyInput, InvalidWeight, OrderingError
 
@@ -358,6 +357,8 @@ def _fit_sup(X):
     if n == 2:
         width, line = min_width_strip_2d(X)
         return line, width / 2.0
+    # scipy is imported only here, by the n >= 3 sup fits that need it
+    from scipy.optimize import minimize
 
     z = X.mean(axis=0)
     Y = X - z

@@ -79,15 +79,9 @@ def default_kmax(mu: DiscreteMeasure, x, cap: int = 40) -> int:
 
 def _beta_for(mu, Q, p, variant, c, cache, refine) -> BetaValue:
     if variant == "tilde":
-        key = (Q, p, "tilde", None)
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        val = beta_best(mu, Q.triple(), p)
-        if cache is not None:
-            cache.put(key, val)
-        return val
+        if cache is None:
+            return beta_best(mu, Q.triple(), p)
+        return cache.get_or_compute((Q, p, "tilde", None), lambda: beta_best(mu, Q.triple(), p))
     return beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache)
 
 

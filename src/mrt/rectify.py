@@ -21,7 +21,7 @@ from ._parallel import pmap
 from .beta import BetaCache, beta_best, beta_multi
 from .curve import CurveResult, construct_curve
 from .dyadic import CubeTree, DyadicCube, chain_of_cubes, cube_at
-from .errors import EmptyInput, TreeStructureError
+from .errors import CertificateError, EmptyInput, TreeStructureError
 from .jones import jones_at, square_sum
 from .measure import Ball, DiscreteMeasure
 from .nets import NetSequence, fit_alphas, hausdorff_to_segments, nets_from_tree
@@ -371,8 +371,10 @@ def draw_through_tree(
     from the regime's beta statistic at the witness cube, sets alphas to the
     larger of the regime formula and the exact neighborhood supremum, runs
     the curve construction, and checks that every leaf center lies within
-    the net tolerance of the curve. Accounting carries the regime's
-    theoretical budget next to the realized alpha budget.
+    the net tolerance of the curve (CertificateError otherwise). Accounting
+    carries the regime's theoretical budget next to the realized alpha
+    budget; the budget's betas follow `refine` like the vertex lines, so
+    with a shared cache they are the values the caller already computed.
 
     The doubling regime enforces mu(3Q) > 0 and mu(3 parent) <= 2^D mu(3Q)
     on every non-top member, the same inequality as grow_tree's predicate;
@@ -439,15 +441,18 @@ def draw_through_tree(
     else:
         max_dist = 0.0
     coverage = {"max_leaf_distance": max_dist, "tolerance": tol, "ok": max_dist <= tol}
-    assert coverage["ok"], f"leaf coverage failed: {max_dist} > {tol}"
+    if not coverage["ok"]:
+        raise CertificateError(f"leaf coverage failed: {max_dist} > {tol}")
     acct = dict(curve.accounting)
     pw = p if isinstance(p, (int, float)) else 2
     if regime == "lower_regular":
-        rep = square_sum(mu, "s_star_c_tree", tree=tree, p=p, c=c, cache=cache)
+        rep = square_sum(mu, "s_star_c_tree", tree=tree, p=p, c=c, cache=cache, refine=refine)
         acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * rep.total
         acct["regime_sum"] = rep.total
     elif regime == "plain_star_star":
-        rep = square_sum(mu, "s_star_star", k_range=sorted({Q.k for Q in tree.members}), cache=cache, p=p)
+        rep = square_sum(
+            mu, "s_star_star", k_range=sorted({Q.k for Q in tree.members}), cache=cache, p=p, refine=refine
+        )
         tree_ledger = [t for t in rep.ledger if t[0] in tree.members]
         total = float(sum(term for (_, _, term) in tree_ledger))
         acct["regime_budget"] = 48.0 * total
@@ -526,7 +531,8 @@ def cover_support(mu: DiscreteMeasure, p=2, k_max: int = 6, threads: int | None 
             connectors.append(best)
             total_conn += best[0]
     length_total = float(sum(r.accounting["length_dedup"] for r in results))
-    srep = square_sum(mu, "s_star_star", k_range=range(k0, k_max + 1), cache=cache, p=p)
+    # the draws' refine policy, so every beta of the sum is computed once
+    srep = square_sum(mu, "s_star_star", k_range=range(k0, k_max + 1), cache=cache, p=p, refine=False)
     acct = {
         "n_top_cubes": len(tops),
         "diam_support": diam,
@@ -654,11 +660,11 @@ def decompose_estimate(
             curves.append(
                 draw_through_tree(mu, tree, p=p, regime="lower_regular", c=c, cache=cache, refine=refine, threads=threads)
             )
-        except (TreeStructureError, AssertionError):
+        except (TreeStructureError, CertificateError):
             continue
     rect_ids = [a.index for a in atoms if a.label == "rect-candidate"]
     rect_mass = float(mu.weights[rect_ids].sum()) if rect_ids else 0.0
-    captured = 0.0
+    captured_ids: list[int] = []
     if rect_ids and curves:
         seg_pool = []
         tol_pool = []
@@ -682,8 +688,10 @@ def decompose_estimate(
             x = mu.points[i]
             for segs, tol in zip(seg_pool, tol_pool):
                 if segs and hausdorff_to_segments(x[None, :], segs) <= tol:
-                    captured += float(mu.weights[i])
+                    captured_ids.append(i)
                     break
+    # summed like rect_mass, so that capturing every atom gives exactly 1
+    captured = float(mu.weights[captured_ids].sum()) if captured_ids else 0.0
     fraction = captured / rect_mass if rect_mass > 0 else 0.0
     params = {
         "p": p,

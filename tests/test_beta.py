@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from mrt import (
     beta_sup_set,
     brute_force_line_oracle,
 )
-from mrt.beta import VARIANTS, nearby_cubes_with_mass
+from mrt.beta import VARIANTS, _family, nearby_cubes_with_mass
 from mrt.dyadic import Box, cube_at, in_nearby_family
 from mrt.errors import DegenerateRegion
 
@@ -241,6 +245,78 @@ class TestBetaMulti:
         bv = beta_multi(mu, cube_at(mu.points[0], 1), 2, "star")
         for key in ("nearby_mass_cubes", "distinct_atom_sets", "witness_max_beta", "big_box_mass"):
             assert key in bv.details
+
+
+class TestMomentObjective:
+    """The p = 2 search objective from per-entry moments equals the direct score."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("shift", (0.0, 16.0))
+    def test_matches_direct_score(self, variant, n, shift):
+        rng = np.random.default_rng(40 + n)
+        pts = shift + rng.uniform(0.0, 1.0, size=(24, n))
+        mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=24))
+        c = 0.05 if variant == "star_c" else None
+        for k in (1, 2, 3):
+            fam = _family(mu, cube_at(pts[0], k), 2, variant, c, None)
+            assert fam is not None
+            lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
+            for _ in range(40):
+                # bases inside and beyond the family, so some entries hit the cap
+                base = rng.uniform(lo - (hi - lo), hi + (hi - lo))
+                u = rng.normal(size=n)
+                u /= np.linalg.norm(u)
+                direct = fam.score(Line(base, u))
+                assert abs(fam.moment_score(base, u) - direct) <= 1e-12
+
+
+class TestBetaCacheThreads:
+    def test_each_key_computed_once(self):
+        cache = BetaCache(symmetric_pair())
+        calls = {key: 0 for key in range(4)}
+        results = []
+
+        def compute(key):
+            calls[key] += 1
+            time.sleep(0.002)
+            return ("value", key)
+
+        def worker(i):
+            key = i % 4
+            results.append((key, cache.get_or_compute(key, lambda: compute(key))))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(32)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert calls == {key: 1 for key in range(4)}
+        assert len(results) == 32
+        assert all(value is cache.get(key) for key, value in results)
+
+    def test_get_waits_for_value_in_flight(self):
+        cache = BetaCache(symmetric_pair())
+        started = threading.Event()
+
+        def compute():
+            started.set()
+            time.sleep(0.05)
+            return "value"
+
+        th = threading.Thread(target=cache.get_or_compute, args=("key", compute))
+        th.start()
+        assert started.wait(timeout=10)
+        assert cache.get("key") == "value"
+        th.join(timeout=10)
+        assert not th.is_alive()
+        assert cache.get("other") is None
 
 
 def test_beta_value_rejects_out_of_range():

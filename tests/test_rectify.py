@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from mrt import (
+    BetaCache,
     CubeTree,
     DiscreteMeasure,
     DyadicCube,
+    beta_multi,
     cover_support,
     decompose_estimate,
     draw_through_tree,
     grow_tree,
     localize,
 )
-from mrt.errors import TreeStructureError
+from mrt import rectify
+from mrt.errors import CertificateError, TreeStructureError
 from mrt.rectify import base_cube_for, sum_function
 
-from _samples import four_corner_cantor, segment_measure
+from _samples import four_corner_cantor, lipschitz_graph_measure, segment_measure
 
 
 def two_cluster_setup():
@@ -173,6 +176,30 @@ class TestDrawThroughTree:
         assert draw.accounting["regime"] == "doubling"
         assert np.isfinite(draw.accounting["regime_budget"])
 
+    @pytest.mark.parametrize("regime", ["lower_regular", "plain_star_star"])
+    def test_regime_sum_uses_callers_betas(self, regime):
+        mu = lipschitz_graph_measure(48)
+        c = 0.05
+        tree = grow_tree(mu, mu.points[20], "lower_regular", c=c, k_max=3).tree
+        cache = BetaCache(mu)
+        draw = draw_through_tree(mu, tree, regime=regime, c=c, cache=cache, refine=False)
+        variant, vc = ("star_c", c) if regime == "lower_regular" else ("star_star", None)
+        # one refine policy: the budget adds no second (refined) beta per cube
+        assert all(cache.get((Q, 2, variant, vc, True)) is None for Q in tree.members)
+        expected = sum(
+            beta_multi(mu, Q, 2, variant, c=vc, refine=False, cache=cache).value ** 2 * Q.diameter
+            for Q in tree.members
+        )
+        assert expected > 0
+        assert draw.accounting["regime_sum"] == pytest.approx(expected, rel=1e-12)
+
+    def test_coverage_failure_is_typed(self, monkeypatch):
+        mu = segment_measure(48)
+        tree = grow_tree(mu, mu.points[20], "lower_regular", c=0.05, k_max=3).tree
+        monkeypatch.setattr(rectify, "hausdorff_to_segments", lambda *a, **k: math.inf)
+        with pytest.raises(CertificateError):
+            draw_through_tree(mu, tree, regime="plain_star_star")
+
     def test_argument_validation(self):
         mu = segment_measure(8)
         tree = CubeTree(DyadicCube(0, (0, 0)), [DyadicCube(0, (0, 0))])
@@ -211,6 +238,12 @@ class TestDecomposeEstimate:
         assert len(rep.curves) >= 1
         assert rep.params["k_max"] == 4
         assert rep.params["c_ladder"] == [0.05]
+
+    @pytest.mark.parametrize("sample", [lipschitz_graph_measure, segment_measure])
+    def test_full_capture_is_exactly_one(self, sample):
+        mu = sample(48)
+        rep = decompose_estimate(mu, c_ladder=(0.01,), N_cap=0.03, k_max=4)
+        assert rep.captured_fraction == 1.0
 
     def test_light_outlier_fails_density(self):
         seg = segment_measure(32, total=1.0)
