@@ -44,21 +44,13 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .dyadic import (
-    Box,
-    DyadicCube,
-    NEARBY_DILATION,
-    in_nearby_family,
-    parent_scale_bound,
-    same_scale_radius,
-)
+from .dyadic import DyadicCube, parent_scale_bound, same_scale_radius
 from .errors import DegenerateRegion
 from .geometry import Line, fit_line, pattern_search, unit
-from .measure import Ball, DiscreteMeasure, Region
+from .measure import DiscreteMeasure, Region
 
 VARIANTS = ("star", "star_star", "star_c")
 
@@ -184,17 +176,15 @@ class BetaCache:
         out = self._triples.get(k)
         if out is None:
             mu = self.mu
-            n = mu.dim
-            idx = np.floor(mu.points * 2.0**k).astype(np.int64)
-            occupied = {tuple(int(v) for v in row) for row in idx}
             cand: set[tuple[int, ...]] = set()
-            for cell in occupied:
-                for off in itertools.product((-2, -1, 0, 1), repeat=n):
+            # the closed triple 3R meets the cells index - 1 .. index + 2 per axis
+            for cell in mu._cells(k):
+                for off in itertools.product((-2, -1, 0, 1), repeat=mu.dim):
                     cand.add(tuple(c + o for c, o in zip(cell, off)))
             out = []
             for key in sorted(cand):
                 R = DyadicCube(k, key)
-                atoms = mu.atoms_in_triple(R)
+                atoms = mu.atoms_in(R.triple())
                 if len(atoms):
                     out.append((R, atoms, float(mu.weights[atoms].sum())))
             self._triples[k] = out
@@ -516,7 +506,6 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
             _R, atoms, _mass = entries[i]
             ln, _ = fit_line(mu.points[atoms], mu.weights[atoms], 2)
             candidates.append(ln)
-    big = Q.dilate(NEARBY_DILATION * float(np.sqrt(Q.dim)))
     all_atoms = np.unique(slots)
     ln, _ = fit_line(mu.points[all_atoms], mu.weights[all_atoms], fit_p)
     candidates.append(ln)
@@ -702,6 +691,5 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
             "nearby_mass_cubes": fam.n_raw,
             "distinct_atom_sets": int(len(entries)),
             "witness_max_beta": float(max_plain),
-            "big_box_mass": mu.mass(big),
         },
     )

@@ -315,7 +315,8 @@ def construct_curve(
 
         def add_edge(pa: np.ndarray, pb: np.ndarray):
             d = float(np.linalg.norm(pa - pb))
-            assert d < thresh(k), "edge inserted beyond the distance window"
+            if not d < thresh(k):
+                raise CertificateError(f"edge of length {d} inserted beyond the distance window")
             a, b = sorted((_key(pa), _key(pb)))
             if a != b:
                 edges[(a, b)] = Segment(a, b, "edge", k)

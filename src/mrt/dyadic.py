@@ -22,7 +22,7 @@ mass-carrying members, since empty cubes contribute zero to every statistic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -37,10 +37,16 @@ _NEARBY_SQ = NEARBY_DILATION * NEARBY_DILATION  # 2 560 000
 
 @dataclass(frozen=True)
 class Box:
-    """Closed axis-parallel cube given by center and half-side."""
+    """Closed axis-parallel cube given by center and half-side.
+
+    `triple_of` is set on the box DyadicCube.triple() returns: it names the
+    cube whose triple this is, so a measure can answer the box from its
+    per-scale grid. It takes no part in equality or hashing.
+    """
 
     center: tuple[float, ...]
     half: float
+    triple_of: "DyadicCube | None" = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -61,7 +67,10 @@ class Box:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim:
             raise DimensionMismatch("point dimension does not match box")
-        return np.all(np.abs(X - self.center_array()) <= self.half, axis=1)
+        # compare against the faces: |x - c| rounds, while the faces of a
+        # dyadic box are exact, so a point just outside one stays outside
+        c = self.center_array()
+        return np.all((c - self.half <= X) & (X <= c + self.half), axis=1)
 
     def contains_point(self, x) -> bool:
         return bool(self.contains_mask(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -92,12 +101,9 @@ class DyadicCube:
     def center(self) -> np.ndarray:
         return (np.asarray(self.index, dtype=float) + 0.5) * self.side
 
-    def as_box(self) -> Box:
-        return Box(tuple(self.center()), self.side / 2.0)
-
     def triple(self) -> Box:
         """The concentric closed cube of three times the side."""
-        return Box(tuple(self.center()), 1.5 * self.side)
+        return Box(tuple(self.center()), 1.5 * self.side, self)
 
     def dilate(self, lam: float) -> Box:
         """Concentric closed cube with side lam * side."""

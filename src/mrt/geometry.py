@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidWeight, OrderingError
+from .errors import DegenerateRegion, DimensionMismatch, EmptyInput, InvalidWeight, OrderingError
 
 _EIG_TIE_REL = 1e-12
 _SEED = 0x5EED
@@ -181,7 +181,8 @@ def min_width_strip_2d(points) -> tuple[float, Line]:
         if best is None or width < best[0]:
             mid = a + nrm * (lo + hi) / 2.0
             best = (width, Line(mid, d))
-    assert best is not None
+    if best is None:
+        raise DegenerateRegion("every hull edge has zero length")
     return best
 
 
@@ -333,7 +334,8 @@ def _fit_l1(X, w, iters=60):
         obj = _objective(X, w, line, 1)
         if best is None or obj < best[1]:
             best = (line, obj)
-    assert best is not None
+    if best is None:
+        raise EmptyInput("no seed line for the L1 fit")
     # a planar L1 optimum passes through two data points; on small inputs
     # sweeping the pairs beats any local descent
     U = np.unique(X, axis=0)

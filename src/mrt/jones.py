@@ -72,7 +72,7 @@ class JonesReport:
 def default_kmax(mu: DiscreteMeasure, x, cap: int = 40) -> int:
     """First scale whose chain cube holds at most one atom (capped)."""
     for k in range(cap + 1):
-        if len(mu.atoms_in_cube(cube_at(x, k))) <= 1:
+        if len(mu.atoms_in(cube_at(x, k))) <= 1:
             return k
     return cap
 
@@ -116,7 +116,7 @@ def jones_at(
     for Q in chain_of_cubes(x, k_max):
         bv = _beta_for(mu, Q, p, variant, c, cache, refine)
         b2 = bv.value * bv.value
-        mass = float(mu.weights[mu.atoms_in_cube(Q)].sum())
+        mass = mu.mass(Q)
         if mass > 0.0:
             term = b2 * Q.diameter / mass
             divergent = False
@@ -230,20 +230,13 @@ def square_sum(
         if points is None or k_range is None:
             raise ValueError("beta_sq_set needs points and k_range")
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        import itertools as _it
-
+        # the cubes whose triple meets E are the mass-carrying triples of
+        # the counting measure on E
+        counting = BetaCache(DiscreteMeasure(X, np.ones(len(X))))
         for k in k_range:
-            idx = np.floor(X * 2.0**k).astype(np.int64)
-            cells = {tuple(int(v) for v in row) for row in idx}
-            cand: set[tuple[int, ...]] = set()
-            for cell in cells:
-                for off in _it.product((-2, -1, 0, 1), repeat=X.shape[1]):
-                    cand.add(tuple(v + o for v, o in zip(cell, off)))
-            for key in sorted(cand):
-                Q = DyadicCube(k, key)
-                b = beta_sup_set(X, Q.triple())
-                if np.any(Q.triple().contains_mask(X)):
-                    ledger.append((Q, b, b * b * Q.diameter))
+            for Q, atoms, _mass in counting.mass_triples(k):
+                b = beta_sup_set(X[atoms], Q.triple())
+                ledger.append((Q, b, b * b * Q.diameter))
         family = "cubes whose triple meets the point set, at scales in k_range"
         params = {"k_range": list(k_range)}
     else:

@@ -6,10 +6,14 @@ scale), while boxes and balls are closed. Ball masses back the density and
 doubling profiles, where the 0/0 convention is "flagged, excluded", never a
 silent number.
 
-Atom lookups per dyadic scale go through a uniform grid bucket index (atom ->
-integer cell), built once per scale and reused; all mass sums run over atom
-indices in ascending order so results are bit-identical regardless of query
-path or thread count.
+Region queries (atoms_in, mass, center_of_mass, restrict) take one path per
+kind of region. Dyadic cubes and their triples (the boxes Q.triple() returns)
+are answered from a uniform grid bucket index per dyadic scale (atom ->
+integer cell), built once per scale and reused; only balls and free boxes
+scan every atom. Box faces are compared exactly (c - h <= x <= c + h), so a
+triple holds the same atoms by either path. All mass sums run over atom
+indices in ascending order, so results are bit-identical regardless of
+thread count.
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ class Ball:
 
 
 Region = DyadicCube | Box | Ball
-
-
-def region_diameter(region: Region) -> float:
-    return region.diameter
 
 
 @dataclass
@@ -174,6 +174,8 @@ class DiscreteMeasure:
 
     def atoms_in_triple(self, Q: DyadicCube) -> np.ndarray:
         """Ascending indices of atoms in the closed triple 3Q."""
+        if Q.dim != self.dim:
+            raise DimensionMismatch("cube dimension does not match measure")
         cells = self._cells(Q.k)
         parts = []
         # the closed triple meets grid cells index-1 .. index+2 per axis
@@ -189,9 +191,14 @@ class DiscreteMeasure:
         return cand[mask]
 
     def atoms_in(self, region: Region) -> np.ndarray:
-        """Ascending atom indices in a region (cube half-open, box/ball closed)."""
+        """Ascending atom indices in a region (cube half-open, box/ball closed).
+
+        Cubes and triples come from the grid; other regions scan all atoms.
+        """
         if isinstance(region, DyadicCube):
             return self.atoms_in_cube(region)
+        if isinstance(region, Box) and region.triple_of is not None:
+            return self.atoms_in_triple(region.triple_of)
         mask = region.contains_mask(self.points)
         return np.flatnonzero(mask)
 

@@ -314,7 +314,8 @@ def fit_alphas(
         k, i = key
         v = nets.levels[k][i]
         nbhd = nets.neighborhood(k, v)
-        assert len(nbhd) > 0, "alpha neighborhood cannot be empty for valid nets"
+        if len(nbhd) == 0:
+            raise NetValidationError(f"empty alpha neighborhood at vertex {key}")
         if lines is not None and key in lines:
             ell = lines[key]
         else:

@@ -23,7 +23,7 @@ from .curve import CurveResult, construct_curve
 from .dyadic import CubeTree, DyadicCube, chain_of_cubes, cube_at
 from .errors import CertificateError, EmptyInput, TreeStructureError
 from .jones import jones_at, square_sum
-from .measure import Ball, DiscreteMeasure
+from .measure import DiscreteMeasure
 from .nets import NetSequence, fit_alphas, hausdorff_to_segments, nets_from_tree
 
 
@@ -53,7 +53,7 @@ def sum_function(tree: CubeTree, b: dict[DyadicCube, float], mu: DiscreteMeasure
         Q = cube_at(x, k)
         if Q in tree.members:
             val = b.get(Q, 0.0)
-            mass = float(mu.weights[mu.atoms_in_cube(Q)].sum())
+            mass = mu.mass(Q)
             if val > 0.0:
                 if mass == 0.0:
                     return math.inf
@@ -73,7 +73,10 @@ def localize(
     A is the set of atoms of the top cube where the normalized sum stays at
     most N. A cube is bad when some tree cube containing it holds too little
     of A relative to its own mass (at most eps * mu(A) * mu(R)); children of
-    bad cubes are bad. With mu(A) = 0 every cube is bad. The output rechecks:
+    bad cubes are bad. With mu(A) = 0 every cube is bad. A' is A minus the
+    bad cubes. Since a tree holds every ancestor of its members, one top-down
+    pass decides badness: Q is bad when its parent is, or when Q itself holds
+    too little of A. The output rechecks:
     (1) good cubes form a tree with the same top (or none), (2) downward
     badness, (3) mass comparability of A and its good part, (4) the strict
     budget bound on the good-cube sum of b.
@@ -81,7 +84,7 @@ def localize(
     if not (0 < N < math.inf) or not (eps > 0):
         raise ValueError("localize needs finite positive N and positive eps")
     top = tree.top
-    top_ids = mu.atoms_in_cube(top)
+    top_ids = mu.atoms_in(top)
     S_vals = {}
     in_A = np.zeros(len(mu.points), dtype=bool)
     for i in top_ids:
@@ -90,41 +93,24 @@ def localize(
         if s <= N:
             in_A[i] = True
     A_mass = float(mu.weights[in_A].sum())
-    members_sorted = sorted(tree.members, key=lambda Q: (Q.k, Q.index))
     bad: set[DyadicCube] = set()
-    if A_mass == 0.0:
-        bad = set(tree.members)
-    else:
-        seed = set()
-        for R in members_sorted:
-            ids = mu.atoms_in_cube(R)
-            mass_R = float(mu.weights[ids].sum())
-            mass_AR = float(mu.weights[[i for i in ids if in_A[i]]].sum())
-            if mass_AR <= eps * A_mass * mass_R:
-                seed.add(R)
-        for Q in members_sorted:  # top-down: badness inherits from ancestors
-            if Q in seed or (Q.k > top.k and Q.parent() in bad and Q.parent() in tree.members):
-                bad.add(Q)
-            else:
-                for R in tree.members:
-                    if R in bad and R.contains_cube(Q):
-                        bad.add(Q)
-                        break
+    for Q in tree:  # coarse to fine, so a parent is decided first
+        if Q != top and Q.parent() in bad:
+            bad.add(Q)
+            continue
+        ids = mu.atoms_in(Q)
+        # with mu(A) = 0 this holds for every cube
+        if float(mu.weights[ids[in_A[ids]]].sum()) <= eps * A_mass * mu.mass(Q):
+            bad.add(Q)
     good_set = tree.members - bad
     good = CubeTree(top, frozenset(good_set)) if top in good_set else None
-    # A' = A minus the union of bad cubes
     in_Aprime = in_A.copy()
-    if bad:
-        for i in np.nonzero(in_A)[0]:
-            x = mu.points[i]
-            for Q in bad:
-                if bool(Q.contains_mask(x[None, :])[0]):
-                    in_Aprime[i] = False
-                    break
+    for Q in bad:
+        in_Aprime[mu.atoms_in(Q)] = False
     A_prime_mass = float(mu.weights[in_Aprime].sum())
     good_b_sum = float(sum(b.get(Q, 0.0) for Q in good_set))
     budget = N / eps
-    top_mass = float(mu.weights[top_ids].sum())
+    top_mass = mu.mass(top)
     checks = {
         "good_is_tree": good is None
         or (
@@ -172,9 +158,17 @@ class GrowResult:
 
 
 def _lower_regular_ok(mu: DiscreteMeasure, Q: DyadicCube, c: float) -> bool:
+    """mu(3Q) >= c diam 3Q."""
     tri = Q.triple()
-    mass = float(mu.weights[mu.atoms_in(tri)].sum())
-    return mass >= c * tri.diameter
+    return mu.mass(tri) >= c * tri.diameter
+
+
+def _doubling_ok(mu: DiscreteMeasure, Q: DyadicCube, top: DyadicCube, bound: float) -> bool:
+    """mu(3Q) > 0 and, below the top, mu(3 parent) <= bound * mu(3Q)."""
+    mass = mu.mass(Q.triple())
+    if mass <= 0.0:
+        return False
+    return Q == top or mu.mass(Q.parent().triple()) <= bound * mass
 
 
 def base_cube_for(
@@ -204,8 +198,7 @@ def base_cube_for(
     radii = [2.0 ** (-j) for j in range(k_max + 1)]
     ok_at = []
     for r in radii:
-        mass = float(mu.weights[mu.atoms_in(Ball(tuple(x), r))].sum())
-        ok_at.append(mass / (2.0 * r) >= thresh)
+        ok_at.append(mu.mass_ball(x, r) / (2.0 * r) >= thresh)
     for j in range(len(radii)):   # largest radius passing at all scanned scales below
         if all(ok_at[j:]):
             r_x = radii[j]
@@ -246,16 +239,7 @@ def grow_tree(
         if D is None or D < 1:
             raise ValueError("doubling regime needs D >= 1")
         r_x, base = base_cube_for(mu, x, regime)
-        bound = 2.0**D
-
-        def predicate(Q: DyadicCube) -> bool:
-            mass = float(mu.weights[mu.atoms_in(Q.triple())].sum())
-            if mass <= 0.0:
-                return False
-            if Q == base:
-                return True
-            pmass = float(mu.weights[mu.atoms_in(Q.parent().triple())].sum())
-            return pmass <= bound * mass
+        predicate = lambda Q: _doubling_ok(mu, Q, base, 2.0**D)
         params = {"D": D, "k_max": k_max}
     else:
         raise ValueError(f"unknown grow_tree regime {regime!r}")
@@ -275,7 +259,8 @@ def grow_tree(
     tree = CubeTree(base, frozenset(members))
     if regime == "lower_regular":
         for Q in tree.members:   # recheck the defining inequality on members
-            assert _lower_regular_ok(mu, Q, c), f"lower-regular recheck failed at {Q}"
+            if not _lower_regular_ok(mu, Q, c):
+                raise TreeStructureError(f"lower-regular recheck failed at {Q}")
     return GrowResult(tree, None, r_x, base, regime, params)
 
 
@@ -376,9 +361,9 @@ def draw_through_tree(
     budget; the budget's betas follow `refine` like the vertex lines, so
     with a shared cache they are the values the caller already computed.
 
-    The doubling regime enforces mu(3Q) > 0 and mu(3 parent) <= 2^D mu(3Q)
-    on every non-top member, the same inequality as grow_tree's predicate;
-    members need not hold atoms of their own. The lower_regular regime
+    The doubling regime enforces grow_tree's predicate: mu(3Q) > 0 on every
+    member and mu(3 parent) <= 2^D mu(3Q) below the top; members need not
+    hold atoms of their own. The lower_regular regime
     enforces mu(3Q) >= c diam 3Q on every member.
     """
     if regime == "lower_regular" and (c is None or c <= 0):
@@ -386,16 +371,11 @@ def draw_through_tree(
     if regime == "doubling" and (D is None or D < 1):
         raise ValueError("doubling regime needs D >= 1")
     if regime == "doubling":
-        bound = 2.0 ** D
-        for Q in sorted(tree.members, key=lambda Q: (Q.k, Q.index)):
-            if Q == tree.top:
-                continue
-            mass = float(mu.weights[mu.atoms_in(Q.triple())].sum())
-            pmass = float(mu.weights[mu.atoms_in(Q.parent().triple())].sum())
-            if not (mass > 0 and pmass <= bound * mass):
+        for Q in tree:
+            if not _doubling_ok(mu, Q, tree.top, 2.0**D):
                 raise TreeStructureError(f"doubling hypothesis fails at member {Q}")
     if regime == "lower_regular":
-        for Q in sorted(tree.members, key=lambda Q: (Q.k, Q.index)):
+        for Q in tree:
             if not _lower_regular_ok(mu, Q, c):
                 raise TreeStructureError(f"lower-regular hypothesis fails at member {Q}")
     if cache is None:
@@ -419,13 +399,9 @@ def draw_through_tree(
         for s in curve.segments
     ]
     children = {Q: tree.children_in_tree(Q) for Q in tree.members}
-    leaf_centers = []
-    for Q in sorted(tree.members, key=lambda Q: (Q.k, Q.index)):
-        if not children[Q]:
-            ids = mu.atoms_in_triple(Q)
-            if len(ids):
-                w = mu.weights[ids]
-                leaf_centers.append((w[:, None] * mu.points[ids]).sum(axis=0) / w.sum())
+    leaf_centers = [
+        mu.center_of_mass(Q.triple()) for Q in tree if not children[Q] and mu.mass(Q.triple()) > 0
+    ]
     tol = 2.0 * nets.cstar * nets.sep(nets.K) + tree.top.side * math.sqrt(mu.dim) * 2.0 ** (
         -(nets.K)
     )
@@ -450,11 +426,12 @@ def draw_through_tree(
         acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * rep.total
         acct["regime_sum"] = rep.total
     elif regime == "plain_star_star":
-        rep = square_sum(
-            mu, "s_star_star", k_range=sorted({Q.k for Q in tree.members}), cache=cache, p=p, refine=refine
-        )
-        tree_ledger = [t for t in rep.ledger if t[0] in tree.members]
-        total = float(sum(term for (_, _, term) in tree_ledger))
+        # the s_star_star terms (cubes with mu(3Q) > 0) of the members only
+        total = 0.0
+        for Q in tree:
+            if mu.mass(Q.triple()) > 0:
+                bv = beta_multi(mu, Q, p, "star_star", cache=cache, refine=refine)
+                total += bv.value**2 * Q.diameter
         acct["regime_budget"] = 48.0 * total
         acct["regime_sum"] = total
     else:
@@ -497,8 +474,7 @@ def cover_support(mu: DiscreteMeasure, p=2, k_max: int = 6, threads: int | None 
         return CoverResult([], [], acct)
     k0 = max(0, math.floor(-math.log2(diam)))
     cache = BetaCache(mu)
-    occupied = np.unique(np.floor(mu.points * 2.0**k0).astype(np.int64), axis=0)
-    tops = [DyadicCube(k0, tuple(int(v) for v in row)) for row in occupied]
+    tops = [DyadicCube(k0, cell) for cell in sorted(mu._cells(k0))]
     results: list[DrawResult] = []
     for top in tops:
         members = {top}
@@ -508,8 +484,7 @@ def cover_support(mu: DiscreteMeasure, p=2, k_max: int = 6, threads: int | None 
             if Q.k >= k_max:
                 continue
             for child in Q.children():
-                ids = mu.atoms_in_triple(child)
-                if len(ids) and float(mu.weights[ids].sum()) > 0:
+                if mu.mass(child.triple()) > 0:
                     members.add(child)
                     frontier.append(child)
         tree = CubeTree(top, frozenset(members))

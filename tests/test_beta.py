@@ -243,7 +243,7 @@ class TestBetaMulti:
         rng = np.random.default_rng(13)
         mu = random_measure(rng, m=5)
         bv = beta_multi(mu, cube_at(mu.points[0], 1), 2, "star")
-        for key in ("nearby_mass_cubes", "distinct_atom_sets", "witness_max_beta", "big_box_mass"):
+        for key in ("nearby_mass_cubes", "distinct_atom_sets", "witness_max_beta"):
             assert key in bv.details
 
 

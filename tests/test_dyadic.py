@@ -101,6 +101,15 @@ class TestBox:
         assert not B.contains_point([1.0000001, 0.5])
         assert B.diameter == pytest.approx(np.sqrt(2))
 
+    def test_triple_carries_its_cube(self):
+        Q = DyadicCube(3, (1, 0))
+        T = Q.triple()
+        assert T.triple_of == Q
+        # the carried cube takes no part in equality or hashing
+        plain = Box(T.center, T.half)
+        assert T == plain and hash(T) == hash(plain)
+        assert plain.triple_of is None
+
 
 def test_chain_of_cubes_nested():
     x = [0.3, 0.71]

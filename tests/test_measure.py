@@ -90,6 +90,35 @@ class TestRegionQueries:
                 want = np.flatnonzero(Q.triple().contains_mask(mu.points))
                 assert np.array_equal(got, want)
 
+    def test_triple_faces_exact(self):
+        # 3Q = [0, 0.375] x [-0.125, 0.25]; |x - c| <= half would round the
+        # two atoms just left of x = 0 into it
+        Q = DyadicCube(3, (1, 0))
+        mu = DiscreteMeasure([[-1e-17, 0.1], [0.1, 0.1], [-5e-324, 0.1]], [1.0, 1.0, 1.0])
+        assert list(mu.atoms_in_triple(Q)) == [1]
+        assert list(mu.atoms_in(Q.triple())) == [1]
+        assert list(np.flatnonzero(Q.triple().contains_mask(mu.points))) == [1]
+        faces = DiscreteMeasure([[0.0, -0.125], [0.375, 0.25], [0.375 + 1e-16, 0.0]], [1.0, 1.0, 1.0])
+        assert list(faces.atoms_in(Q.triple())) == [0, 1]
+
+    def test_triple_query_does_not_scan(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        mu = DiscreteMeasure(rng.uniform(0, 16, size=(200, 2)), np.ones(200))
+        Q = DyadicCube(0, (8, 8))
+        want = np.flatnonzero(Q.triple().contains_mask(mu.points))
+        rows = []
+        scan = Box.contains_mask
+
+        def counted(self, X):
+            rows.append(len(np.atleast_2d(X)))
+            return scan(self, X)
+
+        monkeypatch.setattr(Box, "contains_mask", counted)
+        assert np.array_equal(mu.atoms_in(Q.triple()), want)
+        assert mu.mass(Q.triple()) == float(len(want))
+        assert np.allclose(mu.center_of_mass(Q.triple()), mu.points[want].mean(axis=0))
+        assert 0 < max(rows) < len(mu)
+
     def test_box_and_ball_are_closed(self):
         mu = DiscreteMeasure([[1.0, 0.0], [1.0 + 1e-9, 0.0]], [1.0, 1.0])
         assert mu.mass(Box((0.0, 0.0), 1.0)) == pytest.approx(1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrt import (
     BetaCache,
@@ -93,6 +95,68 @@ class TestLocalize:
         assert loc.good is not None and loc.good.members == tree.members
         assert not loc.bad
         assert loc.A_mass == pytest.approx(mu.total)
+
+
+@st.composite
+def localize_cases(draw):
+    """A random tree under the unit cube, a measure, b values, N and eps."""
+    top = DyadicCube(0, (0, 0))
+    members = {top}
+    for k, i, j in draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 7), st.integers(0, 7)), max_size=8)):
+        Q = DyadicCube(k, (i % 2**k, j % 2**k))
+        while Q not in members:
+            members.add(Q)
+            Q = Q.parent()
+    tree = CubeTree(top, members)
+    m = draw(st.integers(1, 12))
+    # centres of scale-4 cells put several atoms in one cube; free floats
+    # reach the faces
+    coords = st.one_of(
+        st.integers(0, 19).map(lambda v: (v + 0.5) / 16),
+        st.floats(0.0, 1.25, exclude_max=True, allow_subnormal=False),
+    )
+    pts = np.array(draw(st.lists(st.tuples(coords, coords), min_size=m, max_size=m)))
+    # distinct powers of two: equal masses mean equal atom sets. The scale
+    # matters, as the badness test eps mu(A) mu(R) is quadratic in mu
+    scale = draw(st.sampled_from([0, 6, 12]))
+    weights = 2.0 ** (scale - np.array(draw(st.permutations(range(m))), dtype=float))
+    mu = DiscreteMeasure(pts, weights)
+    values = st.sampled_from([0.0, 0.001, 0.05, 0.5])
+    b = {Q: draw(values) for Q in tree}
+    N = draw(st.sampled_from([0.05, 0.5, 5.0, 50.0]))
+    eps = draw(st.sampled_from([0.05, 0.25, 0.5]))
+    return tree, b, mu, N, eps
+
+
+def inherited_badness_case():
+    """(1,(0,0)) is bad, but its child (2,(1,1)) holds only an atom of A: bad by inheritance."""
+    top, P, Q, R = DyadicCube(0, (0, 0)), DyadicCube(1, (0, 0)), DyadicCube(2, (1, 1)), DyadicCube(2, (0, 0))
+    mu = DiscreteMeasure([[0.1, 0.1], [0.3, 0.3], [0.8, 0.8]], [0.5, 0.0625, 1.0])
+    return CubeTree(top, [top, P, Q, R]), {R: 0.5}, mu, 0.5, 0.5
+
+
+class TestLocalizeProperty:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(localize_cases())
+    @example(inherited_badness_case())
+    def test_matches_docstring(self, case):
+        tree, b, mu, N, eps = case
+        loc = localize(tree, b, mu, N=N, eps=eps)
+        in_A = np.zeros(len(mu), dtype=bool)
+        for i in mu.atoms_in_cube(tree.top):
+            in_A[i] = sum_function(tree, b, mu, mu.points[i]) <= N
+        assert np.array_equal(loc.A_mask, in_A)
+        A_mass = float(mu.weights[in_A].sum())
+
+        def too_light(R):
+            return float(mu.weights[in_A & R.contains_mask(mu.points)].sum()) <= eps * A_mass * mu.mass(R)
+
+        bad = {Q for Q in tree.members if any(R.contains_cube(Q) and too_light(R) for R in tree.members)}
+        assert loc.bad == bad
+        in_Aprime = in_A.copy()
+        for Q in bad:
+            in_Aprime &= ~Q.contains_mask(mu.points)
+        assert loc.A_prime_mass == float(mu.weights[in_Aprime].sum())
 
 
 class TestGrowTree:
@@ -192,6 +256,16 @@ class TestDrawThroughTree:
         )
         assert expected > 0
         assert draw.accounting["regime_sum"] == pytest.approx(expected, rel=1e-12)
+
+    def test_plain_budget_computes_member_betas_only(self):
+        mu = lipschitz_graph_measure(48)
+        tree = grow_tree(mu, mu.points[20], "lower_regular", c=0.05, k_max=3).tree
+        cache = BetaCache(mu)
+        draw = draw_through_tree(mu, tree, regime="plain_star_star", cache=cache)
+        # one star_star beta per member, none for other mass-carrying cubes
+        assert len(cache._values) == len(tree) == 45
+        assert {key[0] for key in cache._values} == tree.members
+        assert draw.accounting["regime_budget"] == pytest.approx(1.5911037198327138, rel=1e-12)
 
     def test_coverage_failure_is_typed(self, monkeypatch):
         mu = segment_measure(48)
