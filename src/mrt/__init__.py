@@ -38,7 +38,7 @@ from .errors import (
     ZeroMassRegion,
     ZeroMassTriple,
 )
-from .geometry import Line, brute_force_line_oracle, dist_to_line, fit_line
+from .geometry import Line, dist_to_line, fit_line
 from .jones import JONES_VARIANTS, JonesReport, SquareSumReport, default_kmax, jones_at, square_sum
 from .measure import Ball, DiscreteMeasure
 from .nets import (
@@ -104,7 +104,6 @@ __all__ = [
     "ZeroMassRegion",
     "ZeroMassTriple",
     "Line",
-    "brute_force_line_oracle",
     "dist_to_line",
     "fit_line",
     "JonesReport",

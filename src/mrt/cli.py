@@ -514,6 +514,11 @@ def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
         "params": rep.params,
         "atoms": atoms,
         "curves": curves,
+        "dropped": [
+            {"atom": d.atom, "c": d.c, "reason": d.reason,
+             "base_cube": None if d.base_cube is None else _cube_dict(d.base_cube)}
+            for d in rep.dropped
+        ],
         "rect_mass": rep.rect_mass,
         "captured_mass": rep.captured_mass,
         "captured_fraction": rep.captured_fraction,

@@ -35,7 +35,7 @@ from .errors import (
     ForwardProximityError,
     NetValidationError,
 )
-from .geometry import fit_line
+from .geometry import fit_line, segment_distance
 from .nets import AlphaAssignment, NetSequence
 
 EDGE_FACTOR = 30.0    # edge/bridge threshold factor (of Cstar 2^{-k} r0)
@@ -166,32 +166,17 @@ def extension_chain(nets: NetSequence, k: int, i: int) -> list[np.ndarray]:
     Nearest-point ties break lexicographically. By forward proximity the
     total length is below 2 Cstar 2^{-k} r0.
     """
-    v = nets.levels[k][i]
-    chain = [v]
-    cur = v
+    chain = [nets.levels[k][i]]
     for j in range(k + 1, nets.K + 1):
-        V = nets.levels[j]
-        d2 = ((V - cur) ** 2).sum(axis=1)
-        best = d2.min()
-        tied = np.nonzero(d2 <= best)[0]
-        if len(tied) > 1:
-            rows = sorted(tied, key=lambda r: tuple(V[r]))
-            nxt = V[rows[0]]
-        else:
-            nxt = V[tied[0]]
-        chain.append(nxt)
-        cur = nxt
+        chain.append(nets.levels[j][nets.nearest(j, chain[-1])])
     return chain
 
 
 def _chain_for_point(nets: NetSequence, k: int, p: np.ndarray, memo: dict) -> list[np.ndarray]:
     key = (k, _key(p))
     if key not in memo:
-        V = nets.levels[k]
-        d2 = ((V - p) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        # constructively p is a row of V_k; argmin finds it (distance 0)
-        memo[key] = extension_chain(nets, k, i)
+        # constructively p is a row of V_k; nearest finds it (distance 0)
+        memo[key] = extension_chain(nets, k, nets.nearest(k, p))
     return memo[key]
 
 
@@ -231,7 +216,6 @@ def construct_curve(
     nets: NetSequence,
     alphas: AlphaAssignment,
     epsilon: float = 1.0 / 32.0,
-    keep_snapshots: bool = True,
 ) -> CurveResult:
     if not (0 < epsilon <= 1.0 / 32.0):
         raise ValueError("epsilon must lie in (0, 1/32]")
@@ -321,22 +305,18 @@ def construct_curve(
             if a != b:
                 edges[(a, b)] = Segment(a, b, "edge", k)
 
-        both = np.vstack([Vp, Vk])
         for i in range(len(Vk)):
             v = Vk[i]
             alpha = alphas.alpha(k, i)
             line = alphas.line(k, i)
-            dist_all = np.sqrt(((both - v) ** 2).sum(axis=1))
-            nbhd = both[dist_all < ball(k, BALL_FACTOR)]
-            sup = float(line.distances(nbhd).max())
+            sup = float(line.distances(nets.neighborhood(k, v)).max())
             if sup > alpha * sep(k) * (1 + 1e-9) + 1e-15 * r0:
                 raise AlphaRecheckError(
                     f"alpha at level {k} vertex {i} too small: sup {sup} vs {alpha * sep(k)}"
                 )
+            members = nets.near(k, v, ball(k, BALL_FACTOR))
             if alpha >= epsilon:
                 cases[i] = "I"
-                d_same = np.sqrt(((Vk - v) ** 2).sum(axis=1))
-                members = np.nonzero(d_same < ball(k, BALL_FACTOR))[0]
                 for a_pos in range(len(members)):
                     for b_pos in range(a_pos + 1, len(members)):
                         pa, pb = Vk[members[a_pos]], Vk[members[b_pos]]
@@ -349,8 +329,6 @@ def construct_curve(
                 adds |= {(k, _key(Vk[m])) for m in members}
                 continue
             # Case II: order the ball along the fitted line
-            d_same = np.sqrt(((Vk - v) ** 2).sum(axis=1))
-            members = np.nonzero(d_same < ball(k, BALL_FACTOR))[0]
             pts = Vk[members]
             ts = line.params(pts)
             order = sorted(range(len(members)), key=lambda r: (ts[r], tuple(pts[r])))
@@ -376,16 +354,13 @@ def construct_curve(
                     side_cases.append("NT")
                     continue
                 # terminal on this side
-                d_prev = np.sqrt(((Vp - v) ** 2).sum(axis=1))
-                w_rows = sorted(
-                    np.nonzero(d_prev <= d_prev.min())[0], key=lambda r: tuple(Vp[r])
-                )
-                w_v = Vp[w_rows[0]]
-                if not d_prev[w_rows[0]] < cstar * sep(k):
+                w = nets.nearest(k - 1, v)
+                w_v = Vp[w]
+                if not nets.distances(k - 1, v)[w] < cstar * sep(k):
                     raise NetValidationError(
                         f"nearest previous-level vertex too far at level {k} vertex {i}"
                     )
-                in65 = np.nonzero(d_prev < ball(k, BALL_FACTOR))[0]
+                in65 = nets.near(k - 1, v, ball(k, BALL_FACTOR))
                 tprev = line.params(Vp[in65])
                 prev_order = sorted(
                     range(len(in65)),
@@ -398,8 +373,7 @@ def construct_curve(
                     for r in prev_order
                     if direction * tprev[r] >= direction * t_wv - 1e-15 * r0
                 ]
-                near = np.nonzero(d_prev < cstar * sep(k - 1))[0]
-                near_set = set(int(x) for x in near)
+                near_set = set(int(x) for x in nets.near(k - 1, v, cstar * sep(k - 1)))
                 enum_near = [j for j, row in enumerate(enum) if int(row) in near_set]
                 if not enum_near:
                     raise NetValidationError(
@@ -436,11 +410,7 @@ def construct_curve(
     final = snapshots[-1]
     graph = CurveGraph.from_segments(final.segments, extra_vertices=[_key(v) for v in final.vertices])
     acct = _accounting(final.segments, bridges, cores, ledger, nets, alphas, k0)
-    result = CurveResult(
-        graph, snapshots if keep_snapshots else [final], ledger, bridges, cores,
-        acct, nets, alphas, epsilon,
-    )
-    return result
+    return CurveResult(graph, snapshots, ledger, bridges, cores, acct, nets, alphas, epsilon)
 
 
 def _accounting(segments, bridges, cores, ledger, nets, alphas, k0) -> dict:
@@ -492,36 +462,6 @@ def _accounting(segments, bridges, cores, ledger, nets, alphas, k0) -> dict:
 # connectivity and length
 
 
-def _segment_distance(p1, q1, p2, q2) -> float:
-    """Minimum distance between closed segments [p1,q1] and [p2,q2]."""
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    if a == 0.0 and e == 0.0:
-        return float(np.linalg.norm(r))
-    if a == 0.0:
-        t = min(1.0, max(0.0, f / e))
-        return float(np.linalg.norm(p1 - (p2 + t * d2)))
-    c = float(d1 @ r)
-    if e == 0.0:
-        s = min(1.0, max(0.0, -c / a))
-        return float(np.linalg.norm(p1 + s * d1 - p2))
-    b = float(d1 @ d2)
-    denom = a * e - b * b
-    s = min(1.0, max(0.0, (b * f - c * e) / denom)) if denom > 0 else 0.0
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = min(1.0, max(0.0, -c / a))
-    elif t > 1.0:
-        t = 1.0
-        s = min(1.0, max(0.0, (b - c) / a))
-    return float(np.linalg.norm((p1 + s * d1) - (p2 + t * d2)))
-
-
 class _DSU:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -541,9 +481,9 @@ class _DSU:
 def verify_connected(segments: list[Segment], points=None, tol: float = 1e-12):
     """Whether the union of segments (and optional extra points) is connected.
 
-    Joins via shared endpoints first, then via any segment/segment or
-    point/segment distance below tol (covers T-joints, transversal crossings,
-    collinear overlaps). Returns (ok, witness): a component count when
+    Joins via shared endpoints and point/segment distances first, then, only
+    if that leaves several components, via any segment/segment distance below
+    tol (covers T-joints, transversal crossings, collinear overlaps). Returns (ok, witness): a component count when
     connected, otherwise a bipartition listing one separated part.
     """
     pts = [] if points is None else [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
@@ -572,19 +512,16 @@ def verify_connected(segments: list[Segment], points=None, tol: float = 1e-12):
         for a, b, seg_node in arr:
             if dsu.find(node) == dsu.find(seg_node):
                 continue
-            if _segment_distance(p, p, a, b) <= tol:
+            if segment_distance(p, p, a, b) <= tol:
                 dsu.union(node, seg_node)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr)):
-            for j in range(i + 1, len(arr)):
-                ri, rj = dsu.find(arr[i][2]), dsu.find(arr[j][2])
-                if ri == rj:
-                    continue
-                if _segment_distance(arr[i][0], arr[i][1], arr[j][0], arr[j][1]) <= tol:
-                    dsu.union(ri, rj)
-                    changed = True
+    if len({dsu.find(i) for i in range(len(nodes))}) == 1:
+        return True, {"components": 1}
+    # one pass suffices: a pair within tol is joined when met, and unions only merge
+    for i in range(len(arr)):
+        for j in range(i + 1, len(arr)):
+            ri, rj = dsu.find(arr[i][2]), dsu.find(arr[j][2])
+            if ri != rj and segment_distance(arr[i][0], arr[i][1], arr[j][0], arr[j][1]) <= tol:
+                dsu.union(ri, rj)
     roots = {dsu.find(i) for i in range(len(nodes))}
     if len(roots) <= 1:
         return True, {"components": len(roots)}
@@ -668,11 +605,7 @@ def length_certificate(result: CurveResult, epsilon: float | None = None) -> Cer
     cores = [rec for rec in result.cores if rec.core is not None]
     for i in range(len(cores)):
         for j in range(i + 1, len(cores)):
-            a1 = np.asarray(cores[i].core[0])
-            b1 = np.asarray(cores[i].core[1])
-            a2 = np.asarray(cores[j].core[0])
-            b2 = np.asarray(cores[j].core[1])
-            d = _segment_distance(a1, b1, a2, b2)
+            d = segment_distance(*map(np.asarray, cores[i].core + cores[j].core))
             if d <= tol:
                 raise CertificateError(
                     f"cores of bridges {cores[i].key} and {cores[j].key} intersect (distance {d})"
@@ -688,9 +621,8 @@ def length_certificate(result: CurveResult, epsilon: float | None = None) -> Cer
                 )
         Vk = nets.levels[k]
         bound = EDGE_FACTOR * cstar * nets.sep(k)
-        for i, w in enumerate(Vk):
-            d = np.sqrt(((Vk - w) ** 2).sum(axis=1))
-            nbhd = Vk[d < bound]
+        for w in Vk:
+            nbhd = Vk[nets.near(k, w, bound)]
             if len(nbhd) > 1:
                 ell, sup = fit_line(nbhd, None, p="sup")
                 if not sup < eps * nets.sep(k):

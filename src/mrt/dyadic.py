@@ -105,12 +105,6 @@ class DyadicCube:
         """The concentric closed cube of three times the side."""
         return Box(tuple(self.center()), 1.5 * self.side, self)
 
-    def dilate(self, lam: float) -> Box:
-        """Concentric closed cube with side lam * side."""
-        if lam <= 0:
-            raise ValueError("dilation factor must be positive")
-        return Box(tuple(self.center()), lam * self.side / 2.0)
-
     def contains_mask(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim:

@@ -22,6 +22,15 @@ for all x in (V_{k-1} u V_k) within the open ball B(v, 65 Cstar 2^{-k} r0).
 fit_alphas either takes supplied lines or fits each neighborhood by a sup-norm
 line fit, then sets alpha to the exact supremum ratio, so the inequality holds
 by construction.
+
+Neighbour queries: every net-level proximity question (validation, alpha
+neighborhoods, the curve construction's balls, extension chains and terminal
+tests, the length certificate, the doubling regime's neighborhoods) goes
+through NetSequence.distances, near, nearest and neighborhood. Distances are
+Euclidean, sqrt of the summed squared differences; balls are open (a point at
+exactly the radius is outside); near returns row indices of V_k in ascending
+order; nearest breaks distance ties toward the lexicographically least point.
+The queries scan the level linearly.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import numpy as np
 from ._parallel import pmap
 from .dyadic import CubeTree, DyadicCube
 from .errors import EmptyInput, NetValidationError, ZeroMassTriple
-from .geometry import Line, fit_line
+from .geometry import Line, fit_line, segment_distance
 from .measure import DiscreteMeasure, ZeroMassRegion
 
 NEIGHBORHOOD_FACTOR = 65.0  # ball radius factor for alpha neighborhoods
@@ -107,13 +116,25 @@ class NetSequence:
             k0 = k
         return k0
 
+    def distances(self, k: int, v) -> np.ndarray:
+        """Euclidean distance from v to every row of V_k."""
+        return np.sqrt(((self.levels[k] - v) ** 2).sum(axis=1))
+
+    def near(self, k: int, v, radius: float) -> np.ndarray:
+        """Rows of V_k inside the open ball B(v, radius), ascending."""
+        return np.nonzero(self.distances(k, v) < radius)[0]
+
+    def nearest(self, k: int, v) -> int:
+        """Row of V_k nearest to v; ties go to the lexicographically least point."""
+        V = self.levels[k]
+        d = self.distances(k, v)
+        return int(min(np.nonzero(d <= d.min())[0], key=lambda r: tuple(V[r])))
+
     def neighborhood(self, k: int, v: np.ndarray) -> np.ndarray:
         """(V_{k-1} u V_k) inside the open ball B(v, 65 Cstar 2^{-k} r0)."""
-        pool = [self.levels[k]] if k == 0 else [self.levels[k - 1], self.levels[k]]
-        pts = np.vstack(pool)
         radius = NEIGHBORHOOD_FACTOR * self.cstar * self.sep(k)
-        d = np.sqrt(((pts - v) ** 2).sum(axis=1))
-        return pts[d < radius]
+        pool = range(max(k - 1, 0), k + 1)
+        return np.vstack([self.levels[j][self.near(j, v, radius)] for j in pool])
 
 
 def _greedy_separated(points: np.ndarray, sep: float) -> list[int]:
@@ -237,7 +258,7 @@ def validate_nets(nets: NetSequence, cstar: float | None = None) -> NetValidatio
     for k in range(nets.K):
         bound = cstar * nets.sep(k + 1)
         for i, v in enumerate(nets.levels[k]):
-            d = float(np.sqrt(((nets.levels[k + 1] - v) ** 2).sum(axis=1).min()))
+            d = float(nets.distances(k + 1, v).min())
             ratios.append(d / nets.sep(k + 1))
             if not d < bound:
                 violations.append(
@@ -246,15 +267,15 @@ def validate_nets(nets: NetSequence, cstar: float | None = None) -> NetValidatio
     for k in range(1, nets.K + 1):
         bound = cstar * nets.sep(k)
         for i, v in enumerate(nets.levels[k]):
-            d = float(np.sqrt(((nets.levels[k - 1] - v) ** 2).sum(axis=1).min()))
+            d = float(nets.distances(k - 1, v).min())
             ratios.append(d / nets.sep(k))
             if not d < bound:
                 violations.append(
                     {"condition": "V_III", "level": k, "point": i, "distance": d, "bound": bound}
                 )
     if nets.x0 is not None:
-        for k, V in enumerate(nets.levels):
-            d = np.sqrt(((V - nets.x0) ** 2).sum(axis=1))
+        for k in range(nets.K + 1):
+            d = nets.distances(k, nets.x0)
             ratios.append(float(d.max()) / nets.r0 if len(d) else 0.0)
             bad = np.nonzero(d > cstar * nets.r0 * (1 + 1e-12))[0]
             for i in bad:
@@ -341,15 +362,6 @@ def hausdorff_to_segments(points: np.ndarray, segments: list[tuple[np.ndarray, n
     """Max over points of distance to a union of closed segments."""
     worst = 0.0
     for x in np.atleast_2d(points):
-        best = math.inf
-        for a, b in segments:
-            ab = b - a
-            L2 = float(ab @ ab)
-            if L2 == 0.0:
-                d = float(np.linalg.norm(x - a))
-            else:
-                t = min(1.0, max(0.0, float((x - a) @ ab) / L2))
-                d = float(np.linalg.norm(x - (a + t * ab)))
-            best = min(best, d)
+        best = min((segment_distance(x, x, a, b) for a, b in segments), default=math.inf)
         worst = max(worst, best)
     return worst

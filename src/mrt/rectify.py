@@ -294,30 +294,24 @@ def _witness_line_alpha(mu, cache, tree, nets, regime, p, c, D, refine, key):
     elif regime == "doubling":
         radius = 65.0 * nets.cstar * nets.sep(k)
         v = nets.levels[k][i]
-        hat = Q
         ratio_cap = 3200.0 * math.sqrt(n)
-        while True:
-            ok = True
-            for j in (k - 1, k):
-                if j < 0 or j >= len(nets.levels):
-                    continue
-                d = np.sqrt(((nets.levels[j] - v) ** 2).sum(axis=1))
-                for row in np.nonzero(d < radius)[0]:
-                    W = nets.witnesses[j][row]
-                    big = hat.triple()
-                    wtri = W.triple()
-                    inside = all(
+
+        def covers(hat: DyadicCube) -> bool:
+            """3 hat contains the triple of every witness in the alpha ball of v."""
+            big = hat.triple()
+            for j in range(max(k - 1, 0), k + 1):
+                for row in nets.near(j, v, radius):
+                    wtri = nets.witnesses[j][row].triple()
+                    if not all(
                         big.center[t] - big.half <= wtri.center[t] - wtri.half
                         and wtri.center[t] + wtri.half <= big.center[t] + big.half
                         for t in range(n)
-                    )
-                    if not inside:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                break
+                    ):
+                        return False
+            return True
+
+        hat = Q
+        while not covers(hat):
             parent = hat.parent()
             if parent not in tree.members:
                 raise TreeStructureError(
@@ -535,6 +529,16 @@ class AtomReport:
 
 
 @dataclass
+class DroppedTree:
+    """A rect-candidate's tree that was not drawn, with the reason."""
+
+    atom: int
+    c: float
+    base_cube: DyadicCube | None
+    reason: str
+
+
+@dataclass
 class DecompositionReport:
     atoms: list[AtomReport]
     curves: list[DrawResult]
@@ -542,6 +546,7 @@ class DecompositionReport:
     rect_mass: float
     captured_fraction: float
     params: dict
+    dropped: list[DroppedTree] = field(default_factory=list)
 
     def labels(self) -> list[str]:
         return [a.label for a in self.atoms]
@@ -566,7 +571,9 @@ def decompose_estimate(
     lower-regular trees (deduplicated by base cube), localized against
     b = beta^2 diam with the eps ladder, and the good trees are drawn;
     captured mass is the rect-candidate mass within tolerance of any curve.
-    All thresholds are reported, none are asserted as ground truth.
+    A tree that cannot be grown or drawn is listed in `dropped` with the
+    grow diagnostic or the drawing error. All thresholds are reported, none
+    are asserted as ground truth.
     """
     n = mu.dim
     cache = BetaCache(mu)
@@ -609,17 +616,20 @@ def decompose_estimate(
         atoms.append(AtomReport(i, float(dens), float(jval), bool(jdiv), c_used, label, reason))
 
     curves: list[DrawResult] = []
+    dropped: list[DroppedTree] = []
     seen_bases: set = set()
     for rep in atoms:
         if rep.label != "rect-candidate":
             continue
         c = rep.c_used
         _r_x, base = base_cube_for(mu, mu.points[rep.index], "lower_regular", c=c, k_max=k_max)
-        if base is None or (c, base) in seen_bases:
+        # without a base cube there is nothing to share: grow_tree says why
+        if base is not None and (c, base) in seen_bases:
             continue
         seen_bases.add((c, base))
         grown = grow_tree(mu, mu.points[rep.index], "lower_regular", c=c, k_max=k_max)
         if grown.tree is None:
+            dropped.append(DroppedTree(rep.index, c, base, grown.diagnostic))
             continue
         b_map = {}
         for Q in grown.tree.members:
@@ -635,8 +645,8 @@ def decompose_estimate(
             curves.append(
                 draw_through_tree(mu, tree, p=p, regime="lower_regular", c=c, cache=cache, refine=refine, threads=threads)
             )
-        except (TreeStructureError, CertificateError):
-            continue
+        except (TreeStructureError, CertificateError) as exc:
+            dropped.append(DroppedTree(rep.index, c, base, f"{type(exc).__name__}: {exc}"))
     rect_ids = [a.index for a in atoms if a.label == "rect-candidate"]
     rect_mass = float(mu.weights[rect_ids].sum()) if rect_ids else 0.0
     captured_ids: list[int] = []
@@ -684,4 +694,5 @@ def decompose_estimate(
         rect_mass=rect_mass,
         captured_fraction=fraction,
         params=params,
+        dropped=dropped,
     )

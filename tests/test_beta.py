@@ -16,12 +16,12 @@ from mrt import (
     beta_fixed_line,
     beta_multi,
     beta_sup_set,
-    brute_force_line_oracle,
 )
 from mrt.beta import VARIANTS, _family, nearby_cubes_with_mass
 from mrt.dyadic import Box, cube_at, in_nearby_family
 from mrt.errors import DegenerateRegion
 
+from _oracle import brute_force_line_oracle
 from _samples import segment_measure
 
 

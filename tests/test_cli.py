@@ -1,10 +1,12 @@
+import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from mrt import _parallel
+from mrt import _parallel, rectify
 from mrt.cli import main, save_measure
 
 from _samples import lipschitz_graph_measure
@@ -45,3 +47,18 @@ def test_reports_identical_across_thread_counts(tmp_path, args):
         assert main([args[0], str(measure), *args[1:], "--threads", threads, "-o", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_decompose_reports_dropped_trees(tmp_path, monkeypatch):
+    mu = lipschitz_graph_measure(40)
+    measure = tmp_path / "measure.json"
+    save_measure(mu, measure)
+    monkeypatch.setattr(rectify, "hausdorff_to_segments", lambda *a, **k: math.inf)
+    out = tmp_path / "report.json"
+    args = ["decompose", str(measure), "--k-max", "3", "--c-ladder", "0.01", "--n-cap", "0.03"]
+    assert main([*args, "--threads", "1", "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["curves"] == [] and rep["dropped"]
+    for d in rep["dropped"]:
+        assert d["c"] == 0.01 and set(d["base_cube"]) == {"k", "index"}
+        assert d["reason"].startswith("CertificateError: leaf coverage failed")

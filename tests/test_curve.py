@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,8 @@ from mrt.curve import CurveGraph, extension_chain
 from mrt.errors import AlphaRecheckError
 from mrt.nets import hausdorff_to_segments
 
-from _samples import circle_measure, segment_measure
+from _samples import circle_measure, lipschitz_graph_measure, segment_measure
+from conftest import FIXTURES_DIR
 
 
 def t2_nets():
@@ -246,3 +250,77 @@ def test_curve_graph_dedups_vertices():
     assert len(g.vertices) == 4
     assert g.segments[0] == (0, 1, "edge", 0)
     assert g.segments[1] == (1, 2, "edge", 0)
+
+
+# ---------------------------------------------------------------------------
+# golden construction: cases, segments, ledger, cores and accounting pinned
+
+
+def golden_nets() -> dict:
+    """Nets reaching every branch: T1/T2 terminals, II-NT walks, Case I, bridges."""
+    return {
+        "t2": t2_nets(),
+        "segment32_K4": nets_from_points(segment_measure(32).points, K=4),
+        "circle32_K4": nets_from_points(circle_measure(32).points, K=4),
+        "lipschitz48_K6": nets_from_points(lipschitz_graph_measure(48).points, K=6),
+    }
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def curve_fingerprint(result) -> dict:
+    """Everything construct_curve decides, JSON-ready; floats are exact.
+
+    Cases, cores and accounting are kept verbatim; each stage's sorted
+    segments and ledger pairs are kept as a sha256 of their JSON text.
+    """
+
+    def seg(s):
+        owner = None if s.owner is None else [s.owner[0], list(s.owner[1]), list(s.owner[2])]
+        return [list(s.a), list(s.b), s.kind, s.gen, owner]
+
+    return {
+        "stages": [
+            {
+                "k": snap.k,
+                "cases": {str(i): c for i, c in sorted(snap.cases.items())},
+                "n_segments": len(snap.segments),
+                "segments": _digest(sorted(seg(s) for s in snap.segments)),
+            }
+            for snap in result.snapshots
+        ],
+        "ledger": {
+            str(k): _digest(sorted([j, list(p)] for j, p in pairs))
+            for k, pairs in sorted(result.ledger.stages.items())
+        },
+        "cores": [[list(rec.core[0]), list(rec.core[1])] for rec in result.cores],
+        "accounting": result.accounting,
+    }
+
+
+class TestGoldenConstruction:
+    GOLDEN = FIXTURES_DIR / "curve_golden.json"
+
+    @pytest.mark.parametrize("name", ["t2", "segment32_K4", "circle32_K4", "lipschitz48_K6"])
+    def test_matches_recorded(self, name):
+        nets = golden_nets()[name]
+        result = construct_curve(nets, fit_alphas(nets))
+        got = json.loads(json.dumps(curve_fingerprint(result)))
+        want = json.loads(self.GOLDEN.read_text())[name]
+        for g, w in zip(got["stages"], want["stages"]):
+            assert g == w, f"stage {w['k']}"
+        assert got == want
+
+    def test_covers_every_case(self):
+        want = json.loads(self.GOLDEN.read_text())
+        labels = {
+            name: {c for st in fp["stages"] for c in st["cases"].values()}
+            for name, fp in want.items()
+        }
+        assert {"II-T2/T1", "II-T1/T2"} <= labels["t2"]
+        assert {"II-NT/NT", "II-NT/T1", "II-T1/NT"} <= labels["segment32_K4"]
+        assert "I" in labels["circle32_K4"]
+        assert "I" in labels["lipschitz48_K6"]
+        assert want["lipschitz48_K6"]["accounting"]["n_bridges"] > 0

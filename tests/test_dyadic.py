@@ -84,9 +84,6 @@ class TestDyadicCube:
         T = Q.triple()
         assert T.side == pytest.approx(3 * Q.side)
         assert np.allclose(T.center_array(), Q.center())
-        assert Q.dilate(3.0).half == pytest.approx(T.half)
-        with pytest.raises(ValueError):
-            Q.dilate(0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

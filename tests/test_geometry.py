@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrt import Line, brute_force_line_oracle, dist_to_line, fit_line
+from mrt import Line, dist_to_line, fit_line
 from mrt.errors import DimensionMismatch, EmptyInput, OrderingError
 from mrt.geometry import (
     OrderingWitness,
@@ -15,6 +15,8 @@ from mrt.geometry import (
     pattern_search,
     unit,
 )
+
+from _oracle import brute_force_line_oracle
 
 
 class TestLine:

@@ -47,6 +47,38 @@ class TestNetSequence:
             NetSequence([np.zeros((1, 2))], r0=1.0, cstar=1.0)
 
 
+class TestNeighbourQueries:
+    def nets(self):
+        V1 = np.array([[3.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.5, 0.0]])
+        return NetSequence([np.array([[0.0, 0.0]]), V1], r0=4.0, cstar=2.0)
+
+    def test_distances(self):
+        nets = self.nets()
+        assert np.array_equal(nets.distances(1, [0.0, 0.0]), [3.0, 1.0, 1.0, 1.0, 1.0, 0.5])
+
+    def test_near_is_open_and_ascending(self):
+        nets = self.nets()
+        # the four points at distance exactly 1 lie on the sphere: excluded
+        assert nets.near(1, [0.0, 0.0], 1.0).tolist() == [5]
+        assert nets.near(1, [0.0, 0.0], np.nextafter(1.0, 2.0)).tolist() == [1, 2, 3, 4, 5]
+        assert nets.near(1, [0.0, 0.0], 0.5).tolist() == []
+
+    def test_nearest_ties_go_to_least_point(self):
+        nets = self.nets()
+        assert nets.nearest(1, [0.0, 0.0]) == 5
+        # without (0.5, 0), rows 1-4 tie at distance 1 from the origin; the
+        # least point (-1, 0) is row 2, not the first tied row
+        tied = NetSequence([np.array([[0.0, 0.0]]), nets.levels[1][:5]], r0=4.0, cstar=2.0)
+        assert tied.nearest(1, [0.0, 0.0]) == 2
+        assert tied.nearest(1, [0.0, 0.5]) == 1
+
+    def test_neighborhood_uses_both_levels(self):
+        nets = self.nets()
+        # radius 65 Cstar 2^{-1} r0 = 260 covers everything; V_0 rows come first
+        nb = nets.neighborhood(1, [0.0, 0.0])
+        assert np.array_equal(nb, np.vstack(nets.levels))
+
+
 class TestNetsFromPoints:
     def test_circle_nets_validate(self):
         E = circle_measure(48).points

@@ -319,6 +319,21 @@ class TestDecomposeEstimate:
         rep = decompose_estimate(mu, c_ladder=(0.01,), N_cap=0.03, k_max=4)
         assert rep.captured_fraction == 1.0
 
+    def test_failed_draws_are_reported(self, monkeypatch):
+        mu = lipschitz_graph_measure(40)
+        kwargs = dict(c_ladder=(0.01,), N_cap=0.03, k_max=3)
+        drawn = decompose_estimate(mu, **kwargs)
+        assert drawn.curves and drawn.dropped == []
+        monkeypatch.setattr(rectify, "hausdorff_to_segments", lambda *a, **k: math.inf)
+        rep = decompose_estimate(mu, **kwargs)
+        assert rep.curves == []
+        assert len(rep.dropped) == len(drawn.curves)
+        for d in rep.dropped:
+            assert rep.atoms[d.atom].label == "rect-candidate"
+            assert d.c == 0.01 and d.base_cube is not None
+            assert d.reason.startswith("CertificateError: leaf coverage failed")
+        assert rep.captured_fraction == 0.0
+
     def test_light_outlier_fails_density(self):
         seg = segment_measure(32, total=1.0)
         pts = np.vstack([seg.points, [[30.0, 30.0]]])
