@@ -19,8 +19,17 @@ arbitrarily far from one member of the family, but the coupled scores live in
 [0, 1] by definition). Only mass-carrying nearby cubes are ever enumerated:
 empty cubes contribute 0 to every max. The reported value is a certified upper
 bound: it is the exact score of a concrete witness line, chosen from per-cube
-minimizers, the global minimizer, atom-pair lines, and a deterministic
-pattern-search refinement.
+minimizers, the global minimizer, atom-pair lines, planar angle sweeps, and a
+deterministic pattern-search refinement.
+
+For p = 2 in the plane, small families (<= 16 distinct atoms) solve the
+offset profile: for a line direction, each entry's capped score is a clamped
+convex parabola in the line's offset, so its sublevel sets are intervals and
+the least coupled score over all offsets is the least level at which those
+intervals meet. A bisection on that level runs for many angles at once from
+the per-entry moments. The 720-angle profile's basins are then refined by
+shrinking local angle grids, one batched profile call per round; each
+basin's end line only seeds the candidates.
 
 The search objective and the certified value are kept apart. For p = 2 the
 refinement's pattern search evaluates lines from per-entry moments (mass,
@@ -57,15 +66,20 @@ VARIANTS = ("star", "star_star", "star_c")
 # per-cube candidate line fits per family; huge families keep the heaviest
 _MAX_ENTRY_FITS = 48
 
-# planar families up to this many atom slots also get an angle x offset
-# candidate sweep: the coupled max objective has many local basins (and flat
-# plateaus where every nearby cube is capped) that line fits alone miss.
-# Families on <= 16 distinct atoms get oracle-grade density.
+# planar families also get candidates from an angle sweep: the coupled max
+# objective has many local basins (and flat plateaus where every nearby cube
+# is capped) that line fits alone miss. p = 2 families on <= 16 distinct
+# atoms take the least offset per angle (`_Family.offset_profile`) at 720
+# angles, and each basin of that profile is zoomed in on by an 8-angle grid
+# that shrinks 4x per round, all basins in one profile call per round. Other
+# families up to 240 atom slots score a 144 angle x 48 offset grid.
 _GRID_SLOT_LIMIT = 240
 _GRID_ANGLES = 144
 _GRID_OFFSETS = 48
 _GRID_ANGLES_DENSE = 720
-_GRID_OFFSETS_DENSE = 120
+_ZOOM = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+# halvings of the level bracket [max_e f_e min(v_e, 1), max_e f_e]
+_PROFILE_BISECTIONS = 64
 
 
 @dataclass
@@ -263,36 +277,6 @@ def nearby_cubes_with_mass(
 # coupled inf-max over the nearby family
 
 
-def _quad_roots(a, b, c):
-    """Real roots of a t^2 + b t + c = 0, vectorized.
-
-    Uses the q-form (q = -(b + sign(b) sqrt(disc)) / 2, roots q/a and c/q) so
-    roots stay accurate when a is tiny: the naive (-b +- sqrt(disc)) / 2a form
-    cancels catastrophically for near-linear quadratics, which arise here
-    whenever two entries have almost equal leading moments.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    disc = b * b - 4.0 * a * c
-    ok = disc >= 0
-    if not ok.any():
-        return np.empty(0)
-    a, b, c, disc = a[ok], b[ok], c[ok], disc[ok]
-    sgn = np.where(b >= 0.0, 1.0, -1.0)
-    q = -0.5 * (b + sgn * np.sqrt(disc))
-    out = []
-    m = np.abs(a) > 1e-300
-    if m.any():
-        out.append(q[m] / a[m])
-    m = np.abs(q) > 1e-300
-    if m.any():
-        out.append(c[m] / q[m])
-    if not out:
-        return np.empty(0)
-    return np.concatenate(out)
-
-
 def beta_multi(
     mu: DiscreteMeasure,
     Q: DyadicCube,
@@ -439,6 +423,16 @@ class _Family:
         tr C - u.Cu + S0 (|m - b|^2 - ((m - b).u)^2). A call costs O(entries)
         instead of O(slots), in any dimension; direction must be a unit vector.
         """
+        S0, m, C, trC = self.moments()
+        v = m - (base - self.cen)
+        vu = v @ direction
+        sq = trC - (C @ direction) @ direction + S0 * (np.einsum("ij,ij->i", v, v) - vu * vu)
+        b2 = np.minimum(np.maximum(sq, 0.0) * self.inv_mass, 1.0)
+        vals = b2 * self.entry_factor if self.entry_factor is not None else np.sqrt(b2)
+        return float(vals.max())
+
+    def moments(self):
+        """Per-entry (S0, m, C, tr C) of the slot weights w / diam(3R)^2."""
         if self._moments is None:
             # centroids relative to the family centre keep their digits when
             # the family sits far from the origin
@@ -448,13 +442,75 @@ class _Family:
             D = self.Pc - m[self.entry_id]
             C = np.add.reduceat(q[:, None, None] * D[:, :, None] * D[:, None, :], self.starts, axis=0)
             self._moments = (S0, m, C, np.trace(C, axis1=1, axis2=2))
-        S0, m, C, trC = self._moments
-        v = m - (base - self.cen)
-        vu = v @ direction
-        sq = trC - (C @ direction) @ direction + S0 * (np.einsum("ij,ij->i", v, v) - vu * vu)
-        b2 = np.minimum(np.maximum(sq, 0.0) * self.inv_mass, 1.0)
-        vals = b2 * self.entry_factor if self.entry_factor is not None else np.sqrt(b2)
-        return float(vals.max())
+        return self._moments
+
+    def offset_profile(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """Least p = 2 objective over the planar lines of each angle, and its offset.
+
+        For angle th the lines are {cen + t nu + r (cos th, sin th)} with
+        normal nu = (-sin th, cos th). Entry e scores f_e min(M0 (t - c)^2 + v, 1)
+        in t, where M0 = S0 / mass, c = m . nu and v = nu^T C nu / mass (the
+        vertex form of M0 t^2 - 2 M1 t + M2), and f_e is the variant's weight
+        (1 for star_star, whose score is the square root of the same max). At
+        a level lam < f_e its level set is the interval c -+ sqrt((lam / f_e - v) / M0);
+        at lam >= f_e it is every t. Bisecting lam between max_e f_e min(v, 1)
+        and max_e f_e finds, for every angle at once, the least level whose
+        intervals still meet, and t is the midpoint of their intersection, or
+        the family centre t = 0 when every entry is capped at that level and
+        every t ties. Returns the objective at (th, t) and t, per angle; p = 2
+        and n = 2 only.
+        """
+        S0, m, C, _ = self.moments()
+        f = self.entry_factor if self.entry_factor is not None else np.ones(len(self.entries))
+        # rows are entries, columns angles. Inside the bracket only entries
+        # weighted below the top weight can turn free, so they go last and
+        # one block of rows holds every free mask (none for star_star and
+        # star_c). A top entry at lam = max f keeps its b^2 <= 1 interval:
+        # if those meet, any point of them also scores max f.
+        order = np.argsort(-f, kind="stable")
+        f, m, C, inv_mass = f[order], m[order], C[order], self.inv_mass[order]
+        n_top = int(np.count_nonzero(f == f[0]))
+        M0 = S0[order] * inv_mass
+        th = np.asarray(thetas, dtype=float)
+        nx, ny = -np.sin(th), np.cos(th)
+        c = np.outer(m[:, 0], nx) + np.outer(m[:, 1], ny)
+        v = np.outer(C[:, 0, 0], nx * nx) + np.outer(2.0 * C[:, 0, 1], nx * ny) + np.outer(C[:, 1, 1], ny * ny)
+        v = np.maximum(v, 0.0) * inv_mass[:, None]
+        # half-width^2 at level lam: (lam / f - v) / M0 = lam * a - b
+        a = 1.0 / (f * M0)
+        b = v / M0[:, None]
+
+        def meet(lam):
+            # intersection [L, U] of the level sets at lam, per angle; a free
+            # entry's half-width is infinite, so L = -inf and U = inf exactly
+            # when every entry is free
+            h = a[:, None] * lam
+            h -= b
+            np.maximum(h, 0.0, out=h)
+            np.sqrt(h, out=h)
+            if n_top < len(f):
+                np.putmask(h[n_top:], lam >= f[n_top:, None], np.inf)
+            L = (c - h).max(axis=0)
+            return L, np.add(c, h, out=h).min(axis=0)
+
+        lo = (f[:, None] * np.minimum(v, 1.0)).max(axis=0)
+        L, U = meet(lo)
+        ok = L <= U
+        hi = np.where(ok, lo, f[0])
+        L = np.where(ok, L, -np.inf)
+        U = np.where(ok, U, np.inf)
+        for _ in range(_PROFILE_BISECTIONS):
+            lam = 0.5 * (lo + hi)
+            Lm, Um = meet(lam)
+            ok = Lm <= Um
+            hi = np.where(ok, lam, hi)
+            lo = np.where(ok, lo, lam)
+            L = np.where(ok, Lm, L)
+            U = np.where(ok, Um, U)
+        fin = np.isfinite(L)
+        t = 0.5 * (np.where(fin, L, 0.0) + np.where(fin, U, 0.0))
+        vals = (f[:, None] * np.minimum(M0[:, None] * (t - c) ** 2 + v, 1.0)).max(axis=0)
+        return vals, t
 
 
 def _family(mu, Q, p, variant, c, cache) -> _Family | None:
@@ -523,66 +579,8 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
                     candidates.append(Line(pts[i], unit(diff)))
     dense = len(pts) <= 16 and p == 2
     if Q.dim == 2 and dense:
-        q_w = W * slot_inv_diam**2
-        factor = entry_factor if entry_factor is not None else np.ones(len(entries))
-        M0 = np.add.reduceat(q_w, starts) * inv_mass
-        E = len(entries)
-        ii, jj = np.triu_indices(E, 1)
-        fi = np.repeat(np.arange(E), E)
-        fj = np.tile(np.arange(E), E)
-
-        def exact_offset_min(th):
-            # along offset t each entry scores a capped parabola; the envelope
-            # minimum lies at a vertex or a pairwise breakpoint
-            nrm = np.array([-np.sin(th), np.cos(th)])
-            s = P @ nrm - cen @ nrm
-            M1 = np.add.reduceat(q_w * s, starts) * inv_mass
-            M2 = np.add.reduceat(q_w * s * s, starts) * inv_mass
-            A = factor * M2
-            B = factor * M1
-            C = factor * M0
-            cand = [M1 / np.maximum(M0, 1e-300)]
-            if len(ii):
-                cand.append(_quad_roots(C[ii] - C[jj], -2.0 * (B[ii] - B[jj]), A[ii] - A[jj]))
-            # parabola of e crossing a plateau level w_f (own cap included)
-            cand.append(_quad_roots(C[fi], -2.0 * B[fi], A[fi] - factor[fj]))
-            ts = np.concatenate([c[np.isfinite(c)] for c in cand])
-            if not len(ts):
-                ts = np.zeros(1)
-
-            def envelope(sub):
-                b2 = np.minimum(
-                    np.maximum(M2[:, None] - 2.0 * M1[:, None] * sub[None, :] + M0[:, None] * sub[None, :] ** 2, 0.0),
-                    1.0,
-                )
-                return (factor[:, None] * b2).max(axis=0)
-
-            if len(ts) > 256:
-                # each term is a clamped convex parabola, so the envelope is
-                # unimodal in t; scoring a coarse subsample of the sorted
-                # breakpoints and then only the basin around its (tie-expanded)
-                # argmin visits the same global minimum at a fraction of the cost
-                ts = np.sort(ts)
-                stride = max(1, len(ts) // 64)
-                coarse = np.arange(0, len(ts), stride)
-                wc = envelope(ts[coarse])
-                wmin = wc.min()
-                tied = np.flatnonzero(wc <= wmin * (1.0 + 1e-12) + 1e-300)
-                lo = max(0, int(coarse[tied[0]]) - stride)
-                hi = min(len(ts), int(coarse[tied[-1]]) + stride + 1)
-                sel = ts[lo:hi]
-                worst = envelope(sel)
-                j = int(np.argmin(worst))
-                return float(worst[j]), float(sel[j])
-            worst = envelope(ts)
-            j = int(np.argmin(worst))
-            return float(worst[j]), float(ts[j])
-
         n_ang = _GRID_ANGLES_DENSE
-        sweep = np.empty(n_ang)
-        sweep_t = np.empty(n_ang)
-        for i in range(n_ang):
-            sweep[i], sweep_t[i] = exact_offset_min(np.pi * i / n_ang)
+        sweep, sweep_t = fam.offset_profile(np.pi * np.arange(n_ang) / n_ang)
         # refine every local basin of the circular angle profile; value-ranked
         # starts miss narrow dips whose grid samples sit high on the wall
         local = np.flatnonzero(
@@ -592,23 +590,27 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
             # flat profiles (every angle ties) otherwise refine hundreds of
             # identical basins; generic profiles have far fewer dips
             local = local[np.argsort(sweep[local], kind="stable")[:48]]
-        for i in local:
-            if sweep[i] <= 1e-30:
-                # already an exact zero: nothing below it to search for
-                th = np.pi * i / n_ang
-                tr = sweep_t[i]
-            else:
-                _v, x = pattern_search(
-                    lambda q: exact_offset_min(q[0])[0],
-                    np.array([np.pi * i / n_ang]),
-                    np.array([np.pi / n_ang]),
-                    max_iter=60,
-                    tol=1e-14,
-                )
-                th = float(x[0])
-                _vr, tr = exact_offset_min(th)
+        th = np.pi * local / n_ang
+        val, tr = sweep[local], sweep_t[local]
+        # a basin at an exact zero has nothing below it to search for
+        live = np.flatnonzero(val > 1e-30)
+        rows = np.arange(len(live))
+        step = np.pi / n_ang / _ZOOM.max()
+        while len(live) and step >= 1e-14:
+            # one profile call zooms every live basin: the grid reaches the
+            # last round's step on either side of the centre, and the centre
+            # moves only to a strictly lower grid point
+            grid = th[live][:, None] + step * _ZOOM
+            gv, gt = fam.offset_profile(grid.ravel())
+            j = np.argmin(gv.reshape(grid.shape), axis=1)
+            flat = rows * len(_ZOOM) + j
+            moved = gv[flat] < val[live]
+            sel, pick = live[moved], flat[moved]
+            th[sel], val[sel], tr[sel] = grid.ravel()[pick], gv[pick], gt[pick]
+            step /= 4.0
+        for a, t in zip(th, tr):
             candidates.append(
-                Line(cen + tr * np.array([-np.sin(th), np.cos(th)]), np.array([np.cos(th), np.sin(th)]))
+                Line(cen + t * np.array([-np.sin(a), np.cos(a)]), np.array([np.cos(a), np.sin(a)]))
             )
     elif Q.dim == 2 and len(slots) <= _GRID_SLOT_LIMIT:
         rad = float(np.max(np.linalg.norm(Pc, axis=1))) + Q.diameter

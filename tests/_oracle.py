@@ -1,8 +1,14 @@
-"""Grid oracle for best-fit lines: the test-side reference for `fit_line`.
+"""Test-side references: a grid oracle for best-fit lines, and the
+breakpoint-envelope minimum of a beta family's offset profile.
 
-It shares no path with `mrt.geometry.fit_line`: candidate lines come from an
-exhaustive (angle x offset) grid, polished by `pattern_search` on the direct
-objective. Used by the line-fit and beta agreement tests.
+`brute_force_line_oracle` shares no path with `mrt.geometry.fit_line`:
+candidate lines come from an exhaustive (angle x offset) grid, polished by
+`pattern_search` on the direct objective. Used by the line-fit and beta
+agreement tests.
+
+`offset_envelope_min` shares no path with `_Family.offset_profile`: it scores
+one angle from the family's atom slots and takes the least envelope value over
+every vertex and pairwise breakpoint of the entries' capped parabolas.
 """
 
 from __future__ import annotations
@@ -164,3 +170,88 @@ def _oracle_3d(X, w, p, n_dirs, n_offsets, refine):
     _, _, vt = np.linalg.svd(np.asarray(d).reshape(1, -1))
     B = vt[1:]
     return val, Line(B.T @ c2, unit(d))
+
+
+def _quad_roots(a, b, c):
+    """Real roots of a t^2 + b t + c = 0, vectorized.
+
+    Uses the q-form (q = -(b + sign(b) sqrt(disc)) / 2, roots q/a and c/q) so
+    roots stay accurate when a is tiny: the naive (-b +- sqrt(disc)) / 2a form
+    cancels catastrophically for near-linear quadratics, which arise here
+    whenever two entries have almost equal leading moments.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    disc = b * b - 4.0 * a * c
+    ok = disc >= 0
+    if not ok.any():
+        return np.empty(0)
+    a, b, c, disc = a[ok], b[ok], c[ok], disc[ok]
+    sgn = np.where(b >= 0.0, 1.0, -1.0)
+    q = -0.5 * (b + sgn * np.sqrt(disc))
+    out = []
+    m = np.abs(a) > 1e-300
+    if m.any():
+        out.append(q[m] / a[m])
+    m = np.abs(q) > 1e-300
+    if m.any():
+        out.append(c[m] / q[m])
+    if not out:
+        return np.empty(0)
+    return np.concatenate(out)
+
+
+def offset_envelope(fam, th, ts):
+    """The planar p = 2 coupled objective of `fam` at angle th and offsets ts.
+
+    Lines are {cen + t nu + r (cos th, sin th)}, nu = (-sin th, cos th), as in
+    `_Family.offset_profile`; the entry moments come from the atom slots, in
+    family-centred coordinates so that a family far from the origin keeps
+    its digits.
+    """
+    factor = fam.entry_factor if fam.entry_factor is not None else np.ones(len(fam.entries))
+    q_w = fam.W * fam.slot_inv_diam**2
+    nrm = np.array([-np.sin(th), np.cos(th)])
+    s = fam.Pc @ nrm
+    M0 = np.add.reduceat(q_w, fam.starts) * fam.inv_mass
+    M1 = np.add.reduceat(q_w * s, fam.starts) * fam.inv_mass
+    M2 = np.add.reduceat(q_w * s * s, fam.starts) * fam.inv_mass
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    b2 = np.minimum(
+        np.maximum(M2[:, None] - 2.0 * M1[:, None] * ts[None, :] + M0[:, None] * ts[None, :] ** 2, 0.0),
+        1.0,
+    )
+    return (factor[:, None] * b2).max(axis=0)
+
+
+def offset_envelope_min(fam, th) -> tuple[float, float]:
+    """Least offset_envelope(fam, th, t) over t, with its minimizer.
+
+    Along the offset t each entry scores a capped parabola, so the envelope
+    minimum lies at a vertex, at a crossing of two parabolas, or where a
+    parabola meets a plateau level (its own cap included); every such point
+    is scored.
+    """
+    factor = fam.entry_factor if fam.entry_factor is not None else np.ones(len(fam.entries))
+    q_w = fam.W * fam.slot_inv_diam**2
+    nrm = np.array([-np.sin(th), np.cos(th)])
+    s = fam.Pc @ nrm
+    M0 = np.add.reduceat(q_w, fam.starts) * fam.inv_mass
+    M1 = np.add.reduceat(q_w * s, fam.starts) * fam.inv_mass
+    M2 = np.add.reduceat(q_w * s * s, fam.starts) * fam.inv_mass
+    A, B, C = factor * M2, factor * M1, factor * M0
+    E = len(fam.entries)
+    ii, jj = np.triu_indices(E, 1)
+    fi = np.repeat(np.arange(E), E)
+    fj = np.tile(np.arange(E), E)
+    cand = [M1 / np.maximum(M0, 1e-300)]
+    if len(ii):
+        cand.append(_quad_roots(C[ii] - C[jj], -2.0 * (B[ii] - B[jj]), A[ii] - A[jj]))
+    cand.append(_quad_roots(C[fi], -2.0 * B[fi], A[fi] - factor[fj]))
+    ts = np.concatenate([c[np.isfinite(c)] for c in cand])
+    if not len(ts):
+        ts = np.zeros(1)
+    worst = offset_envelope(fam, th, ts)
+    j = int(np.argmin(worst))
+    return float(worst[j]), float(ts[j])

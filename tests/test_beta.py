@@ -1,9 +1,12 @@
+import json
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrt import (
     Ball,
@@ -17,12 +20,13 @@ from mrt import (
     beta_multi,
     beta_sup_set,
 )
-from mrt.beta import VARIANTS, _family, nearby_cubes_with_mass
+from mrt.beta import VARIANTS, _family, _Family, nearby_cubes_with_mass
 from mrt.dyadic import Box, cube_at, in_nearby_family
 from mrt.errors import DegenerateRegion
 
-from _oracle import brute_force_line_oracle
-from _samples import segment_measure
+from _oracle import brute_force_line_oracle, offset_envelope, offset_envelope_min
+from _samples import four_corner_cantor, segment_measure
+from conftest import FIXTURES_DIR
 
 
 def symmetric_pair():
@@ -269,6 +273,152 @@ class TestMomentObjective:
                 u /= np.linalg.norm(u)
                 direct = fam.score(Line(base, u))
                 assert abs(fam.moment_score(base, u) - direct) <= 1e-12
+
+
+DENSE_ANGLES = np.pi * np.arange(720) / 720
+
+
+def random_family(seed, variant, shift=0.0, m=10, k=2):
+    """The p = 2 nearby family of a random planar measure, shifted by `shift`."""
+    rng = np.random.default_rng(seed)
+    pts = shift + rng.uniform(0.0, 1.0, size=(m, 2))
+    mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=m))
+    c = 0.05 if variant == "star_c" else None
+    return _family(mu, cube_at(pts[0], k), 2, variant, c, None)
+
+
+def three_clusters():
+    """Three tight clusters far apart: every line caps some entry, so the profile is flat."""
+    rng = np.random.default_rng(1)
+    corners = np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]])
+    pts = np.vstack([cc + rng.uniform(0.0, 0.004, size=(3, 2)) for cc in corners])
+    return DiscreteMeasure(pts, np.ones(len(pts))), cube_at(pts[0], 6)
+
+
+def top_factor(fam):
+    return 1.0 if fam.entry_factor is None else float(fam.entry_factor.max())
+
+
+def assert_profile_matches_oracle(fam, thetas):
+    # sin^2 of an angle below 1e-154 underflows to zero, harmlessly
+    with np.errstate(all="raise", under="ignore"):
+        vals, ts = fam.offset_profile(thetas)
+    assert np.all(np.isfinite(ts))
+    for th, val, t in zip(thetas, vals, ts):
+        want, _ = offset_envelope_min(fam, th)
+        assert abs(val - want) <= 1e-12 * max(1.0, want)
+        assert offset_envelope(fam, th, t)[0] <= val + 1e-15
+
+
+class TestOffsetProfile:
+    """The level-set profile equals the breakpoint-envelope minimum at every angle."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("shift", (0.0, 2048.0))
+    @pytest.mark.parametrize("k", (1, 3))
+    def test_matches_oracle(self, variant, shift, k):
+        fam = random_family(60 + k, variant, shift, k=k)
+        assert len(fam.entries) > 1
+        assert_profile_matches_oracle(fam, DENSE_ANGLES)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_flat_family_matches_oracle(self, variant):
+        mu, Q = three_clusters()
+        fam = _family(mu, Q, 2, variant, 0.05 if variant == "star_c" else None, None)
+        assert_profile_matches_oracle(fam, DENSE_ANGLES)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(VARIANTS),
+        shift=st.sampled_from([0.0, 2048.0]),
+        m=st.integers(1, 16),
+        k=st.integers(0, 4),
+        thetas=st.lists(st.floats(0.0, np.pi, exclude_max=True), min_size=1, max_size=24),
+    )
+    def test_matches_oracle_property(self, seed, variant, shift, m, k, thetas):
+        fam = random_family(seed, variant, shift, m=m, k=k)
+        assert_profile_matches_oracle(fam, np.array(thetas))
+
+    def test_every_entry_capped_gives_family_centre(self):
+        mu, Q = three_clusters()
+        for variant in VARIANTS:
+            c = 0.05 if variant == "star_c" else None
+            fam = _family(mu, Q, 2, variant, c, None)
+            with np.errstate(all="raise"):
+                vals, ts = fam.offset_profile(DENSE_ANGLES)
+                bv = beta_multi(mu, Q, 2, variant, c=c)
+            assert np.all(vals == top_factor(fam))
+            assert np.all(ts == 0.0)
+            assert bv.value == pytest.approx(np.sqrt(top_factor(fam)))
+
+    @pytest.mark.parametrize("b", ((0.95, 0.5), (0.95, 0.83)))
+    def test_collinear_family_is_zero(self, b):
+        mu = segment_measure(40, b=b)
+        d = np.subtract(b, (0.05, 0.5))
+        along = np.arctan2(d[1], d[0])
+        for k in (0, 1, 3):
+            Q = cube_at(mu.points[3], k)
+            fam = _family(mu, Q, 2, "star", None, None)
+            with np.errstate(all="raise"):
+                vals, ts = fam.offset_profile(np.append(DENSE_ANGLES, along))
+                bv = beta_multi(mu, Q, 2, "star")
+            assert np.all(np.isfinite(ts))
+            # exactly zero on the axis-parallel segment; rounding elsewhere
+            assert vals[-1] <= (0.0 if b[1] == 0.5 else 1e-18)
+            assert bv.value <= 1e-12
+
+    def test_one_entry_family(self):
+        # a single atom: one entry with zero scatter, so every angle scores 0
+        # on the line through it
+        mu = DiscreteMeasure([[0.3, 0.4]], [1.0])
+        Q = cube_at([0.3, 0.4], 2)
+        fam = _family(mu, Q, 2, "star", None, None)
+        assert len(fam.entries) == 1
+        with np.errstate(all="raise"):
+            vals, ts = fam.offset_profile(DENSE_ANGLES)
+            bv = beta_multi(mu, Q, 2, "star")
+        assert np.all(vals == 0.0) and np.all(ts == 0.0)
+        assert bv.value == 0.0
+        # a spread-out entry: the profile is its vertex value, at its centroid
+        rng = np.random.default_rng(3)
+        mu = DiscreteMeasure(rng.uniform(0.0, 1.0, size=(6, 2)), rng.uniform(0.2, 1.0, size=6))
+        Q = DyadicCube(0, (0, 0))
+        atoms = mu.atoms_in_triple(Q)
+        fam = _Family(mu, Q, 2, "star", None, [(Q, atoms, float(mu.weights[atoms].sum()))])
+        with np.errstate(all="raise"):
+            vals, ts = fam.offset_profile(DENSE_ANGLES)
+        S0, m, C, _ = fam.moments()
+        nrm = np.stack([-np.sin(DENSE_ANGLES), np.cos(DENSE_ANGLES)], axis=1)
+        v = np.einsum("ai,ij,aj->a", nrm, C[0], nrm) * fam.inv_mass[0]
+        assert np.allclose(ts, nrm @ m[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(vals, fam.entry_factor[0] * np.minimum(v, 1.0), rtol=1e-12, atol=1e-15)
+        assert_profile_matches_oracle(fam, DENSE_ANGLES[::9])
+
+
+class TestGoldenDenseBeta:
+    """Dense-path values never rise above those the breakpoint sweep recorded.
+
+    `beta_dense_golden.json` holds `beta_multi` of `four_corner_cantor(2)` at
+    every mass-carrying cube of one scale, for p in {1, 2} and every variant
+    (c = 0.05), computed with the 720-angle breakpoint sweep and its basin
+    pattern searches.
+    """
+
+    GOLDEN = FIXTURES_DIR / "beta_dense_golden.json"
+
+    @pytest.mark.parametrize("case", ("k0", "k1", "k0_offset"))
+    def test_no_value_rises(self, case):
+        want = json.loads(self.GOLDEN.read_text())[case]
+        mu = four_corner_cantor(2, offset=(want["offset"], want["offset"]))
+        cache = BetaCache(mu)
+        assert len(want["betas"]) == 6 * len(cache.mass_triples(want["scale"]))
+        for row in want["betas"]:
+            Q = DyadicCube(row["k"], tuple(row["index"]))
+            bv = beta_multi(mu, Q, row["p"], row["variant"], c=row["c"], cache=cache)
+            assert bv.value <= row["value"] * (1.0 + 1e-12)
+            score = _family(mu, Q, row["p"], row["variant"], row["c"], cache).score(bv.line)
+            assert bv.value == (score if row["variant"] == "star_star" else float(np.sqrt(score)))
 
 
 class TestBetaCacheThreads:
