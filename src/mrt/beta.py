@@ -44,6 +44,13 @@ The p = 1 search additionally scores the p = 2 witness and the star_c search
 scores the star witness, so the computed values inherit the monotonicity of
 the definitions: nondecreasing in p on {1, 2} and star_c <= star cube by cube.
 
+The solve reads only the scale and the family of mass-carrying nearby cubes,
+never the cube itself, so BetaCache runs it once per (scale, family, p,
+variant, c, refine) and every cube with that family gets the same bits. On a
+finite measure the 1600 sqrt(n) dilate often covers the whole support, and
+then every cube of a scale has one family: the 9 scale-0 cubes of a shifted
+16-atom Cantor iterate need one solve, not nine.
+
 beta_sup_set is the set version (sup over points instead of the mass
 integral), exact in the plane via the minimum-width strip.
 """
@@ -52,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -170,11 +177,16 @@ def beta_sup_set(points, region: Region) -> float:
 class BetaCache:
     """Per-measure memo for nearby-cube enumeration and beta_multi values.
 
-    Jones sums and tree draws evaluate the same cubes many times; the cache
-    keys are exact (cube, p, variant, c, refine) tuples so hits are
-    bit-identical to recomputation. Threads may share one cache: each key is
-    computed once, and a thread asking for a key that another thread is
-    computing waits for that value.
+    Jones sums and tree draws evaluate the same cubes many times, and on a
+    small measure every cube of a scale has the same nearby family. So the
+    coupled inf-max is memoized per family: the key is (scale, the raw
+    family of `nearby_cubes_with_mass` as a tuple of cubes, p, variant, c,
+    refine), and the solve reads nothing else of the cube. Each cube's value
+    is also kept under its exact (cube, p, variant, c, refine) key; it is
+    its family's value with the cube as region and its own details dict.
+    All keys are exact, so hits are bit-identical to recomputation. Threads
+    may share one cache: each key is computed once, and a thread asking for
+    a key that another thread is computing waits for that value.
     """
 
     def __init__(self, mu: DiscreteMeasure):
@@ -182,6 +194,7 @@ class BetaCache:
         self._triples: dict[int, list[tuple[DyadicCube, np.ndarray, float]]] = {}
         self._tripidx: dict[int, np.ndarray] = {}
         self._values: dict[tuple, BetaValue] = {}
+        self._families: dict[tuple, BetaValue] = {}
         self._locks: dict[tuple, threading.Lock] = {}
         self._locks_guard = threading.Lock()
 
@@ -225,23 +238,33 @@ class BetaCache:
         return value
 
     def get_or_compute(self, key, compute):
-        """The value for key, calling compute() only if no thread has stored one.
+        """The cube value for key, calling compute() only if no thread has stored one.
 
         Holding a key's lock, compute() may ask for other keys, never for its
-        own: beta_multi's sibling calls only go from p = 1 to p = 2 and from
-        star_c to star, an order without cycles, so the per-key locks cannot
-        deadlock.
+        own: a cube key asks only for its family key, and a family key asks
+        only for the sibling family keys of beta_multi's witnesses, from
+        p = 1 to p = 2 and from star_c to star. Cube keys come before family
+        keys and the sibling steps have no cycles, so the per-key locks
+        cannot deadlock.
         """
-        value = self._values.get(key)
+        return self._memo(self._values, key, compute)
+
+    def family_value(self, key, compute):
+        """The family value for key; computed once, like get_or_compute."""
+        return self._memo(self._families, key, compute)
+
+    def _memo(self, store: dict, key, compute):
+        # cube keys start with a cube, family keys with a scale: one lock map
+        value = store.get(key)
         if value is not None:
             return value
         with self._locks_guard:
             lock = self._locks.setdefault(key, threading.Lock())
         with lock:
-            value = self._values.get(key)
+            value = store.get(key)
             if value is None:
                 value = compute()
-                self._values[key] = value
+                store[key] = value
         return value
 
 
@@ -300,14 +323,30 @@ def beta_multi(
     if not (isinstance(p, (int, float)) and p >= 1):
         raise ValueError("beta_multi needs numeric p >= 1")
     if cache is None:
-        return _beta_multi(mu, Q, p, variant, c, refine, cache)
-    key = (Q, p, variant, c, bool(refine))
-    return cache.get_or_compute(key, lambda: _beta_multi(mu, Q, p, variant, c, refine, cache))
+        cache = BetaCache(mu)
+
+    def compute():
+        family = nearby_cubes_with_mass(mu, Q, cache)
+        fv = _family_beta(mu, Q.k, family, p, variant, c, refine, cache)
+        return replace(fv, region=Q, details=dict(fv.details))
+
+    return cache.get_or_compute((Q, p, variant, c, bool(refine)), compute)
 
 
-def _triple_diams(Q: DyadicCube) -> dict[int, float]:
+def _family_beta(mu, k, family, p, variant, c, refine, cache: BetaCache) -> BetaValue:
+    """The coupled beta of a scale-k nearby family, solved once per family key.
+
+    family is the list `nearby_cubes_with_mass` returns, keyed as it is,
+    before the star_c filter and the twin dedupe: that list alone fixes the
+    filtered family, the reported member count and both sibling witnesses.
+    """
+    key = (k, tuple(R for (R, _, _) in family), p, variant, c, bool(refine))
+    return cache.family_value(key, lambda: _beta_multi(mu, k, family, p, variant, c, refine, cache))
+
+
+def _triple_diams(k: int, n: int) -> dict[int, float]:
     # triple diameters depend only on the scale; the family spans two scales
-    return {kk: 3.0 * float(np.sqrt(Q.dim)) * 2.0**-kk for kk in (Q.k, Q.k - 1)}
+    return {kk: 3.0 * float(np.sqrt(n)) * 2.0**-kk for kk in (k, k - 1)}
 
 
 class _Family:
@@ -320,8 +359,8 @@ class _Family:
     every value beta_multi reports is a `score`.
     """
 
-    def __init__(self, mu: DiscreteMeasure, Q: DyadicCube, p, variant: str, c, raw_entries):
-        diam3 = _triple_diams(Q)
+    def __init__(self, mu: DiscreteMeasure, k: int, p, variant: str, c, raw_entries):
+        diam3 = _triple_diams(k, mu.dim)
         # same-scale cubes with identical atom sets have identical scores: keep
         # one representative. A coarse cube whose triple holds exactly the same
         # atoms as a same-family fine cube is dominated outright: halving the
@@ -513,19 +552,22 @@ class _Family:
         return vals, t
 
 
-def _family(mu, Q, p, variant, c, cache) -> _Family | None:
-    """Q's nearby family for a variant (star_c keeps the dense members); None if empty."""
-    raw_entries = nearby_cubes_with_mass(mu, Q, cache)
+def _family(mu, k, family, p, variant, c) -> _Family | None:
+    """A scale-k nearby family as solved (star_c keeps the dense members); None if empty."""
     if variant == "star_c":
-        diam3 = _triple_diams(Q)
-        raw_entries = [e for e in raw_entries if e[2] >= c * diam3[e[0].k]]
-    return _Family(mu, Q, p, variant, c, raw_entries) if raw_entries else None
+        diam3 = _triple_diams(k, mu.dim)
+        family = [e for e in family if e[2] >= c * diam3[e[0].k]]
+    return _Family(mu, k, p, variant, c, family) if family else None
 
 
-def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
-    fam = _family(mu, Q, p, variant, c, cache)
+def _beta_multi(mu, k, family, p, variant, c, refine, cache) -> BetaValue:
+    # the solve sees only the scale and the family, never the cube, so every
+    # cube with this family key gets the same bits
+    fam = _family(mu, k, family, p, variant, c)
     if fam is None:
-        return BetaValue(0.0, None, p, variant, Q, {"nearby_mass_cubes": 0})
+        return BetaValue(0.0, None, p, variant, None, {"nearby_mass_cubes": 0})
+    n = mu.dim
+    diameter = 2.0 ** (-k) * float(np.sqrt(n))
     entries, slots, P, W, Pc, cen = fam.entries, fam.slots, fam.P, fam.W, fam.Pc, fam.cen
     starts, slot_inv_diam, inv_mass, entry_factor = fam.starts, fam.slot_inv_diam, fam.inv_mass, fam.entry_factor
 
@@ -536,7 +578,7 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
     # the scorer itself is always p-correct.
     order = sorted(range(len(entries)), key=lambda i: (-entries[i][2], entries[i][0].k, entries[i][0].index))
     pick = order[:_MAX_ENTRY_FITS]
-    if Q.dim == 2:
+    if n == 2:
         # closed-form principal line per entry from bincount moments; the
         # looped fit is only kept for higher dimensions
         Sw = np.add.reduceat(W, starts)
@@ -578,7 +620,7 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
                 if float(np.linalg.norm(diff)) > 1e-300:
                     candidates.append(Line(pts[i], unit(diff)))
     dense = len(pts) <= 16 and p == 2
-    if Q.dim == 2 and dense:
+    if n == 2 and dense:
         n_ang = _GRID_ANGLES_DENSE
         sweep, sweep_t = fam.offset_profile(np.pi * np.arange(n_ang) / n_ang)
         # refine every local basin of the circular angle profile; value-ranked
@@ -612,8 +654,8 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
             candidates.append(
                 Line(cen + t * np.array([-np.sin(a), np.cos(a)]), np.array([np.cos(a), np.sin(a)]))
             )
-    elif Q.dim == 2 and len(slots) <= _GRID_SLOT_LIMIT:
-        rad = float(np.max(np.linalg.norm(Pc, axis=1))) + Q.diameter
+    elif n == 2 and len(slots) <= _GRID_SLOT_LIMIT:
+        rad = float(np.max(np.linalg.norm(Pc, axis=1))) + diameter
         ts = np.linspace(-rad, rad, _GRID_OFFSETS)
         gbest = None
         for i in range(_GRID_ANGLES):
@@ -637,12 +679,12 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
     # definitional monotonicities term by term (see module docstring)
     witness_ids: list[int] = []
     if p == 1:
-        sib = beta_multi(mu, Q, 2, variant, c=c, refine=refine, cache=cache)
+        sib = _family_beta(mu, k, family, 2, variant, c, refine, cache)
         if sib.line is not None:
             witness_ids.append(len(candidates))
             candidates.append(sib.line)
     if variant == "star_c":
-        sib = beta_multi(mu, Q, p, "star", refine=refine, cache=cache)
+        sib = _family_beta(mu, k, family, p, "star", None, refine, cache)
         if sib.line is not None:
             witness_ids.append(len(candidates))
             candidates.append(sib.line)
@@ -657,8 +699,7 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
     best_line = candidates[best_i]
 
     if refine and best_score > 0:
-        n = Q.dim
-        step0 = 0.25 * Q.diameter
+        step0 = 0.25 * diameter
 
         def objective(x):
             raw = x[n:]
@@ -688,7 +729,7 @@ def _beta_multi(mu, Q, p, variant, c, refine, cache) -> BetaValue:
         best_line,
         p,
         variant,
-        Q,
+        None,
         {
             "nearby_mass_cubes": fam.n_raw,
             "distinct_atom_sets": int(len(entries)),

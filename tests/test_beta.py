@@ -20,12 +20,13 @@ from mrt import (
     beta_multi,
     beta_sup_set,
 )
+from mrt import beta as beta_mod
 from mrt.beta import VARIANTS, _family, _Family, nearby_cubes_with_mass
 from mrt.dyadic import Box, cube_at, in_nearby_family
 from mrt.errors import DegenerateRegion
 
 from _oracle import brute_force_line_oracle, offset_envelope, offset_envelope_min
-from _samples import four_corner_cantor, segment_measure
+from _samples import four_corner_cantor, segment_cantor_mixture, segment_measure
 from conftest import FIXTURES_DIR
 
 
@@ -251,6 +252,11 @@ class TestBetaMulti:
             assert key in bv.details
 
 
+def cube_family(mu, Q, p, variant, c, cache=None):
+    """The family beta_multi solves for cube Q."""
+    return _family(mu, Q.k, nearby_cubes_with_mass(mu, Q, cache), p, variant, c)
+
+
 class TestMomentObjective:
     """The p = 2 search objective from per-entry moments equals the direct score."""
 
@@ -263,7 +269,7 @@ class TestMomentObjective:
         mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=24))
         c = 0.05 if variant == "star_c" else None
         for k in (1, 2, 3):
-            fam = _family(mu, cube_at(pts[0], k), 2, variant, c, None)
+            fam = cube_family(mu, cube_at(pts[0], k), 2, variant, c, None)
             assert fam is not None
             lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
             for _ in range(40):
@@ -284,7 +290,7 @@ def random_family(seed, variant, shift=0.0, m=10, k=2):
     pts = shift + rng.uniform(0.0, 1.0, size=(m, 2))
     mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=m))
     c = 0.05 if variant == "star_c" else None
-    return _family(mu, cube_at(pts[0], k), 2, variant, c, None)
+    return cube_family(mu, cube_at(pts[0], k), 2, variant, c, None)
 
 
 def three_clusters():
@@ -324,7 +330,7 @@ class TestOffsetProfile:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_flat_family_matches_oracle(self, variant):
         mu, Q = three_clusters()
-        fam = _family(mu, Q, 2, variant, 0.05 if variant == "star_c" else None, None)
+        fam = cube_family(mu, Q, 2, variant, 0.05 if variant == "star_c" else None, None)
         assert_profile_matches_oracle(fam, DENSE_ANGLES)
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -344,7 +350,7 @@ class TestOffsetProfile:
         mu, Q = three_clusters()
         for variant in VARIANTS:
             c = 0.05 if variant == "star_c" else None
-            fam = _family(mu, Q, 2, variant, c, None)
+            fam = cube_family(mu, Q, 2, variant, c, None)
             with np.errstate(all="raise"):
                 vals, ts = fam.offset_profile(DENSE_ANGLES)
                 bv = beta_multi(mu, Q, 2, variant, c=c)
@@ -359,7 +365,7 @@ class TestOffsetProfile:
         along = np.arctan2(d[1], d[0])
         for k in (0, 1, 3):
             Q = cube_at(mu.points[3], k)
-            fam = _family(mu, Q, 2, "star", None, None)
+            fam = cube_family(mu, Q, 2, "star", None, None)
             with np.errstate(all="raise"):
                 vals, ts = fam.offset_profile(np.append(DENSE_ANGLES, along))
                 bv = beta_multi(mu, Q, 2, "star")
@@ -373,7 +379,7 @@ class TestOffsetProfile:
         # on the line through it
         mu = DiscreteMeasure([[0.3, 0.4]], [1.0])
         Q = cube_at([0.3, 0.4], 2)
-        fam = _family(mu, Q, 2, "star", None, None)
+        fam = cube_family(mu, Q, 2, "star", None, None)
         assert len(fam.entries) == 1
         with np.errstate(all="raise"):
             vals, ts = fam.offset_profile(DENSE_ANGLES)
@@ -385,7 +391,7 @@ class TestOffsetProfile:
         mu = DiscreteMeasure(rng.uniform(0.0, 1.0, size=(6, 2)), rng.uniform(0.2, 1.0, size=6))
         Q = DyadicCube(0, (0, 0))
         atoms = mu.atoms_in_triple(Q)
-        fam = _Family(mu, Q, 2, "star", None, [(Q, atoms, float(mu.weights[atoms].sum()))])
+        fam = _Family(mu, Q.k, 2, "star", None, [(Q, atoms, float(mu.weights[atoms].sum()))])
         with np.errstate(all="raise"):
             vals, ts = fam.offset_profile(DENSE_ANGLES)
         S0, m, C, _ = fam.moments()
@@ -417,8 +423,140 @@ class TestGoldenDenseBeta:
             Q = DyadicCube(row["k"], tuple(row["index"]))
             bv = beta_multi(mu, Q, row["p"], row["variant"], c=row["c"], cache=cache)
             assert bv.value <= row["value"] * (1.0 + 1e-12)
-            score = _family(mu, Q, row["p"], row["variant"], row["c"], cache).score(bv.line)
+            score = cube_family(mu, Q, row["p"], row["variant"], row["c"], cache).score(bv.line)
             assert bv.value == (score if row["variant"] == "star_star" else float(np.sqrt(score)))
+
+
+def solve_keys(mu, Q, p, variant, c, refine, cache):
+    """The family keys a beta_multi call solves: its own and its witnesses'."""
+    family = nearby_cubes_with_mass(mu, Q, cache)
+    keys = {(Q.k, tuple(R for (R, _, _) in family), p, variant, c, refine)}
+    if _family(mu, Q.k, family, p, variant, c) is not None:
+        if p == 1:
+            keys |= solve_keys(mu, Q, 2, variant, c, refine, cache)
+        if variant == "star_c":
+            keys |= solve_keys(mu, Q, p, "star", None, refine, cache)
+    return keys
+
+
+def count_solves(monkeypatch):
+    """Record the family key of every coupled inf-max beta_multi solves."""
+    solved = []
+    solve = beta_mod._beta_multi
+
+    def counted(mu, k, family, p, variant, c, refine, cache):
+        solved.append((k, tuple(R for (R, _, _) in family), p, variant, c, refine))
+        return solve(mu, k, family, p, variant, c, refine, cache)
+
+    monkeypatch.setattr(beta_mod, "_beta_multi", counted)
+    return solved
+
+
+class TestFamilyMemo:
+    """Cubes that share a nearby family share one solve, and get the bits a lone solve gives.
+
+    On `four_corner_cantor(2)` every cube of a scale has the same family; on
+    `segment_cantor_mixture(1)` the Cantor and the segment cubes have one
+    family each. With the segment 1128 to the right instead, the 1600 sqrt 2
+    dilate of a scale-0 cube reaches some segment cubes but not others, so
+    the families overlap without being equal. At c = 0.2 only the unit-mass
+    fine triples pass the star_c filter and some cubes with different raw
+    families keep equal filtered ones: a memo keyed on the filtered family
+    would solve fewer families than this class counts, and would hand those
+    cubes the star witness of the wrong family.
+
+    Every cube is checked against a fresh cache's value for the last cube of
+    its raw family in enumeration order; in a family of two or more cubes
+    that is not the cube whose call solved the family in the shared cache.
+    A fresh cache per cube would repeat each solve once per cube, about
+    130 s on 2 cores against a few seconds.
+    """
+
+    MEASURES = {
+        "cantor": lambda: four_corner_cantor(2),
+        "mixture": lambda: segment_cantor_mixture(1)[0],
+        "straddle": lambda: segment_cantor_mixture(1, separation=1128.0)[0],
+    }
+    # (p, variant, c, refine): every variant on the two samples, and on the
+    # straddle the star_c filter that makes raw and filtered keys differ
+    COMBOS = {
+        "all": [
+            (p, variant, c, refine)
+            for p in (1, 2)
+            for variant, c in (("star", None), ("star_star", None), ("star_c", 0.05))
+            for refine in (True, False)
+        ],
+        "star_c": [(2, "star_c", c, refine) for c in (0.05, 0.2) for refine in (True, False)],
+    }
+
+    @staticmethod
+    def assert_same_bits(a: BetaValue, b: BetaValue):
+        assert a.value == b.value and a.details == b.details
+        assert (a.line is None) == (b.line is None)
+        if a.line is not None:
+            assert a.line.base.tobytes() == b.line.base.tobytes()
+            assert a.line.direction.tobytes() == b.line.direction.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, k, combos",
+        [("cantor", 0, "all"), ("cantor", 1, "all"), ("mixture", 0, "all"), ("mixture", 1, "all"), ("straddle", 0, "star_c")],
+    )
+    def test_shared_cache_matches_fresh_cache(self, name, k, combos, monkeypatch):
+        mu = self.MEASURES[name]()
+        combos = self.COMBOS[combos]
+        shared = BetaCache(mu)
+        cubes = [R for (R, _, _) in shared.mass_triples(k)]
+        solved = count_solves(monkeypatch)
+        values = {}
+        for Q in cubes:
+            for combo in combos:
+                p, variant, c, refine = combo
+                bv = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=shared)
+                assert bv.region == Q
+                # the tracer's per-cube probe still sees the cube's value
+                assert shared.get((Q, p, variant, c, refine)) is bv
+                values[Q, combo] = bv
+        want = set().union(*(solve_keys(mu, Q, *combo, shared) for Q in cubes for combo in combos))
+        assert len(solved) == len(want) and set(solved) == want
+        monkeypatch.undo()
+        family = {Q: tuple(R for (R, _, _) in nearby_cubes_with_mass(mu, Q, shared)) for Q in cubes}
+        last = {family[Q]: Q for Q in cubes}
+        alone = {}
+        for fam, Q in last.items():
+            fresh = BetaCache(mu)
+            for combo in combos:
+                p, variant, c, refine = combo
+                alone[fam, combo] = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=fresh)
+        for Q in cubes:
+            for combo in combos:
+                self.assert_same_bits(values[Q, combo], alone[family[Q], combo])
+        # cubes of one family share the witness line but not the details dict
+        for Q in cubes:
+            head = values[last[family[Q]], combos[0]]
+            assert Q == last[family[Q]] or head.details is not values[Q, combos[0]].details
+
+    def test_filtered_families_meet_where_raw_families_differ(self):
+        mu = self.MEASURES["straddle"]()
+        cache = BetaCache(mu)
+        by_filtered = {}
+        for Q, _, _ in cache.mass_triples(0):
+            family = nearby_cubes_with_mass(mu, Q, cache)
+            # star_c keeps R with mu(3R) >= c diam 3R
+            dense = tuple(R for (R, _, m) in family if m >= 0.2 * 3.0 * np.sqrt(2.0) * 2.0**-R.k)
+            assert dense
+            by_filtered.setdefault(dense, set()).add(tuple(R for (R, _, _) in family))
+        assert max(len(raw) for raw in by_filtered.values()) >= 2
+
+    def test_one_solve_for_one_family(self, monkeypatch):
+        # the cantor16 benchmark measure: the 9 mass-carrying scale-0 cubes
+        # share one family
+        mu = four_corner_cantor(2, offset=(1 / 32, 1 / 32))
+        cache = BetaCache(mu)
+        solved = count_solves(monkeypatch)
+        cubes = [R for (R, _, _) in cache.mass_triples(0)]
+        values = [beta_multi(mu, Q, 2, "star", cache=cache) for Q in cubes]
+        assert len(cubes) == 9 and len(solved) == 1
+        assert len({bv.value for bv in values}) == 1
 
 
 class TestBetaCacheThreads:
@@ -450,6 +588,32 @@ class TestBetaCacheThreads:
         assert calls == {key: 1 for key in range(4)}
         assert len(results) == 32
         assert all(value is cache.get(key) for key, value in results)
+
+    def test_family_solved_once_across_threads(self, monkeypatch):
+        # 9 cubes with one family; p = 1 star_c chains to three sibling keys
+        mu = four_corner_cantor(2, offset=(1 / 32, 1 / 32))
+        cache = BetaCache(mu)
+        cubes = [R for (R, _, _) in cache.mass_triples(0)]
+        solved = count_solves(monkeypatch)
+        results = []
+
+        def worker(Q):
+            results.append(beta_multi(mu, Q, 1, "star_c", c=0.05, refine=False, cache=cache))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(Q,)) for Q in cubes]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert len(solved) == len(set(solved)) == 4
+        assert len(results) == len(cubes)
+        assert len({(bv.value, bv.line.base.tobytes(), bv.line.direction.tobytes()) for bv in results}) == 1
 
     def test_get_waits_for_value_in_flight(self):
         cache = BetaCache(symmetric_pair())

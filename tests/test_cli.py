@@ -7,9 +7,11 @@ import sys
 import pytest
 
 from mrt import _parallel, rectify
+from mrt._serialize import dumps
 from mrt.cli import main, save_measure
 
-from _samples import lipschitz_graph_measure
+from _samples import lipschitz_graph_measure, segment_cantor_mixture
+from conftest import FIXTURES_DIR
 
 
 def test_import_does_not_load_scipy_optimize():
@@ -62,3 +64,18 @@ def test_decompose_reports_dropped_trees(tmp_path, monkeypatch):
     for d in rep["dropped"]:
         assert d["c"] == 0.01 and set(d["base_cube"]) == {"k", "index"}
         assert d["reason"].startswith("CertificateError: leaf coverage failed")
+
+
+def test_decompose_dense_mixture_golden(tmp_path):
+    # every family of the depth-2 Cantor part has <= 16 atoms, so each beta
+    # takes the dense path. The fixture, without the input path, was written
+    # while each cube still solved its family on its own: 22 s on 2 cores,
+    # where the family memo takes 1 s
+    mu, _ = segment_cantor_mixture(2)
+    measure = tmp_path / "measure.json"
+    save_measure(mu, measure)
+    out = tmp_path / "report.json"
+    assert main(["decompose", str(measure), "--k-max", "3", "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    del rep["config"]["input"]
+    assert dumps(rep) == (FIXTURES_DIR / "decompose_mixture2_golden.json").read_text()
