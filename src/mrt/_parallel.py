@@ -1,40 +1,24 @@
-"""Deterministic parallel map.
+"""The map behind every batch of independent work items.
 
-Work items are computed on a thread pool but results are always reduced in
-input order, so output is bit-identical for every thread count. The default
-degree comes from the MRT_THREADS environment variable, falling back to the
-number of CPUs the process may run on.
+The work holds the interpreter lock, so a thread pool bought no speed; this
+is a plain map in input order. It stays one named function so that callers
+keep a single place where a batch of per-item work is handed out.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def default_threads() -> int:
-    raw = os.environ.get("MRT_THREADS")
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    if hasattr(os, "sched_getaffinity"):
-        # the CPUs this process may run on, not every core of the machine
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def pmap(fn: Callable[[T], R], items: Iterable[T], _unused=None) -> list[R]:
+    """[fn(item) for item in items].
 
-
-def pmap(fn: Callable[[T], R], items: Iterable[T], threads: int | None = None) -> list[R]:
-    """Map fn over items; results in input order regardless of thread count."""
-    seq: Sequence[T] = list(items)
-    if threads is None:
-        threads = default_threads()
-    if threads <= 1 or len(seq) <= 1:
-        return [fn(item) for item in seq]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seq))
+    The optional third argument is accepted and ignored: it was the worker
+    count of the former thread pool, and wrappers that forward
+    `(fn, items, threads)` positionally, such as perfbench's tracer, still
+    pass it.
+    """
+    return [fn(item) for item in items]

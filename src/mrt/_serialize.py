@@ -1,8 +1,8 @@
 """Deterministic JSON emission.
 
 The stdlib json module hardwires float formatting to repr(). Reports must be
-byte-identical across runs and thread counts, with floats at 17 significant
-digits (enough for exact round-trip), so this module renders JSON directly.
+byte-identical across runs, with floats at 17 significant digits (enough
+for exact round-trip), so this module renders JSON directly.
 Keys are emitted in sorted order.
 """
 

@@ -58,7 +58,6 @@ integral), exact in the plane via the minimum-width strip.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -184,9 +183,7 @@ class BetaCache:
     refine), and the solve reads nothing else of the cube. Each cube's value
     is also kept under its exact (cube, p, variant, c, refine) key; it is
     its family's value with the cube as region and its own details dict.
-    All keys are exact, so hits are bit-identical to recomputation. Threads
-    may share one cache: each key is computed once, and a thread asking for
-    a key that another thread is computing waits for that value.
+    All keys are exact, so hits are bit-identical to recomputation.
     """
 
     def __init__(self, mu: DiscreteMeasure):
@@ -195,8 +192,6 @@ class BetaCache:
         self._tripidx: dict[int, np.ndarray] = {}
         self._values: dict[tuple, BetaValue] = {}
         self._families: dict[tuple, BetaValue] = {}
-        self._locks: dict[tuple, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
 
     def mass_triples(self, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:
         """All scale-k cubes R with mu(3R) > 0, with atom indices and masses."""
@@ -230,42 +225,29 @@ class BetaCache:
         return idx
 
     def get(self, key):
-        """The value stored for key, or None; waits while another thread computes it."""
-        value = self._values.get(key)
-        if value is None and key in self._locks:
-            with self._locks[key]:
-                value = self._values.get(key)
-        return value
+        """The cube value stored for key, or None."""
+        return self._values.get(key)
 
     def get_or_compute(self, key, compute):
-        """The cube value for key, calling compute() only if no thread has stored one.
+        """The cube value for key, calling compute() only if none is stored.
 
-        Holding a key's lock, compute() may ask for other keys, never for its
-        own: a cube key asks only for its family key, and a family key asks
-        only for the sibling family keys of beta_multi's witnesses, from
-        p = 1 to p = 2 and from star_c to star. Cube keys come before family
-        keys and the sibling steps have no cycles, so the per-key locks
-        cannot deadlock.
+        compute() may ask for other keys, never for its own: a cube key asks
+        only for its family key, and a family key asks only for the sibling
+        family keys of beta_multi's witnesses, from p = 1 to p = 2 and from
+        star_c to star.
         """
-        return self._memo(self._values, key, compute)
+        return _memo(self._values, key, compute)
 
     def family_value(self, key, compute):
         """The family value for key; computed once, like get_or_compute."""
-        return self._memo(self._families, key, compute)
+        return _memo(self._families, key, compute)
 
-    def _memo(self, store: dict, key, compute):
-        # cube keys start with a cube, family keys with a scale: one lock map
-        value = store.get(key)
-        if value is not None:
-            return value
-        with self._locks_guard:
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            value = store.get(key)
-            if value is None:
-                value = compute()
-                store[key] = value
-        return value
+
+def _memo(store: dict, key, compute):
+    value = store.get(key)
+    if value is None:
+        value = store[key] = compute()
+    return value
 
 
 def nearby_cubes_with_mass(

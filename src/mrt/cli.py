@@ -4,10 +4,13 @@ Subcommands: beta (per-cube beta reports), jones (per-atom Jones reports),
 tst (beta-squared sums over cube families), curve (nets, curve construction,
 length certificate), decompose (rectifiable/unrectifiable labeling), and
 validate (net, tree, and ledger validators). Reports are JSON with sorted
-keys and 17-significant-digit floats, and echo every semantic parameter.
-The parallelism degree only schedules work (reductions are input-ordered),
-so it is deliberately absent from reports: identical input and config give
-byte-identical output at any thread count.
+keys and 17-significant-digit floats, and echo every semantic parameter:
+identical input and config give byte-identical output.
+
+Each process imports only the layers its subcommand runs. beta and jones
+own the parser's variant lists and four of the six subcommands run them, so
+they load with this module; nets, curve and rectify load inside the
+subcommands that use them.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 internal
 assertion. Failures emit a machine-readable error object on stdout.
@@ -24,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import default_threads, pmap
+from ._parallel import pmap
 from ._serialize import dumps, format_float
 from .beta import VARIANTS, BetaCache, beta_multi
-from .curve import construct_curve, length_certificate, verify_connected
 from .dyadic import CubeTree, chain_of_cubes
 from .errors import (
     CertificateError,
@@ -39,8 +41,6 @@ from .errors import (
 )
 from .jones import JONES_VARIANTS, jones_at, square_sum
 from .measure import DiscreteMeasure
-from .nets import fit_alphas, nets_from_points, validate_nets
-from .rectify import decompose_estimate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -195,7 +195,6 @@ class RunConfig:
     depth: int = 5
     epsilon: float = 1.0 / 32.0
     seed: int = 0
-    threads: int | None = None
 
     def validate(self) -> None:
         if self.format not in ("auto", "csv", "json"):
@@ -226,11 +225,8 @@ class RunConfig:
             raise InputFormatError(f"depth must be >= 1, got {self.depth}")
         if not 0 < self.epsilon <= 1.0 / 32.0:
             raise InputFormatError(f"epsilon must lie in (0, 1/32], got {self.epsilon}")
-        if self.threads is not None and self.threads < 1:
-            raise InputFormatError(f"threads must be >= 1, got {self.threads}")
 
     def as_dict(self) -> dict:
-        # the parallelism degree is scheduling only; see the module docstring
         return {
             "command": self.command,
             "input": self.input,
@@ -270,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("input", help="measure file (csv or json)")
         sp.add_argument("--format", default="auto", choices=("auto", "csv", "json"))
         sp.add_argument("-o", "--output", default=None, help="report path (default: stdout)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: MRT_THREADS or the usable CPU count)")
         sp.add_argument("--seed", type=int, default=0, help="echoed into the report")
 
     sp = sub.add_parser("beta", help="per-cube beta numbers over mass-carrying cubes")
@@ -325,7 +319,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, input=args.input)
     for name in (
         "format", "output", "p", "variant", "c", "c_ladder", "n_cap", "eps_ladder",
-        "k_lo", "k_hi", "k_max", "cstar", "r0", "depth", "epsilon", "seed", "threads",
+        "k_lo", "k_hi", "k_max", "cstar", "r0", "depth", "epsilon", "seed",
     ):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
@@ -366,7 +360,7 @@ def cmd_beta(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
             "line": _line_dict(bv.line),
         }
 
-    rows = pmap(one, work, threads=cfg.threads)
+    rows = pmap(one, work)
     return {"command": "beta", "config": cfg.as_dict(), "n_cubes": len(rows), "cubes": rows}
 
 
@@ -389,7 +383,7 @@ def cmd_jones(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
             "n_terms": len(rep.terms),
         }
 
-    rows = pmap(one, range(len(mu.points)), threads=cfg.threads)
+    rows = pmap(one, range(len(mu.points)))
     total = float(sum(r["value"] * r["weight"] for r in rows))
     return {
         "command": "jones",
@@ -441,6 +435,9 @@ def _curve_payload(result) -> dict:
 
 
 def cmd_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
+    from .curve import construct_curve, length_certificate, verify_connected
+    from .nets import fit_alphas, nets_from_points, validate_nets
+
     nets = nets_from_points(mu.points, r0=cfg.r0, K=cfg.depth, cstar=cfg.cstar)
     val = validate_nets(nets)
     if not val.ok:
@@ -454,7 +451,7 @@ def cmd_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
             },
         }
         return report, EXIT_VALIDATION
-    alphas = fit_alphas(nets, threads=cfg.threads)
+    alphas = fit_alphas(nets)
     result = construct_curve(nets, alphas, epsilon=cfg.epsilon)
     cert = length_certificate(result)
     connected, witness = verify_connected(result.segments)
@@ -476,6 +473,8 @@ def cmd_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
 
 
 def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
+    from .rectify import decompose_estimate
+
     rep = decompose_estimate(
         mu,
         p=cfg.p,
@@ -483,7 +482,6 @@ def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
         N_cap=cfg.n_cap,
         eps_ladder=cfg.eps_ladder,
         k_max=cfg.k_max if cfg.k_max is not None else 8,
-        threads=cfg.threads,
     )
     atoms = [
         {
@@ -526,6 +524,9 @@ def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
 
 
 def cmd_validate(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
+    from .curve import construct_curve, length_certificate, verify_connected
+    from .nets import fit_alphas, nets_from_points, validate_nets
+
     checks: dict[str, dict] = {}
     nets = nets_from_points(mu.points, r0=cfg.r0, K=cfg.depth, cstar=cfg.cstar)
     val = validate_nets(nets)
@@ -536,7 +537,7 @@ def cmd_validate(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     }
     curve_ok = False
     if val.ok:
-        alphas = fit_alphas(nets, threads=cfg.threads)
+        alphas = fit_alphas(nets)
         result = construct_curve(nets, alphas, epsilon=cfg.epsilon)
         connected, witness = verify_connected(result.segments)
         checks["curve_connected"] = {
@@ -581,8 +582,6 @@ def cmd_validate(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
 
 def run(cfg: RunConfig) -> int:
     """Execute one configured command and write its report; returns exit code."""
-    if cfg.threads is None:
-        cfg.threads = default_threads()
     mu = load_measure(cfg.input, cfg.format)
     status = EXIT_OK
     if cfg.command == "beta":

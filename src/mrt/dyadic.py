@@ -14,7 +14,7 @@ dilate of Q. Membership reduces to an exact integer inequality per axis
     coarser scale:  (|4 m + 1 - 2 j| + 6)^2 <= 2560000 n
 
 The family has millions of members in n >= 2 (its size is scale-free and
-translation-invariant); it is exposed as a lazy generator plus an exact count.
+translation-invariant); it is exposed as a membership test plus an exact count.
 Callers that pair the family with a measure should enumerate only the
 mass-carrying members, since empty cubes contribute zero to every statistic.
 """
@@ -198,24 +198,6 @@ def nearby_count(Q: DyadicCube) -> int:
     for j in Q.index:
         parent *= len(_parent_axis_range(j, umax))
     return same + parent
-
-
-def nearby_cubes(Q: DyadicCube) -> Iterator[DyadicCube]:
-    """Lazy enumeration of the nearby-cube family of Q.
-
-    Yields same-scale members first, then the coarser-scale members, each in
-    lexicographic index order. The family is large (about 6.4 million cubes
-    in n=2); prefer nearby_count / in_nearby_family / mass-carrying
-    enumeration unless full traversal is really wanted.
-    """
-    n = Q.dim
-    dmax = same_scale_radius(n)
-    for off in itertools.product(range(-dmax, dmax + 1), repeat=n):
-        yield DyadicCube(Q.k, tuple(j + o for j, o in zip(Q.index, off)))
-    umax = parent_scale_bound(n)
-    ranges = [_parent_axis_range(j, umax) for j in Q.index]
-    for idx in itertools.product(*ranges):
-        yield DyadicCube(Q.k - 1, tuple(idx))
 
 
 # ---------------------------------------------------------------------------

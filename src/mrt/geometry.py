@@ -13,9 +13,8 @@ p = "sup":
   strip); in higher dimensions it searches directions with the projected
   minimum-enclosing-ball radius as objective (heuristic).
 
-Also provides asymmetric excess / Hausdorff distance between finite point
-sets, the distance between closed segments (point-to-segment included), and
-order_along_lines, which reconciles the projection orders of a
+Also provides the distance between closed segments (point-to-segment
+included), and order_along_lines, which reconciles the projection orders of a
 well-separated point set onto two nearby lines and certifies the standard
 (1 + 3 alpha^2) segment and (1 + 12 alpha^2) angle factors.
 """
@@ -109,10 +108,6 @@ class Line:
 
     def canonical(self) -> "Line":
         return Line(self.base.copy(), canonical_direction(self.direction.copy()))
-
-
-def dist_to_line(x, line: Line) -> float:
-    return float(line.distances(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def segment_distance(p1, q1, p2, q2) -> float:
@@ -452,28 +447,6 @@ def pattern_search(f, x0, steps, max_iter=200, tol=1e-13):
             if np.all(s < tol):
                 break
     return fx, x
-
-
-# ---------------------------------------------------------------------------
-# set comparison
-
-
-def excess(S, T) -> float:
-    """sup_{s in S} dist(s, T) for finite point sets (0 if S is empty)."""
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    if S.size == 0:
-        return 0.0
-    if T.size == 0:
-        raise EmptyInput("excess against an empty set is undefined")
-    if S.shape[1] != T.shape[1]:
-        raise DimensionMismatch("point sets live in different dimensions")
-    d2 = ((S[:, None, :] - T[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min(axis=1).max()))
-
-
-def hausdorff(S, T) -> float:
-    return max(excess(S, T), excess(T, S))
 
 
 # ---------------------------------------------------------------------------

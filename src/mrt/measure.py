@@ -12,8 +12,7 @@ are answered from a uniform grid bucket index per dyadic scale (atom ->
 integer cell), built once per scale and reused; only balls and free boxes
 scan every atom. Box faces are compared exactly (c - h <= x <= c + h), so a
 triple holds the same atoms by either path. All mass sums run over atom
-indices in ascending order, so results are bit-identical regardless of
-thread count.
+indices in ascending order, so results are bit-identical across runs.
 """
 
 from __future__ import annotations

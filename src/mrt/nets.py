@@ -321,7 +321,6 @@ class AlphaAssignment:
 def fit_alphas(
     nets: NetSequence,
     lines: dict[tuple[int, int], Line] | None = None,
-    threads: int | None = None,
 ) -> AlphaAssignment:
     """Fit lines and alphas for every vertex of levels 1..K.
 
@@ -344,18 +343,8 @@ def fit_alphas(
         alpha = float(ell.distances(nbhd).max()) / nets.sep(k)
         return ell, alpha
 
-    fitted = pmap(one, keys, threads=threads)
+    fitted = pmap(one, keys)
     return AlphaAssignment(cstar=nets.cstar, r0=nets.r0, entries=dict(zip(keys, fitted)))
-
-
-def net_limit(nets: NetSequence) -> tuple[np.ndarray, float]:
-    """Final level with a Hausdorff error bound for the (unseen) limit.
-
-    Successive levels drift by less than Cstar 2^{-k} r0, so the geometric
-    tail from level K is bounded by 2 Cstar 2^{-K} r0.
-    """
-    bound = 2.0 * nets.cstar * nets.sep(nets.K)
-    return nets.levels[-1], bound
 
 
 def hausdorff_to_segments(points: np.ndarray, segments: list[tuple[np.ndarray, np.ndarray]]) -> float:

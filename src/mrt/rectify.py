@@ -342,7 +342,6 @@ def draw_through_tree(
     epsilon: float = 1.0 / 32.0,
     cache: BetaCache | None = None,
     refine: bool = False,
-    threads: int | None = None,
 ) -> DrawResult:
     """Draw a curve through a tree's centers of mass with regime alphas.
 
@@ -379,11 +378,10 @@ def draw_through_tree(
     fitted = pmap(
         lambda key: _witness_line_alpha(mu, cache, tree, nets, regime, p, c, D, refine, key),
         keys,
-        threads=threads,
     )
     lines = {key: line for key, (line, _) in zip(keys, fitted)}
     theory = {key: alpha for key, (_, alpha) in zip(keys, fitted)}
-    alphas = fit_alphas(nets, lines=lines, threads=threads)
+    alphas = fit_alphas(nets, lines=lines)
     for key in keys:
         line, fitted_alpha = alphas.entries[key]
         alphas.entries[key] = (line, max(fitted_alpha, theory[key]))
@@ -448,7 +446,7 @@ class CoverResult:
     accounting: dict
 
 
-def cover_support(mu: DiscreteMeasure, p=2, k_max: int = 6, threads: int | None = None) -> CoverResult:
+def cover_support(mu: DiscreteMeasure, p=2, k_max: int = 6) -> CoverResult:
     """One curve per top cube, plus nearest-vertex connectors.
 
     The top cubes are the dyadic cubes holding atoms at scale
@@ -483,7 +481,7 @@ def cover_support(mu: DiscreteMeasure, p=2, k_max: int = 6, threads: int | None 
                     frontier.append(child)
         tree = CubeTree(top, frozenset(members))
         results.append(
-            draw_through_tree(mu, tree, p=p, regime="plain_star_star", cache=cache, threads=threads)
+            draw_through_tree(mu, tree, p=p, regime="plain_star_star", cache=cache)
         )
     connectors: list[tuple] = []
     total_conn = 0.0
@@ -561,7 +559,6 @@ def decompose_estimate(
     k_max: int = 8,
     capture_tol: float | None = None,
     refine: bool = False,
-    threads: int | None = None,
 ) -> DecompositionReport:
     """Desk-scale rectifiable/unrectifiable labeling with drawn curves.
 
@@ -584,7 +581,7 @@ def decompose_estimate(
         prof = mu.density_profile(mu.points[i], radii)
         return prof.estimate
 
-    densities = pmap(density_est, range(len(mu.points)), threads=threads)
+    densities = pmap(density_est, range(len(mu.points)))
     jones_memo: dict[tuple[int, float], tuple[float, bool]] = {}
 
     def jones_val(i: int, c: float) -> tuple[float, bool]:
@@ -643,7 +640,7 @@ def decompose_estimate(
                 break
         try:
             curves.append(
-                draw_through_tree(mu, tree, p=p, regime="lower_regular", c=c, cache=cache, refine=refine, threads=threads)
+                draw_through_tree(mu, tree, p=p, regime="lower_regular", c=c, cache=cache, refine=refine)
             )
         except (TreeStructureError, CertificateError) as exc:
             dropped.append(DroppedTree(rep.index, c, base, f"{type(exc).__name__}: {exc}"))

@@ -9,12 +9,18 @@ agreement tests.
 `offset_envelope_min` shares no path with `_Family.offset_profile`: it scores
 one angle from the family's atom slots and takes the least envelope value over
 every vertex and pairwise breakpoint of the entries' capped parabolas.
+
+`nearby_cubes` shares no path with `mrt.dyadic.nearby_count`: it filters a
+box of candidate indices through the family's defining inequalities.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from mrt.dyadic import DyadicCube, parent_scale_bound, same_scale_radius
 from mrt.errors import DimensionMismatch
 from mrt.geometry import Line, _as_points, _as_weights, pattern_search, unit
 
@@ -255,3 +261,22 @@ def offset_envelope_min(fam, th) -> tuple[float, float]:
     worst = offset_envelope(fam, th, ts)
     j = int(np.argmin(worst))
     return float(worst[j]), float(ts[j])
+
+
+def nearby_cubes(Q: DyadicCube) -> list[DyadicCube]:
+    """The nearby-cube family of Q: same scale first, then one coarser, each
+    in lexicographic index order. Feasible in n = 1 only (millions of
+    members in n = 2)."""
+    n = Q.dim
+    dmax = same_scale_radius(n)
+    fam = [
+        DyadicCube(Q.k, tuple(j + o for j, o in zip(Q.index, off)))
+        for off in itertools.product(range(-dmax, dmax + 1), repeat=n)
+    ]
+    umax = parent_scale_bound(n)
+    # per axis, a range of candidates that holds every m with |4m + 1 - 2j| <= umax
+    boxes = [range((2 * j - umax) // 4 - 1, (2 * j + umax) // 4 + 2) for j in Q.index]
+    for idx in itertools.product(*boxes):
+        if all(abs(4 * m + 1 - 2 * j) <= umax for m, j in zip(idx, Q.index)):
+            fam.append(DyadicCube(Q.k - 1, idx))
+    return fam

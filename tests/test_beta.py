@@ -1,7 +1,4 @@
 import json
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -557,80 +554,6 @@ class TestFamilyMemo:
         values = [beta_multi(mu, Q, 2, "star", cache=cache) for Q in cubes]
         assert len(cubes) == 9 and len(solved) == 1
         assert len({bv.value for bv in values}) == 1
-
-
-class TestBetaCacheThreads:
-    def test_each_key_computed_once(self):
-        cache = BetaCache(symmetric_pair())
-        calls = {key: 0 for key in range(4)}
-        results = []
-
-        def compute(key):
-            calls[key] += 1
-            time.sleep(0.002)
-            return ("value", key)
-
-        def worker(i):
-            key = i % 4
-            results.append((key, cache.get_or_compute(key, lambda: compute(key))))
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(32)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=30)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(th.is_alive() for th in threads)
-        assert calls == {key: 1 for key in range(4)}
-        assert len(results) == 32
-        assert all(value is cache.get(key) for key, value in results)
-
-    def test_family_solved_once_across_threads(self, monkeypatch):
-        # 9 cubes with one family; p = 1 star_c chains to three sibling keys
-        mu = four_corner_cantor(2, offset=(1 / 32, 1 / 32))
-        cache = BetaCache(mu)
-        cubes = [R for (R, _, _) in cache.mass_triples(0)]
-        solved = count_solves(monkeypatch)
-        results = []
-
-        def worker(Q):
-            results.append(beta_multi(mu, Q, 1, "star_c", c=0.05, refine=False, cache=cache))
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(Q,)) for Q in cubes]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(th.is_alive() for th in threads)
-        assert len(solved) == len(set(solved)) == 4
-        assert len(results) == len(cubes)
-        assert len({(bv.value, bv.line.base.tobytes(), bv.line.direction.tobytes()) for bv in results}) == 1
-
-    def test_get_waits_for_value_in_flight(self):
-        cache = BetaCache(symmetric_pair())
-        started = threading.Event()
-
-        def compute():
-            started.set()
-            time.sleep(0.05)
-            return "value"
-
-        th = threading.Thread(target=cache.get_or_compute, args=("key", compute))
-        th.start()
-        assert started.wait(timeout=10)
-        assert cache.get("key") == "value"
-        th.join(timeout=10)
-        assert not th.is_alive()
-        assert cache.get("other") is None
 
 
 def test_beta_value_rejects_out_of_range():

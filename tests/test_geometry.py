@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from mrt import Line, dist_to_line, fit_line
-from mrt.errors import DimensionMismatch, EmptyInput, OrderingError
+from mrt import Line, fit_line
+from mrt.errors import DimensionMismatch, OrderingError
 from mrt.geometry import (
     OrderingWitness,
     canonical_direction,
     convex_hull_2d,
-    excess,
-    hausdorff,
     min_enclosing_ball,
     min_width_strip_2d,
     order_along_lines,
@@ -41,9 +39,6 @@ class TestLine:
     def test_canonical_flips_sign(self):
         ln = Line([0.0, 0.0], [-1.0, 0.0]).canonical()
         assert ln.direction[0] > 0
-
-    def test_dist_to_line(self):
-        assert dist_to_line([0.0, 2.0], Line([0.0, 0.0], [1.0, 0.0])) == pytest.approx(2.0)
 
 
 def test_unit_and_canonical_direction():
@@ -152,19 +147,6 @@ def test_pattern_search_quadratic():
     val, x = pattern_search(f, np.zeros(2), np.array([1.0, 1.0]), max_iter=200)
     assert val <= 1e-10
     assert np.allclose(x, [2.0, -1.0], atol=1e-4)
-
-
-class TestSetDistances:
-    def test_excess_and_hausdorff(self):
-        S = np.array([[0.0, 0.0], [1.0, 0.0]])
-        T = np.array([[0.0, 0.0]])
-        assert excess(S, T) == pytest.approx(1.0)
-        assert excess(T, S) == pytest.approx(0.0)
-        assert hausdorff(S, T) == pytest.approx(1.0)
-
-    def test_excess_empty_target(self):
-        with pytest.raises(EmptyInput):
-            excess(np.array([[0.0, 0.0]]), np.empty((0, 2)))
 
 
 class TestOrdering:

@@ -14,7 +14,7 @@ from mrt import (
     validate_nets,
 )
 from mrt.errors import EmptyInput, NetValidationError, ZeroMassTriple
-from mrt.nets import hausdorff_to_segments, net_limit
+from mrt.nets import hausdorff_to_segments
 
 from _samples import circle_measure, segment_measure
 
@@ -221,13 +221,6 @@ class TestFitAlphas:
             a * a * 2.0 ** (-k) * nets.r0 for (k, _), (_, a) in alphas.entries.items()
         )
         assert alphas.budget() == pytest.approx(manual)
-
-
-def test_net_limit_bound():
-    nets = nets_from_points(circle_measure(24).points, K=4)
-    V, bound = net_limit(nets)
-    assert np.array_equal(V, nets.levels[-1])
-    assert bound == pytest.approx(2.0 * nets.cstar * nets.sep(4))
 
 
 class TestHausdorffToSegments:

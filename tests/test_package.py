@@ -20,6 +20,12 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_every_public_name_resolves():
+    # the package resolves its public names lazily, from a name -> module table
+    missing = [name for name in mrt.__all__ if not hasattr(mrt, name)]
+    assert missing == []
+
+
 def test_traced_functions_exist():
     # every function the benchmark's tracer wraps must still exist
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", ROOT / "perfbench" / "tracer.py")
