@@ -40,6 +40,10 @@ class TestLine:
         ln = Line([0.0, 0.0], [-1.0, 0.0]).canonical()
         assert ln.direction[0] > 0
 
+    def test_dist_to_line(self):
+        ln = Line([0.0, 0.0], [1.0, 0.0])
+        assert ln.distances(np.array([[0.0, 2.0]]))[0] == pytest.approx(2.0)
+
 
 def test_unit_and_canonical_direction():
     assert np.allclose(unit(np.array([0.0, 5.0])), [0.0, 1.0])
