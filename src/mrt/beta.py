@@ -57,14 +57,13 @@ integral), exact in the plane via the minimum-width strip.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dyadic import DyadicCube, parent_scale_bound, same_scale_radius
 from .errors import DegenerateRegion
-from .geometry import Line, fit_line, pattern_search, unit
+from .geometry import Line, fit_line, pattern_search, sorted_unique, unit
 from .measure import DiscreteMeasure, Region
 
 VARIANTS = ("star", "star_star", "star_c")
@@ -197,19 +196,11 @@ class BetaCache:
         """All scale-k cubes R with mu(3R) > 0, with atom indices and masses."""
         out = self._triples.get(k)
         if out is None:
-            mu = self.mu
-            cand: set[tuple[int, ...]] = set()
-            # the closed triple 3R meets the cells index - 1 .. index + 2 per axis
-            for cell in mu._cells(k):
-                for off in itertools.product((-2, -1, 0, 1), repeat=mu.dim):
-                    cand.add(tuple(c + o for c, o in zip(cell, off)))
-            out = []
-            for key in sorted(cand):
-                R = DyadicCube(k, key)
-                atoms = mu.atoms_in(R.triple())
-                if len(atoms):
-                    out.append((R, atoms, float(mu.weights[atoms].sum())))
-            self._triples[k] = out
+            w = self.mu.weights
+            out = self._triples[k] = [
+                (DyadicCube(k, key), atoms, float(w[atoms].sum()))
+                for key, atoms in self.mu.triple_table(k).items()
+            ]
         return out
 
     def triple_index(self, k: int) -> np.ndarray:
@@ -586,13 +577,13 @@ def _beta_multi(mu, k, family, p, variant, c, refine, cache) -> BetaValue:
             _R, atoms, _mass = entries[i]
             ln, _ = fit_line(mu.points[atoms], mu.weights[atoms], 2)
             candidates.append(ln)
-    all_atoms = np.unique(slots)
+    all_atoms = sorted_unique(slots)
     ln, _ = fit_line(mu.points[all_atoms], mu.weights[all_atoms], fit_p)
     candidates.append(ln)
     # the unique-coordinate row sort is only worth it when the family is
     # small enough for the dense angle sweep to be in play
     if len(all_atoms) <= 64:
-        pts = np.unique(mu.points[all_atoms], axis=0)
+        pts = sorted_unique(mu.points[all_atoms])
     else:
         pts = mu.points[all_atoms[:17]]
     if len(pts) <= 16:

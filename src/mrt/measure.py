@@ -2,22 +2,24 @@
 
 A DiscreteMeasure is an atom array with strictly positive weights. Region
 conventions: dyadic cubes are half-open (a point lies in exactly one cube per
-scale), while boxes and balls are closed. Ball masses back the density and
-doubling profiles, where the 0/0 convention is "flagged, excluded", never a
-silent number.
+scale), while boxes and balls are closed. Ball masses back the density
+profile.
 
 Region queries (atoms_in, mass, center_of_mass, restrict) take one path per
 kind of region. Dyadic cubes and their triples (the boxes Q.triple() returns)
-are answered from a uniform grid bucket index per dyadic scale (atom ->
-integer cell), built once per scale and reused; only balls and free boxes
-scan every atom. Box faces are compared exactly (c - h <= x <= c + h), so a
-triple holds the same atoms by either path. All mass sums run over atom
-indices in ascending order, so results are bit-identical across runs.
+are answered from two tables per dyadic scale, each built once in one
+vectorized pass and reused: the cell table maps a cube index to the atoms of
+the half-open cube, and the triple table maps every cube index with
+mu(3Q) > 0 to the atoms of the closed triple 3Q. The triple pass tests every
+(atom, candidate cube) pair with the face arithmetic of Box.contains_mask
+(c - h <= x <= c + h, exact on dyadic faces), so a triple holds the same atoms
+as a scan of the box; a triple query is then one dict lookup. Only balls and
+free boxes scan every atom. Atom indices are always ascending and mass sums
+run over them in that order, so results are bit-identical across runs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .errors import (
     InvalidWeight,
     ZeroMassRegion,
 )
+from .geometry import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,27 @@ class Ball:
 
 Region = DyadicCube | Box | Ball
 
+# (atom, candidate cube) pairs tested at once while building a triple table;
+# bounds the build's temporaries for any atom count and dimension
+_TRIPLE_PAIRS_PER_CHUNK = 1 << 16
+
+
+def _group(keys: np.ndarray, ids: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """Map each distinct row of keys to the ids on that row.
+
+    ids must be ascending; the sort is stable, so each key's ids stay
+    ascending. The dict is in sorted key order, and its id arrays are
+    read-only views of one array.
+    """
+    if len(ids) == 0:
+        return {}
+    order = np.lexsort(keys.T[::-1])
+    keys, ids = keys[order], ids[order]
+    ids.setflags(write=False)
+    cut = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    firsts = keys[np.concatenate(([0], cut))].tolist()
+    return {tuple(key): part for key, part in zip(firsts, np.split(ids, cut))}
+
 
 @dataclass
 class DensityProfile:
@@ -74,23 +98,6 @@ class DensityProfile:
     def estimate(self) -> float:
         """Lower-density estimate: the minimum ratio over the ladder."""
         return float(self.ratios.min())
-
-
-@dataclass
-class DoublingProfile:
-    """Ratios mu(B(x, 2r)) / mu(B(x, r)); zero-mass radii are flagged."""
-
-    point: np.ndarray
-    radii: np.ndarray
-    ratios: np.ndarray
-    flagged: np.ndarray  # True where mu(B(x, r)) = 0 (ratio recorded as 0)
-
-    @property
-    def estimate(self) -> float:
-        """Max unflagged ratio (0.0 if every radius was flagged)."""
-        if np.all(self.flagged):
-            return 0.0
-        return float(self.ratios[~self.flagged].max())
 
 
 class DiscreteMeasure:
@@ -116,6 +123,7 @@ class DiscreteMeasure:
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
         self._cell_cache: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
+        self._triple_cache: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
         self._diameter: float | None = None
 
     # -- basic facts --------------------------------------------------------
@@ -149,21 +157,42 @@ class DiscreteMeasure:
 
     # -- region queries -----------------------------------------------------
 
+    def _cell_index(self, k: int) -> np.ndarray:
+        return np.floor(self.points * 2.0**k).astype(np.int64)
+
     def _cells(self, k: int) -> dict[tuple[int, ...], np.ndarray]:
         cache = self._cell_cache.get(k)
         if cache is None:
-            idx = np.floor(self.points * 2.0**k).astype(np.int64)
-            cache = {}
-            order = np.lexsort(idx.T[::-1])
-            sorted_idx = idx[order]
-            start = 0
-            for i in range(1, len(order) + 1):
-                if i == len(order) or not np.array_equal(sorted_idx[i], sorted_idx[start]):
-                    key = tuple(int(v) for v in sorted_idx[start])
-                    cache[key] = np.sort(order[start:i])
-                    start = i
-            self._cell_cache[k] = cache
+            cache = self._cell_cache[k] = _group(self._cell_index(k), np.arange(len(self)))
         return cache
+
+    def triple_table(self, k: int) -> dict[tuple[int, ...], np.ndarray]:
+        """Every scale-k cube index with mu(3Q) > 0 -> ascending atom ids of 3Q.
+
+        The dict is in sorted index order. An atom in cell j lies in no
+        closed triple but those of the cubes j - 2 .. j + 1 per axis, so the
+        build tests each atom against those 4^n triples only.
+        """
+        table = self._triple_cache.get(k)
+        if table is None:
+            n = self.dim
+            offsets = np.indices((4,) * n).reshape(n, -1).T - 2
+            side = 2.0 ** (-k)
+            half = 1.5 * side
+            cells = self._cell_index(k)
+            step = max(1, _TRIPLE_PAIRS_PER_CHUNK // len(offsets))
+            keys, ids = [], []
+            for a in range(0, len(self), step):
+                X = self.points[a : a + step, None, :]
+                R = cells[a : a + step, None, :] + offsets
+                # the face arithmetic of Box.contains_mask on DyadicCube.triple()
+                c = (R.astype(float) + 0.5) * side
+                hit = np.all((c - half <= X) & (X <= c + half), axis=2)
+                atom, cand = np.nonzero(hit)
+                keys.append(R[atom, cand])
+                ids.append(atom + a)
+            table = self._triple_cache[k] = _group(np.concatenate(keys), np.concatenate(ids))
+        return table
 
     def atoms_in_cube(self, Q: DyadicCube) -> np.ndarray:
         """Ascending indices of atoms in the half-open cube Q."""
@@ -175,19 +204,7 @@ class DiscreteMeasure:
         """Ascending indices of atoms in the closed triple 3Q."""
         if Q.dim != self.dim:
             raise DimensionMismatch("cube dimension does not match measure")
-        cells = self._cells(Q.k)
-        parts = []
-        # the closed triple meets grid cells index-1 .. index+2 per axis
-        for off in itertools.product((-1, 0, 1, 2), repeat=Q.dim):
-            key = tuple(i + o for i, o in zip(Q.index, off))
-            hit = cells.get(key)
-            if hit is not None:
-                parts.append(hit)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        cand = np.unique(np.concatenate(parts))
-        mask = Q.triple().contains_mask(self.points[cand])
-        return cand[mask]
+        return self.triple_table(Q.k).get(Q.index, np.empty(0, dtype=np.int64))
 
     def atoms_in(self, region: Region) -> np.ndarray:
         """Ascending atom indices in a region (cube half-open, box/ball closed).
@@ -233,10 +250,12 @@ class DiscreteMeasure:
     def density_profile(self, x, radii) -> DensityProfile:
         """Ratios mu(B(x, r)) / (2r) along a decreasing radius ladder."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        r = np.unique(np.asarray(radii, dtype=float))[::-1]
-        if len(r) == 0 or np.any(r <= 0):
+        r = sorted_unique(np.asarray(radii, dtype=float))[::-1]
+        if len(r) == 0 or not np.all(r > 0):
             raise ValueError("radius ladder must contain positive radii")
-        masses = np.array([self.mass_ball(x, ri) for ri in r])
+        # the distances of mass_ball, computed once for the whole ladder
+        d2 = ((self.points - x) ** 2).sum(axis=1)
+        masses = np.array([float(self.weights[d2 <= ri * ri].sum()) for ri in r])
         ratios = masses / (2.0 * r)
         return DensityProfile(
             point=x,
@@ -245,17 +264,3 @@ class DiscreteMeasure:
             ratios=ratios,
             running_min=np.minimum.accumulate(ratios),
         )
-
-    def doubling_profile(self, x, radii) -> DoublingProfile:
-        """Ratios mu(B(x, 2r)) / mu(B(x, r)); flags radii with zero inner mass."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        r = np.unique(np.asarray(radii, dtype=float))[::-1]
-        if len(r) == 0 or np.any(r <= 0):
-            raise ValueError("radius ladder must contain positive radii")
-        inner = np.array([self.mass_ball(x, ri) for ri in r])
-        outer = np.array([self.mass_ball(x, 2.0 * ri) for ri in r])
-        flagged = inner == 0.0
-        ratios = np.zeros_like(inner)
-        ok = ~flagged
-        ratios[ok] = outer[ok] / inner[ok]
-        return DoublingProfile(point=x, radii=r, ratios=ratios, flagged=flagged)

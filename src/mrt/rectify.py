@@ -196,9 +196,8 @@ def base_cube_for(
         raise ValueError("lower_regular regime needs c > 0")
     thresh = 1.5 * math.sqrt(n) * c
     radii = [2.0 ** (-j) for j in range(k_max + 1)]
-    ok_at = []
-    for r in radii:
-        ok_at.append(mu.mass_ball(x, r) / (2.0 * r) >= thresh)
+    # the ladder is distinct and descending, so ratios align with radii
+    ok_at = list(mu.density_profile(x, radii).ratios >= thresh)
     for j in range(len(radii)):   # largest radius passing at all scanned scales below
         if all(ok_at[j:]):
             r_x = radii[j]

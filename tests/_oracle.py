@@ -12,6 +12,10 @@ every vertex and pairwise breakpoint of the entries' capped parabolas.
 
 `nearby_cubes` shares no path with `mrt.dyadic.nearby_count`: it filters a
 box of candidate indices through the family's defining inequalities.
+
+`mass_triples` shares no path with `DiscreteMeasure.triple_table`: it
+enumerates the 4^n candidate cubes around every occupied cell and scans every
+atom against each candidate's triple with `Box.contains_mask`.
 """
 
 from __future__ import annotations
@@ -280,3 +284,21 @@ def nearby_cubes(Q: DyadicCube) -> list[DyadicCube]:
         if all(abs(4 * m + 1 - 2 * j) <= umax for m, j in zip(idx, Q.index)):
             fam.append(DyadicCube(Q.k - 1, idx))
     return fam
+
+
+def mass_triples(mu, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:
+    """(R, atoms of 3R, mu(3R)) for every scale-k cube R with mu(3R) > 0, in
+    sorted index order, by the 4^n candidate enumeration."""
+    cells = {tuple(row) for row in np.floor(mu.points * 2.0**k).astype(np.int64).tolist()}
+    cand = set()
+    # the closed triple 3R meets the cells index - 1 .. index + 2 per axis
+    for cell in cells:
+        for off in itertools.product((-2, -1, 0, 1), repeat=mu.dim):
+            cand.add(tuple(c + o for c, o in zip(cell, off)))
+    out = []
+    for key in sorted(cand):
+        R = DyadicCube(k, key)
+        atoms = np.flatnonzero(R.triple().contains_mask(mu.points))
+        if len(atoms):
+            out.append((R, atoms, float(mu.weights[atoms].sum())))
+    return out

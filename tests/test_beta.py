@@ -22,7 +22,7 @@ from mrt.beta import VARIANTS, _family, _Family, nearby_cubes_with_mass
 from mrt.dyadic import Box, cube_at, in_nearby_family
 from mrt.errors import DegenerateRegion
 
-from _oracle import brute_force_line_oracle, offset_envelope, offset_envelope_min
+from _oracle import brute_force_line_oracle, mass_triples, offset_envelope, offset_envelope_min
 from _samples import four_corner_cantor, segment_cantor_mixture, segment_measure
 from conftest import FIXTURES_DIR
 
@@ -232,6 +232,25 @@ class TestBetaMulti:
             assert mass > 0.0
             assert np.array_equal(atoms, mu.atoms_in_triple(R))
             assert mass == pytest.approx(float(mu.weights[atoms].sum()))
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            four_corner_cantor(2, offset=(0.1, 0.3)),
+            segment_cantor_mixture(1)[0],
+            DiscreteMeasure(np.random.default_rng(13).uniform(-3, 3, size=(40, 1)), np.arange(1.0, 41.0)),
+            DiscreteMeasure(np.random.default_rng(14).uniform(-1, 2, size=(30, 3)), np.linspace(0.1, 3.0, 30)),
+        ],
+        ids=["cantor", "mixture", "n1", "n3"],
+    )
+    def test_mass_triples_match_candidate_scan(self, mu):
+        for k in (-1, 0, 2, 4):
+            got = BetaCache(mu).mass_triples(k)
+            want = mass_triples(mu, k)
+            assert [R for R, _, _ in got] == [R for R, _, _ in want]
+            for (_, atoms, mass), (_, want_atoms, want_mass) in zip(got, want):
+                assert np.array_equal(atoms, want_atoms)
+                assert mass.hex() == want_mass.hex()
 
     def test_cache_returns_same_object(self):
         mu = symmetric_pair()

@@ -28,8 +28,9 @@ def test_import_does_not_load_scipy_optimize():
     assert run_python("import sys, mrt.cli; print('scipy.optimize' in sys.modules)") == "False"
 
 
-# layers that `mrt beta` never runs; concurrent.futures belonged to the thread pool
-COLD_START_UNUSED = ("mrt.nets", "mrt.curve", "mrt.rectify", "concurrent.futures")
+# layers that `mrt beta` never runs; concurrent.futures belonged to the thread pool,
+# and numpy.ma is loaded by np.unique, which no subcommand calls
+COLD_START_UNUSED = ("mrt.nets", "mrt.curve", "mrt.rectify", "concurrent.futures", "numpy.ma")
 
 
 def test_beta_loads_only_the_layers_it_runs(tmp_path):
@@ -45,6 +46,29 @@ def test_beta_loads_only_the_layers_it_runs(tmp_path):
     )
     out = run_python(code, ",".join(COLD_START_UNUSED), str(measure), str(tmp_path / "report.json"))
     assert json.loads(out) == [[], [], 0]
+
+
+def test_no_subcommand_loads_numpy_ma(tmp_path):
+    measure = tmp_path / "measure.json"
+    save_measure(lipschitz_graph_measure(40), measure)
+    runs = [
+        [cmd, str(measure), *opts, "-o", str(tmp_path / f"{cmd}.json")]
+        for cmd, *opts in (
+            ["jones", "--k-max", "2"],
+            ["tst", "--k-hi", "1"],
+            ["decompose", "--k-max", "3", "--c-ladder", "0.01", "--n-cap", "0.03"],
+            ["curve", "--depth", "3"],
+            ["validate", "--depth", "3"],
+        )
+    ]
+    code = (
+        "import json, sys\n"
+        "import mrt.cli\n"
+        "status = [mrt.cli.main(json.loads(a)) for a in sys.argv[1:]]\n"
+        "print(json.dumps([status, 'numpy.ma' in sys.modules]))\n"
+    )
+    out = run_python(code, *(json.dumps(r) for r in runs))
+    assert json.loads(out) == [[0] * len(runs), False]
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from mrt.geometry import (
     min_width_strip_2d,
     order_along_lines,
     pattern_search,
+    sorted_unique,
     unit,
 )
 
@@ -48,6 +49,16 @@ class TestLine:
 def test_unit_and_canonical_direction():
     assert np.allclose(unit(np.array([0.0, 5.0])), [0.0, 1.0])
     assert np.allclose(canonical_direction(np.array([-2.0, 1.0])), [2.0, -1.0])
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (40,), (0, 2), (1, 2), (30, 2), (30, 3)])
+def test_sorted_unique_matches_np_unique(shape):
+    rng = np.random.default_rng(7)
+    # few distinct values, so rows repeat whole and share leading coordinates
+    for a in (rng.integers(-3, 3, size=shape), rng.integers(-3, 3, size=shape) / 4.0):
+        want = np.unique(a) if a.ndim == 1 else np.unique(a, axis=0)
+        got = sorted_unique(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestHull:

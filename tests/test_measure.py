@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mrt import Ball, DiscreteMeasure, DyadicCube
+from mrt import Ball, DiscreteMeasure, DyadicCube, measure
 from mrt.dyadic import Box, cube_at
 from mrt.errors import DimensionMismatch, EmptyInput, InvalidWeight, ZeroMassRegion
 
@@ -10,6 +12,22 @@ def small_measure():
     pts = np.array([[0.1, 0.1], [0.4, 0.2], [0.6, 0.7], [0.9, 0.9]])
     w = np.array([1.0, 2.0, 3.0, 4.0])
     return DiscreteMeasure(pts, w)
+
+
+@st.composite
+def lattice_measures(draw):
+    """Atoms on a dyadic lattice, so many sit exactly on triple faces, with
+    negative coordinates, an optional shift by 2048, and the two values just
+    left of 0 from test_triple_faces_exact."""
+    n = draw(st.integers(1, 3))
+    j = draw(st.integers(0, 4))
+    shift = draw(st.sampled_from([0.0, 2048.0, -2048.0]))
+    coord = st.one_of(
+        st.integers(-24, 24).map(lambda i: shift + i * 2.0**-j),
+        st.sampled_from([-1e-17, -5e-324]),
+    )
+    pts = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=10))
+    return DiscreteMeasure(pts, np.ones(len(pts)))
 
 
 class TestConstruction:
@@ -101,6 +119,25 @@ class TestRegionQueries:
         faces = DiscreteMeasure([[0.0, -0.125], [0.375, 0.25], [0.375 + 1e-16, 0.0]], [1.0, 1.0, 1.0])
         assert list(faces.atoms_in(Q.triple())) == [0, 1]
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(lattice_measures(), st.integers(-1, 4))
+    def test_triple_table_matches_scan(self, mu, k):
+        n = mu.dim
+        cells = np.floor(mu.points * 2.0**k).astype(np.int64)
+        # a window wider than the 4^n candidates the table tests per atom
+        window = np.indices((6,) * n).reshape(n, -1).T - 3
+        want = {}
+        for key in {tuple(row) for row in (cells[:, None, :] + window).reshape(-1, n).tolist()}:
+            Q = DyadicCube(k, key)
+            atoms = np.flatnonzero(Q.triple().contains_mask(mu.points))
+            if len(atoms):
+                want[key] = atoms
+        table = mu.triple_table(k)
+        assert list(table) == sorted(want)
+        for key, atoms in want.items():
+            assert np.array_equal(table[key], atoms)
+            assert np.array_equal(mu.atoms_in_triple(DyadicCube(k, key)), atoms)
+
     def test_triple_query_does_not_scan(self, monkeypatch):
         rng = np.random.default_rng(5)
         mu = DiscreteMeasure(rng.uniform(0, 16, size=(200, 2)), np.ones(200))
@@ -113,11 +150,23 @@ class TestRegionQueries:
             rows.append(len(np.atleast_2d(X)))
             return scan(self, X)
 
+        builds = []
+        group = measure._group
+
+        def counted_group(keys, ids):
+            builds.append(len(ids))
+            return group(keys, ids)
+
         monkeypatch.setattr(Box, "contains_mask", counted)
+        monkeypatch.setattr(measure, "_group", counted_group)
         assert np.array_equal(mu.atoms_in(Q.triple()), want)
+        built = len(builds)
         assert mu.mass(Q.triple()) == float(len(want))
         assert np.allclose(mu.center_of_mass(Q.triple()), mu.points[want].mean(axis=0))
-        assert 0 < max(rows) < len(mu)
+        R = DyadicCube(0, (3, 12))
+        assert np.array_equal(mu.atoms_in_triple(R), np.flatnonzero(scan(R.triple(), mu.points)))
+        assert rows == []
+        assert built >= 1 and len(builds) == built
 
     def test_box_and_ball_are_closed(self):
         mu = DiscreteMeasure([[1.0, 0.0], [1.0 + 1e-9, 0.0]], [1.0, 1.0])
@@ -173,17 +222,5 @@ class TestProfiles:
             mu.density_profile([0.0, 0.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             mu.density_profile([0.0, 0.0], [])
-
-    def test_doubling_profile(self):
-        mu = DiscreteMeasure([[0.0, 0.0], [1.5, 0.0]], [1.0, 3.0])
-        prof = mu.doubling_profile([0.0, 0.0], [1.0, 0.1])
-        assert not prof.flagged.any()
-        # r=1: inner 1, outer 4; r=0.1: inner 1, outer 1
-        assert np.allclose(prof.ratios, [4.0, 1.0])
-        assert prof.estimate == pytest.approx(4.0)
-
-    def test_doubling_profile_flags_zero_inner_mass(self):
-        mu = DiscreteMeasure([[10.0, 0.0]], [1.0])
-        prof = mu.doubling_profile([0.0, 0.0], [1.0, 2.0])
-        assert prof.flagged.all()
-        assert prof.estimate == 0.0
+        with pytest.raises(ValueError):
+            mu.density_profile([0.0, 0.0], [1.0, np.nan, np.nan])
