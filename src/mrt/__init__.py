@@ -26,7 +26,7 @@ _MODULES = {
     "dyadic": ("Box", "CubeTree", "DyadicCube", "chain_of_cubes", "cube_at", "nearby_count"),
     "errors": ("AlphaRecheckError", "CertificateError", "DegenerateRegion", "DimensionMismatch",
                "EmptyInput", "ForwardProximityError", "InputFormatError", "InvalidWeight", "MrtError",
-               "NetValidationError", "OrderingError", "TreeStructureError", "ZeroMassRegion",
+               "NetValidationError", "TreeStructureError", "ZeroMassRegion",
                "ZeroMassTriple"),
     "geometry": ("Line", "fit_line"),
     "jones": ("JONES_VARIANTS", "JonesReport", "SquareSumReport", "default_kmax", "jones_at",

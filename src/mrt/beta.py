@@ -35,7 +35,8 @@ The search objective and the certified value are kept apart. For p = 2 the
 refinement's pattern search evaluates lines from per-entry moments (mass,
 centroid and scatter of the weights scaled by diam^-2, the L^2 quantities of
 Lerman, CPAM 2003) in O(entries) per line instead of rescanning every atom
-slot; this agrees with the direct score up to rounding. Each search's end
+slot, and scores the polls of a search step in one batch; this agrees with
+the direct score up to rounding. Each search's end
 line is then scored directly and replaces the witness only if that exact
 score is lower, so the reported value is never a search value and never
 exceeds the unrefined witness's score. Other p search on the direct score.
@@ -426,22 +427,29 @@ class _Family:
         vals = b * b * entry_factor[:, None] if entry_factor is not None else b
         return vals.max(axis=0)
 
-    def moment_score(self, base: np.ndarray, direction: np.ndarray) -> float:
-        """score(Line(base, direction)) for p = 2, from per-entry moments.
+    def moment_scores(self, bases: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """score(Line(b, u)) for p = 2 and each row b of bases, u of directions.
 
         With slot weights q = w / diam(3R)^2, an entry's mass S0 = sum q,
         centroid m and scatter C = sum q (x - m)(x - m)^T give its weighted
         sum of squared distances to the line {b + t u} as
-        tr C - u.Cu + S0 (|m - b|^2 - ((m - b).u)^2). A call costs O(entries)
-        instead of O(slots), in any dimension; direction must be a unit vector.
+        tr C - u.Cu + S0 (|m - b|^2 - ((m - b).u)^2). A line costs O(entries)
+        instead of O(slots), in any dimension; each direction must be a unit
+        vector. Every dot product is a stacked matmul, one BLAS call per line
+        and entry, so a row's value does not depend on the other rows and
+        rounds as a batch of one would.
         """
         S0, m, C, trC = self.moments()
-        v = m - (base - self.cen)
-        vu = v @ direction
-        sq = trC - (C @ direction) @ direction + S0 * (np.einsum("ij,ij->i", v, v) - vu * vu)
+        n = m.shape[1]
+        U = directions[:, :, None]
+        v = m[None, :, :] - (bases - self.cen)[:, None, :]
+        vu = np.matmul(v, U)[:, :, 0]
+        uCu = np.matmul(np.matmul(C[None], U[:, None])[..., 0], U)[:, :, 0]
+        vv = np.einsum("ij,ij->i", v.reshape(-1, n), v.reshape(-1, n)).reshape(vu.shape)
+        sq = trC - uCu + S0 * (vv - vu * vu)
         b2 = np.minimum(np.maximum(sq, 0.0) * self.inv_mass, 1.0)
         vals = b2 * self.entry_factor if self.entry_factor is not None else np.sqrt(b2)
-        return float(vals.max())
+        return vals.max(axis=1)
 
     def moments(self):
         """Per-entry (S0, m, C, tr C) of the slot weights w / diam(3R)^2."""
@@ -531,6 +539,29 @@ def _family(mu, k, family, p, variant, c) -> _Family | None:
         diam3 = _triple_diams(k, mu.dim)
         family = [e for e in family if e[2] >= c * diam3[e[0].k]]
     return _Family(mu, k, p, variant, c, family) if family else None
+
+
+def _refine_objective(fam: _Family, n: int, p):
+    """The refine search's batched objective: each row of X is a line (base, raw direction).
+
+    Rows whose direction has norm < 1e-9 score 1e30, so the search never
+    moves onto them. For p = 2 the rows go to moment_scores together; other
+    p score each line directly.
+    """
+
+    def objective(X):
+        raw = X[:, n:]
+        nrm = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None])[:, 0, 0])
+        out = np.full(len(X), 1e30)
+        ok = nrm >= 1e-9
+        if p == 2:
+            out[ok] = fam.moment_scores(X[ok, :n], raw[ok] / nrm[ok, None])
+        else:
+            for i in np.flatnonzero(ok):
+                out[i] = fam.score(Line(X[i, :n], raw[i] / nrm[i]))
+        return out
+
+    return objective
 
 
 def _beta_multi(mu, k, family, p, variant, c, refine, cache) -> BetaValue:
@@ -674,15 +705,7 @@ def _beta_multi(mu, k, family, p, variant, c, refine, cache) -> BetaValue:
     if refine and best_score > 0:
         step0 = 0.25 * diameter
 
-        def objective(x):
-            raw = x[n:]
-            nrm = float(np.linalg.norm(raw))
-            if nrm < 1e-9:
-                return 1e30
-            if p == 2:
-                return fam.moment_score(x[:n], raw / nrm)
-            return fam.score(Line(x[:n], raw / nrm))
-
+        objective = _refine_objective(fam, n, p)
         for i in rank[:3]:
             ln = candidates[int(i)]
             x0 = np.concatenate([ln.base, ln.direction])

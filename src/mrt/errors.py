@@ -33,10 +33,6 @@ class NetValidationError(MrtError, ValueError):
     """A net sequence violates separation or proximity requirements."""
 
 
-class OrderingError(MrtError, ValueError):
-    """Projection orders along two nearby lines cannot be reconciled."""
-
-
 class AlphaRecheckError(MrtError, ValueError):
     """A supplied flatness coefficient fails its neighborhood recheck."""
 

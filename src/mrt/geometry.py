@@ -9,23 +9,21 @@ p = "sup":
 * p=1 runs iteratively reweighted least squares from the p=2 seed plus
   deterministic perturbed restarts (heuristic; certified against a grid
   oracle in tests).
-* sup is exact in the plane (convex hull + rotating calipers, minimum-width
-  strip); in higher dimensions it searches directions with the projected
-  minimum-enclosing-ball radius as objective (heuristic).
+* sup is exact in the plane (the minimum-width strip, from one scan of the
+  convex hull's edges); in higher dimensions it searches directions with the
+  projected minimum-enclosing-ball radius as objective (heuristic).
 
 Also provides the distance between closed segments (point-to-segment
-included), and order_along_lines, which reconciles the projection orders of a
-well-separated point set onto two nearby lines and certifies the standard
-(1 + 3 alpha^2) segment and (1 + 12 alpha^2) angle factors.
+included) and a batched compass search, pattern_search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegion, DimensionMismatch, EmptyInput, InvalidWeight, OrderingError
+from .errors import DegenerateRegion, DimensionMismatch, EmptyInput, InvalidWeight
 
 _EIG_TIE_REL = 1e-12
 _SEED = 0x5EED
@@ -120,9 +118,6 @@ class Line:
         t = Y @ self.direction
         return np.linalg.norm(Y - np.outer(t, self.direction), axis=1)
 
-    def point_at(self, t: float) -> np.ndarray:
-        return self.base + t * self.direction
-
     def canonical(self) -> "Line":
         return Line(self.base.copy(), canonical_direction(self.direction.copy()))
 
@@ -174,23 +169,29 @@ def convex_hull_2d(points) -> np.ndarray:
     if len(pts) <= 2:
         return pts
 
+    # Python floats round each cross product as numpy scalars would
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[np.ndarray] = []
-    for p in pts:
+    rows = pts.tolist()
+    lower: list = []
+    for p in rows:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
+    upper: list = []
+    for p in reversed(rows):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) == 0:  # all collinear; monotone chain degenerates
-        hull = np.array([pts[0], pts[-1]])
-    return hull
+    hull = lower[:-1] + upper[:-1]
+    if not hull:  # all collinear; monotone chain degenerates
+        hull = [rows[0], rows[-1]]
+    return np.array(hull)
+
+
+#: hull edges scanned per block times hull vertices, at most
+_STRIP_BLOCK_ENTRIES = 65_536
 
 
 def min_width_strip_2d(points) -> tuple[float, Line]:
@@ -198,7 +199,9 @@ def min_width_strip_2d(points) -> tuple[float, Line]:
 
     Returns (width, midline). The midline minimizes the maximum distance,
     which equals width / 2. Exact: the optimal strip is flush with a hull
-    edge, so it suffices to scan hull edges.
+    edge, so it suffices to scan hull edges. The edges are scanned in blocks
+    of at most _STRIP_BLOCK_ENTRIES edge-vertex offsets; on a tie the earliest
+    edge wins.
     """
     X = _as_points(points)
     if X.shape[1] != 2:
@@ -211,24 +214,28 @@ def min_width_strip_2d(points) -> tuple[float, Line]:
         if np.linalg.norm(d) < 1e-300:
             return 0.0, Line(X[0], np.array([1.0, 0.0]))
         return 0.0, Line(hull[0], unit(d))
-    best = None
-    m = len(hull)
-    for i in range(m):
-        a, b = hull[i], hull[(i + 1) % m]
-        edge = b - a
-        if np.linalg.norm(edge) < 1e-300:
-            continue
-        d = unit(edge)
-        nrm = np.array([-d[1], d[0]])
-        s = (hull - a) @ nrm
-        lo, hi = float(s.min()), float(s.max())
-        width = hi - lo
-        if best is None or width < best[0]:
-            mid = a + nrm * (lo + hi) / 2.0
-            best = (width, Line(mid, d))
-    if best is None:
+    # stacked matmul makes one BLAS dot per edge norm and one matrix-vector
+    # product per edge offset, each rounding as the one-edge calls do
+    edges = np.roll(hull, -1, axis=0) - hull
+    norms = np.sqrt(np.matmul(edges[:, None, :], edges[:, :, None])[:, 0, 0])
+    keep = np.flatnonzero(norms >= 1e-300)
+    if not len(keep):
         raise DegenerateRegion("every hull edge has zero length")
-    return best
+    dirs = edges[keep] / norms[keep, None]
+    nrms = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+    best = None
+    block = max(1, _STRIP_BLOCK_ENTRIES // len(hull))
+    for b0 in range(0, len(keep), block):
+        a = hull[keep[b0:b0 + block]]
+        s = np.matmul(hull[None, :, :] - a[:, None, :], nrms[b0:b0 + block, :, None])[:, :, 0]
+        lo, hi = s.min(axis=1), s.max(axis=1)
+        width = hi - lo
+        j = int(np.argmin(width))
+        if best is None or width[j] < best[0]:
+            best = (float(width[j]), b0 + j, float(lo[j]), float(hi[j]))
+    width, i, lo, hi = best
+    mid = hull[keep[i]] + nrms[i] * (lo + hi) / 2.0
+    return width, Line(mid, dirs[i])
 
 
 # ---------------------------------------------------------------------------
@@ -444,109 +451,40 @@ def _fit_sup(X):
 
 
 def pattern_search(f, x0, steps, max_iter=200, tol=1e-13):
+    """Compass search for a minimum of f from x0; returns (f(x), x).
+
+    f maps an (m, d) array of points to their m values, and each row's value
+    must not depend on the other rows. A step polls x + steps[i], then
+    x - steps[i], for each coordinate i in turn, each from the current point,
+    and moves to a poll as soon as it improves on the current value; when a
+    whole step makes no move, the steps halve, until all are below tol or
+    max_iter steps have run. The polls still to try from the current point
+    are scored in one call to f; after a move, the polls left are scored
+    again from the new point. So the search takes the path of one that
+    scores a single poll per call.
+    """
     x = np.array(x0, dtype=float)
     s = np.array(steps, dtype=float)
-    fx = f(x)
+    d = len(x)
+    axis = np.repeat(np.arange(d), 2)
+    sign = np.tile([1.0, -1.0], d)
+    fx = f(x[None, :])[0]
     for _ in range(max_iter):
         improved = False
-        for i in range(len(x)):
-            for sign in (1.0, -1.0):
-                y = x.copy()
-                y[i] += sign * s[i]
-                fy = f(y)
-                if fy < fx:
-                    x, fx = y, fy
-                    improved = True
+        delta = sign * s[axis]
+        done = 0
+        while done < 2 * d:
+            Y = np.repeat(x[None, :], 2 * d - done, axis=0)
+            Y[np.arange(2 * d - done), axis[done:]] += delta[done:]
+            fy = f(Y)
+            j = int(np.argmax(fy < fx))  # the first improving poll, if any
+            if not fy[j] < fx:
+                break
+            x, fx = Y[j], fy[j]
+            improved = True
+            done += j + 1
         if not improved:
             s *= 0.5
             if np.all(s < tol):
                 break
-    return fx, x
-
-
-# ---------------------------------------------------------------------------
-# ordering along nearby lines
-
-
-@dataclass
-class OrderingWitness:
-    """Certificate that two nearby lines order a separated set identically."""
-
-    order: list[int]
-    params1: np.ndarray
-    params2: np.ndarray
-    orientation2: int
-    alpha: float
-    max_segment_factor: float
-    cos_angle: float
-    segment_bound: float = field(default=0.0)
-    angle_bound: float = field(default=0.0)
-
-
-def order_along_lines(V, line1: Line, line2: Line, alpha: float) -> OrderingWitness:
-    """Order a 1-separated point set along two alpha-close lines.
-
-    Requires |V| >= 2, pairwise separation >= 1, alpha <= 1/16, and every
-    point within alpha of both lines. Returns the common order (as indices
-    into V sorted along line1) together with the verified segment factor
-    (consecutive chords vs line-1 projection gaps, bound 1 + 3 alpha^2) and
-    the direction agreement (|cos angle| >= 1 / (1 + 12 alpha^2)).
-    """
-    X = _as_points(V)
-    m = len(X)
-    if m < 2:
-        raise EmptyInput("need at least two points to order")
-    if alpha > 1.0 / 16.0 + 1e-15:
-        raise OrderingError(f"alpha={alpha} exceeds 1/16")
-    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
-    if d2[i, j] < (1.0 - 1e-9) ** 2:
-        raise OrderingError(
-            f"separation hypothesis fails: |v{i} - v{j}| = {np.sqrt(d2[i, j]):.6g} < 1"
-        )
-    for which, line in (("line1", line1), ("line2", line2)):
-        dist = line.distances(X)
-        k = int(np.argmax(dist))
-        if dist[k] > alpha + 1e-9:
-            raise OrderingError(
-                f"distance hypothesis fails on {which}: dist(v{k}) = {dist[k]:.6g} > alpha = {alpha:.6g}"
-            )
-
-    t1 = line1.params(X)
-    order = list(np.argsort(t1, kind="stable"))
-    t2 = line2.params(X)
-    seq2 = t2[order]
-    if np.all(np.diff(seq2) > 0):
-        orient = 1
-    elif np.all(np.diff(seq2) < 0):
-        orient = -1
-    else:
-        raise OrderingError("projection orders along the two lines disagree")
-
-    seg_bound = 1.0 + 3.0 * alpha * alpha
-    worst = 0.0
-    for a, b in zip(order[:-1], order[1:]):
-        chord = float(np.linalg.norm(X[b] - X[a]))
-        gap = abs(float(t1[b] - t1[a]))
-        ratio = chord / gap if gap > 0 else np.inf
-        worst = max(worst, ratio)
-        if ratio > seg_bound * (1 + 1e-12) + 1e-15:
-            raise OrderingError(
-                f"segment factor {ratio:.12g} exceeds bound {seg_bound:.12g} for pair ({a}, {b})"
-            )
-    cosang = abs(float(line1.direction @ line2.direction))
-    ang_bound = 1.0 / (1.0 + 12.0 * alpha * alpha)
-    if cosang < ang_bound * (1 - 1e-12) - 1e-15:
-        raise OrderingError(f"direction agreement {cosang:.12g} below bound {ang_bound:.12g}")
-    return OrderingWitness(
-        order=[int(k) for k in order],
-        params1=t1[order],
-        params2=seq2 * orient,
-        orientation2=orient,
-        alpha=float(alpha),
-        max_segment_factor=worst,
-        cos_angle=cosang,
-        segment_bound=seg_bound,
-        angle_bound=ang_bound,
-    )
+    return float(fx), x

@@ -16,6 +16,13 @@ box of candidate indices through the family's defining inequalities.
 `mass_triples` shares no path with `DiscreteMeasure.triple_table`: it
 enumerates the 4^n candidate cubes around every occupied cell and scans every
 atom against each candidate's triple with `Box.contains_mask`.
+
+`sequential_pattern_search`, `moment_score` and `min_width_strip_loop` keep
+the one-point arithmetic that `pattern_search`, `_Family.moment_scores` and
+`min_width_strip_2d` batch: a compass search that scores one poll per
+objective call, the moment objective of one line, and the per-edge strip scan
+over a hull built on numpy scalars. The batched code must match them bit for
+bit. `rows` adapts a one-point objective to the batched `pattern_search`.
 """
 
 from __future__ import annotations
@@ -25,8 +32,13 @@ import itertools
 import numpy as np
 
 from mrt.dyadic import DyadicCube, parent_scale_bound, same_scale_radius
-from mrt.errors import DimensionMismatch
-from mrt.geometry import Line, _as_points, _as_weights, pattern_search, unit
+from mrt.errors import DegenerateRegion, DimensionMismatch
+from mrt.geometry import Line, _as_points, _as_weights, pattern_search, sorted_unique, unit
+
+
+def rows(f):
+    """The batched form of a one-point objective: f applied to each row."""
+    return lambda X: np.array([f(x) for x in X], dtype=float)
 
 
 def brute_force_line_oracle(
@@ -122,13 +134,13 @@ def _oracle_2d(X, w, p, n_angles, n_offsets, refine):
             s = X @ np.array([-np.sin(q[0]), np.cos(q[0])])
             return float(_agg(np.abs(s - inner_t(s)), w, p))
 
-        val, q = pattern_search(profile, np.array([theta]), np.array([np.pi / n_angles]))
+        val, q = pattern_search(rows(profile), np.array([theta]), np.array([np.pi / n_angles]))
         theta = float(q[0])
         t = inner_t(X @ np.array([-np.sin(theta), np.cos(theta)]))
     elif refine:
         span = float(np.ptp(X @ np.array([-np.sin(theta), np.cos(theta)]))) + 1e-12
         val, (theta, t) = pattern_search(
-            lambda q: value(q[0], q[1]),
+            rows(lambda q: value(q[0], q[1])),
             np.array([theta, t]),
             np.array([np.pi / n_angles, span / max(n_offsets, 1)]),
         )
@@ -175,7 +187,7 @@ def _oracle_3d(X, w, p, n_dirs, n_offsets, refine):
     if refine:
         x0 = np.concatenate([d, c2])
         steps = np.concatenate([np.full(3, 1.0 / np.sqrt(n_dirs)), np.full(2, 1e-2)])
-        val, x = pattern_search(lambda q: value_for(q[:3], q[3:]), x0, steps)
+        val, x = pattern_search(rows(lambda q: value_for(q[:3], q[3:])), x0, steps)
         d, c2 = unit(x[:3]), x[3:]
     _, _, vt = np.linalg.svd(np.asarray(d).reshape(1, -1))
     B = vt[1:]
@@ -302,3 +314,93 @@ def mass_triples(mu, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:
         if len(atoms):
             out.append((R, atoms, float(mu.weights[atoms].sum())))
     return out
+
+
+def sequential_pattern_search(f, x0, steps, max_iter=200, tol=1e-13):
+    """Compass search with one objective call per poll; f maps a point to a value."""
+    x = np.array(x0, dtype=float)
+    s = np.array(steps, dtype=float)
+    fx = f(x)
+    for _ in range(max_iter):
+        improved = False
+        for i in range(len(x)):
+            for sign in (1.0, -1.0):
+                y = x.copy()
+                y[i] += sign * s[i]
+                fy = f(y)
+                if fy < fx:
+                    x, fx = y, fy
+                    improved = True
+        if not improved:
+            s *= 0.5
+            if np.all(s < tol):
+                break
+    return fx, x
+
+
+def moment_score(fam, base: np.ndarray, direction: np.ndarray) -> float:
+    """fam.score(Line(base, direction)) for p = 2 from the entry moments, one line."""
+    S0, m, C, trC = fam.moments()
+    v = m - (base - fam.cen)
+    vu = v @ direction
+    sq = trC - (C @ direction) @ direction + S0 * (np.einsum("ij,ij->i", v, v) - vu * vu)
+    b2 = np.minimum(np.maximum(sq, 0.0) * fam.inv_mass, 1.0)
+    vals = b2 * fam.entry_factor if fam.entry_factor is not None else np.sqrt(b2)
+    return float(vals.max())
+
+
+def convex_hull_loop(points) -> np.ndarray:
+    """Andrew monotone chain on numpy scalars; hull vertices counterclockwise."""
+    X = _as_points(points)
+    pts = sorted_unique(X)
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[np.ndarray] = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[np.ndarray] = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = np.array(lower[:-1] + upper[:-1])
+    if len(hull) == 0:
+        hull = np.array([pts[0], pts[-1]])
+    return hull
+
+
+def min_width_strip_loop(points) -> tuple[float, Line]:
+    """Minimum-width strip of planar points, scanning one hull edge at a time."""
+    X = _as_points(points)
+    hull = convex_hull_loop(X)
+    if len(hull) <= 1:
+        return 0.0, Line(X[0], np.array([1.0, 0.0]))
+    if len(hull) == 2:
+        d = hull[1] - hull[0]
+        if np.linalg.norm(d) < 1e-300:
+            return 0.0, Line(X[0], np.array([1.0, 0.0]))
+        return 0.0, Line(hull[0], unit(d))
+    best = None
+    m = len(hull)
+    for i in range(m):
+        a, b = hull[i], hull[(i + 1) % m]
+        edge = b - a
+        if np.linalg.norm(edge) < 1e-300:
+            continue
+        d = unit(edge)
+        nrm = np.array([-d[1], d[0]])
+        s = (hull - a) @ nrm
+        lo, hi = float(s.min()), float(s.max())
+        width = hi - lo
+        if best is None or width < best[0]:
+            mid = a + nrm * (lo + hi) / 2.0
+            best = (width, Line(mid, d))
+    if best is None:
+        raise DegenerateRegion("every hull edge has zero length")
+    return best

@@ -16,14 +16,22 @@ from mrt import (
     beta_fixed_line,
     beta_multi,
     beta_sup_set,
+    fit_line,
 )
 from mrt import beta as beta_mod
-from mrt.beta import VARIANTS, _family, _Family, nearby_cubes_with_mass
+from mrt.beta import VARIANTS, _family, _Family, _refine_objective, nearby_cubes_with_mass
 from mrt.dyadic import Box, cube_at, in_nearby_family
 from mrt.errors import DegenerateRegion
 
-from _oracle import brute_force_line_oracle, mass_triples, offset_envelope, offset_envelope_min
-from _samples import four_corner_cantor, segment_cantor_mixture, segment_measure
+from _oracle import (
+    brute_force_line_oracle,
+    mass_triples,
+    moment_score,
+    offset_envelope,
+    offset_envelope_min,
+    sequential_pattern_search,
+)
+from _samples import four_corner_cantor, lipschitz_graph_measure, segment_cantor_mixture, segment_measure
 from conftest import FIXTURES_DIR
 
 
@@ -288,13 +296,65 @@ class TestMomentObjective:
             fam = cube_family(mu, cube_at(pts[0], k), 2, variant, c, None)
             assert fam is not None
             lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
-            for _ in range(40):
-                # bases inside and beyond the family, so some entries hit the cap
-                base = rng.uniform(lo - (hi - lo), hi + (hi - lo))
-                u = rng.normal(size=n)
-                u /= np.linalg.norm(u)
-                direct = fam.score(Line(base, u))
-                assert abs(fam.moment_score(base, u) - direct) <= 1e-12
+            # bases inside and beyond the family, so some entries hit the cap
+            bases = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(40, n))
+            dirs = rng.normal(size=(40, n))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            got = fam.moment_scores(bases, dirs)
+            for base, u, value in zip(bases, dirs, got):
+                assert abs(value - fam.score(Line(base, u))) <= 1e-12
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("shift", (0.0, 2048.0))
+    def test_rows_match_one_line_reference(self, variant, n, shift):
+        # each row rounds as the one-line moment arithmetic does, whatever the
+        # batch around it; k = -1 gives one-entry families, k = 3 many entries
+        rng = np.random.default_rng(70 + n)
+        pts = shift + rng.uniform(0.0, 1.0, size=(24, n))
+        mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=24))
+        c = 0.05 if variant == "star_c" else None
+        sizes = set()
+        for k in (-1, 1, 2, 3):
+            fam = cube_family(mu, cube_at(pts[0], k), 2, variant, c, None)
+            sizes.add(len(fam.entries))
+            lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
+            bases = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(33, n))
+            dirs = rng.normal(size=(33, n))
+            dirs /= np.sqrt(np.einsum("ij,ij->i", dirs, dirs))[:, None]
+            want = [moment_score(fam, b, u) for b, u in zip(bases, dirs)]
+            for rows in (slice(0, 1), slice(0, 2), slice(5, 12), slice(None)):
+                got = fam.moment_scores(bases[rows], dirs[rows])
+                assert got.tolist() == want[rows]
+        assert 1 in sizes and max(sizes) > 4
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_refine_search_follows_sequential_path(self, variant):
+        # the batched p = 2 refine search of beta_multi against a search that
+        # scores one line per call with the one-line moment arithmetic; every
+        # scale-1 cube of this measure has the same family
+        mu = lipschitz_graph_measure(40)
+        c = 0.05 if variant == "star_c" else None
+        k, n = 1, 2
+        fam = cube_family(mu, cube_at(mu.points[0], k), 2, variant, c, None)
+        steps = np.concatenate([np.full(n, 0.25 * 2.0**-k * np.sqrt(n)), np.full(n, 0.05)])
+
+        def one_line(x):
+            raw = x[n:]
+            nrm = float(np.linalg.norm(raw))
+            if nrm < 1e-9:
+                return 1e30
+            return moment_score(fam, x[:n], raw / nrm)
+
+        line, _ = fit_line(fam.P, fam.W, 2)
+        starts = [np.concatenate([line.base, line.direction])]
+        # lines through atom pairs, raw directions of any length
+        starts += [np.concatenate([fam.P[i], fam.P[i + 7] - fam.P[i]]) for i in range(0, len(fam.P) - 7, 5)]
+        assert len(starts) >= 6
+        for x0 in starts:
+            got = beta_mod.pattern_search(_refine_objective(fam, n, 2), x0, steps, max_iter=60, tol=1e-12)
+            want = sequential_pattern_search(one_line, x0, steps, max_iter=60, tol=1e-12)
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 DENSE_ANGLES = np.pi * np.arange(720) / 720

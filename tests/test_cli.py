@@ -120,3 +120,17 @@ def test_decompose_dense_mixture_golden(tmp_path):
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
     assert dumps(rep) == (FIXTURES_DIR / "decompose_mixture2_golden.json").read_text()
+
+
+def test_tst_lipschitz_golden(tmp_path):
+    # the Lipschitz graph's families exceed 16 atoms: the tst report runs the
+    # p = 2 refine searches and the planar sup fits of beta_sq_set. The
+    # fixture, without the input path, was written while each search scored
+    # one line per objective call and each sup fit scanned one hull edge at a time
+    measure = tmp_path / "measure.json"
+    save_measure(lipschitz_graph_measure(40), measure)
+    out = tmp_path / "report.json"
+    assert main(["tst", str(measure), "--k-hi", "1", "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    del rep["config"]["input"]
+    assert dumps(rep) == (FIXTURES_DIR / "tst_lipschitz40_golden.json").read_text()

@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 
 from mrt import Line, fit_line
-from mrt.errors import DimensionMismatch, OrderingError
+from mrt import geometry
+from mrt.errors import DimensionMismatch
 from mrt.geometry import (
-    OrderingWitness,
     canonical_direction,
     convex_hull_2d,
     min_enclosing_ball,
     min_width_strip_2d,
-    order_along_lines,
     pattern_search,
     sorted_unique,
     unit,
 )
 
-from _oracle import brute_force_line_oracle
+from _oracle import (
+    brute_force_line_oracle,
+    convex_hull_loop,
+    min_width_strip_loop,
+    rows,
+    sequential_pattern_search,
+)
 
 
 class TestLine:
@@ -32,10 +37,6 @@ class TestLine:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Line([0.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_point_at(self):
-        ln = Line([0.0, 0.0], [0.0, 1.0])
-        assert np.allclose(ln.point_at(2.5), [0.0, 2.5])
 
     def test_canonical_flips_sign(self):
         ln = Line([0.0, 0.0], [-1.0, 0.0]).canonical()
@@ -77,6 +78,44 @@ class TestHull:
         width, line = min_width_strip_2d(pts)
         assert width <= 1e-12
         assert np.max(line.distances(pts)) <= 1e-9
+
+    @staticmethod
+    def assert_strip_matches_loop(pts):
+        assert np.array_equal(convex_hull_2d(pts), convex_hull_loop(pts))
+        width, line = min_width_strip_2d(pts)
+        want_width, want_line = min_width_strip_loop(pts)
+        # bit for bit, so the signs of zeros count too
+        assert np.float64(width).tobytes() == np.float64(want_width).tobytes()
+        for got, want in ((line.base, want_line.base), (line.direction, want_line.direction)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("offset", (0.0, 2048.0, 1e6))
+    def test_strip_matches_edge_loop_random(self, offset):
+        rng = np.random.default_rng(int(offset) % 97 + 5)
+        for m in range(2, 40):
+            self.assert_strip_matches_loop(offset + rng.uniform(-1.0, 1.0, size=(m, 2)))
+            self.assert_strip_matches_loop(offset + rng.normal(size=(m, 2)) * rng.uniform(1e-6, 3.0, 2))
+
+    def test_strip_matches_edge_loop_degenerate(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            # snapped to a coarse grid: duplicate atoms, and hull edges that tie in width
+            m = int(rng.integers(2, 30))
+            self.assert_strip_matches_loop(np.round(rng.uniform(0.0, 1.0, size=(m, 2)) * 4.0) / 4.0)
+            # collinear, with a direction that rounds off the line
+            t = rng.uniform(-1.0, 1.0, size=m)
+            u = rng.normal(size=2)
+            self.assert_strip_matches_loop(np.outer(t, u) + rng.uniform(-5.0, 5.0, size=2))
+        for pts in ([[0.0, 0.0], [1.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]],
+                    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[3.0, 1.0]]):
+            self.assert_strip_matches_loop(np.array(pts))
+
+    def test_strip_matches_edge_loop_across_blocks(self):
+        # a circle hull has as many edges as points: with 600 points the scan runs in blocks
+        th = 2.0 * np.pi * np.arange(600) / 600
+        pts = 2048.0 + np.column_stack([np.cos(th), 0.5 * np.sin(th)])
+        assert len(convex_hull_2d(pts)) > geometry._STRIP_BLOCK_ENTRIES // len(pts)
+        self.assert_strip_matches_loop(pts)
 
     def test_min_width_oracle_agreement(self):
         # sup-fit equals the brute-force sup oracle on random instances
@@ -158,36 +197,53 @@ class TestFitLine:
 
 
 def test_pattern_search_quadratic():
-    f = lambda x: float((x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2)
+    f = rows(lambda x: float((x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2))
     val, x = pattern_search(f, np.zeros(2), np.array([1.0, 1.0]), max_iter=200)
     assert val <= 1e-10
     assert np.allclose(x, [2.0, -1.0], atol=1e-4)
 
 
-class TestOrdering:
-    def test_orders_separated_points(self):
-        V = np.array([[0.0, 0.01], [1.5, -0.01], [3.1, 0.0]])
-        l1 = Line([0.0, 0.0], [1.0, 0.0])
-        l2 = Line([0.0, 0.005], [1.0, 0.001])
-        wit = order_along_lines(V, l1, l2, alpha=1.0 / 16.0)
-        assert isinstance(wit, OrderingWitness)
-        assert wit.order == [0, 1, 2]
-        assert wit.max_segment_factor <= 1 + 3 * (1 / 16) ** 2 + 1e-9
+def quadratic(x):
+    return float((x[0] - 2.0) ** 2 + 3.0 * (x[1] + 1.0) ** 2 + 0.5 * x[0] * x[1])
 
-    def test_rejects_close_points(self):
-        V = np.array([[0.0, 0.0], [0.5, 0.0]])
-        l1 = Line([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(OrderingError):
-            order_along_lines(V, l1, l1, alpha=0.01)
 
-    def test_rejects_far_from_line(self):
-        V = np.array([[0.0, 1.0], [2.0, 0.0]])
-        l1 = Line([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(OrderingError):
-            order_along_lines(V, l1, l1, alpha=0.01)
+def max_affine(x):
+    # pieces with integer slopes and offsets: exact ties along their seams
+    return float(max(x[0] + x[1], -x[0] + 2.0 * x[1], 1.0 - x[1], 0.5 * x[0] - 1.0))
 
-    def test_rejects_large_alpha(self):
-        V = np.array([[0.0, 0.0], [2.0, 0.0]])
-        l1 = Line([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(OrderingError):
-            order_along_lines(V, l1, l1, alpha=0.2)
+
+def plateau(x):
+    # piecewise constant, so most polls tie with the current value
+    return float(np.floor(2.0 * abs(x[0] - 0.75)) + np.floor(abs(x[1] + 0.25)) + (x[2] > 0.5))
+
+
+@pytest.mark.parametrize(
+    "f, x0, steps",
+    [
+        (quadratic, [0.0, 0.0], [1.0, 1.0]),
+        (quadratic, [5.3, -7.1], [0.37, 2.0]),
+        (max_affine, [3.0, -2.0], [1.0, 0.5]),
+        (max_affine, [0.0, 0.0], [0.25, 0.25]),
+        (plateau, [4.0, -3.0, 1.0], [1.0, 1.0, 0.5]),
+        (plateau, [0.75, -0.25, 0.0], [0.125, 0.125, 0.125]),
+    ],
+)
+@pytest.mark.parametrize("max_iter", (3, 60, 200))
+def test_batched_search_follows_sequential_path(f, x0, steps, max_iter):
+    got_f, got_x = pattern_search(rows(f), np.array(x0), np.array(steps), max_iter=max_iter)
+    want_f, want_x = sequential_pattern_search(f, np.array(x0), np.array(steps), max_iter=max_iter)
+    assert got_f == want_f and got_x.tobytes() == want_x.tobytes()
+
+
+def test_batched_search_scores_remaining_polls_in_one_call():
+    seen = []
+
+    def f(X):
+        seen.append(len(X))
+        return rows(quadratic)(X)
+
+    pattern_search(f, np.zeros(2), np.array([1.0, 1.0]), max_iter=1)
+    # the start point, then the four polls. The first, (0, +), improves, so the
+    # three polls left are scored again from there; the last of them, (1, -),
+    # improves too and ends the step
+    assert seen == [1, 4, 3]

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import mrt
@@ -42,3 +43,10 @@ def test_traced_functions_exist():
         if not callable(vars(owner).get(attr) if owner is not None else None):
             missing.append(f"{modname}.{qualname}")
     assert missing == []
+
+
+def test_pattern_search_objective_is_named_f():
+    # the tracer counts objective calls by wrapping the argument named f
+    from mrt.geometry import pattern_search
+
+    assert next(iter(inspect.signature(pattern_search).parameters)) == "f"
