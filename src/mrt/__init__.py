@@ -23,7 +23,7 @@ _MODULES = {
              "beta_sup_set"),
     "curve": ("BridgeRecord", "CertificateReport", "CurveGraph", "CurveResult", "PhantomLedger",
               "Segment", "construct_curve", "curve_length", "length_certificate", "verify_connected"),
-    "dyadic": ("Box", "CubeTree", "DyadicCube", "chain_of_cubes", "cube_at", "nearby_count"),
+    "dyadic": ("Box", "CubeTree", "DyadicCube", "chain_of_cubes", "cube_at"),
     "errors": ("AlphaRecheckError", "CertificateError", "DegenerateRegion", "DimensionMismatch",
                "EmptyInput", "ForwardProximityError", "InputFormatError", "InvalidWeight", "MrtError",
                "NetValidationError", "TreeStructureError", "ZeroMassRegion",
@@ -35,7 +35,7 @@ _MODULES = {
     "nets": ("AlphaAssignment", "NetSequence", "fit_alphas", "nets_from_points", "nets_from_tree",
              "validate_nets"),
     "rectify": ("DecompositionReport", "DrawResult", "GrowResult", "LocalizationResult",
-                "cover_support", "decompose_estimate", "draw_through_tree", "grow_tree", "localize"),
+                "decompose_estimate", "draw_through_tree", "grow_tree", "localize"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -13,7 +13,7 @@ they load with this module; nets, curve and rectify load inside the
 subcommands that use them.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 internal
-assertion. Failures emit a machine-readable error object on stdout.
+error. Failures emit a machine-readable error object on stdout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import pathlib
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -497,7 +497,7 @@ def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
     ]
     curves = [
         {
-            "regime": d.regime,
+            "regime": d.accounting["regime"],
             "n_segments": len(d.curve.segments),
             "length_dedup": d.accounting["length_dedup"],
             "c_hat": d.accounting["c_hat"],
@@ -623,10 +623,7 @@ def main(argv=None) -> int:
     except MrtError as exc:
         _emit_error("validation", exc)
         return EXIT_VALIDATION
-    except AssertionError as exc:
-        _emit_error("internal", exc)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:
         _emit_error("internal", exc)
         return EXIT_INTERNAL
 

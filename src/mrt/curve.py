@@ -103,14 +103,6 @@ class PhantomLedger:
         """Phantom length of one pair of generation gen: 3 Cstar 2^{-gen} r0."""
         return 3.0 * self.cstar * 2.0 ** (-gen) * self.r0
 
-    def bridge_totality(self, gen: int) -> float:
-        """Total phantom length of a bridge index set: 12 Cstar 2^{-gen} r0.
-
-        Exact for infinite extension chains; finite truncation makes the
-        stored pairs sum to slightly less.
-        """
-        return 12.0 * self.cstar * 2.0 ** (-gen) * self.r0
-
     def total(self, stage: int) -> float:
         return float(sum(self.unit(j) for (j, _) in self.stages[stage]))
 

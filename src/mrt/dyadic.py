@@ -14,7 +14,8 @@ dilate of Q. Membership reduces to an exact integer inequality per axis
     coarser scale:  (|4 m + 1 - 2 j| + 6)^2 <= 2560000 n
 
 The family has millions of members in n >= 2 (its size is scale-free and
-translation-invariant); it is exposed as a membership test plus an exact count.
+translation-invariant); it is exposed as a membership test plus the per-axis
+bounds of that test.
 Callers that pair the family with a measure should enumerate only the
 mass-carrying members, since empty cubes contribute zero to every statistic.
 """
@@ -132,12 +133,6 @@ class DyadicCube:
         shift = R.k - self.k
         return all(i >> shift == j for i, j in zip(R.index, self.index))
 
-    def ancestor_at(self, k: int) -> "DyadicCube":
-        if k > self.k:
-            raise ValueError("ancestor scale must be coarser")
-        shift = self.k - k
-        return DyadicCube(k, tuple(i >> shift for i in self.index))
-
 
 def cube_at(x, k: int) -> DyadicCube:
     """The unique scale-k dyadic cube containing x."""
@@ -179,25 +174,6 @@ def in_nearby_family(Q: DyadicCube, R: DyadicCube) -> bool:
         umax = parent_scale_bound(n)
         return all(abs(4 * m + 1 - 2 * j) <= umax for m, j in zip(R.index, Q.index))
     return False
-
-
-def _parent_axis_range(j: int, umax: int) -> range:
-    # integer m with |4m + 1 - 2j| <= umax
-    lo = -((umax - 2 * j + 1) // 4)  # ceil((2j - 1 - umax) / 4)
-    hi = (2 * j - 1 + umax) // 4
-    return range(lo, hi + 1)
-
-
-def nearby_count(Q: DyadicCube) -> int:
-    """Exact size of the nearby-cube family (scale-free)."""
-    n = Q.dim
-    dmax = same_scale_radius(n)
-    same = (2 * dmax + 1) ** n
-    umax = parent_scale_bound(n)
-    parent = 1
-    for j in Q.index:
-        parent *= len(_parent_axis_range(j, umax))
-    return same + parent
 
 
 # ---------------------------------------------------------------------------
@@ -250,40 +226,8 @@ class CubeTree:
     def __iter__(self) -> Iterator[DyadicCube]:
         return iter(sorted(self.members, key=lambda Q: (Q.k, Q.index)))
 
-    @property
-    def max_scale(self) -> int:
-        return max(Q.k for Q in self.members)
-
     def cubes_at_scale(self, k: int) -> list[DyadicCube]:
         return sorted((Q for Q in self.members if Q.k == k), key=lambda Q: Q.index)
 
     def children_in_tree(self, Q: DyadicCube) -> list[DyadicCube]:
         return [C for C in Q.children() if C in self.members]
-
-    def restrict_to_full_branches(self, k: int) -> "CubeTree":
-        """Keep only cubes lying on a branch that reaches scale k."""
-        deep = [Q for Q in self.members if Q.k == k]
-        keep: set[DyadicCube] = set()
-        for Q in deep:
-            R = Q
-            keep.add(R)
-            while R != self.top:
-                R = R.parent()
-                keep.add(R)
-        if not keep:
-            raise TreeStructureError(f"no branch reaches scale {k}")
-        return CubeTree(self.top, keep)
-
-
-def leaves(tree: CubeTree, k_max: int | None = None) -> tuple[list[DyadicCube], float]:
-    """Deepest-scale members approximating the leaves of the tree.
-
-    Returns (cubes at scale k_max, error bound), where the bound is the
-    diameter of one such cube: every true leaf point of an infinite
-    refinement lies within that distance of the closure of a returned cube.
-    """
-    if k_max is None:
-        k_max = tree.max_scale
-    cubes = tree.cubes_at_scale(k_max)
-    bound = 2.0 ** (-k_max) * float(np.sqrt(tree.top.dim))
-    return cubes, bound

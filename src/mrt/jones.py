@@ -186,7 +186,6 @@ def square_sum(
     kind:
       "s_star_star"   sum of beta_multi(star_star)^2 diam Q over the
                       mass-carrying family {Q : mu(3Q) > 0} at scales k_range
-      "s_p_tree"      sum of beta_best(mu, 3Q, p)^2 diam Q over a cube tree
       "s_star_c_tree" sum of beta_multi(star_c)^2 diam Q over a cube tree
       "beta_sq_set"   sum of beta_sup_set(E, 3Q)^2 diam Q over cubes whose
                       triple meets the point set E, at scales k_range
@@ -206,16 +205,6 @@ def square_sum(
             ledger.append((Q, bv.value, bv.value**2 * Q.diameter))
         family = "cubes with mu(3Q) > 0 at scales in k_range"
         params = {"k_range": list(k_range), "p": p}
-    elif kind == "s_p_tree":
-        if mu is None or tree is None:
-            raise ValueError("s_p_tree needs mu and tree")
-        if cache is None:
-            cache = BetaCache(mu)
-        for Q in tree:
-            bv = beta_best(mu, Q.triple(), p)
-            ledger.append((Q, bv.value, bv.value**2 * Q.diameter))
-        family = "all member cubes of the tree"
-        params = {"p": p, "tree_size": len(tree)}
     elif kind == "s_star_c_tree":
         if mu is None or tree is None or c is None:
             raise ValueError("s_star_c_tree needs mu, tree, and c")

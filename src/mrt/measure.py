@@ -139,10 +139,6 @@ class DiscreteMeasure:
     def total(self) -> float:
         return float(self.weights.sum())
 
-    @property
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.points.min(axis=0), self.points.max(axis=0)
-
     def support_diameter(self) -> float:
         if self._diameter is None:
             X = self.points

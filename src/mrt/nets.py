@@ -25,12 +25,12 @@ by construction.
 
 Neighbour queries: every net-level proximity question (validation, alpha
 neighborhoods, the curve construction's balls, extension chains and terminal
-tests, the length certificate, the doubling regime's neighborhoods) goes
-through NetSequence.distances, near, nearest and neighborhood. Distances are
-Euclidean, sqrt of the summed squared differences; balls are open (a point at
-exactly the radius is outside); near returns row indices of V_k in ascending
-order; nearest breaks distance ties toward the lexicographically least point.
-The queries scan the level linearly.
+tests, the length certificate) goes through NetSequence.distances, near,
+nearest and neighborhood. Distances are Euclidean, sqrt of the summed squared
+differences; balls are open (a point at exactly the radius is outside); near
+returns row indices of V_k in ascending order; nearest breaks distance ties
+toward the lexicographically least point. The queries scan the level
+linearly.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Localization, tree growing, curve drawing through trees, decomposition.
 
-The pipeline: grow a dyadic cube tree under an atom whose branches satisfy a
-density regime (lower-regular: mass of triples at least c times their
-diameter; doubling: parent triple mass at most 2^D times the child's),
-localize the tree against a per-cube budget to split good from bad cubes,
-build nets through the good tree's centers of mass, and run the curve
-construction with regime-specific lines and alphas. The decomposition
-estimator applies this machinery per atom and reports which atoms look
-carried by rectifiable curves at desk scale, with every threshold exposed.
+The pipeline: grow a lower-regular dyadic cube tree under an atom (every
+member's triple carries mass at least c times its diameter), localize the
+tree against a per-cube budget to split good from bad cubes, build nets
+through the good tree's centers of mass, and run the curve construction with
+beta*_c lines and alphas. The decomposition estimator applies this machinery
+per atom and reports which atoms look carried by rectifiable curves at desk
+scale, with every threshold exposed.
 """
 
 from __future__ import annotations
@@ -18,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import pmap
-from .beta import BetaCache, beta_best, beta_multi
+from .beta import BetaCache, beta_multi
 from .curve import CurveResult, construct_curve
-from .dyadic import CubeTree, DyadicCube, chain_of_cubes, cube_at
-from .errors import CertificateError, EmptyInput, TreeStructureError
+from .dyadic import CubeTree, DyadicCube, cube_at
+from .errors import CertificateError, TreeStructureError
 from .jones import jones_at, square_sum
 from .measure import DiscreteMeasure
 from .nets import NetSequence, fit_alphas, hausdorff_to_segments, nets_from_tree
@@ -153,8 +152,12 @@ class GrowResult:
     diagnostic: str | None
     r_x: float
     base_cube: DyadicCube | None
-    regime: str
     params: dict
+
+
+def _check_c(c: float | None) -> None:
+    if c is None or not c > 0:
+        raise ValueError("lower-regular trees need c > 0")
 
 
 def _lower_regular_ok(mu: DiscreteMeasure, Q: DyadicCube, c: float) -> bool:
@@ -163,38 +166,22 @@ def _lower_regular_ok(mu: DiscreteMeasure, Q: DyadicCube, c: float) -> bool:
     return mu.mass(tri) >= c * tri.diameter
 
 
-def _doubling_ok(mu: DiscreteMeasure, Q: DyadicCube, top: DyadicCube, bound: float) -> bool:
-    """mu(3Q) > 0 and, below the top, mu(3 parent) <= bound * mu(3Q)."""
-    mass = mu.mass(Q.triple())
-    if mass <= 0.0:
-        return False
-    return Q == top or mu.mass(Q.parent().triple()) <= bound * mass
-
-
 def base_cube_for(
     mu: DiscreteMeasure,
     x,
-    regime: str,
     c: float | None = None,
     k_max: int = 8,
 ) -> tuple[float, DyadicCube | None]:
-    """(r_x, base cube) for a regime; base is None when the density test fails.
+    """(r_x, base cube) at x; base is None when the density test fails.
 
-    For lower_regular, r_x is the largest dyadic radius 2^{-j} such that the
-    density ratio mu(B(x, r))/2r clears (3/2) sqrt(n) c at that and all
-    smaller scanned radii; the base cube is the largest cube of side
-    <= min(r_x, 1) containing x. For doubling, r_x = 1 and the base is the
-    unit-scale cube.
+    r_x is the largest dyadic radius 2^{-j} such that the density ratio
+    mu(B(x, r))/2r clears (3/2) sqrt(n) c at that and all smaller scanned
+    radii; the base cube is the largest cube of side <= min(r_x, 1)
+    containing x.
     """
+    _check_c(c)
     x = np.asarray(x, dtype=float).reshape(-1)
-    n = mu.dim
-    if regime == "doubling":
-        return 1.0, cube_at(x, 0)
-    if regime != "lower_regular":
-        raise ValueError(f"unknown regime {regime!r}")
-    if c is None or c <= 0:
-        raise ValueError("lower_regular regime needs c > 0")
-    thresh = 1.5 * math.sqrt(n) * c
+    thresh = 1.5 * math.sqrt(mu.dim) * c
     radii = [2.0 ** (-j) for j in range(k_max + 1)]
     # the ladder is distinct and descending, so ratios align with radii
     ok_at = list(mu.density_profile(x, radii).ratios >= thresh)
@@ -209,42 +196,24 @@ def base_cube_for(
 def grow_tree(
     mu: DiscreteMeasure,
     x,
-    regime: str,
     c: float | None = None,
-    D: float | None = None,
     k_max: int = 8,
 ) -> GrowResult:
-    """Deepest tree under the atom's base cube whose branches satisfy a regime.
+    """Deepest lower-regular tree under the atom's base cube.
 
-    regime "lower_regular" requires mu(3Q) >= c diam 3Q on every member;
-    the base cube comes from base_cube_for. regime "doubling" requires
-    mu(3 parent) <= 2^D mu(3Q) along branches and prunes zero-mass triples;
-    its base cube is the unit-scale cube at x. A failing base cube yields an
-    empty tree with a diagnostic.
+    Every member satisfies mu(3Q) >= c diam 3Q; the base cube comes from
+    base_cube_for. A failing base cube yields an empty tree with a
+    diagnostic.
     """
+    _check_c(c)
     x = np.asarray(x, dtype=float).reshape(-1)
-    n = mu.dim
-    if regime == "lower_regular":
-        if c is None or c <= 0:
-            raise ValueError("lower_regular regime needs c > 0")
-        thresh = 1.5 * math.sqrt(n) * c
-        r_x, base = base_cube_for(mu, x, regime, c=c, k_max=k_max)
-        if base is None:
-            return GrowResult(None, "density ratio below threshold at all scanned radii",
-                              0.0, None, regime, {"c": c, "k_max": k_max})
-        predicate = lambda Q: _lower_regular_ok(mu, Q, c)
-        params = {"c": c, "k_max": k_max, "threshold": thresh}
-    elif regime == "doubling":
-        if D is None or D < 1:
-            raise ValueError("doubling regime needs D >= 1")
-        r_x, base = base_cube_for(mu, x, regime)
-        predicate = lambda Q: _doubling_ok(mu, Q, base, 2.0**D)
-        params = {"D": D, "k_max": k_max}
-    else:
-        raise ValueError(f"unknown grow_tree regime {regime!r}")
-    if not predicate(base):
-        return GrowResult(None, f"regime predicate fails at base cube {base}",
-                          r_x, base, regime, params)
+    params = {"c": c, "k_max": k_max, "threshold": 1.5 * math.sqrt(mu.dim) * c}
+    r_x, base = base_cube_for(mu, x, c=c, k_max=k_max)
+    if base is None:
+        return GrowResult(None, "density ratio below threshold at all scanned radii",
+                          0.0, None, {"c": c, "k_max": k_max})
+    if not _lower_regular_ok(mu, base, c):
+        return GrowResult(None, f"regime predicate fails at base cube {base}", r_x, base, params)
     members = {base}
     frontier = [base]
     while frontier:
@@ -252,15 +221,14 @@ def grow_tree(
         if Q.k >= k_max:
             continue
         for child in Q.children():
-            if predicate(child):
+            if _lower_regular_ok(mu, child, c):
                 members.add(child)
                 frontier.append(child)
     tree = CubeTree(base, frozenset(members))
-    if regime == "lower_regular":
-        for Q in tree.members:   # recheck the defining inequality on members
-            if not _lower_regular_ok(mu, Q, c):
-                raise TreeStructureError(f"lower-regular recheck failed at {Q}")
-    return GrowResult(tree, None, r_x, base, regime, params)
+    for Q in tree.members:   # recheck the defining inequality on members
+        if not _lower_regular_ok(mu, Q, c):
+            raise TreeStructureError(f"lower-regular recheck failed at {Q}")
+    return GrowResult(tree, None, r_x, base, params)
 
 
 # ---------------------------------------------------------------------------
@@ -273,111 +241,46 @@ class DrawResult:
     nets: NetSequence
     accounting: dict
     coverage: dict
-    regime: str
 
 
-def _witness_line_alpha(mu, cache, tree, nets, regime, p, c, D, refine, key):
-    """Regime line and theoretical alpha for one net vertex."""
+def _witness_line_alpha(mu, cache, nets, p, c, refine, key):
+    """The star_c line of a net vertex's witness cube and its theoretical alpha."""
     k, i = key
-    Q = nets.witnesses[k][i]
-    n = mu.dim
-    if regime == "lower_regular":
-        bv = beta_multi(mu, Q, p, "star_c", c=c, refine=refine, cache=cache)
-        factor = 4.0 * max(c ** -0.5, 1.0)
-        line = bv.line
-        alpha = factor * bv.value
-    elif regime == "plain_star_star":
-        bv = beta_multi(mu, Q, p, "star_star", refine=refine, cache=cache)
-        line = bv.line
-        alpha = 4.0 * bv.value
-    elif regime == "doubling":
-        radius = 65.0 * nets.cstar * nets.sep(k)
-        v = nets.levels[k][i]
-        ratio_cap = 3200.0 * math.sqrt(n)
-
-        def covers(hat: DyadicCube) -> bool:
-            """3 hat contains the triple of every witness in the alpha ball of v."""
-            big = hat.triple()
-            for j in range(max(k - 1, 0), k + 1):
-                for row in nets.near(j, v, radius):
-                    wtri = nets.witnesses[j][row].triple()
-                    if not all(
-                        big.center[t] - big.half <= wtri.center[t] - wtri.half
-                        and wtri.center[t] + wtri.half <= big.center[t] + big.half
-                        for t in range(n)
-                    ):
-                        return False
-            return True
-
-        hat = Q
-        while not covers(hat):
-            parent = hat.parent()
-            if parent not in tree.members:
-                raise TreeStructureError(
-                    f"no tree ancestor of {Q} covers its net neighborhood"
-                )
-            hat = parent
-        side_ratio = 2.0 ** (Q.k - hat.k)
-        if not side_ratio < ratio_cap:
-            raise TreeStructureError(
-                f"covering ancestor {hat} of {Q} exceeds the side-ratio window"
-            )
-        bv = beta_best(mu, hat.triple(), p)
-        line = bv.line
-        pw = p if isinstance(p, (int, float)) else 2
-        alpha = 6400.0 * math.sqrt(n) * ratio_cap ** (D / pw) * bv.value
-    else:
-        raise ValueError(f"unknown draw regime {regime!r}")
-    return line, alpha
+    bv = beta_multi(mu, nets.witnesses[k][i], p, "star_c", c=c, refine=refine, cache=cache)
+    return bv.line, 4.0 * max(c ** -0.5, 1.0) * bv.value
 
 
 def draw_through_tree(
     mu: DiscreteMeasure,
     tree: CubeTree,
     p=2,
-    regime: str = "plain_star_star",
     c: float | None = None,
-    D: float | None = None,
     epsilon: float = 1.0 / 32.0,
     cache: BetaCache | None = None,
     refine: bool = False,
 ) -> DrawResult:
-    """Draw a curve through a tree's centers of mass with regime alphas.
+    """Draw a curve through a lower-regular tree's centers of mass.
 
-    Builds nets with Cstar = 4 and r0 = 3 diam Top, picks per-vertex lines
-    from the regime's beta statistic at the witness cube, sets alphas to the
-    larger of the regime formula and the exact neighborhood supremum, runs
-    the curve construction, and checks that every leaf center lies within
-    the net tolerance of the curve (CertificateError otherwise). Accounting
-    carries the regime's theoretical budget next to the realized alpha
-    budget; the budget's betas follow `refine` like the vertex lines, so
-    with a shared cache they are the values the caller already computed.
-
-    The doubling regime enforces grow_tree's predicate: mu(3Q) > 0 on every
-    member and mu(3 parent) <= 2^D mu(3Q) below the top; members need not
-    hold atoms of their own. The lower_regular regime
-    enforces mu(3Q) >= c diam 3Q on every member.
+    Every member must satisfy mu(3Q) >= c diam 3Q (TreeStructureError
+    otherwise). Builds nets with Cstar = 4 and r0 = 3 diam Top, picks
+    per-vertex lines from beta*_c at the witness cube, sets alphas to the
+    larger of 4 max(c^{-1/2}, 1) beta*_c and the exact neighborhood
+    supremum, runs the curve construction, and checks that every leaf
+    center lies within the net tolerance of the curve (CertificateError
+    otherwise). Accounting carries the theoretical budget
+    48 max(1/c, 1) s_star_c_tree next to the realized alpha budget; the
+    budget's betas follow `refine` like the vertex lines, so with a shared
+    cache they are the values the caller already computed.
     """
-    if regime == "lower_regular" and (c is None or c <= 0):
-        raise ValueError("lower_regular regime needs c > 0")
-    if regime == "doubling" and (D is None or D < 1):
-        raise ValueError("doubling regime needs D >= 1")
-    if regime == "doubling":
-        for Q in tree:
-            if not _doubling_ok(mu, Q, tree.top, 2.0**D):
-                raise TreeStructureError(f"doubling hypothesis fails at member {Q}")
-    if regime == "lower_regular":
-        for Q in tree:
-            if not _lower_regular_ok(mu, Q, c):
-                raise TreeStructureError(f"lower-regular hypothesis fails at member {Q}")
+    _check_c(c)
+    for Q in tree:
+        if not _lower_regular_ok(mu, Q, c):
+            raise TreeStructureError(f"lower-regular hypothesis fails at member {Q}")
     if cache is None:
         cache = BetaCache(mu)
     nets = nets_from_tree(mu, tree, cstar=4.0)
     keys = [(k, i) for k in range(1, nets.K + 1) for i in range(len(nets.levels[k]))]
-    fitted = pmap(
-        lambda key: _witness_line_alpha(mu, cache, tree, nets, regime, p, c, D, refine, key),
-        keys,
-    )
+    fitted = pmap(lambda key: _witness_line_alpha(mu, cache, nets, p, c, refine, key), keys)
     lines = {key: line for key, (line, _) in zip(keys, fitted)}
     theory = {key: alpha for key, (_, alpha) in zip(keys, fitted)}
     alphas = fit_alphas(nets, lines=lines)
@@ -411,103 +314,11 @@ def draw_through_tree(
     if not coverage["ok"]:
         raise CertificateError(f"leaf coverage failed: {max_dist} > {tol}")
     acct = dict(curve.accounting)
-    pw = p if isinstance(p, (int, float)) else 2
-    if regime == "lower_regular":
-        rep = square_sum(mu, "s_star_c_tree", tree=tree, p=p, c=c, cache=cache, refine=refine)
-        acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * rep.total
-        acct["regime_sum"] = rep.total
-    elif regime == "plain_star_star":
-        # the s_star_star terms (cubes with mu(3Q) > 0) of the members only
-        total = 0.0
-        for Q in tree:
-            if mu.mass(Q.triple()) > 0:
-                bv = beta_multi(mu, Q, p, "star_star", cache=cache, refine=refine)
-                total += bv.value**2 * Q.diameter
-        acct["regime_budget"] = 48.0 * total
-        acct["regime_sum"] = total
-    else:
-        rep = square_sum(mu, "s_p_tree", tree=tree, p=p, cache=cache)
-        factor = (3200.0 * math.sqrt(mu.dim)) ** (2.0 * D / pw)
-        acct["regime_budget"] = factor * rep.total
-        acct["regime_sum"] = rep.total
-    acct["regime"] = regime
-    return DrawResult(curve=curve, nets=nets, accounting=acct, coverage=coverage, regime=regime)
-
-
-# ---------------------------------------------------------------------------
-# whole-support cover
-
-
-@dataclass
-class CoverResult:
-    curves: list[DrawResult]
-    connectors: list[tuple]
-    accounting: dict
-
-
-def cover_support(mu: DiscreteMeasure, p=2, k_max: int = 6) -> CoverResult:
-    """One curve per top cube, plus nearest-vertex connectors.
-
-    The top cubes are the dyadic cubes holding atoms at scale
-    k0 = max(0, floor(-log2 diam spt mu)): the finest scale whose side is
-    still at least diam spt mu, capped at side 1. They are disjoint and
-    partition the support; when diam spt mu <= 1 there are at most 2^n of
-    them, joined by at most 2^n - 1 connectors. Each top grows the full tree
-    of descendants whose triples carry mass down to scale k_max and is drawn
-    with the coupled-beta regime. Connectors join consecutive curves at
-    their nearest vertex pair and are accounted separately.
-    """
-    if len(mu.points) == 0:
-        raise EmptyInput("cover_support needs a nonempty measure")
-    diam = mu.support_diameter()
-    if diam == 0.0:
-        acct = {"length_total": 0.0, "connector_length": 0.0, "diam_support": 0.0}
-        return CoverResult([], [], acct)
-    k0 = max(0, math.floor(-math.log2(diam)))
-    cache = BetaCache(mu)
-    tops = [DyadicCube(k0, cell) for cell in sorted(mu._cells(k0))]
-    results: list[DrawResult] = []
-    for top in tops:
-        members = {top}
-        frontier = [top]
-        while frontier:
-            Q = frontier.pop()
-            if Q.k >= k_max:
-                continue
-            for child in Q.children():
-                if mu.mass(child.triple()) > 0:
-                    members.add(child)
-                    frontier.append(child)
-        tree = CubeTree(top, frozenset(members))
-        results.append(
-            draw_through_tree(mu, tree, p=p, regime="plain_star_star", cache=cache)
-        )
-    connectors: list[tuple] = []
-    total_conn = 0.0
-    for prev, cur in zip(results, results[1:]):
-        va = [np.asarray(t, dtype=float) for t in prev.curve.graph.vertices]
-        vb = [np.asarray(t, dtype=float) for t in cur.curve.graph.vertices]
-        best = None
-        for a in va:
-            for b_ in vb:
-                d = float(np.linalg.norm(a - b_))
-                if best is None or d < best[0]:
-                    best = (d, tuple(a), tuple(b_))
-        if best is not None and best[0] > 0:
-            connectors.append(best)
-            total_conn += best[0]
-    length_total = float(sum(r.accounting["length_dedup"] for r in results))
-    # the draws' refine policy, so every beta of the sum is computed once
-    srep = square_sum(mu, "s_star_star", k_range=range(k0, k_max + 1), cache=cache, p=p, refine=False)
-    acct = {
-        "n_top_cubes": len(tops),
-        "diam_support": diam,
-        "length_total": length_total,
-        "connector_length": total_conn,
-        "s_star_star": srep.total,
-        "bound_reference": diam + srep.total,
-    }
-    return CoverResult(results, connectors, acct)
+    rep = square_sum(mu, "s_star_c_tree", tree=tree, p=p, c=c, cache=cache, refine=refine)
+    acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * rep.total
+    acct["regime_sum"] = rep.total
+    acct["regime"] = "lower_regular"
+    return DrawResult(curve=curve, nets=nets, accounting=acct, coverage=coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +429,12 @@ def decompose_estimate(
         if rep.label != "rect-candidate":
             continue
         c = rep.c_used
-        _r_x, base = base_cube_for(mu, mu.points[rep.index], "lower_regular", c=c, k_max=k_max)
+        _r_x, base = base_cube_for(mu, mu.points[rep.index], c=c, k_max=k_max)
         # without a base cube there is nothing to share: grow_tree says why
         if base is not None and (c, base) in seen_bases:
             continue
         seen_bases.add((c, base))
-        grown = grow_tree(mu, mu.points[rep.index], "lower_regular", c=c, k_max=k_max)
+        grown = grow_tree(mu, mu.points[rep.index], c=c, k_max=k_max)
         if grown.tree is None:
             dropped.append(DroppedTree(rep.index, c, base, grown.diagnostic))
             continue
@@ -639,7 +450,7 @@ def decompose_estimate(
                 break
         try:
             curves.append(
-                draw_through_tree(mu, tree, p=p, regime="lower_regular", c=c, cache=cache, refine=refine)
+                draw_through_tree(mu, tree, p=p, c=c, cache=cache, refine=refine)
             )
         except (TreeStructureError, CertificateError) as exc:
             dropped.append(DroppedTree(rep.index, c, base, f"{type(exc).__name__}: {exc}"))

@@ -10,8 +10,9 @@ agreement tests.
 one angle from the family's atom slots and takes the least envelope value over
 every vertex and pairwise breakpoint of the entries' capped parabolas.
 
-`nearby_cubes` shares no path with `mrt.dyadic.nearby_count`: it filters a
-box of candidate indices through the family's defining inequalities.
+`nearby_cubes` and `nearby_count` share no path: the first filters a box
+of candidate indices through the family's defining inequalities, the second
+counts the admitted indices per axis in closed form.
 
 `mass_triples` shares no path with `DiscreteMeasure.triple_table`: it
 enumerates the 4^n candidate cubes around every occupied cell and scans every
@@ -296,6 +297,25 @@ def nearby_cubes(Q: DyadicCube) -> list[DyadicCube]:
         if all(abs(4 * m + 1 - 2 * j) <= umax for m, j in zip(idx, Q.index)):
             fam.append(DyadicCube(Q.k - 1, idx))
     return fam
+
+
+def _parent_axis_range(j: int, umax: int) -> range:
+    # integer m with |4m + 1 - 2j| <= umax
+    lo = -((umax - 2 * j + 1) // 4)  # ceil((2j - 1 - umax) / 4)
+    hi = (2 * j - 1 + umax) // 4
+    return range(lo, hi + 1)
+
+
+def nearby_count(Q: DyadicCube) -> int:
+    """Exact size of the nearby-cube family (scale-free)."""
+    n = Q.dim
+    dmax = same_scale_radius(n)
+    same = (2 * dmax + 1) ** n
+    umax = parent_scale_bound(n)
+    parent = 1
+    for j in Q.index:
+        parent *= len(_parent_axis_range(j, umax))
+    return same + parent
 
 
 def mass_triples(mu, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:

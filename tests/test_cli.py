@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mrt import rectify
+from mrt import cli, rectify
 from mrt._serialize import dumps
 from mrt.cli import main, save_measure
 
@@ -134,3 +134,34 @@ def test_tst_lipschitz_golden(tmp_path):
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
     assert dumps(rep) == (FIXTURES_DIR / "tst_lipschitz40_golden.json").read_text()
+
+
+def _raise_runtime_error(*_args):
+    raise RuntimeError("injected failure")
+
+
+@pytest.mark.parametrize(
+    "text, args, broken, code, kind, cls",
+    [
+        (None, ["beta"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n0.3,abc,1\n", ["beta"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n0.3,0.4,0\n", ["beta"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\nnan,0.4,1\n", ["beta"], None, 2, "input", "InvalidWeight"),
+        ("# dim=3\n0.1,0.2,1\n", ["beta"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["decompose", "--c-ladder", "0"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
+    ],
+    ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
+         "dim-header-conflict", "zero-c-ladder", "internal-error"],
+)
+def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):
+    measure = tmp_path / "measure.csv"
+    if text is not None:
+        measure.write_text(text)
+    if broken is not None:
+        monkeypatch.setattr(cli, broken, _raise_runtime_error)
+    out = tmp_path / "report.json"
+    assert main([args[0], str(measure), *args[1:], "-o", str(out)]) == code
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["type"], error["class"]) == (kind, cls)
+    assert not out.exists()

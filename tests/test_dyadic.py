@@ -3,17 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from mrt import Box, CubeTree, DyadicCube, chain_of_cubes, cube_at, nearby_count
-from mrt.dyadic import (
-    NEARBY_DILATION,
-    in_nearby_family,
-    leaves,
-    parent_scale_bound,
-    same_scale_radius,
-)
+from mrt import Box, CubeTree, DyadicCube, chain_of_cubes, cube_at
+from mrt.dyadic import NEARBY_DILATION, in_nearby_family, same_scale_radius
 from mrt.errors import DimensionMismatch, TreeStructureError
 
-from _oracle import nearby_cubes
+from _oracle import nearby_count, nearby_cubes
 
 
 class TestDyadicCube:
@@ -73,13 +67,6 @@ class TestDyadicCube:
         assert not top.contains_cube(DyadicCube(0, (1, 0)))
         # a finer cube never contains a coarser one
         assert not DyadicCube(3, (0, 0)).contains_cube(top)
-
-    def test_ancestor_at(self):
-        Q = DyadicCube(4, (13, -5))
-        assert Q.ancestor_at(2) == DyadicCube(2, (3, -2))
-        assert Q.ancestor_at(4) == Q
-        with pytest.raises(ValueError):
-            Q.ancestor_at(5)
 
     def test_triple_and_dilate(self):
         Q = DyadicCube(1, (0, 1))
@@ -213,7 +200,6 @@ class TestCubeTree:
         tree = CubeTree(top, members)
         assert len(tree) == 4
         assert DyadicCube(2, (1, 1)) in tree
-        assert tree.max_scale == 2
         assert [Q.k for Q in tree] == [0, 1, 1, 2]
 
     def test_missing_ancestor_raises(self):
@@ -246,24 +232,3 @@ class TestCubeTree:
         tree = CubeTree(top, members)
         kids = tree.children_in_tree(DyadicCube(1, (0, 0)))
         assert kids == [DyadicCube(2, (1, 1))]
-
-    def test_restrict_to_full_branches(self):
-        top, members = _chain_tree()
-        tree = CubeTree(top, members)
-        deep = tree.restrict_to_full_branches(2)
-        # the scale-1 cube with no scale-2 descendant is dropped
-        assert DyadicCube(1, (1, 1)) not in deep
-        assert DyadicCube(2, (1, 1)) in deep
-        assert len(deep) == 3
-        with pytest.raises(TreeStructureError):
-            tree.restrict_to_full_branches(3)
-
-    def test_leaves_bound(self):
-        top, members = _chain_tree()
-        tree = CubeTree(top, members)
-        cubes, bound = leaves(tree)
-        assert cubes == [DyadicCube(2, (1, 1))]
-        assert bound == pytest.approx(0.25 * np.sqrt(2))
-        cubes1, bound1 = leaves(tree, 1)
-        assert len(cubes1) == 2
-        assert bound1 == pytest.approx(0.5 * np.sqrt(2))

@@ -6,7 +6,7 @@ from mrt import (
     CubeTree,
     DiscreteMeasure,
     DyadicCube,
-    beta_best,
+    beta_multi,
     chain_of_cubes,
     cube_at,
     default_kmax,
@@ -106,13 +106,16 @@ class TestJonesAt:
 
 class TestSquareSum:
     def test_tree_sum_matches_ledger_and_direct(self):
-        mu = segment_measure(16)
-        mu2 = DiscreteMeasure(mu.points + [[0.0, 0.001]], mu.weights)  # slight bend
-        tree = CubeTree.from_cubes(chain_of_cubes(mu2.points[5], 3))
-        rep = square_sum(mu2, "s_p_tree", tree=tree, p=2)
+        mu = four_corner_cantor(2)
+        tree = CubeTree.from_cubes(chain_of_cubes(mu.points[5], 3))
+        rep = square_sum(mu, "s_star_c_tree", tree=tree, p=2, c=0.05, refine=False)
+        # a fresh cache, so the direct sum solves every family again
         direct = sum(
-            beta_best(mu2, Q.triple(), 2).value ** 2 * Q.diameter for Q in tree
+            beta_multi(mu, Q, 2, "star_c", c=0.05, refine=False, cache=BetaCache(mu)).value ** 2
+            * Q.diameter
+            for Q in tree
         )
+        assert direct > 0
         assert rep.total == pytest.approx(direct, abs=1e-15)
         assert rep.total == pytest.approx(sum(t for (_, _, t) in rep.ledger))
         assert len(rep.ledger) == len(tree)

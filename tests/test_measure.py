@@ -36,9 +36,6 @@ class TestConstruction:
         assert len(mu) == 4
         assert mu.dim == 2
         assert mu.total == pytest.approx(10.0)
-        lo, hi = mu.bbox
-        assert np.allclose(lo, [0.1, 0.1])
-        assert np.allclose(hi, [0.9, 0.9])
 
     def test_one_dimensional_input_becomes_column(self):
         mu = DiscreteMeasure([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])

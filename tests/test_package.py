@@ -50,3 +50,22 @@ def test_pattern_search_objective_is_named_f():
     from mrt.geometry import pattern_search
 
     assert next(iter(inspect.signature(pattern_search).parameters)) == "f"
+
+
+def test_no_unused_imports():
+    # every name a module-level import binds is used in that module; the
+    # modules import annotations from __future__, so no annotation is a string
+    unused = []
+    for path in sorted(pathlib.Path(mrt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []

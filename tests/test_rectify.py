@@ -11,7 +11,6 @@ from mrt import (
     DiscreteMeasure,
     DyadicCube,
     beta_multi,
-    cover_support,
     decompose_estimate,
     draw_through_tree,
     grow_tree,
@@ -160,59 +159,42 @@ class TestLocalizeProperty:
 
 
 class TestGrowTree:
-    def test_doubling_base_is_unit_cube(self):
-        mu = segment_measure(16)
-        r_x, base = base_cube_for(mu, mu.points[0], "doubling")
-        assert r_x == 1.0
-        assert base.k == 0
-
     def test_lower_regular_on_segment(self):
         mu = segment_measure(128)
-        grown = grow_tree(mu, mu.points[60], "lower_regular", c=0.05, k_max=4)
+        grown = grow_tree(mu, mu.points[60], c=0.05, k_max=4)
         assert grown.tree is not None
         assert grown.diagnostic is None
         assert grown.base_cube == grown.tree.top
-        assert grown.tree.max_scale == 4
+        assert max(Q.k for Q in grown.tree) == 4
         for Q in grown.tree.members:
             tri = Q.triple()
             assert mu.mass(tri) >= 0.05 * tri.diameter
 
     def test_density_failure_reports_diagnostic(self):
         mu = DiscreteMeasure([[0.2, 0.2], [0.7, 0.7]], [1e-6, 1e-6])
-        grown = grow_tree(mu, mu.points[0], "lower_regular", c=1.0, k_max=4)
+        grown = grow_tree(mu, mu.points[0], c=1.0, k_max=4)
         assert grown.tree is None
         assert grown.diagnostic is not None
 
-    def test_doubling_members_satisfy_hypothesis(self):
-        mu = segment_measure(64)
-        grown = grow_tree(mu, mu.points[30], "doubling", D=3, k_max=3)
-        assert grown.tree is not None
-        bound = 2.0**3
-        for Q in grown.tree.members:
-            mass = mu.mass(Q.triple())
-            assert mass > 0
-            if Q != grown.tree.top:
-                assert mu.mass(Q.parent().triple()) <= bound * mass
-
     def test_argument_validation(self):
         mu = segment_measure(8)
-        with pytest.raises(ValueError):
-            grow_tree(mu, mu.points[0], "nope")
-        with pytest.raises(ValueError):
-            grow_tree(mu, mu.points[0], "lower_regular")
-        with pytest.raises(ValueError):
-            grow_tree(mu, mu.points[0], "doubling", D=0.5)
+        for c in (None, 0.0, -0.5):
+            with pytest.raises(ValueError):
+                grow_tree(mu, mu.points[0], c=c)
+            with pytest.raises(ValueError):
+                base_cube_for(mu, mu.points[0], c=c)
 
 
 class TestDrawThroughTree:
-    def test_plain_star_star_on_segment(self):
+    def test_lower_regular_draw_on_segment(self):
         mu = segment_measure(48)
-        grown = grow_tree(mu, mu.points[20], "lower_regular", c=0.05, k_max=3)
-        draw = draw_through_tree(mu, grown.tree, regime="plain_star_star")
+        c = 0.05
+        grown = grow_tree(mu, mu.points[20], c=c, k_max=3)
+        draw = draw_through_tree(mu, grown.tree, c=c)
         assert draw.coverage["ok"]
-        assert draw.accounting["regime"] == "plain_star_star"
+        assert draw.accounting["regime"] == "lower_regular"
         assert draw.accounting["regime_budget"] == pytest.approx(
-            48.0 * draw.accounting["regime_sum"]
+            48.0 / c * draw.accounting["regime_sum"]
         )
         assert draw.accounting["n_bridges"] == 0
 
@@ -220,84 +202,36 @@ class TestDrawThroughTree:
         mu = DiscreteMeasure([[0.1, 0.1], [0.5, 0.8], [0.9, 0.2]], [0.01, 0.01, 0.01])
         tree = CubeTree(DyadicCube(0, (0, 0)), [DyadicCube(0, (0, 0))])
         with pytest.raises(TreeStructureError):
-            draw_through_tree(mu, tree, regime="lower_regular", c=1.0)
+            draw_through_tree(mu, tree, c=1.0)
 
-    def test_doubling_hypothesis_checked(self):
-        mu = DiscreteMeasure([[0.05, 0.05], [0.4, 0.4]], [100.0, 1.0])
-        top = DyadicCube(0, (0, 0))
-        # A scale-1 member cannot fail: its triple covers the whole top cube.
-        # mu(3 (3,(3,3))) = 1 sees only the light atom; its parent's triple has 101 > 2^6.
-        branch = [DyadicCube(1, (0, 0)), DyadicCube(2, (1, 1)), DyadicCube(3, (3, 3))]
-        tree = CubeTree(top, [top, *branch])
-        with pytest.raises(TreeStructureError):
-            draw_through_tree(mu, tree, regime="doubling", D=6)
-
-    def test_doubling_draw_on_segment(self):
-        mu = segment_measure(32)
-        grown = grow_tree(mu, mu.points[15], "doubling", D=3, k_max=3)
-        draw = draw_through_tree(mu, grown.tree, regime="doubling", D=3)
-        assert draw.coverage["ok"]
-        assert draw.accounting["regime"] == "doubling"
-        assert np.isfinite(draw.accounting["regime_budget"])
-
-    @pytest.mark.parametrize("regime", ["lower_regular", "plain_star_star"])
-    def test_regime_sum_uses_callers_betas(self, regime):
+    def test_regime_sum_uses_callers_betas(self):
         mu = lipschitz_graph_measure(48)
         c = 0.05
-        tree = grow_tree(mu, mu.points[20], "lower_regular", c=c, k_max=3).tree
+        tree = grow_tree(mu, mu.points[20], c=c, k_max=3).tree
         cache = BetaCache(mu)
-        draw = draw_through_tree(mu, tree, regime=regime, c=c, cache=cache, refine=False)
-        variant, vc = ("star_c", c) if regime == "lower_regular" else ("star_star", None)
+        draw = draw_through_tree(mu, tree, c=c, cache=cache, refine=False)
         # one refine policy: the budget adds no second (refined) beta per cube
-        assert all(cache.get((Q, 2, variant, vc, True)) is None for Q in tree.members)
+        assert all(cache.get((Q, 2, "star_c", c, True)) is None for Q in tree.members)
         expected = sum(
-            beta_multi(mu, Q, 2, variant, c=vc, refine=False, cache=cache).value ** 2 * Q.diameter
+            beta_multi(mu, Q, 2, "star_c", c=c, refine=False, cache=cache).value ** 2 * Q.diameter
             for Q in tree.members
         )
         assert expected > 0
         assert draw.accounting["regime_sum"] == pytest.approx(expected, rel=1e-12)
 
-    def test_plain_budget_computes_member_betas_only(self):
-        mu = lipschitz_graph_measure(48)
-        tree = grow_tree(mu, mu.points[20], "lower_regular", c=0.05, k_max=3).tree
-        cache = BetaCache(mu)
-        draw = draw_through_tree(mu, tree, regime="plain_star_star", cache=cache)
-        # one star_star beta per member, none for other mass-carrying cubes
-        assert len(cache._values) == len(tree) == 45
-        assert {key[0] for key in cache._values} == tree.members
-        assert draw.accounting["regime_budget"] == pytest.approx(1.5911037198327138, rel=1e-12)
-
     def test_coverage_failure_is_typed(self, monkeypatch):
         mu = segment_measure(48)
-        tree = grow_tree(mu, mu.points[20], "lower_regular", c=0.05, k_max=3).tree
+        tree = grow_tree(mu, mu.points[20], c=0.05, k_max=3).tree
         monkeypatch.setattr(rectify, "hausdorff_to_segments", lambda *a, **k: math.inf)
         with pytest.raises(CertificateError):
-            draw_through_tree(mu, tree, regime="plain_star_star")
+            draw_through_tree(mu, tree, c=0.05)
 
     def test_argument_validation(self):
         mu = segment_measure(8)
         tree = CubeTree(DyadicCube(0, (0, 0)), [DyadicCube(0, (0, 0))])
-        with pytest.raises(ValueError):
-            draw_through_tree(mu, tree, regime="lower_regular")
-        with pytest.raises(ValueError):
-            draw_through_tree(mu, tree, regime="doubling")
-
-
-class TestCoverSupport:
-    def test_single_atom_support(self):
-        mu = DiscreteMeasure([[0.4, 0.4]], [1.0])
-        cov = cover_support(mu)
-        assert cov.curves == [] and cov.connectors == []
-        assert cov.accounting["length_total"] == 0.0
-
-    def test_segment_cover(self):
-        mu = segment_measure(48)
-        cov = cover_support(mu, k_max=3)
-        assert cov.accounting["n_top_cubes"] == len(cov.curves) > 0
-        assert all(dr.coverage["ok"] for dr in cov.curves)
-        assert cov.accounting["length_total"] > 0.4
-        assert cov.accounting["s_star_star"] <= 1e-12
-        assert len(cov.connectors) <= len(cov.curves) - 1
+        for c in (None, 0.0):
+            with pytest.raises(ValueError):
+                draw_through_tree(mu, tree, c=c)
 
 
 class TestDecomposeEstimate:
