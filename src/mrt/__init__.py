@@ -26,7 +26,7 @@ _MODULES = {
     "dyadic": ("Box", "CubeTree", "DyadicCube", "chain_of_cubes", "cube_at"),
     "errors": ("AlphaRecheckError", "CertificateError", "DegenerateRegion", "DimensionMismatch",
                "EmptyInput", "ForwardProximityError", "InputFormatError", "InvalidWeight", "MrtError",
-               "NetValidationError", "TreeStructureError", "ZeroMassRegion",
+               "NetValidationError", "ScaleOverflow", "TreeStructureError", "ZeroMassRegion",
                "ZeroMassTriple"),
     "geometry": ("Line", "fit_line"),
     "jones": ("JONES_VARIANTS", "JonesReport", "SquareSumReport", "default_kmax", "jones_at",

@@ -58,7 +58,7 @@ integral), exact in the plane via the minimum-width strip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,8 +100,6 @@ class BetaValue:
     line: Line | None
     p: object
     variant: str
-    region: object = None
-    details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.isfinite(self.value) or not 0 <= self.value <= 1 + 1e-9:
@@ -132,7 +130,7 @@ def beta_best(mu: DiscreteMeasure, region: Region, p=2) -> BetaValue:
     """
     idx = mu.atoms_in(region)
     if len(idx) == 0:
-        return BetaValue(0.0, None, p, "best", region, {"atoms": 0})
+        return BetaValue(0.0, None, p, "best")
     diam = region.diameter
     if diam <= 0:
         raise DegenerateRegion("region with atoms has zero diameter")
@@ -152,7 +150,7 @@ def beta_best(mu: DiscreteMeasure, region: Region, p=2) -> BetaValue:
         value2 = beta_fixed_line(mu, region, line2, 1)
         if value2 < value:
             value, line = value2, line2
-    return BetaValue(value, line, p, "best", region, {"atoms": int(len(idx))})
+    return BetaValue(value, line, p, "best")
 
 
 def beta_sup_set(points, region: Region) -> float:
@@ -182,8 +180,8 @@ class BetaCache:
     family of `nearby_cubes_with_mass` as a tuple of cubes, p, variant, c,
     refine), and the solve reads nothing else of the cube. Each cube's value
     is also kept under its exact (cube, p, variant, c, refine) key; it is
-    its family's value with the cube as region and its own details dict.
-    All keys are exact, so hits are bit-identical to recomputation.
+    its family's value object itself. All keys are exact, so hits are
+    bit-identical to recomputation.
     """
 
     def __init__(self, mu: DiscreteMeasure):
@@ -301,8 +299,7 @@ def beta_multi(
 
     def compute():
         family = nearby_cubes_with_mass(mu, Q, cache)
-        fv = _family_beta(mu, Q.k, family, p, variant, c, refine, cache)
-        return replace(fv, region=Q, details=dict(fv.details))
+        return _family_beta(mu, Q.k, family, p, variant, c, refine, cache)
 
     return cache.get_or_compute((Q, p, variant, c, bool(refine)), compute)
 
@@ -312,7 +309,7 @@ def _family_beta(mu, k, family, p, variant, c, refine, cache: BetaCache) -> Beta
 
     family is the list `nearby_cubes_with_mass` returns, keyed as it is,
     before the star_c filter and the twin dedupe: that list alone fixes the
-    filtered family, the reported member count and both sibling witnesses.
+    filtered family and both sibling witnesses.
     """
     key = (k, tuple(R for (R, _, _) in family), p, variant, c, bool(refine))
     return cache.family_value(key, lambda: _beta_multi(mu, k, family, p, variant, c, refine, cache))
@@ -356,7 +353,6 @@ class _Family:
             seen_sets.add(sig)
             entries.append((R, atoms, mass))
         self.p = p
-        self.n_raw = len(raw_entries)
         self.entries = entries
         atom_arrays = [a for (_, a, _) in entries]
         self.slots = np.concatenate(atom_arrays)
@@ -381,7 +377,7 @@ class _Family:
             self.entry_factor = None
         self._moments = None
 
-    def entry_betas(self, line: Line, cap: bool = True) -> np.ndarray:
+    def entry_betas(self, line: Line) -> np.ndarray:
         p = self.p
         Y = self.P - line.base
         t = Y @ line.direction
@@ -392,7 +388,7 @@ class _Family:
         b = (sums * self.inv_mass) ** (1.0 / p)
         # per-cube betas are truncated at 1: a line can sit arbitrarily far
         # from one nearby cube, but the variant scores live in [0, 1]
-        return np.minimum(b, 1.0) if cap else b
+        return np.minimum(b, 1.0)
 
     def score(self, line: Line) -> float:
         b = self.entry_betas(line)
@@ -569,7 +565,7 @@ def _beta_multi(mu, k, family, p, variant, c, refine, cache) -> BetaValue:
     # cube with this family key gets the same bits
     fam = _family(mu, k, family, p, variant, c)
     if fam is None:
-        return BetaValue(0.0, None, p, variant, None, {"nearby_mass_cubes": 0})
+        return BetaValue(0.0, None, p, variant)
     n = mu.dim
     diameter = 2.0 ** (-k) * float(np.sqrt(n))
     entries, slots, P, W, Pc, cen = fam.entries, fam.slots, fam.P, fam.W, fam.Pc, fam.cen
@@ -719,16 +715,4 @@ def _beta_multi(mu, k, family, p, variant, c, refine, cache) -> BetaValue:
                 best_line = line
 
     value = float(np.sqrt(best_score)) if variant in ("star", "star_c") else float(best_score)
-    max_plain = float(fam.entry_betas(best_line, cap=False).max())
-    return BetaValue(
-        value,
-        best_line,
-        p,
-        variant,
-        None,
-        {
-            "nearby_mass_cubes": fam.n_raw,
-            "distinct_atom_sets": int(len(entries)),
-            "witness_max_beta": float(max_plain),
-        },
-    )
+    return BetaValue(value, best_line, p, variant)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import re
 import sys
@@ -38,6 +39,7 @@ from .errors import (
     InputFormatError,
     InvalidWeight,
     MrtError,
+    ScaleOverflow,
 )
 from .jones import JONES_VARIANTS, jones_at, square_sum
 from .measure import DiscreteMeasure
@@ -199,28 +201,28 @@ class RunConfig:
     def validate(self) -> None:
         if self.format not in ("auto", "csv", "json"):
             raise InputFormatError(f"format must be auto/csv/json, got {self.format!r}")
-        if not self.p >= 1:
-            raise InputFormatError(f"p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise InputFormatError(f"p must be finite and >= 1, got {self.p}")
         if self.variant not in set(VARIANTS) | set(JONES_VARIANTS):
             raise InputFormatError(f"unknown beta variant {self.variant!r}")
         if self.variant == "star_c" and (self.c is None or not self.c > 0):
             raise InputFormatError("variant star_c needs --c > 0")
-        if self.c is not None and not self.c > 0:
-            raise InputFormatError(f"c must be > 0, got {self.c}")
-        if any(not (v > 0) for v in self.c_ladder):
-            raise InputFormatError("c ladder values must be > 0")
-        if not self.n_cap > 0:
-            raise InputFormatError(f"N cap must be > 0, got {self.n_cap}")
+        if self.c is not None and not _finite_positive(self.c):
+            raise InputFormatError(f"c must be finite and > 0, got {self.c}")
+        if not all(_finite_positive(v) for v in self.c_ladder):
+            raise InputFormatError("c ladder values must be finite and > 0")
+        if not _finite_positive(self.n_cap):
+            raise InputFormatError(f"N cap must be finite and > 0, got {self.n_cap}")
         if any(not (0 < v < 1) for v in self.eps_ladder):
             raise InputFormatError("eps ladder values must lie in (0, 1)")
         if self.k_lo < 0 or self.k_hi < self.k_lo:
             raise InputFormatError(f"need 0 <= k_lo <= k_hi, got {self.k_lo}..{self.k_hi}")
         if self.k_max is not None and self.k_max < 0:
             raise InputFormatError(f"k_max must be >= 0, got {self.k_max}")
-        if not self.cstar > 1:
-            raise InputFormatError(f"Cstar must be > 1, got {self.cstar}")
-        if self.r0 is not None and not self.r0 > 0:
-            raise InputFormatError(f"r0 must be > 0, got {self.r0}")
+        if not (math.isfinite(self.cstar) and self.cstar > 1):
+            raise InputFormatError(f"Cstar must be finite and > 1, got {self.cstar}")
+        if self.r0 is not None and not _finite_positive(self.r0):
+            raise InputFormatError(f"r0 must be finite and > 0, got {self.r0}")
         if self.depth < 1:
             raise InputFormatError(f"depth must be >= 1, got {self.depth}")
         if not 0 < self.epsilon <= 1.0 / 32.0:
@@ -246,6 +248,10 @@ class RunConfig:
             "epsilon": float(self.epsilon),
             "seed": self.seed,
         }
+
+
+def _finite_positive(v: float) -> bool:
+    return math.isfinite(v) and v > 0
 
 
 def _parse_ladder(text: str) -> tuple:
@@ -617,7 +623,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return run(cfg)
-    except (InputFormatError, EmptyInput, DimensionMismatch, InvalidWeight) as exc:
+    except (InputFormatError, EmptyInput, DimensionMismatch, InvalidWeight, ScaleOverflow) as exc:
         _emit_error("input", exc)
         return EXIT_INPUT
     except MrtError as exc:

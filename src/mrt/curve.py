@@ -547,10 +547,9 @@ def curve_length(segments: list[Segment], quantum: float = 1e-9) -> tuple[float,
         if d[lead] < 0:
             d = -d
         off = a - (a @ d) * d
-        key = (
-            tuple(np.round(d / quantum).astype(np.int64)),
-            tuple(np.round(off / quantum).astype(np.int64)),
-        )
+        # rounded floats, not int64: the cast wraps past 2^63 (offsets near
+        # 1e10 at the default quantum) and would merge distinct lines
+        key = (tuple(np.round(d / quantum)), tuple(np.round(off / quantum)))
         t1, t2 = float(a @ d), float(b @ d)
         groups.setdefault(key, []).append((min(t1, t2), max(t1, t2)))
     dedup = 0.0

@@ -29,11 +29,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, TreeStructureError
+from .errors import DimensionMismatch, ScaleOverflow, TreeStructureError
 
 #: dilation factor of the nearby-cube membership box, as a multiple of sqrt(n)
 NEARBY_DILATION = 1600
 _NEARBY_SQ = NEARBY_DILATION * NEARBY_DILATION  # 2 560 000
+# cell indices stay below this in magnitude (see cell_index)
+_MAX_CELL_INDEX = 2.0**60
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,6 @@ class Box:
         c = self.center_array()
         return np.all((c - self.half <= X) & (X <= c + self.half), axis=1)
 
-    def contains_point(self, x) -> bool:
-        return bool(self.contains_mask(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
 
 @dataclass(frozen=True)
 class DyadicCube:
@@ -96,9 +95,6 @@ class DyadicCube:
     def diameter(self) -> float:
         return self.side * float(np.sqrt(self.dim))
 
-    def corner(self) -> np.ndarray:
-        return np.asarray(self.index, dtype=float) * self.side
-
     def center(self) -> np.ndarray:
         return (np.asarray(self.index, dtype=float) + 0.5) * self.side
 
@@ -110,11 +106,7 @@ class DyadicCube:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim:
             raise DimensionMismatch("point dimension does not match cube")
-        idx = np.floor(X * 2.0**self.k).astype(np.int64)
-        return np.all(idx == np.asarray(self.index, dtype=np.int64), axis=1)
-
-    def contains_point(self, x) -> bool:
-        return bool(self.contains_mask(np.asarray(x, dtype=float).reshape(1, -1))[0])
+        return np.all(cell_index(X, self.k) == np.asarray(self.index, dtype=np.int64), axis=1)
 
     def parent(self) -> "DyadicCube":
         return DyadicCube(self.k - 1, tuple(i // 2 for i in self.index))
@@ -134,10 +126,22 @@ class DyadicCube:
         return all(i >> shift == j for i, j in zip(R.index, self.index))
 
 
+def cell_index(X, k: int) -> np.ndarray:
+    """Integer index of the scale-k cube holding each coordinate, floor(x 2^k).
+
+    Raises ScaleOverflow when an index reaches 2^60 in magnitude: past 2^63
+    the int64 cast wraps to INT64_MIN, and the nearby-family test forms
+    4 j + 1 - 2 i, which must stay inside int64 too.
+    """
+    f = np.floor(np.asarray(X, dtype=float) * 2.0**k)
+    if not np.all(np.abs(f) < _MAX_CELL_INDEX):
+        raise ScaleOverflow(f"cell index at scale {k} reaches 2^60; coordinates or scale too large")
+    return f.astype(np.int64)
+
+
 def cube_at(x, k: int) -> DyadicCube:
     """The unique scale-k dyadic cube containing x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    idx = np.floor(x * 2.0**k).astype(np.int64)
+    idx = cell_index(np.asarray(x, dtype=float).reshape(-1), k)
     return DyadicCube(int(k), tuple(int(i) for i in idx))
 
 
@@ -202,20 +206,6 @@ class CubeTree:
                     raise TreeStructureError(
                         f"missing ancestor {R} between {Q} and the top"
                     )
-
-    @classmethod
-    def from_cubes(cls, cubes: Iterable[DyadicCube]) -> "CubeTree":
-        cubes = list(cubes)
-        if not cubes:
-            raise TreeStructureError("empty cube family")
-        top_candidates = [
-            Q for Q in cubes if not any(R.contains_cube(Q) and R != Q for R in cubes)
-        ]
-        if len(top_candidates) != 1:
-            raise TreeStructureError(
-                f"expected a unique maximal cube, found {len(top_candidates)}"
-            )
-        return cls(top_candidates[0], cubes)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -52,5 +52,9 @@ class CertificateError(MrtError, ValueError):
     """A length-certificate check failed (ledger, windows, cores, or coverage)."""
 
 
+class ScaleOverflow(MrtError, ValueError):
+    """A coordinate's dyadic cell index at the requested scale is too large for int64."""
+
+
 class InputFormatError(MrtError, ValueError):
     """A measure / net file could not be parsed."""

@@ -13,8 +13,9 @@ p = "sup":
   convex hull's edges); in higher dimensions it searches directions with the
   projected minimum-enclosing-ball radius as objective (heuristic).
 
-Also provides the distance between closed segments (point-to-segment
-included) and a batched compass search, pattern_search.
+Also provides the diameter of a point set, the distance between closed
+segments (point-to-segment included) and a batched compass search,
+pattern_search.
 """
 
 from __future__ import annotations
@@ -66,6 +67,26 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
         a = a[np.lexsort(a.T[::-1])]
         fresh = np.any(a[1:] != a[:-1], axis=1)
     return a[np.concatenate(([True], fresh))]
+
+
+# point pairs compared at once by diameter; bounds its temporaries
+_DIAMETER_PAIRS_PER_CHUNK = 4_000_000
+
+
+def diameter(points) -> float:
+    """Exact diameter of a point set: the largest pairwise Euclidean distance.
+
+    Compares chunks of rows against every row, so the temporaries stay
+    bounded; 0.0 for a single point.
+    """
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    best = 0.0
+    step = max(1, _DIAMETER_PAIRS_PER_CHUNK // len(X))
+    for i in range(0, len(X), step):
+        d2 = ((X[i : i + step, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        best = max(best, float(d2.max()))
+    # sqrt is monotone, so the root of the largest square is the largest distance
+    return float(np.sqrt(best))
 
 
 def unit(v: np.ndarray) -> np.ndarray:

@@ -59,15 +59,6 @@ class JonesReport:
     divergent: bool
     divergent_cubes: list[DyadicCube] = field(default_factory=list)
 
-    def summary(self) -> dict:
-        return {
-            "variant": self.variant,
-            "k_max": self.k_max,
-            "value": self.value,
-            "divergent": self.divergent,
-            "n_divergent_cubes": len(self.divergent_cubes),
-        }
-
 
 def default_kmax(mu: DiscreteMeasure, x, cap: int = 40) -> int:
     """First scale whose chain cube holds at most one atom (capped)."""

@@ -5,8 +5,8 @@ conventions: dyadic cubes are half-open (a point lies in exactly one cube per
 scale), while boxes and balls are closed. Ball masses back the density
 profile.
 
-Region queries (atoms_in, mass, center_of_mass, restrict) take one path per
-kind of region. Dyadic cubes and their triples (the boxes Q.triple() returns)
+Region queries (atoms_in, mass, center_of_mass) take one path per kind of
+region. Dyadic cubes and their triples (the boxes Q.triple() returns)
 are answered from two tables per dyadic scale, each built once in one
 vectorized pass and reused: the cell table maps a cube index to the atoms of
 the half-open cube, and the triple table maps every cube index with
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import Box, DyadicCube
+from .dyadic import Box, DyadicCube, cell_index
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -92,12 +92,6 @@ class DensityProfile:
     radii: np.ndarray  # strictly decreasing
     masses: np.ndarray
     ratios: np.ndarray
-    running_min: np.ndarray
-
-    @property
-    def estimate(self) -> float:
-        """Lower-density estimate: the minimum ratio over the ladder."""
-        return float(self.ratios.min())
 
 
 class DiscreteMeasure:
@@ -124,7 +118,6 @@ class DiscreteMeasure:
         self.weights.setflags(write=False)
         self._cell_cache: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
         self._triple_cache: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
-        self._diameter: float | None = None
 
     # -- basic facts --------------------------------------------------------
 
@@ -139,27 +132,12 @@ class DiscreteMeasure:
     def total(self) -> float:
         return float(self.weights.sum())
 
-    def support_diameter(self) -> float:
-        if self._diameter is None:
-            X = self.points
-            best = 0.0
-            step = max(1, 4_000_000 // max(len(X), 1))
-            for i in range(0, len(X), step):
-                chunk = X[i : i + step]
-                d2 = ((chunk[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-                best = max(best, float(d2.max()))
-            self._diameter = float(np.sqrt(best))
-        return self._diameter
-
     # -- region queries -----------------------------------------------------
-
-    def _cell_index(self, k: int) -> np.ndarray:
-        return np.floor(self.points * 2.0**k).astype(np.int64)
 
     def _cells(self, k: int) -> dict[tuple[int, ...], np.ndarray]:
         cache = self._cell_cache.get(k)
         if cache is None:
-            cache = self._cell_cache[k] = _group(self._cell_index(k), np.arange(len(self)))
+            cache = self._cell_cache[k] = _group(cell_index(self.points, k), np.arange(len(self)))
         return cache
 
     def triple_table(self, k: int) -> dict[tuple[int, ...], np.ndarray]:
@@ -175,7 +153,7 @@ class DiscreteMeasure:
             offsets = np.indices((4,) * n).reshape(n, -1).T - 2
             side = 2.0 ** (-k)
             half = 1.5 * side
-            cells = self._cell_index(k)
+            cells = cell_index(self.points, k)
             step = max(1, _TRIPLE_PAIRS_PER_CHUNK // len(offsets))
             keys, ids = [], []
             for a in range(0, len(self), step):
@@ -217,12 +195,6 @@ class DiscreteMeasure:
     def mass(self, region: Region) -> float:
         return float(self.weights[self.atoms_in(region)].sum())
 
-    def mass_ball(self, x, r: float) -> float:
-        X = self.points
-        x = np.asarray(x, dtype=float).reshape(-1)
-        d2 = ((X - x) ** 2).sum(axis=1)
-        return float(self.weights[d2 <= r * r].sum())
-
     def center_of_mass(self, region: Region | None = None) -> np.ndarray:
         """Weighted mean of the atoms in the region (whole measure if None)."""
         if region is None:
@@ -235,12 +207,6 @@ class DiscreteMeasure:
             raise ZeroMassRegion("center of mass of a zero-mass region")
         return (w @ self.points[idx]) / W
 
-    def restrict(self, region: Region) -> "DiscreteMeasure":
-        idx = self.atoms_in(region)
-        if len(idx) == 0:
-            raise ZeroMassRegion("restriction to a region with no atoms")
-        return DiscreteMeasure(self.points[idx], self.weights[idx])
-
     # -- profiles ------------------------------------------------------------
 
     def density_profile(self, x, radii) -> DensityProfile:
@@ -249,14 +215,8 @@ class DiscreteMeasure:
         r = sorted_unique(np.asarray(radii, dtype=float))[::-1]
         if len(r) == 0 or not np.all(r > 0):
             raise ValueError("radius ladder must contain positive radii")
-        # the distances of mass_ball, computed once for the whole ladder
+        # the closed-ball test of Ball.contains_mask, distances computed once
         d2 = ((self.points - x) ** 2).sum(axis=1)
         masses = np.array([float(self.weights[d2 <= ri * ri].sum()) for ri in r])
         ratios = masses / (2.0 * r)
-        return DensityProfile(
-            point=x,
-            radii=r,
-            masses=masses,
-            ratios=ratios,
-            running_min=np.minimum.accumulate(ratios),
-        )
+        return DensityProfile(point=x, radii=r, masses=masses, ratios=ratios)

@@ -43,7 +43,7 @@ import numpy as np
 from ._parallel import pmap
 from .dyadic import CubeTree, DyadicCube
 from .errors import EmptyInput, NetValidationError, ZeroMassTriple
-from .geometry import Line, fit_line, segment_distance
+from .geometry import Line, diameter, fit_line, segment_distance
 from .measure import DiscreteMeasure, ZeroMassRegion
 
 NEIGHBORHOOD_FACTOR = 65.0  # ball radius factor for alpha neighborhoods
@@ -56,15 +56,6 @@ class NetValidationReport:
     cstar_min: float
     separation_ok: bool
     violations: list[dict] = field(default_factory=list)
-
-    def summary(self) -> dict:
-        return {
-            "ok": self.ok,
-            "cstar": self.cstar,
-            "cstar_min": self.cstar_min,
-            "separation_ok": self.separation_ok,
-            "n_violations": len(self.violations),
-        }
 
 
 class NetSequence:
@@ -93,7 +84,6 @@ class NetSequence:
         self.cstar = float(cstar)
         self.x0 = None if x0 is None else np.asarray(x0, dtype=float)
         self.witnesses = witnesses
-        self.validation: NetValidationReport | None = None
 
     @property
     def K(self) -> int:
@@ -155,27 +145,20 @@ def nets_from_points(points, r0: float | None = None, K: int = 6, cstar: float =
     """Greedy maximal 2^{-k} r0-separated subsets of a point set, in input order.
 
     With r0 >= diam E (the default sets r0 = diam E) the output satisfies
-    (V_I) exactly and (V_II)/(V_III) with Cstar = 2 by maximality. The
-    validation report is attached to the result.
+    (V_I) exactly and (V_II)/(V_III) with Cstar = 2 by maximality;
+    validate_nets checks it.
     """
     E = np.atleast_2d(np.asarray(points, dtype=float))
     if E.size == 0:
         raise EmptyInput("cannot build nets from an empty point set")
     if r0 is None:
-        r0 = 0.0
-        for i in range(len(E)):          # exact brute diameter
-            d2 = ((E[i + 1 :] - E[i]) ** 2).sum(axis=1)
-            if d2.size:
-                r0 = max(r0, float(np.sqrt(d2.max())))
-        if r0 == 0.0:
-            r0 = 1.0  # single point (or all coincident): scale is arbitrary
+        # a single point (or all coincident) leaves the scale arbitrary
+        r0 = diameter(E) or 1.0
     levels = []
     for k in range(K + 1):
         idx = _greedy_separated(E, 2.0 ** (-k) * r0)
         levels.append(E[idx])
-    nets = NetSequence(levels, r0=r0, cstar=cstar, x0=E[0])
-    nets.validation = validate_nets(nets, cstar)
-    return nets
+    return NetSequence(levels, r0=r0, cstar=cstar, x0=E[0])
 
 
 def nets_from_tree(
@@ -224,9 +207,7 @@ def nets_from_tree(
         idx = _greedy_separated(Z, 2.0 ** (-g) * r0)
         levels.append(Z[idx])
         witnesses.append([pool[i] for i in idx])
-    nets = NetSequence(levels, r0=r0, cstar=cstar, x0=z(top), witnesses=witnesses)
-    nets.validation = validate_nets(nets, cstar)
-    return nets
+    return NetSequence(levels, r0=r0, cstar=cstar, x0=z(top), witnesses=witnesses)
 
 
 def validate_nets(nets: NetSequence, cstar: float | None = None) -> NetValidationReport:

@@ -22,8 +22,8 @@ from .curve import CurveResult, construct_curve
 from .dyadic import CubeTree, DyadicCube, cube_at
 from .errors import CertificateError, TreeStructureError
 from .jones import jones_at, square_sum
-from .measure import DiscreteMeasure
-from .nets import NetSequence, fit_alphas, hausdorff_to_segments, nets_from_tree
+from .measure import DensityProfile, DiscreteMeasure
+from .nets import fit_alphas, hausdorff_to_segments, nets_from_tree
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +150,6 @@ def localize(
 class GrowResult:
     tree: CubeTree | None
     diagnostic: str | None
-    r_x: float
-    base_cube: DyadicCube | None
-    params: dict
 
 
 def _check_c(c: float | None) -> None:
@@ -166,54 +163,38 @@ def _lower_regular_ok(mu: DiscreteMeasure, Q: DyadicCube, c: float) -> bool:
     return mu.mass(tri) >= c * tri.diameter
 
 
-def base_cube_for(
-    mu: DiscreteMeasure,
-    x,
-    c: float | None = None,
-    k_max: int = 8,
-) -> tuple[float, DyadicCube | None]:
-    """(r_x, base cube) at x; base is None when the density test fails.
+def base_cube_for(profile: DensityProfile, c: float | None = None) -> DyadicCube | None:
+    """The base cube at the profile's point; None when the density test fails.
 
-    r_x is the largest dyadic radius 2^{-j} such that the density ratio
-    mu(B(x, r))/2r clears (3/2) sqrt(n) c at that and all smaller scanned
-    radii; the base cube is the largest cube of side <= min(r_x, 1)
+    r_x is the largest ladder radius r such that the density ratio
+    mu(B(x, r))/2r clears (3/2) sqrt(n) c at r and at every smaller ladder
+    radius; the base cube is the largest cube of side <= min(r_x, 1)
     containing x.
     """
     _check_c(c)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    thresh = 1.5 * math.sqrt(mu.dim) * c
-    radii = [2.0 ** (-j) for j in range(k_max + 1)]
-    # the ladder is distinct and descending, so ratios align with radii
-    ok_at = list(mu.density_profile(x, radii).ratios >= thresh)
-    for j in range(len(radii)):   # largest radius passing at all scanned scales below
-        if all(ok_at[j:]):
-            r_x = radii[j]
-            k_base = max(0, int(round(-math.log2(min(r_x, 1.0)))))
-            return r_x, cube_at(x, k_base)
-    return 0.0, None
+    x = profile.point
+    failed = np.flatnonzero(profile.ratios < 1.5 * math.sqrt(len(x)) * c)
+    j = int(failed[-1]) + 1 if len(failed) else 0
+    if j == len(profile.radii):
+        return None
+    r_x = float(profile.radii[j])
+    return cube_at(x, max(0, int(round(-math.log2(min(r_x, 1.0))))))
 
 
 def grow_tree(
     mu: DiscreteMeasure,
-    x,
+    base: DyadicCube,
     c: float | None = None,
     k_max: int = 8,
 ) -> GrowResult:
-    """Deepest lower-regular tree under the atom's base cube.
+    """Deepest lower-regular tree under a base cube, down to scale k_max.
 
-    Every member satisfies mu(3Q) >= c diam 3Q; the base cube comes from
-    base_cube_for. A failing base cube yields an empty tree with a
-    diagnostic.
+    Every member satisfies mu(3Q) >= c diam 3Q. A base cube that fails the
+    inequality yields an empty tree with a diagnostic.
     """
     _check_c(c)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    params = {"c": c, "k_max": k_max, "threshold": 1.5 * math.sqrt(mu.dim) * c}
-    r_x, base = base_cube_for(mu, x, c=c, k_max=k_max)
-    if base is None:
-        return GrowResult(None, "density ratio below threshold at all scanned radii",
-                          0.0, None, {"c": c, "k_max": k_max})
     if not _lower_regular_ok(mu, base, c):
-        return GrowResult(None, f"regime predicate fails at base cube {base}", r_x, base, params)
+        return GrowResult(None, f"regime predicate fails at base cube {base}")
     members = {base}
     frontier = [base]
     while frontier:
@@ -228,7 +209,7 @@ def grow_tree(
     for Q in tree.members:   # recheck the defining inequality on members
         if not _lower_regular_ok(mu, Q, c):
             raise TreeStructureError(f"lower-regular recheck failed at {Q}")
-    return GrowResult(tree, None, r_x, base, params)
+    return GrowResult(tree, None)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +219,9 @@ def grow_tree(
 @dataclass
 class DrawResult:
     curve: CurveResult
-    nets: NetSequence
+    # the curve as (a, b) point pairs; a curve with no segment is its first
+    # vertex (a, a), and a curve with no vertex is empty
+    segments: list[tuple[np.ndarray, np.ndarray]]
     accounting: dict
     coverage: dict
 
@@ -288,10 +271,10 @@ def draw_through_tree(
         line, fitted_alpha = alphas.entries[key]
         alphas.entries[key] = (line, max(fitted_alpha, theory[key]))
     curve = construct_curve(nets, alphas, epsilon=epsilon)
-    segs = [
-        (np.asarray(s.a, dtype=float), np.asarray(s.b, dtype=float))
-        for s in curve.segments
-    ]
+    segs = [(np.asarray(s.a, dtype=float), np.asarray(s.b, dtype=float)) for s in curve.segments]
+    if not segs and curve.graph.vertices:
+        v = np.asarray(curve.graph.vertices[0], dtype=float)
+        segs = [(v, v)]
     children = {Q: tree.children_in_tree(Q) for Q in tree.members}
     leaf_centers = [
         mu.center_of_mass(Q.triple()) for Q in tree if not children[Q] and mu.mass(Q.triple()) > 0
@@ -299,17 +282,8 @@ def draw_through_tree(
     tol = 2.0 * nets.cstar * nets.sep(nets.K) + tree.top.side * math.sqrt(mu.dim) * 2.0 ** (
         -(nets.K)
     )
-    if leaf_centers and segs:
-        max_dist = hausdorff_to_segments(np.array(leaf_centers), segs)
-    elif leaf_centers:
-        only = np.asarray(curve.graph.vertices[0], dtype=float) if curve.graph.vertices else None
-        max_dist = (
-            max(float(np.linalg.norm(lc - only)) for lc in leaf_centers)
-            if only is not None
-            else math.inf
-        )
-    else:
-        max_dist = 0.0
+    # no segment at all leaves every leaf center at infinite distance
+    max_dist = hausdorff_to_segments(np.array(leaf_centers), segs) if leaf_centers else 0.0
     coverage = {"max_leaf_distance": max_dist, "tolerance": tol, "ok": max_dist <= tol}
     if not coverage["ok"]:
         raise CertificateError(f"leaf coverage failed: {max_dist} > {tol}")
@@ -318,7 +292,7 @@ def draw_through_tree(
     acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * rep.total
     acct["regime_sum"] = rep.total
     acct["regime"] = "lower_regular"
-    return DrawResult(curve=curve, nets=nets, accounting=acct, coverage=coverage)
+    return DrawResult(curve=curve, segments=segs, accounting=acct, coverage=coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +330,6 @@ class DecompositionReport:
     params: dict
     dropped: list[DroppedTree] = field(default_factory=list)
 
-    def labels(self) -> list[str]:
-        return [a.label for a in self.atoms]
-
 
 def decompose_estimate(
     mu: DiscreteMeasure,
@@ -367,7 +338,6 @@ def decompose_estimate(
     N_cap: float = 1e3,
     eps_ladder=(0.5, 0.1),
     k_max: int = 8,
-    capture_tol: float | None = None,
     refine: bool = False,
 ) -> DecompositionReport:
     """Desk-scale rectifiable/unrectifiable labeling with drawn curves.
@@ -379,19 +349,20 @@ def decompose_estimate(
     b = beta^2 diam with the eps ladder, and the good trees are drawn;
     captured mass is the rect-candidate mass within tolerance of any curve.
     A tree that cannot be grown or drawn is listed in `dropped` with the
-    grow diagnostic or the drawing error. All thresholds are reported, none
-    are asserted as ground truth.
+    reason: no base cube, the grow diagnostic, or the drawing error. All
+    thresholds are reported, none are asserted as ground truth.
+
+    Each atom's density profile runs once, on the radii 2^{-j}, j <= k_max:
+    the density estimate is its least ratio for j <= min(k_max, 20), and a
+    rect-candidate's base cube comes from the whole ladder (base_cube_for).
     """
     n = mu.dim
     cache = BetaCache(mu)
-    radii = [2.0 ** (-j) for j in range(min(k_max, 20) + 1)]
+    radii = [2.0 ** (-j) for j in range(k_max + 1)]
+    n_est = min(k_max, 20) + 1
     atoms: list[AtomReport] = []
-
-    def density_est(i: int) -> float:
-        prof = mu.density_profile(mu.points[i], radii)
-        return prof.estimate
-
-    densities = pmap(density_est, range(len(mu.points)))
+    profiles = pmap(lambda i: mu.density_profile(mu.points[i], radii), range(len(mu.points)))
+    densities = [float(prof.ratios[:n_est].min()) for prof in profiles]
     jones_memo: dict[tuple[int, float], tuple[float, bool]] = {}
 
     def jones_val(i: int, c: float) -> tuple[float, bool]:
@@ -429,12 +400,14 @@ def decompose_estimate(
         if rep.label != "rect-candidate":
             continue
         c = rep.c_used
-        _r_x, base = base_cube_for(mu, mu.points[rep.index], c=c, k_max=k_max)
-        # without a base cube there is nothing to share: grow_tree says why
-        if base is not None and (c, base) in seen_bases:
+        base = base_cube_for(profiles[rep.index], c=c)
+        if base is None:
+            dropped.append(DroppedTree(rep.index, c, None, "density ratio below threshold at all scanned radii"))
+            continue
+        if (c, base) in seen_bases:
             continue
         seen_bases.add((c, base))
-        grown = grow_tree(mu, mu.points[rep.index], c=c, k_max=k_max)
+        grown = grow_tree(mu, base, c=c, k_max=k_max)
         if grown.tree is None:
             dropped.append(DroppedTree(rep.index, c, base, grown.diagnostic))
             continue
@@ -457,31 +430,13 @@ def decompose_estimate(
     rect_ids = [a.index for a in atoms if a.label == "rect-candidate"]
     rect_mass = float(mu.weights[rect_ids].sum()) if rect_ids else 0.0
     captured_ids: list[int] = []
-    if rect_ids and curves:
-        seg_pool = []
-        tol_pool = []
+    slack = 2.0 ** (-k_max) * math.sqrt(n)
+    for i in rect_ids:
+        x = mu.points[i][None, :]
         for dr in curves:
-            segs = [
-                (np.asarray(s.a, dtype=float), np.asarray(s.b, dtype=float))
-                for s in dr.curve.segments
-            ]
-            if not segs:
-                verts = dr.curve.graph.vertices
-                if verts:
-                    v = np.asarray(verts[0], dtype=float)
-                    segs = [(v, v)]
-            seg_pool.append(segs)
-            tol_pool.append(
-                capture_tol
-                if capture_tol is not None
-                else dr.coverage["tolerance"] + 2.0 ** (-k_max) * math.sqrt(n)
-            )
-        for i in rect_ids:
-            x = mu.points[i]
-            for segs, tol in zip(seg_pool, tol_pool):
-                if segs and hausdorff_to_segments(x[None, :], segs) <= tol:
-                    captured_ids.append(i)
-                    break
+            if dr.segments and hausdorff_to_segments(x, dr.segments) <= dr.coverage["tolerance"] + slack:
+                captured_ids.append(i)
+                break
     # summed like rect_mass, so that capturing every atom gives exactly 1
     captured = float(mu.weights[captured_ids].sum()) if captured_ids else 0.0
     fraction = captured / rect_mass if rect_mass > 0 else 0.0

@@ -105,3 +105,12 @@ def segment_cantor_mixture(depth: int, separation: float = 2048.0):
     wts = np.concatenate([cantor.weights, seg.weights])
     labels = ["cantor"] * m + ["segment"] * m
     return DiscreteMeasure(pts, wts), labels
+
+
+def graph_cantor_mixture() -> DiscreteMeasure:
+    """The depth-3 Cantor iterate (64 atoms, mass 1) plus a 128-atom Lipschitz graph
+    (mass 1) placed 2048 to the right: the benchmark's mixture input at seed 0."""
+    cantor = four_corner_cantor(3)
+    graph = lipschitz_graph_measure(128)
+    pts = np.vstack([cantor.points, graph.points + np.array([2048.0, 0.0])])
+    return DiscreteMeasure(pts, np.concatenate([cantor.weights, graph.weights]))

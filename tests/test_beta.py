@@ -268,12 +268,16 @@ class TestBetaMulti:
         b = beta_multi(mu, Q, 2, "star", cache=cache)
         assert a is b
 
-    def test_details_present(self):
+    def test_cube_value_is_family_value(self):
         rng = np.random.default_rng(13)
         mu = random_measure(rng, m=5)
-        bv = beta_multi(mu, cube_at(mu.points[0], 1), 2, "star")
-        for key in ("nearby_mass_cubes", "distinct_atom_sets", "witness_max_beta"):
-            assert key in bv.details
+        cache = BetaCache(mu)
+        Q = cube_at(mu.points[0], 1)
+        bv = beta_multi(mu, Q, 2, "star", cache=cache)
+        family = nearby_cubes_with_mass(mu, Q, cache)
+        # the cube key holds its family's value object, not a copy of it
+        assert beta_mod._family_beta(mu, Q.k, family, 2, "star", None, True, cache) is bv
+        assert cache.get((Q, 2, "star", None, True)) is bv
 
 
 def cube_family(mu, Q, p, variant, c, cache=None):
@@ -567,7 +571,7 @@ class TestFamilyMemo:
 
     @staticmethod
     def assert_same_bits(a: BetaValue, b: BetaValue):
-        assert a.value == b.value and a.details == b.details
+        assert a.value == b.value
         assert (a.line is None) == (b.line is None)
         if a.line is not None:
             assert a.line.base.tobytes() == b.line.base.tobytes()
@@ -588,7 +592,8 @@ class TestFamilyMemo:
             for combo in combos:
                 p, variant, c, refine = combo
                 bv = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=shared)
-                assert bv.region == Q
+                family = nearby_cubes_with_mass(mu, Q, shared)
+                assert bv is beta_mod._family_beta(mu, k, family, p, variant, c, refine, shared)
                 # the tracer's per-cube probe still sees the cube's value
                 assert shared.get((Q, p, variant, c, refine)) is bv
                 values[Q, combo] = bv
@@ -606,10 +611,10 @@ class TestFamilyMemo:
         for Q in cubes:
             for combo in combos:
                 self.assert_same_bits(values[Q, combo], alone[family[Q], combo])
-        # cubes of one family share the witness line but not the details dict
+        # cubes of one family share one value object
         for Q in cubes:
-            head = values[last[family[Q]], combos[0]]
-            assert Q == last[family[Q]] or head.details is not values[Q, combos[0]].details
+            for combo in combos:
+                assert values[Q, combo] is values[last[family[Q]], combo]
 
     def test_filtered_families_meet_where_raw_families_differ(self):
         mu = self.MEASURES["straddle"]()

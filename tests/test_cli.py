@@ -149,10 +149,18 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\nnan,0.4,1\n", ["beta"], None, 2, "input", "InvalidWeight"),
         ("# dim=3\n0.1,0.2,1\n", ["beta"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", "0"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["beta", "--p", "inf"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["beta", "--variant", "star_c", "--c", "inf"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["decompose", "--c-ladder", "inf"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["decompose", "--n-cap", "inf"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["curve", "--cstar", "inf"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["curve", "--r0", "inf"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["jones", "--k-max", "70"], None, 2, "input", "ScaleOverflow"),
         ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
     ],
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
-         "dim-header-conflict", "zero-c-ladder", "internal-error"],
+         "dim-header-conflict", "zero-c-ladder", "infinite-p", "infinite-c", "infinite-c-ladder",
+         "infinite-n-cap", "infinite-cstar", "infinite-r0", "scale-overflow", "internal-error"],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):
     measure = tmp_path / "measure.csv"
@@ -165,3 +173,21 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kin
     error = json.loads(capsys.readouterr().out)["error"]
     assert (error["type"], error["class"]) == (kind, cls)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["curve", "validate"])
+def test_nets_validated_once_per_command(tmp_path, monkeypatch, command):
+    from mrt import nets
+
+    calls = []
+    validate = nets.validate_nets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(nets, "validate_nets", counted)
+    measure = tmp_path / "measure.json"
+    save_measure(lipschitz_graph_measure(40), measure)
+    assert main([command, str(measure), "--depth", "3", "-o", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1

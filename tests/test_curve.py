@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,19 @@ class TestCurveLength:
         ]
         naive, dedup = curve_length(segs)
         assert dedup == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("x", [0.0, 1e6, 1e10, 1e12])
+    def test_parallel_lines_far_out_kept_apart(self, x):
+        # line offsets of 1e10 and more exceed int64 once divided by the 1e-9
+        # quantum; the two lines must still form two groups, without warnings
+        segs = [
+            Segment((x, 0.0), (x, 1.0), "edge", 0),
+            Segment((x + 1.0, 0.0), (x + 1.0, 1.0), "edge", 0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            naive, dedup = curve_length(segs)
+        assert naive == dedup == 2.0
 
 
 class TestVerifyConnected:

@@ -1,11 +1,13 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mrt import Box, CubeTree, DyadicCube, chain_of_cubes, cube_at
+from mrt import Box, CubeTree, DiscreteMeasure, DyadicCube, chain_of_cubes, cube_at
 from mrt.dyadic import NEARBY_DILATION, in_nearby_family, same_scale_radius
-from mrt.errors import DimensionMismatch, TreeStructureError
+from mrt.errors import DimensionMismatch, ScaleOverflow, TreeStructureError
 
 from _oracle import nearby_count, nearby_cubes
 
@@ -18,15 +20,14 @@ class TestDyadicCube:
 
     def test_corner_and_center(self):
         Q = DyadicCube(2, (1, -1))
-        assert np.allclose(Q.corner(), [0.25, -0.25])
+        # the lower corner j 2^-k belongs to the half-open cube
+        assert cube_at([0.25, -0.25], 2) == Q
         assert np.allclose(Q.center(), [0.375, -0.125])
 
     def test_half_open_membership(self):
         Q = DyadicCube(2, (0, 0))
-        assert Q.contains_point([0.0, 0.0])
-        assert Q.contains_point([0.2499999, 0.1])
         # the upper face belongs to the next cube over
-        assert not Q.contains_point([0.25, 0.1])
+        assert Q.contains_mask([[0.0, 0.0], [0.2499999, 0.1], [0.25, 0.1]]).tolist() == [True, True, False]
         assert cube_at([0.25, 0.1], 2).index == (1, 0)
 
     def test_membership_by_floor_matches_cube_at(self):
@@ -35,7 +36,7 @@ class TestDyadicCube:
         for k in (0, 1, 4):
             for x in X:
                 Q = cube_at(x, k)
-                assert Q.contains_point(x)
+                assert Q.contains_mask(x)[0]
 
     def test_every_point_in_exactly_one_cube(self):
         rng = np.random.default_rng(1)
@@ -48,7 +49,7 @@ class TestDyadicCube:
     def test_negative_coordinates(self):
         Q = cube_at([-0.3, -1.7], 2)
         assert Q.index == (-2, -7)
-        assert Q.contains_point([-0.3, -1.7])
+        assert Q.contains_mask([-0.3, -1.7])[0]
 
     def test_parent_children_roundtrip(self):
         for idx in [(0, 0), (5, 3), (-1, -4), (-7, 2)]:
@@ -78,13 +79,26 @@ class TestDyadicCube:
         with pytest.raises(DimensionMismatch):
             DyadicCube(0, (0, 0)).contains_mask(np.zeros((2, 3)))
 
+    def test_cell_index_overflow_is_typed(self):
+        # at scale 70 both points' indices pass 2^63: the int64 cast would
+        # put them in one cube with INT64_MIN indices
+        mu = DiscreteMeasure([[0.1, 0.3], [0.2, 0.9]], [1.0, 1.0])
+        with pytest.raises(ScaleOverflow):
+            mu.atoms_in(DyadicCube(70, (1, 1)))
+        with pytest.raises(ScaleOverflow):
+            cube_at(mu.points[0], 70)
+        with pytest.raises(ScaleOverflow):
+            DyadicCube(70, (0, 0)).contains_mask(mu.points)
+        # the last scale below the 2^60 bound still answers exactly
+        Q = cube_at(mu.points[1], 60)
+        assert Q.index == tuple(math.floor(Fraction(v) * 2**60) for v in mu.points[1])
+        assert mu.atoms_in(Q).tolist() == [1]
+
 
 class TestBox:
     def test_closed_membership(self):
         B = Box((0.5, 0.5), 0.5)
-        assert B.contains_point([1.0, 1.0])
-        assert B.contains_point([0.0, 0.0])
-        assert not B.contains_point([1.0000001, 0.5])
+        assert B.contains_mask([[1.0, 1.0], [0.0, 0.0], [1.0000001, 0.5]]).tolist() == [True, True, False]
         assert B.diameter == pytest.approx(np.sqrt(2))
 
     def test_triple_carries_its_cube(self):
@@ -215,17 +229,6 @@ class TestCubeTree:
     def test_top_must_be_member(self):
         with pytest.raises(TreeStructureError):
             CubeTree(DyadicCube(0, (0, 0)), [DyadicCube(1, (0, 0))])
-
-    def test_from_cubes_finds_top(self):
-        top, members = _chain_tree()
-        tree = CubeTree.from_cubes(members)
-        assert tree.top == top
-
-    def test_from_cubes_rejects_forest(self):
-        with pytest.raises(TreeStructureError):
-            CubeTree.from_cubes([DyadicCube(0, (0, 0)), DyadicCube(0, (1, 0))])
-        with pytest.raises(TreeStructureError):
-            CubeTree.from_cubes([])
 
     def test_children_in_tree(self):
         top, members = _chain_tree()

@@ -7,6 +7,7 @@ from mrt.errors import DimensionMismatch
 from mrt.geometry import (
     canonical_direction,
     convex_hull_2d,
+    diameter,
     min_enclosing_ball,
     min_width_strip_2d,
     pattern_search,
@@ -60,6 +61,16 @@ def test_sorted_unique_matches_np_unique(shape):
         want = np.unique(a) if a.ndim == 1 else np.unique(a, axis=0)
         got = sorted_unique(a)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_diameter(monkeypatch):
+    # every chunking of the pair scan gives the brute-force diameter exactly
+    X = np.random.default_rng(21).normal(size=(23, 3))
+    brute = max(float(np.sqrt(((a - b) ** 2).sum())) for a in X for b in X)
+    for chunk in (1, 7, 4_000_000):
+        monkeypatch.setattr(geometry, "_DIAMETER_PAIRS_PER_CHUNK", chunk)
+        assert diameter(X) == brute
+        assert diameter(X[:1]) == 0.0
 
 
 class TestHull:

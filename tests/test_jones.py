@@ -60,10 +60,9 @@ class TestJonesAt:
         rep = jones_at(mu, mu.points[4], variant="tilde", k_max=4)
         assert len(rep.terms) == 5
         assert [t.cube.k for t in rep.terms] == [0, 1, 2, 3, 4]
-        s = rep.summary()
-        assert s["variant"] == "tilde"
-        assert s["k_max"] == 4
-        assert s["value"] == rep.value
+        assert rep.variant == "tilde"
+        assert rep.k_max == 4
+        assert rep.value == sum(t.term for t in rep.terms)
 
     def test_divergence_flagged_not_summed(self):
         # chain cubes at (0.9, 0.9) carry no mass, but the nearby family
@@ -107,7 +106,8 @@ class TestJonesAt:
 class TestSquareSum:
     def test_tree_sum_matches_ledger_and_direct(self):
         mu = four_corner_cantor(2)
-        tree = CubeTree.from_cubes(chain_of_cubes(mu.points[5], 3))
+        chain = chain_of_cubes(mu.points[5], 3)
+        tree = CubeTree(chain[0], chain)
         rep = square_sum(mu, "s_star_c_tree", tree=tree, p=2, c=0.05, refine=False)
         # a fresh cache, so the direct sum solves every family again
         direct = sum(
@@ -127,7 +127,8 @@ class TestSquareSum:
 
     def test_star_c_tree_needs_c(self):
         mu = segment_measure(6)
-        tree = CubeTree.from_cubes(chain_of_cubes(mu.points[0], 1))
+        chain = chain_of_cubes(mu.points[0], 1)
+        tree = CubeTree(chain[0], chain)
         with pytest.raises(ValueError):
             square_sum(mu, "s_star_c_tree", tree=tree)
         rep = square_sum(mu, "s_star_c_tree", tree=tree, c=0.05, refine=False)

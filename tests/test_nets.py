@@ -83,8 +83,8 @@ class TestNetsFromPoints:
     def test_circle_nets_validate(self):
         E = circle_measure(48).points
         nets = nets_from_points(E, K=5)
-        assert nets.validation is not None and nets.validation.ok
-        assert nets.validation.cstar_min <= 2.0
+        val = validate_nets(nets)
+        assert val.ok and val.cstar_min <= 2.0
         assert nets.K == 5
 
     def test_default_r0_is_diameter(self):
@@ -120,7 +120,7 @@ class TestNetsFromPoints:
         nets = nets_from_points(np.array([[0.3, 0.7]]), K=2)
         assert nets.r0 == 1.0
         assert all(len(V) == 1 for V in nets.levels)
-        assert nets.validation.ok
+        assert validate_nets(nets).ok
 
 
 class TestValidateNets:
@@ -142,11 +142,6 @@ class TestValidateNets:
         # a generous enough constant validates the same sequence
         assert validate_nets(nets, cstar=25.0).ok
 
-    def test_summary(self):
-        nets = nets_from_points(segment_measure(10).points, K=2)
-        s = validate_nets(nets).summary()
-        assert s["ok"] and s["n_violations"] == 0
-
 
 class TestNetsFromTree:
     def _measure_and_tree(self):
@@ -154,12 +149,12 @@ class TestNetsFromTree:
         cubes = set()
         for x in mu.points:
             cubes.update(chain_of_cubes(x, 2))
-        return mu, CubeTree.from_cubes(cubes)
+        return mu, CubeTree(DyadicCube(0, (0, 0)), cubes)
 
     def test_valid_output_with_witnesses(self):
         mu, tree = self._measure_and_tree()
         nets = nets_from_tree(mu, tree)
-        assert nets.validation.ok
+        assert validate_nets(nets).ok
         assert nets.r0 == pytest.approx(3.0 * tree.top.diameter)
         assert nets.witnesses is not None
         for g, (V, wits) in enumerate(zip(nets.levels, nets.witnesses)):
@@ -178,7 +173,7 @@ class TestNetsFromTree:
         tree = CubeTree(top, members)
         nets = nets_from_tree(mu, tree)
         assert nets.K == 2
-        assert nets.validation.ok
+        assert validate_nets(nets).ok
 
     def test_zero_mass_triple_raises(self):
         # the triple of the deep far member is [0.5, 1.25]^2, atom-free

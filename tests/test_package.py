@@ -69,3 +69,40 @@ def test_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+# public names that no module calls, kept on purpose: the writer that
+# load_measure reads back, and the exact membership test that the vectorized
+# family filter in beta.nearby_cubes_with_mass is checked against
+UNREFERENCED_ALLOWED = {"cli.save_measure", "dyadic.in_nearby_family"}
+
+
+def test_public_names_are_referenced():
+    # every public module-level function and class, and every public method,
+    # is referenced by name (as a name or an attribute) somewhere in the
+    # package, so helpers that only tests call do not come back
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(pathlib.Path(mrt.__file__).parent.glob("*.py"))
+    }
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}.{node.name}.{m.name}", m.name)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+    unreferenced = {full for full, name in defined if name not in referenced}
+    assert unreferenced == UNREFERENCED_ALLOWED

@@ -20,7 +20,17 @@ from mrt import rectify
 from mrt.errors import CertificateError, TreeStructureError
 from mrt.rectify import base_cube_for, sum_function
 
-from _samples import four_corner_cantor, lipschitz_graph_measure, segment_measure
+from _samples import four_corner_cantor, graph_cantor_mixture, lipschitz_graph_measure, segment_measure
+
+
+def ladder_profile(mu, x, k_max):
+    """The density profile decompose_estimate takes at x: radii 2^-j, j <= k_max."""
+    return mu.density_profile(x, [2.0 ** (-j) for j in range(k_max + 1)])
+
+
+def grow_at(mu, x, c, k_max):
+    """grow_tree under the base cube that x's ladder profile picks."""
+    return grow_tree(mu, base_cube_for(ladder_profile(mu, x, k_max), c=c), c=c, k_max=k_max)
 
 
 def two_cluster_setup():
@@ -161,10 +171,11 @@ class TestLocalizeProperty:
 class TestGrowTree:
     def test_lower_regular_on_segment(self):
         mu = segment_measure(128)
-        grown = grow_tree(mu, mu.points[60], c=0.05, k_max=4)
+        base = base_cube_for(ladder_profile(mu, mu.points[60], 4), c=0.05)
+        grown = grow_tree(mu, base, c=0.05, k_max=4)
         assert grown.tree is not None
         assert grown.diagnostic is None
-        assert grown.base_cube == grown.tree.top
+        assert grown.tree.top == base
         assert max(Q.k for Q in grown.tree) == 4
         for Q in grown.tree.members:
             tri = Q.triple()
@@ -172,7 +183,9 @@ class TestGrowTree:
 
     def test_density_failure_reports_diagnostic(self):
         mu = DiscreteMeasure([[0.2, 0.2], [0.7, 0.7]], [1e-6, 1e-6])
-        grown = grow_tree(mu, mu.points[0], c=1.0, k_max=4)
+        assert base_cube_for(ladder_profile(mu, mu.points[0], 4), c=1.0) is None
+        # a base cube that fails mu(3Q) >= c diam 3Q grows no tree
+        grown = grow_tree(mu, DyadicCube(0, (0, 0)), c=1.0, k_max=4)
         assert grown.tree is None
         assert grown.diagnostic is not None
 
@@ -180,16 +193,16 @@ class TestGrowTree:
         mu = segment_measure(8)
         for c in (None, 0.0, -0.5):
             with pytest.raises(ValueError):
-                grow_tree(mu, mu.points[0], c=c)
+                grow_tree(mu, DyadicCube(0, (0, 0)), c=c)
             with pytest.raises(ValueError):
-                base_cube_for(mu, mu.points[0], c=c)
+                base_cube_for(ladder_profile(mu, mu.points[0], 8), c=c)
 
 
 class TestDrawThroughTree:
     def test_lower_regular_draw_on_segment(self):
         mu = segment_measure(48)
         c = 0.05
-        grown = grow_tree(mu, mu.points[20], c=c, k_max=3)
+        grown = grow_at(mu, mu.points[20], c=c, k_max=3)
         draw = draw_through_tree(mu, grown.tree, c=c)
         assert draw.coverage["ok"]
         assert draw.accounting["regime"] == "lower_regular"
@@ -207,7 +220,7 @@ class TestDrawThroughTree:
     def test_regime_sum_uses_callers_betas(self):
         mu = lipschitz_graph_measure(48)
         c = 0.05
-        tree = grow_tree(mu, mu.points[20], c=c, k_max=3).tree
+        tree = grow_at(mu, mu.points[20], c=c, k_max=3).tree
         cache = BetaCache(mu)
         draw = draw_through_tree(mu, tree, c=c, cache=cache, refine=False)
         # one refine policy: the budget adds no second (refined) beta per cube
@@ -221,7 +234,7 @@ class TestDrawThroughTree:
 
     def test_coverage_failure_is_typed(self, monkeypatch):
         mu = segment_measure(48)
-        tree = grow_tree(mu, mu.points[20], c=0.05, k_max=3).tree
+        tree = grow_at(mu, mu.points[20], c=0.05, k_max=3).tree
         monkeypatch.setattr(rectify, "hausdorff_to_segments", lambda *a, **k: math.inf)
         with pytest.raises(CertificateError):
             draw_through_tree(mu, tree, c=0.05)
@@ -240,7 +253,7 @@ class TestDecomposeEstimate:
         rep = decompose_estimate(
             mu, c_ladder=(0.05,), N_cap=10.0, eps_ladder=(0.5,), k_max=4
         )
-        assert rep.labels() == ["rect-candidate"] * 64
+        assert [a.label for a in rep.atoms] == ["rect-candidate"] * 64
         assert rep.rect_mass == pytest.approx(1.0)
         assert rep.captured_fraction == pytest.approx(1.0)
         assert len(rep.curves) >= 1
@@ -290,3 +303,58 @@ class TestDecomposeEstimate:
         assert all(a.reason == "jones_above_cap" for a in rep.atoms)
         assert rep.curves == []
         assert rep.captured_fraction == 0.0
+
+
+class TestComputeOnce:
+    """Each decomposition fact is computed once, on the benchmark's mixture input."""
+
+    KWARGS = dict(c_ladder=(0.01,), N_cap=0.03, k_max=4)
+
+    def test_one_density_profile_per_atom(self, monkeypatch):
+        mu = graph_cantor_mixture()
+        calls = []
+        profile = DiscreteMeasure.density_profile
+
+        def counted(self, x, radii):
+            calls.append(tuple(np.asarray(x)))
+            return profile(self, x, radii)
+
+        monkeypatch.setattr(DiscreteMeasure, "density_profile", counted)
+        rep = decompose_estimate(mu, **self.KWARGS)
+        assert len(calls) == len(mu) == 192
+        assert len(set(calls)) == len(mu)
+        # the decomposition still draws the graph and labels every atom
+        assert rep.curves
+        assert sum(a.label == "rect-candidate" for a in rep.atoms) == 128
+
+    def test_grow_tree_takes_its_base(self, monkeypatch):
+        mu = graph_cantor_mixture()
+        growing = []
+        base_calls = []
+        grow, base_for = rectify.grow_tree, rectify.base_cube_for
+
+        def traced_grow(*args, **kwargs):
+            growing.append(True)
+            try:
+                return grow(*args, **kwargs)
+            finally:
+                growing.pop()
+
+        def traced_base(*args, **kwargs):
+            base_calls.append(bool(growing))
+            return base_for(*args, **kwargs)
+
+        monkeypatch.setattr(rectify, "grow_tree", traced_grow)
+        monkeypatch.setattr(rectify, "base_cube_for", traced_base)
+        decompose_estimate(mu, **self.KWARGS)
+        # one base per rect-candidate, none of them chosen inside grow_tree
+        assert len(base_calls) == 128 and not any(base_calls)
+
+    def test_no_net_validation_inside(self, monkeypatch):
+        from mrt import nets
+
+        mu = graph_cantor_mixture()
+        calls = []
+        monkeypatch.setattr(nets, "validate_nets", lambda *a, **k: calls.append(a))
+        rep = decompose_estimate(mu, **self.KWARGS)
+        assert rep.curves and calls == []
