@@ -31,15 +31,18 @@ the per-entry moments. The 720-angle profile's basins are then refined by
 shrinking local angle grids, one batched profile call per round; each
 basin's end line only seeds the candidates.
 
-The search objective and the certified value are kept apart. For p = 2 the
-refinement's pattern search evaluates lines from per-entry moments (mass,
-centroid and scatter of the weights scaled by diam^-2, the L^2 quantities of
-Lerman, CPAM 2003) in O(entries) per line instead of rescanning every atom
-slot, and scores the polls of a search step in one batch; this agrees with
-the direct score up to rounding. Each search's end
-line is then scored directly and replaces the witness only if that exact
-score is lower, so the reported value is never a search value and never
-exceeds the unrefined witness's score. Other p search on the direct score.
+The search objective and the certified value are kept apart. For p = 2
+every line that only seeds or ranks candidates is scored from per-entry
+moments (mass, centroid and scatter of the weights scaled by diam^-2, the
+L^2 quantities of Lerman, CPAM 2003) in O(entries) per line instead of
+rescanning every atom slot: the 144 x 48 angle-offset grid, the ranking of
+the candidates, and the refinement's pattern search, which scores the polls
+of a search step in one batch. These agree with the direct score up to
+rounding. The leading candidates and each search's end line are then scored
+directly, and an end line replaces the witness only if that exact score is
+lower, so the reported value is never a moment value and never exceeds the
+unrefined witness's score. Other p search on the direct score, a step's
+polls in one batch that rounds each line as the one-line score does.
 
 The p = 1 search additionally scores the p = 2 witness and the star_c search
 scores the star witness, so the computed values inherit the monotonicity of
@@ -47,7 +50,8 @@ the definitions: nondecreasing in p on {1, 2} and star_c <= star cube by cube.
 
 The solve reads only the scale and the family of mass-carrying nearby cubes,
 never the cube itself, so BetaCache runs it once per (scale, family, p,
-variant, c, refine) and every cube with that family gets the same bits. On a
+variant, c, refine) and every cube with that family gets the same bits; the
+family is named by its members' positions in the per-scale triple lists. On a
 finite measure the 1600 sqrt(n) dilate often covers the whole support, and
 then every cube of a scale has one family: the 9 scale-0 cubes of a shifted
 16-atom Cantor iterate need one solve, not nine.
@@ -78,7 +82,9 @@ _MAX_ENTRY_FITS = 48
 # atoms take the least offset per angle (`_Family.offset_profile`) at 720
 # angles, and each basin of that profile is zoomed in on by an 8-angle grid
 # that shrinks 4x per round, all basins in one profile call per round. Other
-# families up to 240 atom slots score a 144 angle x 48 offset grid.
+# families up to 240 atom slots score a 144 angle x 48 offset grid: for p = 2
+# from the entry moments (`_Family.grid_cell`), in blocks of angles, for
+# other p from the atom slots, one angle at a time.
 _GRID_SLOT_LIMIT = 240
 _GRID_ANGLES = 144
 _GRID_OFFSETS = 48
@@ -86,6 +92,9 @@ _GRID_ANGLES_DENSE = 720
 _ZOOM = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
 # halvings of the level bracket [max_e f_e min(v_e, 1), max_e f_e]
 _PROFILE_BISECTIONS = 64
+# floats per temporary of the p = 2 grid (1 MB): a family of up to 240 slots
+# can have 240 entries, and 240 x 144 x 48 floats are 13 MB
+_GRID_BLOCK = 1 << 17
 
 
 @dataclass
@@ -176,12 +185,14 @@ class BetaCache:
 
     Jones sums and tree draws evaluate the same cubes many times, and on a
     small measure every cube of a scale has the same nearby family. So the
-    coupled inf-max is memoized per family: the key is (scale, the raw
-    family of `nearby_cubes_with_mass` as a tuple of cubes, p, variant, c,
-    refine), and the solve reads nothing else of the cube. Each cube's value
-    is also kept under its exact (cube, p, variant, c, refine) key; it is
-    its family's value object itself. All keys are exact, so hits are
-    bit-identical to recomputation.
+    coupled inf-max is memoized per family: the key is the raw family of
+    `nearby_cubes_with_mass`, named by the scale and the member positions in
+    the per-scale lists mass_triples(k) and mass_triples(k - 1), with p,
+    variant, c and refine; the solve reads nothing else of the cube. Each
+    cube's value is also kept under its exact (cube, p, variant, c, refine)
+    key; it is its family's value object itself. Jones chains keep each
+    chain cube's (cube, beta, mass) under (scale, index, p, variant, c,
+    refine). All keys are exact, so hits are bit-identical to recomputation.
     """
 
     def __init__(self, mu: DiscreteMeasure):
@@ -190,6 +201,7 @@ class BetaCache:
         self._tripidx: dict[int, np.ndarray] = {}
         self._values: dict[tuple, BetaValue] = {}
         self._families: dict[tuple, BetaValue] = {}
+        self._chain: dict[tuple, tuple[DyadicCube, float, float]] = {}
 
     def mass_triples(self, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:
         """All scale-k cubes R with mu(3R) > 0, with atom indices and masses."""
@@ -232,6 +244,10 @@ class BetaCache:
         """The family value for key; computed once, like get_or_compute."""
         return _memo(self._families, key, compute)
 
+    def chain_entry(self, key, compute):
+        """A Jones-chain cube's (cube, beta, mass) for key; computed once."""
+        return _memo(self._chain, key, compute)
+
 
 def _memo(store: dict, key, compute):
     value = store.get(key)
@@ -250,22 +266,21 @@ def nearby_cubes_with_mass(
     """
     if cache is None:
         cache = BetaCache(mu)
+    same, coarse = _nearby_members(cache, Q)
+    fine, parent = cache.mass_triples(Q.k), cache.mass_triples(Q.k - 1)
+    return [fine[i] for i in same.tolist()] + [parent[i] for i in coarse.tolist()]
+
+
+def _nearby_members(cache: BetaCache, Q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of Q's nearby mass-carrying cubes in mass_triples(Q.k) and mass_triples(Q.k - 1).
+
+    The vectorized form of in_nearby_family over each per-scale list.
+    """
     n = Q.dim
     qidx = np.asarray(Q.index, dtype=np.int64)
-    out = []
-    for k in (Q.k, Q.k - 1):
-        trips = cache.mass_triples(k)
-        if not trips:
-            continue
-        # vectorized form of in_nearby_family over the whole per-scale list
-        idx = cache.triple_index(k)
-        if k == Q.k:
-            keep = np.all(np.abs(idx - qidx) <= same_scale_radius(n), axis=1)
-        else:
-            keep = np.all(np.abs(4 * idx + 1 - 2 * qidx) <= parent_scale_bound(n), axis=1)
-        for i in np.flatnonzero(keep):
-            out.append(trips[i])
-    return out
+    same = np.abs(cache.triple_index(Q.k) - qidx) <= same_scale_radius(n)
+    coarse = np.abs(4 * cache.triple_index(Q.k - 1) + 1 - 2 * qidx) <= parent_scale_bound(n)
+    return np.flatnonzero(same.all(axis=1)), np.flatnonzero(coarse.all(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +313,28 @@ def beta_multi(
         cache = BetaCache(mu)
 
     def compute():
-        family = nearby_cubes_with_mass(mu, Q, cache)
-        return _family_beta(mu, Q.k, family, p, variant, c, refine, cache)
+        same, coarse = _nearby_members(cache, Q)
+        members = (Q.k, same.tobytes(), coarse.tobytes())
+
+        def family():
+            return nearby_cubes_with_mass(mu, Q, cache)
+
+        return _family_beta(mu, members, family, p, variant, c, refine, cache)
 
     return cache.get_or_compute((Q, p, variant, c, bool(refine)), compute)
 
 
-def _family_beta(mu, k, family, p, variant, c, refine, cache: BetaCache) -> BetaValue:
-    """The coupled beta of a scale-k nearby family, solved once per family key.
+def _family_beta(mu, members, family, p, variant, c, refine, cache: BetaCache) -> BetaValue:
+    """The coupled beta of a nearby family, solved once per family key.
 
-    family is the list `nearby_cubes_with_mass` returns, keyed as it is,
-    before the star_c filter and the twin dedupe: that list alone fixes the
-    filtered family and both sibling witnesses.
+    members = (k, positions in mass_triples(k), positions in
+    mass_triples(k - 1)), as bytes, names the raw family that
+    `nearby_cubes_with_mass` lists, before the star_c filter and the twin
+    dedupe: it alone fixes the filtered family and both sibling witnesses.
+    family() returns that list; it is called only when the family is solved.
     """
-    key = (k, tuple(R for (R, _, _) in family), p, variant, c, bool(refine))
-    return cache.family_value(key, lambda: _beta_multi(mu, k, family, p, variant, c, refine, cache))
+    key = (members, p, variant, c, bool(refine))
+    return cache.family_value(key, lambda: _beta_multi(mu, members, family(), p, variant, c, refine, cache))
 
 
 def _triple_diams(k: int, n: int) -> dict[int, float]:
@@ -327,7 +349,9 @@ class _Family:
     distance pass over the slots scores the whole family. `score` is the
     exact coupled objective of a line (the max over entries of the capped,
     weighted beta^2 for star and star_c, of the capped beta for star_star);
-    every value beta_multi reports is a `score`.
+    every value beta_multi reports is a `score`. For p = 2 the candidates
+    are seeded and ranked from per-entry moments instead (`moments`,
+    `moment_scores`, `offset_profile`, `grid_cell`), in O(entries) per line.
     """
 
     def __init__(self, mu: DiscreteMeasure, k: int, p, variant: str, c, raw_entries):
@@ -377,7 +401,7 @@ class _Family:
             self.entry_factor = None
         self._moments = None
 
-    def entry_betas(self, line: Line) -> np.ndarray:
+    def score(self, line: Line) -> float:
         p = self.p
         Y = self.P - line.base
         t = Y @ line.direction
@@ -385,22 +409,44 @@ class _Family:
         d = np.sqrt(np.einsum("ij,ij->i", resid, resid))
         contrib = self.W * (d * self.slot_inv_diam) ** p
         sums = np.bincount(self.entry_id, weights=contrib, minlength=len(self.entries))
-        b = (sums * self.inv_mass) ** (1.0 / p)
         # per-cube betas are truncated at 1: a line can sit arbitrarily far
         # from one nearby cube, but the variant scores live in [0, 1]
-        return np.minimum(b, 1.0)
-
-    def score(self, line: Line) -> float:
-        b = self.entry_betas(line)
+        b = np.minimum((sums * self.inv_mass) ** (1.0 / p), 1.0)
         vals = b * b * self.entry_factor if self.entry_factor is not None else b
         return float(vals.max())
 
+    def slot_scores(self, bases: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """score(Line(b, u)) for each row b of bases, u of directions, bit for bit.
+
+        The steps of `score`, batched: one stacked matmul gives every row's
+        projections (one BLAS call per row, as `score` makes) and one
+        bincount over (row, entry) bins sums each row's entries in slot
+        order. Each direction must be a unit vector.
+        """
+        p, E = self.p, len(self.entries)
+        Y = self.P[None, :, :] - bases[:, None, :]
+        t = np.matmul(Y, directions[:, :, None])
+        resid = Y - t * directions[:, None, :]
+        d = np.sqrt(np.einsum("rij,rij->ri", resid, resid))
+        contrib = self.W * (d * self.slot_inv_diam) ** p
+        bins = (E * np.arange(len(bases)))[:, None] + self.entry_id
+        sums = np.bincount(bins.ravel(), weights=contrib.ravel(), minlength=len(bases) * E)
+        b = np.minimum((sums.reshape(-1, E) * self.inv_mass) ** (1.0 / p), 1.0)
+        vals = b * b * self.entry_factor if self.entry_factor is not None else b
+        return vals.max(axis=1)
+
     def score_many(self, lines: list[Line]) -> np.ndarray:
-        # one pass over all candidates; distances via d^2 = |y|^2 - (y . dir)^2
-        # on family-centered coordinates so the subtraction stays accurate
-        p, Pc, W, starts = self.p, self.Pc, self.W, self.starts
-        inv_mass, entry_factor, slot_inv_diam = self.inv_mass, self.entry_factor, self.slot_inv_diam
+        """Approximate scores of many lines, to rank candidates; never reported.
+
+        p = 2 scores from the per-entry moments (moment_scores). Other p take
+        one pass over the slots for all lines, with distances from
+        d^2 = |y|^2 - (y . dir)^2 on family-centered coordinates so that the
+        subtraction stays accurate.
+        """
         dirs = np.array([ln.direction for ln in lines])
+        if self.p == 2:
+            return self.moment_scores(np.array([ln.base for ln in lines]), dirs)
+        p, Pc, W, starts = self.p, self.Pc, self.W, self.starts
         bases = np.array([ln.base for ln in lines]) - self.cen
         t = Pc @ dirs.T - np.einsum("cj,cj->c", bases, dirs)[None, :]
         sq = (
@@ -409,18 +455,11 @@ class _Family:
             + np.einsum("cj,cj->c", bases, bases)[None, :]
             - t * t
         )
-        sq = np.maximum(sq, 0.0)
-        if p == 2:
-            contrib = (W * slot_inv_diam * slot_inv_diam)[:, None] * sq
-            sums = np.add.reduceat(contrib, starts, axis=0)
-            b2 = np.minimum(sums * inv_mass[:, None], 1.0)
-            vals = b2 * entry_factor[:, None] if entry_factor is not None else np.sqrt(b2)
-            return vals.max(axis=0)
-        d = np.sqrt(sq)
-        contrib = W[:, None] * (d * slot_inv_diam[:, None]) ** p
+        d = np.sqrt(np.maximum(sq, 0.0))
+        contrib = W[:, None] * (d * self.slot_inv_diam[:, None]) ** p
         sums = np.add.reduceat(contrib, starts, axis=0)
-        b = np.minimum((sums * inv_mass[:, None]) ** (1.0 / p), 1.0)
-        vals = b * b * entry_factor[:, None] if entry_factor is not None else b
+        b = np.minimum((sums * self.inv_mass[:, None]) ** (1.0 / p), 1.0)
+        vals = b * b * self.entry_factor[:, None] if self.entry_factor is not None else b
         return vals.max(axis=0)
 
     def moment_scores(self, bases: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -460,6 +499,41 @@ class _Family:
             self._moments = (S0, m, C, np.trace(C, axis1=1, axis2=2))
         return self._moments
 
+    def _planar(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per entry e and angle th: M0 = S0 / mass, c = m . nu and v = nu^T C nu / mass.
+
+        nu = (-sin th, cos th); along the planar lines {cen + t nu + r (cos th,
+        sin th)} entry e has b^2 = M0 (t - c)^2 + v before the cap at 1.
+        """
+        S0, m, C, _ = self.moments()
+        th = np.asarray(thetas, dtype=float)
+        nx, ny = -np.sin(th), np.cos(th)
+        c = np.outer(m[:, 0], nx) + np.outer(m[:, 1], ny)
+        v = np.outer(C[:, 0, 0], nx * nx) + np.outer(2.0 * C[:, 0, 1], nx * ny) + np.outer(C[:, 1, 1], ny * ny)
+        return S0 * self.inv_mass, c, np.maximum(v, 0.0) * self.inv_mass[:, None]
+
+    def grid_cell(self, thetas, ts) -> tuple[int, int]:
+        """The (angle, offset) grid cell of least p = 2 objective, first in row-major order.
+
+        Cell (i, j) is the line {cen + ts[j] nu + r (cos th_i, sin th_i)},
+        where entry e scores f_e min(M0 (t - c)^2 + v, 1) (star_star: the
+        square root), the vertex form of `_planar`. Angles go in blocks so
+        that no temporary holds more than _GRID_BLOCK floats; n = 2 only.
+        """
+        M0, c, v = self._planar(thetas)
+        f = self.entry_factor
+        ts = np.asarray(ts, dtype=float)
+        step = max(1, _GRID_BLOCK // (len(M0) * len(ts)))
+        best, cell = np.inf, (0, 0)
+        for a in range(0, c.shape[1], step):
+            d = ts - c[:, a : a + step, None]
+            b2 = np.minimum(M0[:, None, None] * d * d + v[:, a : a + step, None], 1.0)
+            worst = (b2 * f[:, None, None] if f is not None else np.sqrt(b2)).max(axis=0)
+            j = int(np.argmin(worst))
+            if worst.flat[j] < best:
+                best, cell = worst.flat[j], (a + j // len(ts), j % len(ts))
+        return cell
+
     def offset_profile(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """Least p = 2 objective over the planar lines of each angle, and its offset.
 
@@ -476,7 +550,7 @@ class _Family:
         every t ties. Returns the objective at (th, t) and t, per angle; p = 2
         and n = 2 only.
         """
-        S0, m, C, _ = self.moments()
+        M0, c, v = self._planar(thetas)
         f = self.entry_factor if self.entry_factor is not None else np.ones(len(self.entries))
         # rows are entries, columns angles. Inside the bracket only entries
         # weighted below the top weight can turn free, so they go last and
@@ -484,14 +558,8 @@ class _Family:
         # star_c). A top entry at lam = max f keeps its b^2 <= 1 interval:
         # if those meet, any point of them also scores max f.
         order = np.argsort(-f, kind="stable")
-        f, m, C, inv_mass = f[order], m[order], C[order], self.inv_mass[order]
+        f, M0, c, v = f[order], M0[order], c[order], v[order]
         n_top = int(np.count_nonzero(f == f[0]))
-        M0 = S0[order] * inv_mass
-        th = np.asarray(thetas, dtype=float)
-        nx, ny = -np.sin(th), np.cos(th)
-        c = np.outer(m[:, 0], nx) + np.outer(m[:, 1], ny)
-        v = np.outer(C[:, 0, 0], nx * nx) + np.outer(2.0 * C[:, 0, 1], nx * ny) + np.outer(C[:, 1, 1], ny * ny)
-        v = np.maximum(v, 0.0) * inv_mass[:, None]
         # half-width^2 at level lam: (lam / f - v) / M0 = lam * a - b
         a = 1.0 / (f * M0)
         b = v / M0[:, None]
@@ -542,7 +610,7 @@ def _refine_objective(fam: _Family, n: int, p):
 
     Rows whose direction has norm < 1e-9 score 1e30, so the search never
     moves onto them. For p = 2 the rows go to moment_scores together; other
-    p score each line directly.
+    p go to slot_scores together, the exact score of each line.
     """
 
     def objective(X):
@@ -550,19 +618,17 @@ def _refine_objective(fam: _Family, n: int, p):
         nrm = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None])[:, 0, 0])
         out = np.full(len(X), 1e30)
         ok = nrm >= 1e-9
-        if p == 2:
-            out[ok] = fam.moment_scores(X[ok, :n], raw[ok] / nrm[ok, None])
-        else:
-            for i in np.flatnonzero(ok):
-                out[i] = fam.score(Line(X[i, :n], raw[i] / nrm[i]))
+        scores = fam.moment_scores if p == 2 else fam.slot_scores
+        out[ok] = scores(X[ok, :n], raw[ok] / nrm[ok, None])
         return out
 
     return objective
 
 
-def _beta_multi(mu, k, family, p, variant, c, refine, cache) -> BetaValue:
+def _beta_multi(mu, members, family, p, variant, c, refine, cache) -> BetaValue:
     # the solve sees only the scale and the family, never the cube, so every
     # cube with this family key gets the same bits
+    k = members[0]
     fam = _family(mu, k, family, p, variant, c)
     if fam is None:
         return BetaValue(0.0, None, p, variant)
@@ -657,21 +723,25 @@ def _beta_multi(mu, k, family, p, variant, c, refine, cache) -> BetaValue:
     elif n == 2 and len(slots) <= _GRID_SLOT_LIMIT:
         rad = float(np.max(np.linalg.norm(Pc, axis=1))) + diameter
         ts = np.linspace(-rad, rad, _GRID_OFFSETS)
-        gbest = None
-        for i in range(_GRID_ANGLES):
-            th = np.pi * i / _GRID_ANGLES
-            nrm = np.array([-np.sin(th), np.cos(th)])
-            s = P @ nrm - cen @ nrm
-            devs = np.abs(s[:, None] - ts[None, :])
-            contrib = W[:, None] * (devs * slot_inv_diam[:, None]) ** p
-            sums = np.add.reduceat(contrib, starts, axis=0)
-            b = np.minimum((sums * inv_mass[:, None]) ** (1.0 / p), 1.0)
-            vals = b * b * entry_factor[:, None] if entry_factor is not None else b
-            worst = vals.max(axis=0)
-            j = int(np.argmin(worst))
-            if gbest is None or worst[j] < gbest[0]:
-                gbest = (float(worst[j]), th, float(ts[j]))
-        _, th, t = gbest
+        if p == 2:
+            i, j = fam.grid_cell(np.pi * np.arange(_GRID_ANGLES) / _GRID_ANGLES, ts)
+            th, t = np.pi * i / _GRID_ANGLES, float(ts[j])
+        else:
+            gbest = None
+            for i in range(_GRID_ANGLES):
+                th = np.pi * i / _GRID_ANGLES
+                nrm = np.array([-np.sin(th), np.cos(th)])
+                s = P @ nrm - cen @ nrm
+                devs = np.abs(s[:, None] - ts[None, :])
+                contrib = W[:, None] * (devs * slot_inv_diam[:, None]) ** p
+                sums = np.add.reduceat(contrib, starts, axis=0)
+                b = np.minimum((sums * inv_mass[:, None]) ** (1.0 / p), 1.0)
+                vals = b * b * entry_factor[:, None] if entry_factor is not None else b
+                worst = vals.max(axis=0)
+                j = int(np.argmin(worst))
+                if gbest is None or worst[j] < gbest[0]:
+                    gbest = (float(worst[j]), th, float(ts[j]))
+            _, th, t = gbest
         candidates.append(
             Line(cen + t * np.array([-np.sin(th), np.cos(th)]), np.array([np.cos(th), np.sin(th)]))
         )
@@ -679,12 +749,12 @@ def _beta_multi(mu, k, family, p, variant, c, refine, cache) -> BetaValue:
     # definitional monotonicities term by term (see module docstring)
     witness_ids: list[int] = []
     if p == 1:
-        sib = _family_beta(mu, k, family, 2, variant, c, refine, cache)
+        sib = _family_beta(mu, members, lambda: family, 2, variant, c, refine, cache)
         if sib.line is not None:
             witness_ids.append(len(candidates))
             candidates.append(sib.line)
     if variant == "star_c":
-        sib = _family_beta(mu, k, family, p, "star", None, refine, cache)
+        sib = _family_beta(mu, members, lambda: family, p, "star", None, refine, cache)
         if sib.line is not None:
             witness_ids.append(len(candidates))
             candidates.append(sib.line)

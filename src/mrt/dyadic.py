@@ -126,16 +126,23 @@ class DyadicCube:
         return all(i >> shift == j for i, j in zip(R.index, self.index))
 
 
-def cell_index(X, k: int) -> np.ndarray:
+def cell_index(X, k) -> np.ndarray:
     """Integer index of the scale-k cube holding each coordinate, floor(x 2^k).
 
-    Raises ScaleOverflow when an index reaches 2^60 in magnitude: past 2^63
-    the int64 cast wraps to INT64_MIN, and the nearby-family test forms
-    4 j + 1 - 2 i, which must stay inside int64 too.
+    k may be an integer array that broadcasts against X, e.g. a column of
+    scales against one point, to get a point's cells at many scales in one
+    call. Scaling is by np.ldexp, which is exact where x 2^k is finite and
+    gives inf where it is not, so every overflow reaches the check: it
+    raises ScaleOverflow when an index reaches 2^60 in magnitude, since
+    past 2^63 the int64 cast wraps to INT64_MIN, and the nearby-family test
+    forms 4 j + 1 - 2 i, which must stay inside int64 too.
     """
-    f = np.floor(np.asarray(X, dtype=float) * 2.0**k)
-    if not np.all(np.abs(f) < _MAX_CELL_INDEX):
-        raise ScaleOverflow(f"cell index at scale {k} reaches 2^60; coordinates or scale too large")
+    with np.errstate(over="ignore"):
+        f = np.floor(np.ldexp(np.asarray(X, dtype=float), k))
+    bad = ~(np.abs(f) < _MAX_CELL_INDEX)
+    if bad.any():
+        scale = int(np.broadcast_to(k, f.shape)[bad].min())
+        raise ScaleOverflow(f"cell index at scale {scale} reaches 2^60; coordinates or scale too large")
     return f.astype(np.int64)
 
 
@@ -145,11 +152,22 @@ def cube_at(x, k: int) -> DyadicCube:
     return DyadicCube(int(k), tuple(int(i) for i in idx))
 
 
+def chain_cells(x, scales) -> list[tuple[int, ...]]:
+    """Index of the cube holding the point x at each of the given scales.
+
+    One checked cell_index call covers every scale.
+    """
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    ks = np.asarray(scales, dtype=np.int64).reshape(-1, 1)
+    return [tuple(row) for row in cell_index(x, ks).tolist()]
+
+
 def chain_of_cubes(x, k_max: int, k_min: int = 0) -> list[DyadicCube]:
     """Nested cubes containing x at scales k_min..k_max (coarse to fine)."""
     if k_max < k_min:
         raise ValueError("k_max must be >= k_min")
-    return [cube_at(x, k) for k in range(k_min, k_max + 1)]
+    scales = range(k_min, k_max + 1)
+    return [DyadicCube(k, idx) for k, idx in zip(scales, chain_cells(x, scales))]
 
 
 # ---------------------------------------------------------------------------

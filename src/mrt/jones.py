@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beta import BetaCache, BetaValue, beta_best, beta_multi, beta_sup_set
-from .dyadic import CubeTree, DyadicCube, chain_of_cubes, cube_at
+from .beta import BetaCache, beta_best, beta_multi, beta_sup_set
+from .dyadic import CubeTree, DyadicCube, chain_cells, cube_at
 from .measure import DiscreteMeasure
 
 JONES_VARIANTS = ("star", "tilde", "star_star", "star_c")
@@ -68,12 +68,14 @@ def default_kmax(mu: DiscreteMeasure, x, cap: int = 40) -> int:
     return cap
 
 
-def _beta_for(mu, Q, p, variant, c, cache, refine) -> BetaValue:
+def _chain_entry(mu, k, idx, p, variant, c, cache, refine) -> tuple[DyadicCube, float, float]:
+    """(cube, beta, mass) of the scale-k chain cube with index idx."""
+    Q = DyadicCube(k, idx)
     if variant == "tilde":
-        if cache is None:
-            return beta_best(mu, Q.triple(), p)
-        return cache.get_or_compute((Q, p, "tilde", None), lambda: beta_best(mu, Q.triple(), p))
-    return beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache)
+        bv = beta_best(mu, Q.triple(), p)
+    else:
+        bv = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache)
+    return Q, bv.value, mu.mass(Q)
 
 
 def jones_at(
@@ -91,6 +93,12 @@ def jones_at(
     k_max defaults to the first scale at which the chain cube contains at
     most one atom. p > 2 triggers a warning (the p=2 theory is the sharp
     one; larger p only weakens the statistics).
+
+    The chain's cells come from one checked cell_index call, and each chain
+    cube's (cube, beta, mass) is read from the cache's chain memo, keyed by
+    (scale, index, p, variant, c, refine): points that share a chain cube,
+    as every point does at the coarse scales, compute it once. The sum runs
+    coarse to fine, so the value is the one a fresh cache gives.
     """
     if variant not in JONES_VARIANTS:
         raise ValueError(f"variant must be one of {JONES_VARIANTS}")
@@ -101,13 +109,15 @@ def jones_at(
         k_max = default_kmax(mu, x)
     if cache is None:
         cache = BetaCache(mu)
+    settings = (p, variant, c, bool(refine))
     terms: list[JonesTerm] = []
     divergent_cubes: list[DyadicCube] = []
     total = 0.0
-    for Q in chain_of_cubes(x, k_max):
-        bv = _beta_for(mu, Q, p, variant, c, cache, refine)
-        b2 = bv.value * bv.value
-        mass = mu.mass(Q)
+    for k, idx in enumerate(chain_cells(x, range(k_max + 1))):
+        Q, beta, mass = cache.chain_entry(
+            (k, idx, settings), lambda: _chain_entry(mu, k, idx, p, variant, c, cache, refine)
+        )
+        b2 = beta * beta
         if mass > 0.0:
             term = b2 * Q.diameter / mass
             divergent = False
@@ -119,7 +129,7 @@ def jones_at(
             divergent = True
             divergent_cubes.append(Q)
         total += term
-        terms.append(JonesTerm(Q, bv.value, mass, term, divergent))
+        terms.append(JonesTerm(Q, beta, mass, term, divergent))
     return JonesReport(
         point=x,
         p=p,

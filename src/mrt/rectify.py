@@ -19,7 +19,7 @@ import numpy as np
 from ._parallel import pmap
 from .beta import BetaCache, beta_multi
 from .curve import CurveResult, construct_curve
-from .dyadic import CubeTree, DyadicCube, cube_at
+from .dyadic import CubeTree, DyadicCube, chain_cells, cube_at
 from .errors import CertificateError, TreeStructureError
 from .jones import jones_at, square_sum
 from .measure import DensityProfile, DiscreteMeasure
@@ -44,12 +44,14 @@ class LocalizationResult:
 
 
 def sum_function(tree: CubeTree, b: dict[DyadicCube, float], mu: DiscreteMeasure, x) -> float:
-    """Mass-normalized sum of b over tree cubes containing x (0/0 = 0)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+    """Mass-normalized sum of b over tree cubes containing x (0/0 = 0).
+
+    x's cells at every tree scale come from one checked cell_index call.
+    """
     total = 0.0
     scales = sorted({Q.k for Q in tree.members})
-    for k in scales:
-        Q = cube_at(x, k)
+    for k, idx in zip(scales, chain_cells(x, scales)):
+        Q = DyadicCube(k, idx)
         if Q in tree.members:
             val = b.get(Q, 0.0)
             mass = mu.mass(Q)

@@ -24,6 +24,14 @@ the one-point arithmetic that `pattern_search`, `_Family.moment_scores` and
 objective call, the moment objective of one line, and the per-edge strip scan
 over a hull built on numpy scalars. The batched code must match them bit for
 bit. `rows` adapts a one-point objective to the batched `pattern_search`.
+
+`slot_grid_cell` and `slot_score_many` score lines from the family's atom
+slots, where `_Family.grid_cell` and the p = 2 `_Family.score_many` use the
+per-entry moments: the angle-by-angle grid loop and the one-pass slot
+scorer. The moment forms must pick the same grid cell and agree to rounding.
+
+`chain_jones` is the Jones chain sum one cube at a time: `cube_at` per
+scale, a beta and a mass per chain cube, no memo of its own.
 """
 
 from __future__ import annotations
@@ -32,9 +40,11 @@ import itertools
 
 import numpy as np
 
-from mrt.dyadic import DyadicCube, parent_scale_bound, same_scale_radius
+from mrt.beta import BetaCache, beta_best, beta_multi
+from mrt.dyadic import DyadicCube, cube_at, parent_scale_bound, same_scale_radius
 from mrt.errors import DegenerateRegion, DimensionMismatch
 from mrt.geometry import Line, _as_points, _as_weights, pattern_search, sorted_unique, unit
+from mrt.jones import default_kmax
 
 
 def rows(f):
@@ -424,3 +434,84 @@ def min_width_strip_loop(points) -> tuple[float, Line]:
     if best is None:
         raise DegenerateRegion("every hull edge has zero length")
     return best
+
+
+def slot_grid_cell(fam, n_angles: int, ts) -> tuple[int, int]:
+    """First (angle, offset) cell of least objective on the planar grid, from the atom slots.
+
+    Angle i is pi i / n_angles; the line of cell (i, j) is
+    {cen + ts[j] nu + r (cos th, sin th)}. Each angle scores every slot's
+    offset against every ts, and a later angle wins only when strictly lower.
+    """
+    p, P, W, cen = fam.p, fam.P, fam.W, fam.cen
+    ts = np.asarray(ts, dtype=float)
+    best = None
+    for i in range(n_angles):
+        th = np.pi * i / n_angles
+        nrm = np.array([-np.sin(th), np.cos(th)])
+        s = P @ nrm - cen @ nrm
+        devs = np.abs(s[:, None] - ts[None, :])
+        contrib = W[:, None] * (devs * fam.slot_inv_diam[:, None]) ** p
+        sums = np.add.reduceat(contrib, fam.starts, axis=0)
+        b = np.minimum((sums * fam.inv_mass[:, None]) ** (1.0 / p), 1.0)
+        vals = b * b * fam.entry_factor[:, None] if fam.entry_factor is not None else b
+        worst = vals.max(axis=0)
+        j = int(np.argmin(worst))
+        if best is None or worst[j] < best[0]:
+            best = (float(worst[j]), i, j)
+    return best[1], best[2]
+
+
+def slot_score_many(fam, lines) -> np.ndarray:
+    """The p = 2 coupled objective of each line, in one pass over the atom slots.
+
+    Distances come from d^2 = |y|^2 - (y . dir)^2 on family-centred
+    coordinates, so the subtraction stays accurate far from the origin.
+    """
+    Pc, W = fam.Pc, fam.W
+    dirs = np.array([ln.direction for ln in lines])
+    bases = np.array([ln.base for ln in lines]) - fam.cen
+    t = Pc @ dirs.T - np.einsum("cj,cj->c", bases, dirs)[None, :]
+    sq = (
+        np.einsum("ij,ij->i", Pc, Pc)[:, None]
+        - 2.0 * (Pc @ bases.T)
+        + np.einsum("cj,cj->c", bases, bases)[None, :]
+        - t * t
+    )
+    sq = np.maximum(sq, 0.0)
+    contrib = (W * fam.slot_inv_diam * fam.slot_inv_diam)[:, None] * sq
+    sums = np.add.reduceat(contrib, fam.starts, axis=0)
+    b2 = np.minimum(sums * fam.inv_mass[:, None], 1.0)
+    vals = b2 * fam.entry_factor[:, None] if fam.entry_factor is not None else np.sqrt(b2)
+    return vals.max(axis=0)
+
+
+def chain_jones(mu, x, p=2, variant="star", k_max=None, c=None, refine=True, cache=None):
+    """(value, divergent, ledger, divergent cubes) of the truncated Jones sum at x.
+
+    The ledger lists (cube, beta, mass, term, divergent) coarse to fine.
+    Tilde terms take the best line of the triple; the others beta_multi.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if k_max is None:
+        k_max = default_kmax(mu, x)
+    if cache is None:
+        cache = BetaCache(mu)
+    ledger, flagged, total = [], [], 0.0
+    for k in range(k_max + 1):
+        Q = cube_at(x, k)
+        if variant == "tilde":
+            beta = beta_best(mu, Q.triple(), p).value
+        else:
+            beta = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache).value
+        mass = mu.mass(Q)
+        b2 = beta * beta
+        term, divergent = 0.0, False
+        if mass > 0.0:
+            term = b2 * Q.diameter / mass
+        elif b2 != 0.0:
+            divergent = True
+            flagged.append(Q)
+        total += term
+        ledger.append((Q, beta, mass, term, divergent))
+    return float(total), bool(flagged), ledger, flagged

@@ -30,6 +30,8 @@ from _oracle import (
     offset_envelope,
     offset_envelope_min,
     sequential_pattern_search,
+    slot_grid_cell,
+    slot_score_many,
 )
 from _samples import four_corner_cantor, lipschitz_graph_measure, segment_cantor_mixture, segment_measure
 from conftest import FIXTURES_DIR
@@ -274,10 +276,18 @@ class TestBetaMulti:
         cache = BetaCache(mu)
         Q = cube_at(mu.points[0], 1)
         bv = beta_multi(mu, Q, 2, "star", cache=cache)
-        family = nearby_cubes_with_mass(mu, Q, cache)
         # the cube key holds its family's value object, not a copy of it
-        assert beta_mod._family_beta(mu, Q.k, family, 2, "star", None, True, cache) is bv
+        assert family_beta(mu, Q, 2, "star", None, True, cache) is bv
         assert cache.get((Q, 2, "star", None, True)) is bv
+
+
+def family_beta(mu, Q, p, variant, c, refine, cache):
+    """The family memo's value for the raw family of Q, looked up by its member positions."""
+    same, coarse = beta_mod._nearby_members(cache, Q)
+    members = (Q.k, same.tobytes(), coarse.tobytes())
+    return beta_mod._family_beta(
+        mu, members, lambda: nearby_cubes_with_mass(mu, Q, cache), p, variant, c, refine, cache
+    )
 
 
 def cube_family(mu, Q, p, variant, c, cache=None):
@@ -359,6 +369,101 @@ class TestMomentObjective:
             got = beta_mod.pattern_search(_refine_objective(fam, n, 2), x0, steps, max_iter=60, tol=1e-12)
             want = sequential_pattern_search(one_line, x0, steps, max_iter=60, tol=1e-12)
             assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+def grid_families(variant):
+    """p = 2 planar families of a random measure, at the origin and translated by 2048, and of a graph."""
+    c = 0.05 if variant == "star_c" else None
+    for shift in (0.0, 2048.0):
+        rng = np.random.default_rng(90)
+        pts = shift + rng.uniform(0.0, 1.0, size=(40, 2))
+        mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=40))
+        for k in (1, 2, 3):
+            yield cube_family(mu, cube_at(pts[0], k), 2, variant, c, None), k
+    mu = lipschitz_graph_measure(40)
+    yield cube_family(mu, cube_at(mu.points[0], 1), 2, variant, c, None), 1
+
+
+def grid_offsets(fam, k):
+    # the offsets beta_multi scores: the family's radius plus one cube diameter
+    rad = float(np.max(np.linalg.norm(fam.Pc, axis=1))) + 2.0**-k * np.sqrt(2.0)
+    return np.linspace(-rad, rad, beta_mod._GRID_OFFSETS)
+
+
+GRID_ANGLES = np.pi * np.arange(beta_mod._GRID_ANGLES) / beta_mod._GRID_ANGLES
+
+
+class TestMomentGrid:
+    """The p = 2 grid and candidate ranking from entry moments agree with the slot forms."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_grid_picks_slot_cell(self, variant):
+        blocks = []
+        for fam, k in grid_families(variant):
+            ts = grid_offsets(fam, k)
+            assert fam.grid_cell(GRID_ANGLES, ts) == slot_grid_cell(fam, beta_mod._GRID_ANGLES, ts)
+            blocks.append(len(fam.entries) * len(ts) * len(GRID_ANGLES) / beta_mod._GRID_BLOCK)
+        # some family's grid spans several angle blocks
+        assert max(blocks) > 2
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_grid_cell_does_not_depend_on_block_size(self, variant, monkeypatch):
+        fam, k = next(grid_families(variant))
+        ts = grid_offsets(fam, k)
+        cells = set()
+        for block in (1, 5 * len(ts) * len(fam.entries), 1 << 30):
+            monkeypatch.setattr(beta_mod, "_GRID_BLOCK", block)
+            cells.add(fam.grid_cell(GRID_ANGLES, ts))
+        assert len(cells) == 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_score_many_matches_slot_scores(self, variant):
+        rng = np.random.default_rng(91)
+        for fam, _k in grid_families(variant):
+            lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
+            bases = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(30, 2))
+            dirs = rng.normal(size=(30, 2))
+            lines = [Line(b, u) for b, u in zip(bases, dirs)] + [fit_line(fam.P, fam.W, 2)[0]]
+            got, want = fam.score_many(lines), slot_score_many(fam, lines)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+class TestSlotScores:
+    """The batched slot score equals the one-line score bit for bit, row by row."""
+
+    @pytest.mark.parametrize("p", (1, 1.5, 2, 3))
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("shift", (0.0, 2048.0))
+    def test_rows_match_score(self, p, n, shift):
+        rng = np.random.default_rng(60 + n)
+        pts = shift + rng.uniform(0.0, 1.0, size=(24, n))
+        mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=24))
+        for variant in VARIANTS:
+            c = 0.05 if variant == "star_c" else None
+            for k in (-1, 2):
+                fam = cube_family(mu, cube_at(pts[0], k), p, variant, c, None)
+                lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
+                bases = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(17, n))
+                dirs = rng.normal(size=(17, n))
+                dirs /= np.sqrt(np.einsum("ij,ij->i", dirs, dirs))[:, None]
+                want = [fam.score(Line(b, u)) for b, u in zip(bases, dirs)]
+                for rows in (slice(0, 1), slice(3, 9), slice(None)):
+                    assert fam.slot_scores(bases[rows], dirs[rows]).tolist() == want[rows]
+
+    def test_refine_objective_scores_each_row(self):
+        # the p = 1 refine objective: raw directions of any length, and rows
+        # too short to name a direction
+        mu = lipschitz_graph_measure(40)
+        n = 2
+        fam = cube_family(mu, cube_at(mu.points[0], 1), 1, "star", None, None)
+        rng = np.random.default_rng(62)
+        X = np.column_stack([rng.uniform(0.0, 1.0, size=(12, n)), rng.normal(scale=3.0, size=(12, n))])
+        X[4, n:] = 0.0
+        X[7, n:] = 1e-10
+        got = _refine_objective(fam, n, 1)(X)
+        for x, value in zip(X, got):
+            nrm = float(np.linalg.norm(x[n:]))
+            assert value == (1e30 if nrm < 1e-9 else fam.score(Line(x[:n], x[n:] / nrm)))
 
 
 DENSE_ANGLES = np.pi * np.arange(720) / 720
@@ -524,9 +629,9 @@ def count_solves(monkeypatch):
     solved = []
     solve = beta_mod._beta_multi
 
-    def counted(mu, k, family, p, variant, c, refine, cache):
-        solved.append((k, tuple(R for (R, _, _) in family), p, variant, c, refine))
-        return solve(mu, k, family, p, variant, c, refine, cache)
+    def counted(mu, members, family, p, variant, c, refine, cache):
+        solved.append((members[0], tuple(R for (R, _, _) in family), p, variant, c, refine))
+        return solve(mu, members, family, p, variant, c, refine, cache)
 
     monkeypatch.setattr(beta_mod, "_beta_multi", counted)
     return solved
@@ -592,8 +697,7 @@ class TestFamilyMemo:
             for combo in combos:
                 p, variant, c, refine = combo
                 bv = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=shared)
-                family = nearby_cubes_with_mass(mu, Q, shared)
-                assert bv is beta_mod._family_beta(mu, k, family, p, variant, c, refine, shared)
+                assert bv is family_beta(mu, Q, p, variant, c, refine, shared)
                 # the tracer's per-cube probe still sees the cube's value
                 assert shared.get((Q, p, variant, c, refine)) is bv
                 values[Q, combo] = bv

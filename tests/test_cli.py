@@ -10,7 +10,7 @@ from mrt import cli, rectify
 from mrt._serialize import dumps
 from mrt.cli import main, save_measure
 
-from _samples import four_corner_cantor, lipschitz_graph_measure, segment_cantor_mixture
+from _samples import four_corner_cantor, lipschitz_graph_measure, polyline_measure, segment_cantor_mixture
 from conftest import FIXTURES_DIR
 
 
@@ -136,6 +136,21 @@ def test_tst_lipschitz_golden(tmp_path):
     assert dumps(rep) == (FIXTURES_DIR / "tst_lipschitz40_golden.json").read_text()
 
 
+def test_jones_default_kmax_golden(tmp_path):
+    # without --k-max each atom's chain runs to its own first single-occupancy
+    # scale (2 to 5 here), so chains of different lengths share the chain
+    # memo. The fixture, without the input path, was written while each
+    # chain cube was computed on its own
+    measure = tmp_path / "measure.json"
+    save_measure(polyline_measure(20), measure)
+    out = tmp_path / "report.json"
+    assert main(["jones", str(measure), "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert {a["k_max"] for a in rep["atoms"]} == {2, 3, 4, 5}
+    del rep["config"]["input"]
+    assert dumps(rep) == (FIXTURES_DIR / "jones_polyline20_golden.json").read_text()
+
+
 def _raise_runtime_error(*_args):
     raise RuntimeError("injected failure")
 
@@ -156,11 +171,13 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n", ["curve", "--cstar", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["curve", "--r0", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["jones", "--k-max", "70"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n0.5,0.5,1\n", ["jones", "--k-max", "1100"], None, 2, "input", "ScaleOverflow"),
         ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
     ],
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
          "dim-header-conflict", "zero-c-ladder", "infinite-p", "infinite-c", "infinite-c-ladder",
-         "infinite-n-cap", "infinite-cstar", "infinite-r0", "scale-overflow", "internal-error"],
+         "infinite-n-cap", "infinite-cstar", "infinite-r0", "scale-overflow", "scale-past-float-range",
+         "internal-error"],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):
     measure = tmp_path / "measure.csv"

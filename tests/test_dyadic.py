@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrt import Box, CubeTree, DiscreteMeasure, DyadicCube, chain_of_cubes, cube_at
-from mrt.dyadic import NEARBY_DILATION, in_nearby_family, same_scale_radius
+from mrt.dyadic import NEARBY_DILATION, chain_cells, in_nearby_family, same_scale_radius
 from mrt.errors import DimensionMismatch, ScaleOverflow, TreeStructureError
 
 from _oracle import nearby_count, nearby_cubes
@@ -94,6 +94,16 @@ class TestDyadicCube:
         assert Q.index == tuple(math.floor(Fraction(v) * 2**60) for v in mu.points[1])
         assert mu.atoms_in(Q).tolist() == [1]
 
+    def test_cell_index_past_float_scale_range(self):
+        # 2^k is no float for k >= 1024; x 2^k still overflows to the check,
+        # and only for x != 0
+        for k in (1023, 1024, 1100):
+            with pytest.raises(ScaleOverflow):
+                cube_at([0.5, 0.5], k)
+            assert cube_at([0.0, -0.0], k).index == (0, 0)
+        with pytest.raises(ScaleOverflow, match="scale 61"):
+            chain_of_cubes([0.0, 0.5], 1100)
+
 
 class TestBox:
     def test_closed_membership(self):
@@ -121,6 +131,15 @@ def test_chain_of_cubes_nested():
         assert fine.parent() == coarse
     with pytest.raises(ValueError):
         chain_of_cubes(x, 0, 2)
+
+
+@pytest.mark.parametrize("x", ([0.3, 0.71], [-0.3, -1.7], [-1e-9, 5.25], [2048.4, -3.0], [-0.2], [0.1, -0.6, 7.5]))
+def test_chain_cells_match_cube_at(x):
+    # the one-call cells of every scale equal a cube_at per scale
+    assert chain_of_cubes(x, 40, 0) == [cube_at(x, k) for k in range(41)]
+    assert chain_of_cubes(x, 3, -2) == [cube_at(x, k) for k in range(-2, 4)]
+    scales = [5, 1, 3]
+    assert chain_cells(x, scales) == [cube_at(x, k).index for k in scales]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrt import (
     BetaCache,
@@ -15,6 +17,7 @@ from mrt import (
 )
 from mrt.jones import JONES_VARIANTS, mass_cube_family
 
+from _oracle import chain_jones
 from _samples import four_corner_cantor, segment_measure
 
 
@@ -101,6 +104,39 @@ class TestJonesAt:
         rep = jones_at(mu, corner, variant="tilde", p=2)
         assert rep.value == pytest.approx(0.311129, abs=5e-6)
         assert not rep.divergent
+
+
+@st.composite
+def chain_cases(draw):
+    """Distinct atoms on the 1/8 lattice of [-2, 2)^n, n = 1..3, and a point off the atoms."""
+    n = draw(st.integers(1, 3))
+    lattice = st.tuples(*[st.integers(-16, 15)] * n)
+    cells = draw(st.lists(lattice, min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=len(cells), max_size=len(cells)))
+    probe = (np.array(draw(lattice), dtype=float) + 0.5) / 8.0
+    c = draw(st.sampled_from([0.01, 0.5]))
+    # None: each point's own default k_max
+    k_max = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return DiscreteMeasure(np.array(cells, dtype=float) / 8.0, weights), probe, c, k_max
+
+
+class TestChainMemo:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(chain_cases(), st.booleans())
+    def test_shared_cache_matches_chain_loop(self, case, refine):
+        # jones_at reads chain cubes from one cache's chain memo across points
+        # and variants; the oracle computes every chain cube from a fresh cache
+        mu, probe, c, k_max = case
+        cache = BetaCache(mu)
+        for variant in JONES_VARIANTS:
+            cv = c if variant == "star_c" else None
+            for x in [*mu.points, probe]:
+                rep = jones_at(mu, x, variant=variant, c=cv, k_max=k_max, cache=cache, refine=refine)
+                value, divergent, ledger, flagged = chain_jones(mu, x, 2, variant, k_max, cv, refine)
+                assert rep.value == value and rep.divergent == divergent
+                assert [(t.cube, t.beta, t.mass, t.term, t.divergent) for t in rep.terms] == ledger
+                assert rep.divergent_cubes == flagged
+                assert rep.k_max == len(ledger) - 1
 
 
 class TestSquareSum:
