@@ -41,8 +41,8 @@ of a search step in one batch. These agree with the direct score up to
 rounding. The leading candidates and each search's end line are then scored
 directly, and an end line replaces the witness only if that exact score is
 lower, so the reported value is never a moment value and never exceeds the
-unrefined witness's score. Other p search on the direct score, a step's
-polls in one batch that rounds each line as the one-line score does.
+unrefined witness's score. Other p seed, rank and search on the exact
+score itself, from the atom slots, many lines per call (`slot_scores`).
 
 The p = 1 search additionally scores the p = 2 witness and the star_c search
 scores the star witness, so the computed values inherit the monotonicity of
@@ -84,7 +84,7 @@ _MAX_ENTRY_FITS = 48
 # that shrinks 4x per round, all basins in one profile call per round. Other
 # families up to 240 atom slots score a 144 angle x 48 offset grid: for p = 2
 # from the entry moments (`_Family.grid_cell`), in blocks of angles, for
-# other p from the atom slots, one angle at a time.
+# other p from the atom slots, one angle at a time (`_Family.slot_grid_cell`).
 _GRID_SLOT_LIMIT = 240
 _GRID_ANGLES = 144
 _GRID_OFFSETS = 48
@@ -266,9 +266,7 @@ def nearby_cubes_with_mass(
     """
     if cache is None:
         cache = BetaCache(mu)
-    same, coarse = _nearby_members(cache, Q)
-    fine, parent = cache.mass_triples(Q.k), cache.mass_triples(Q.k - 1)
-    return [fine[i] for i in same.tolist()] + [parent[i] for i in coarse.tolist()]
+    return _members(cache, Q.k, *_nearby_members(cache, Q))
 
 
 def _nearby_members(cache: BetaCache, Q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
@@ -281,6 +279,12 @@ def _nearby_members(cache: BetaCache, Q: DyadicCube) -> tuple[np.ndarray, np.nda
     same = np.abs(cache.triple_index(Q.k) - qidx) <= same_scale_radius(n)
     coarse = np.abs(4 * cache.triple_index(Q.k - 1) + 1 - 2 * qidx) <= parent_scale_bound(n)
     return np.flatnonzero(same.all(axis=1)), np.flatnonzero(coarse.all(axis=1))
+
+
+def _members(cache: BetaCache, k: int, same: np.ndarray, coarse: np.ndarray) -> list:
+    """The entries at positions same of mass_triples(k) and coarse of mass_triples(k - 1)."""
+    fine, parent = cache.mass_triples(k), cache.mass_triples(k - 1)
+    return [fine[i] for i in same.tolist()] + [parent[i] for i in coarse.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +317,21 @@ def beta_multi(
         cache = BetaCache(mu)
 
     def compute():
-        same, coarse = _nearby_members(cache, Q)
-        members = (Q.k, same.tobytes(), coarse.tobytes())
-
-        def family():
-            return nearby_cubes_with_mass(mu, Q, cache)
-
-        return _family_beta(mu, members, family, p, variant, c, refine, cache)
+        return _family_beta(mu, Q.k, *_nearby_members(cache, Q), p, variant, c, refine, cache)
 
     return cache.get_or_compute((Q, p, variant, c, bool(refine)), compute)
 
 
-def _family_beta(mu, members, family, p, variant, c, refine, cache: BetaCache) -> BetaValue:
+def _family_beta(mu, k, same, coarse, p, variant, c, refine, cache: BetaCache) -> BetaValue:
     """The coupled beta of a nearby family, solved once per family key.
 
-    members = (k, positions in mass_triples(k), positions in
-    mass_triples(k - 1)), as bytes, names the raw family that
-    `nearby_cubes_with_mass` lists, before the star_c filter and the twin
-    dedupe: it alone fixes the filtered family and both sibling witnesses.
-    family() returns that list; it is called only when the family is solved.
+    The positions same in mass_triples(k) and coarse in mass_triples(k - 1)
+    (`_nearby_members`) name the raw family that `nearby_cubes_with_mass`
+    lists, before the star_c filter and the twin dedupe: they alone fix the
+    filtered family and both sibling witnesses.
     """
-    key = (members, p, variant, c, bool(refine))
-    return cache.family_value(key, lambda: _beta_multi(mu, members, family(), p, variant, c, refine, cache))
+    key = (k, same.tobytes(), coarse.tobytes(), p, variant, c, bool(refine))
+    return cache.family_value(key, lambda: _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache))
 
 
 def _triple_diams(k: int, n: int) -> dict[int, float]:
@@ -346,12 +343,13 @@ class _Family:
     """The distinct mass-carrying members of a nearby family, as flat atom slots.
 
     Each entry (R, atoms of 3R, mu(3R)) owns one slot per atom, so one
-    distance pass over the slots scores the whole family. `score` is the
-    exact coupled objective of a line (the max over entries of the capped,
-    weighted beta^2 for star and star_c, of the capped beta for star_star);
-    every value beta_multi reports is a `score`. For p = 2 the candidates
-    are seeded and ranked from per-entry moments instead (`moments`,
-    `moment_scores`, `offset_profile`, `grid_cell`), in O(entries) per line.
+    distance pass over the slots scores the whole family. `slot_scores` is
+    the exact coupled objective of a batch of lines (the max over entries of
+    the capped, weighted beta^2 for star and star_c, of the capped beta for
+    star_star) and `score` that of one line; every value beta_multi reports
+    is a `score`. For p = 2 the candidates are seeded and ranked from
+    per-entry moments instead (`moments`, `moment_scores`, `offset_profile`,
+    `grid_cell`), in O(entries) per line.
     """
 
     def __init__(self, mu: DiscreteMeasure, k: int, p, variant: str, c, raw_entries):
@@ -402,26 +400,16 @@ class _Family:
         self._moments = None
 
     def score(self, line: Line) -> float:
-        p = self.p
-        Y = self.P - line.base
-        t = Y @ line.direction
-        resid = Y - t[:, None] * line.direction
-        d = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-        contrib = self.W * (d * self.slot_inv_diam) ** p
-        sums = np.bincount(self.entry_id, weights=contrib, minlength=len(self.entries))
-        # per-cube betas are truncated at 1: a line can sit arbitrarily far
-        # from one nearby cube, but the variant scores live in [0, 1]
-        b = np.minimum((sums * self.inv_mass) ** (1.0 / p), 1.0)
-        vals = b * b * self.entry_factor if self.entry_factor is not None else b
-        return float(vals.max())
+        """The exact coupled objective of one line: `slot_scores` of one row."""
+        return float(self.slot_scores(line.base[None], line.direction[None])[0])
 
     def slot_scores(self, bases: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """score(Line(b, u)) for each row b of bases, u of directions, bit for bit.
+        """The exact coupled objective of the line {b + t u} for each row b of bases, u of directions.
 
-        The steps of `score`, batched: one stacked matmul gives every row's
-        projections (one BLAS call per row, as `score` makes) and one
-        bincount over (row, entry) bins sums each row's entries in slot
-        order. Each direction must be a unit vector.
+        One stacked matmul gives every row's projections (one BLAS call per
+        row) and one bincount over (row, entry) bins sums each row's entries
+        in slot order, so a row's value does not depend on the other rows.
+        Each direction must be a unit vector.
         """
         p, E = self.p, len(self.entries)
         Y = self.P[None, :, :] - bases[:, None, :]
@@ -431,36 +419,27 @@ class _Family:
         contrib = self.W * (d * self.slot_inv_diam) ** p
         bins = (E * np.arange(len(bases)))[:, None] + self.entry_id
         sums = np.bincount(bins.ravel(), weights=contrib.ravel(), minlength=len(bases) * E)
+        # per-cube betas are truncated at 1: a line can sit arbitrarily far
+        # from one nearby cube, but the variant scores live in [0, 1]
         b = np.minimum((sums.reshape(-1, E) * self.inv_mass) ** (1.0 / p), 1.0)
         vals = b * b * self.entry_factor if self.entry_factor is not None else b
         return vals.max(axis=1)
 
     def score_many(self, lines: list[Line]) -> np.ndarray:
-        """Approximate scores of many lines, to rank candidates; never reported.
+        """Scores of many lines, to rank candidates; never reported.
 
-        p = 2 scores from the per-entry moments (moment_scores). Other p take
-        one pass over the slots for all lines, with distances from
-        d^2 = |y|^2 - (y . dir)^2 on family-centered coordinates so that the
-        subtraction stays accurate.
+        p = 2 scores from the per-entry moments (moment_scores), which agree
+        with `score` up to rounding. Other p take the exact slot_scores, in
+        blocks of lines that hold at most _GRID_BLOCK slot distances each.
         """
+        bases = np.array([ln.base for ln in lines])
         dirs = np.array([ln.direction for ln in lines])
         if self.p == 2:
-            return self.moment_scores(np.array([ln.base for ln in lines]), dirs)
-        p, Pc, W, starts = self.p, self.Pc, self.W, self.starts
-        bases = np.array([ln.base for ln in lines]) - self.cen
-        t = Pc @ dirs.T - np.einsum("cj,cj->c", bases, dirs)[None, :]
-        sq = (
-            np.einsum("ij,ij->i", Pc, Pc)[:, None]
-            - 2.0 * (Pc @ bases.T)
-            + np.einsum("cj,cj->c", bases, bases)[None, :]
-            - t * t
+            return self.moment_scores(bases, dirs)
+        step = max(1, _GRID_BLOCK // len(self.slots))
+        return np.concatenate(
+            [self.slot_scores(bases[i : i + step], dirs[i : i + step]) for i in range(0, len(lines), step)]
         )
-        d = np.sqrt(np.maximum(sq, 0.0))
-        contrib = W[:, None] * (d * self.slot_inv_diam[:, None]) ** p
-        sums = np.add.reduceat(contrib, starts, axis=0)
-        b = np.minimum((sums * self.inv_mass[:, None]) ** (1.0 / p), 1.0)
-        vals = b * b * self.entry_factor[:, None] if self.entry_factor is not None else b
-        return vals.max(axis=0)
 
     def moment_scores(self, bases: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """score(Line(b, u)) for p = 2 and each row b of bases, u of directions.
@@ -532,6 +511,30 @@ class _Family:
             j = int(np.argmin(worst))
             if worst.flat[j] < best:
                 best, cell = worst.flat[j], (a + j // len(ts), j % len(ts))
+        return cell
+
+    def slot_grid_cell(self, thetas, ts) -> tuple[int, int]:
+        """The (angle, offset) grid cell of least objective, from the atom slots; any p.
+
+        The cells of `grid_cell`, scored one angle at a time from every
+        slot's offset against every ts; a later angle wins only when
+        strictly lower. n = 2 only.
+        """
+        p = self.p
+        ts = np.asarray(ts, dtype=float)
+        best, cell = np.inf, (0, 0)
+        for i, th in enumerate(thetas):
+            nrm = np.array([-np.sin(th), np.cos(th)])
+            s = self.P @ nrm - self.cen @ nrm
+            devs = np.abs(s[:, None] - ts[None, :])
+            contrib = self.W[:, None] * (devs * self.slot_inv_diam[:, None]) ** p
+            sums = np.add.reduceat(contrib, self.starts, axis=0)
+            b = np.minimum((sums * self.inv_mass[:, None]) ** (1.0 / p), 1.0)
+            vals = b * b * self.entry_factor[:, None] if self.entry_factor is not None else b
+            worst = vals.max(axis=0)
+            j = int(np.argmin(worst))
+            if worst[j] < best:
+                best, cell = worst[j], (i, j)
         return cell
 
     def offset_profile(self, thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -625,17 +628,15 @@ def _refine_objective(fam: _Family, n: int, p):
     return objective
 
 
-def _beta_multi(mu, members, family, p, variant, c, refine, cache) -> BetaValue:
+def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
     # the solve sees only the scale and the family, never the cube, so every
     # cube with this family key gets the same bits
-    k = members[0]
-    fam = _family(mu, k, family, p, variant, c)
+    fam = _family(mu, k, _members(cache, k, same, coarse), p, variant, c)
     if fam is None:
         return BetaValue(0.0, None, p, variant)
     n = mu.dim
     diameter = 2.0 ** (-k) * float(np.sqrt(n))
-    entries, slots, P, W, Pc, cen = fam.entries, fam.slots, fam.P, fam.W, fam.Pc, fam.cen
-    starts, slot_inv_diam, inv_mass, entry_factor = fam.starts, fam.slot_inv_diam, fam.inv_mass, fam.entry_factor
+    entries, slots, W, Pc, cen, starts = fam.entries, fam.slots, fam.W, fam.Pc, fam.cen, fam.starts
 
     fit_p = p if p in (1, 2) else 2
     candidates: list[Line] = []
@@ -723,25 +724,9 @@ def _beta_multi(mu, members, family, p, variant, c, refine, cache) -> BetaValue:
     elif n == 2 and len(slots) <= _GRID_SLOT_LIMIT:
         rad = float(np.max(np.linalg.norm(Pc, axis=1))) + diameter
         ts = np.linspace(-rad, rad, _GRID_OFFSETS)
-        if p == 2:
-            i, j = fam.grid_cell(np.pi * np.arange(_GRID_ANGLES) / _GRID_ANGLES, ts)
-            th, t = np.pi * i / _GRID_ANGLES, float(ts[j])
-        else:
-            gbest = None
-            for i in range(_GRID_ANGLES):
-                th = np.pi * i / _GRID_ANGLES
-                nrm = np.array([-np.sin(th), np.cos(th)])
-                s = P @ nrm - cen @ nrm
-                devs = np.abs(s[:, None] - ts[None, :])
-                contrib = W[:, None] * (devs * slot_inv_diam[:, None]) ** p
-                sums = np.add.reduceat(contrib, starts, axis=0)
-                b = np.minimum((sums * inv_mass[:, None]) ** (1.0 / p), 1.0)
-                vals = b * b * entry_factor[:, None] if entry_factor is not None else b
-                worst = vals.max(axis=0)
-                j = int(np.argmin(worst))
-                if gbest is None or worst[j] < gbest[0]:
-                    gbest = (float(worst[j]), th, float(ts[j]))
-            _, th, t = gbest
+        grid_cell = fam.grid_cell if p == 2 else fam.slot_grid_cell
+        i, j = grid_cell(np.pi * np.arange(_GRID_ANGLES) / _GRID_ANGLES, ts)
+        th, t = np.pi * i / _GRID_ANGLES, float(ts[j])
         candidates.append(
             Line(cen + t * np.array([-np.sin(th), np.cos(th)]), np.array([np.cos(th), np.sin(th)]))
         )
@@ -749,12 +734,12 @@ def _beta_multi(mu, members, family, p, variant, c, refine, cache) -> BetaValue:
     # definitional monotonicities term by term (see module docstring)
     witness_ids: list[int] = []
     if p == 1:
-        sib = _family_beta(mu, members, lambda: family, 2, variant, c, refine, cache)
+        sib = _family_beta(mu, k, same, coarse, 2, variant, c, refine, cache)
         if sib.line is not None:
             witness_ids.append(len(candidates))
             candidates.append(sib.line)
     if variant == "star_c":
-        sib = _family_beta(mu, members, lambda: family, p, "star", None, refine, cache)
+        sib = _family_beta(mu, k, same, coarse, p, "star", None, refine, cache)
         if sib.line is not None:
             witness_ids.append(len(candidates))
             candidates.append(sib.line)

@@ -25,10 +25,10 @@ objective call, the moment objective of one line, and the per-edge strip scan
 over a hull built on numpy scalars. The batched code must match them bit for
 bit. `rows` adapts a one-point objective to the batched `pattern_search`.
 
-`slot_grid_cell` and `slot_score_many` score lines from the family's atom
-slots, where `_Family.grid_cell` and the p = 2 `_Family.score_many` use the
-per-entry moments: the angle-by-angle grid loop and the one-pass slot
-scorer. The moment forms must pick the same grid cell and agree to rounding.
+`slot_score_many` is the one-pass p = 2 slot scorer that the p = 2
+`_Family.score_many` replaced with per-entry moments; the two must agree to
+rounding. `slot_score` is the exact objective of one line, one slot pass with
+no batch axis; `_Family.slot_scores` must match it bit for bit, row by row.
 
 `chain_jones` is the Jones chain sum one cube at a time: `cube_at` per
 scale, a beta and a mass per chain cube, no memo of its own.
@@ -436,30 +436,18 @@ def min_width_strip_loop(points) -> tuple[float, Line]:
     return best
 
 
-def slot_grid_cell(fam, n_angles: int, ts) -> tuple[int, int]:
-    """First (angle, offset) cell of least objective on the planar grid, from the atom slots.
-
-    Angle i is pi i / n_angles; the line of cell (i, j) is
-    {cen + ts[j] nu + r (cos th, sin th)}. Each angle scores every slot's
-    offset against every ts, and a later angle wins only when strictly lower.
-    """
-    p, P, W, cen = fam.p, fam.P, fam.W, fam.cen
-    ts = np.asarray(ts, dtype=float)
-    best = None
-    for i in range(n_angles):
-        th = np.pi * i / n_angles
-        nrm = np.array([-np.sin(th), np.cos(th)])
-        s = P @ nrm - cen @ nrm
-        devs = np.abs(s[:, None] - ts[None, :])
-        contrib = W[:, None] * (devs * fam.slot_inv_diam[:, None]) ** p
-        sums = np.add.reduceat(contrib, fam.starts, axis=0)
-        b = np.minimum((sums * fam.inv_mass[:, None]) ** (1.0 / p), 1.0)
-        vals = b * b * fam.entry_factor[:, None] if fam.entry_factor is not None else b
-        worst = vals.max(axis=0)
-        j = int(np.argmin(worst))
-        if best is None or worst[j] < best[0]:
-            best = (float(worst[j]), i, j)
-    return best[1], best[2]
+def slot_score(fam, line) -> float:
+    """The exact coupled objective of one line, from the family's atom slots."""
+    p = fam.p
+    Y = fam.P - line.base
+    t = Y @ line.direction
+    resid = Y - t[:, None] * line.direction
+    d = np.sqrt(np.einsum("ij,ij->i", resid, resid))
+    contrib = fam.W * (d * fam.slot_inv_diam) ** p
+    sums = np.bincount(fam.entry_id, weights=contrib, minlength=len(fam.entries))
+    b = np.minimum((sums * fam.inv_mass) ** (1.0 / p), 1.0)
+    vals = b * b * fam.entry_factor if fam.entry_factor is not None else b
+    return float(vals.max())
 
 
 def slot_score_many(fam, lines) -> np.ndarray:

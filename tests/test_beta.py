@@ -30,7 +30,7 @@ from _oracle import (
     offset_envelope,
     offset_envelope_min,
     sequential_pattern_search,
-    slot_grid_cell,
+    slot_score,
     slot_score_many,
 )
 from _samples import four_corner_cantor, lipschitz_graph_measure, segment_cantor_mixture, segment_measure
@@ -284,10 +284,7 @@ class TestBetaMulti:
 def family_beta(mu, Q, p, variant, c, refine, cache):
     """The family memo's value for the raw family of Q, looked up by its member positions."""
     same, coarse = beta_mod._nearby_members(cache, Q)
-    members = (Q.k, same.tobytes(), coarse.tobytes())
-    return beta_mod._family_beta(
-        mu, members, lambda: nearby_cubes_with_mass(mu, Q, cache), p, variant, c, refine, cache
-    )
+    return beta_mod._family_beta(mu, Q.k, same, coarse, p, variant, c, refine, cache)
 
 
 def cube_family(mu, Q, p, variant, c, cache=None):
@@ -394,14 +391,17 @@ GRID_ANGLES = np.pi * np.arange(beta_mod._GRID_ANGLES) / beta_mod._GRID_ANGLES
 
 
 class TestMomentGrid:
-    """The p = 2 grid and candidate ranking from entry moments agree with the slot forms."""
+    """The p = 2 grid and candidate ranking from entry moments agree with the slot forms.
+
+    `slot_grid_cell` is the grid that other p score from the atom slots.
+    """
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_grid_picks_slot_cell(self, variant):
         blocks = []
         for fam, k in grid_families(variant):
             ts = grid_offsets(fam, k)
-            assert fam.grid_cell(GRID_ANGLES, ts) == slot_grid_cell(fam, beta_mod._GRID_ANGLES, ts)
+            assert fam.grid_cell(GRID_ANGLES, ts) == fam.slot_grid_cell(GRID_ANGLES, ts)
             blocks.append(len(fam.entries) * len(ts) * len(GRID_ANGLES) / beta_mod._GRID_BLOCK)
         # some family's grid spans several angle blocks
         assert max(blocks) > 2
@@ -429,7 +429,7 @@ class TestMomentGrid:
 
 
 class TestSlotScores:
-    """The batched slot score equals the one-line score bit for bit, row by row."""
+    """The batched slot score equals a one-line slot pass bit for bit, row by row."""
 
     @pytest.mark.parametrize("p", (1, 1.5, 2, 3))
     @pytest.mark.parametrize("n", (2, 3))
@@ -446,9 +446,22 @@ class TestSlotScores:
                 bases = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(17, n))
                 dirs = rng.normal(size=(17, n))
                 dirs /= np.sqrt(np.einsum("ij,ij->i", dirs, dirs))[:, None]
-                want = [fam.score(Line(b, u)) for b, u in zip(bases, dirs)]
+                want = [slot_score(fam, Line(b, u)) for b, u in zip(bases, dirs)]
                 for rows in (slice(0, 1), slice(3, 9), slice(None)):
                     assert fam.slot_scores(bases[rows], dirs[rows]).tolist() == want[rows]
+                assert [fam.score(Line(b, u)) for b, u in zip(bases, dirs)] == want
+
+    @pytest.mark.parametrize("p", (1, 3))
+    def test_score_many_is_exact_for_p_other_than_2(self, p, monkeypatch):
+        # other p rank candidates by their exact scores, in blocks of lines
+        mu = lipschitz_graph_measure(40)
+        fam = cube_family(mu, cube_at(mu.points[0], 1), p, "star", None, None)
+        rng = np.random.default_rng(63)
+        lines = [Line(b, u) for b, u in zip(rng.uniform(0.0, 1.0, size=(25, 2)), rng.normal(size=(25, 2)))]
+        want = [fam.score(ln) for ln in lines]
+        for block in (1, 7 * len(fam.slots), 1 << 30):
+            monkeypatch.setattr(beta_mod, "_GRID_BLOCK", block)
+            assert fam.score_many(lines).tolist() == want
 
     def test_refine_objective_scores_each_row(self):
         # the p = 1 refine objective: raw directions of any length, and rows
@@ -629,9 +642,10 @@ def count_solves(monkeypatch):
     solved = []
     solve = beta_mod._beta_multi
 
-    def counted(mu, members, family, p, variant, c, refine, cache):
-        solved.append((members[0], tuple(R for (R, _, _) in family), p, variant, c, refine))
-        return solve(mu, members, family, p, variant, c, refine, cache)
+    def counted(mu, k, same, coarse, p, variant, c, refine, cache):
+        family = beta_mod._members(cache, k, same, coarse)
+        solved.append((k, tuple(R for (R, _, _) in family), p, variant, c, refine))
+        return solve(mu, k, same, coarse, p, variant, c, refine, cache)
 
     monkeypatch.setattr(beta_mod, "_beta_multi", counted)
     return solved
