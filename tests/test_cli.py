@@ -151,6 +151,21 @@ def test_jones_default_kmax_golden(tmp_path):
     assert dumps(rep) == (FIXTURES_DIR / "jones_polyline20_golden.json").read_text()
 
 
+@pytest.mark.parametrize("command", ["curve", "validate"])
+def test_curve_and_validate_golden(tmp_path, command):
+    # nets, alphas, construction, certificate and connectivity check, pinned
+    # byte for byte through the CLI; the fixtures, without the input path,
+    # were written while the curve layer still took its quantum, tolerance
+    # and epsilon as options and kept an indexed segment graph
+    measure = tmp_path / "measure.json"
+    save_measure(polyline_measure(20), measure)
+    out = tmp_path / "report.json"
+    assert main([command, str(measure), "--depth", "4", "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    del rep["config"]["input"]
+    assert dumps(rep) == (FIXTURES_DIR / f"{command}_polyline20_golden.json").read_text()
+
+
 def _raise_runtime_error(*_args):
     raise RuntimeError("injected failure")
 
