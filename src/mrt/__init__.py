@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _MODULES = {
     "beta": ("VARIANTS", "BetaCache", "BetaValue", "beta_best", "beta_fixed_line", "beta_multi",
              "beta_sup_set"),
-    "curve": ("BridgeRecord", "CertificateReport", "CurveGraph", "CurveResult", "PhantomLedger",
+    "curve": ("BridgeRecord", "CertificateReport", "CurveResult", "PhantomLedger",
               "Segment", "construct_curve", "curve_length", "length_certificate", "verify_connected"),
     "dyadic": ("Box", "CubeTree", "DyadicCube", "chain_of_cubes", "cube_at"),
     "errors": ("AlphaRecheckError", "CertificateError", "DegenerateRegion", "DimensionMismatch",

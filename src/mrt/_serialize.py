@@ -27,10 +27,13 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Render obj (dict/list/str/int/float/bool/None, numpy scalars/arrays ok)."""
+def dumps(obj: Any) -> str:
+    """Render obj (dict/list/str/int/float/bool/None, numpy scalars/arrays ok).
+
+    Nested containers are indented by two spaces per level.
+    """
     out: list[str] = []
-    _render(obj, out, indent, 0)
+    _render(obj, out, 2, 0)
     out.append("\n")
     return "".join(out)
 

@@ -79,17 +79,20 @@ def load_measure(path, fmt: str = "auto") -> DiscreteMeasure:
         if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
             raise InputFormatError(f"{path}: expected an object with an 'atoms' array")
         dim = obj.get("dim")
-        if dim is not None and (not isinstance(dim, int) or dim < 1):
+        if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool) or dim < 1):
             raise InputFormatError(f"{path}: 'dim' must be a positive integer")
         pts: list[list[float]] = []
         wts: list[float] = []
         for i, row in enumerate(obj["atoms"]):
             if not isinstance(row, list) or len(row) < 2:
                 raise InputFormatError(f"{path}: atom {i}: need coordinates plus a weight")
+            # float() would also take true, "0.3" and the like
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
+                raise InputFormatError(f"{path}: atom {i}: non-numeric entry")
             try:
                 vals = [float(v) for v in row]
-            except (TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}: atom {i}: non-numeric entry") from exc
+            except OverflowError as exc:
+                raise InputFormatError(f"{path}: atom {i}: integer beyond float range") from exc
             if dim is None:
                 dim = len(vals) - 1
             if len(vals) != dim + 1:
@@ -209,12 +212,12 @@ class RunConfig:
             raise InputFormatError("variant star_c needs --c > 0")
         if self.c is not None and not _finite_positive(self.c):
             raise InputFormatError(f"c must be finite and > 0, got {self.c}")
-        if not all(_finite_positive(v) for v in self.c_ladder):
-            raise InputFormatError("c ladder values must be finite and > 0")
+        if not self.c_ladder or not all(_finite_positive(v) for v in self.c_ladder):
+            raise InputFormatError("c ladder must be nonempty, with values finite and > 0")
         if not _finite_positive(self.n_cap):
             raise InputFormatError(f"N cap must be finite and > 0, got {self.n_cap}")
-        if any(not (0 < v < 1) for v in self.eps_ladder):
-            raise InputFormatError("eps ladder values must lie in (0, 1)")
+        if not self.eps_ladder or any(not (0 < v < 1) for v in self.eps_ladder):
+            raise InputFormatError("eps ladder must be nonempty, with values in (0, 1)")
         if self.k_lo < 0 or self.k_hi < self.k_lo:
             raise InputFormatError(f"need 0 <= k_lo <= k_hi, got {self.k_lo}..{self.k_hi}")
         if self.k_max is not None and self.k_max < 0:
@@ -422,9 +425,7 @@ def cmd_tst(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
 def _curve_payload(result) -> dict:
     """Vertices, indexed segments, lengths, and accounting for a curve result."""
     segs = sorted(result.segments, key=lambda s: (s.gen, s.kind, s.a, s.b))
-    verts: list[tuple] = sorted(
-        {s.a for s in segs} | {s.b for s in segs} | set(result.graph.vertices)
-    )
+    verts: list[tuple] = sorted(set(result.vertices))
     index = {v: i for i, v in enumerate(verts)}
     return {
         "vertices": [[float(x) for x in v] for v in verts],
@@ -487,7 +488,7 @@ def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
         c_ladder=cfg.c_ladder,
         N_cap=cfg.n_cap,
         eps_ladder=cfg.eps_ladder,
-        k_max=cfg.k_max if cfg.k_max is not None else 8,
+        k_max=cfg.k_max,
     )
     atoms = [
         {

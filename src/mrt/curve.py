@@ -67,8 +67,6 @@ class BridgeRecord:
     gen: int
     a: tuple
     b: tuple
-    chain_a: list[tuple]
-    chain_b: list[tuple]
     index_set: frozenset
     segments: list[Segment]
     cases: set = field(default_factory=set)   # {"initial", "I", "T2"}
@@ -108,32 +106,9 @@ class PhantomLedger:
 
 
 @dataclass
-class CurveGraph:
-    vertices: list[tuple]
-    segments: list[tuple]    # (ia, ib, kind, gen)
-
-    @classmethod
-    def from_segments(cls, segs: list[Segment], extra_vertices=()) -> "CurveGraph":
-        index: dict[tuple, int] = {}
-        verts: list[tuple] = []
-
-        def vid(p: tuple) -> int:
-            if p not in index:
-                index[p] = len(verts)
-                verts.append(p)
-            return index[p]
-
-        out = []
-        for s in segs:
-            out.append((vid(s.a), vid(s.b), s.kind, s.gen))
-        for p in extra_vertices:
-            vid(p)
-        return cls(vertices=verts, segments=out)
-
-
-@dataclass
 class CurveResult:
-    graph: CurveGraph
+    # segment endpoints, then the last level's net points, in first-seen order
+    vertices: list[tuple]
     snapshots: list[Snapshot]
     ledger: PhantomLedger
     bridges: dict[tuple, BridgeRecord]
@@ -177,16 +152,11 @@ def _bridge_record(nets: NetSequence, k: int, va: np.ndarray, vb: np.ndarray, me
     if b < a:
         a, b = b, a
         va, vb = vb, va
-    chain_a = [_key(p) for p in _chain_for_point(nets, k, va, memo)]
-    chain_b = [_key(p) for p in _chain_for_point(nets, k, vb, memo)]
-    pairs = set()
-    for j, p in enumerate(chain_a):
-        pairs.add((k + j, p))
-    for j, p in enumerate(chain_b):
-        pairs.add((k + j, p))
+    chains = [[_key(p) for p in _chain_for_point(nets, k, v, memo)] for v in (va, vb)]
+    pairs = {(k + j, p) for chain in chains for j, p in enumerate(chain)}
     segs: list[Segment] = []
     bkey = (k, a, b)
-    for chain in (chain_a, chain_b):
+    for chain in chains:
         for u, w in zip(chain, chain[1:]):
             if u != w:
                 segs.append(Segment(u, w, "bridge", k, owner=bkey))
@@ -194,10 +164,7 @@ def _bridge_record(nets: NetSequence, k: int, va: np.ndarray, vb: np.ndarray, me
     pa, pb = np.asarray(a), np.asarray(b)
     lo = 0.5 * (1.0 - CORE_FRACTION)
     core = (_key(pa + lo * (pb - pa)), _key(pa + (1.0 - lo) * (pb - pa)))
-    return BridgeRecord(
-        gen=k, a=a, b=b, chain_a=chain_a, chain_b=chain_b,
-        index_set=frozenset(pairs), segments=segs, core=core,
-    )
+    return BridgeRecord(gen=k, a=a, b=b, index_set=frozenset(pairs), segments=segs, core=core)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +183,8 @@ def construct_curve(
     k0 = nets.k0
     if k0 is None:
         # some tail level is a single point: the limit is that point
-        v = _key(nets.levels[-1][0])
-        graph = CurveGraph.from_segments([], extra_vertices=[v])
         acct = _accounting([], {}, [], ledger, nets, None, None)
-        return CurveResult(graph, [], ledger, {}, [], acct, nets, alphas, epsilon)
+        return CurveResult([_key(nets.levels[-1][0])], [], ledger, {}, [], acct, nets, alphas, epsilon)
 
     K = nets.K
     sep = nets.sep
@@ -400,9 +365,10 @@ def construct_curve(
         snapshots.append(Snapshot(k, segs, Vk, cases))
 
     final = snapshots[-1]
-    graph = CurveGraph.from_segments(final.segments, extra_vertices=[_key(v) for v in final.vertices])
+    ends = [p for s in final.segments for p in (s.a, s.b)]
+    vertices = list(dict.fromkeys(ends + [_key(v) for v in final.vertices]))
     acct = _accounting(final.segments, bridges, cores, ledger, nets, alphas, k0)
-    return CurveResult(graph, snapshots, ledger, bridges, cores, acct, nets, alphas, epsilon)
+    return CurveResult(vertices, snapshots, ledger, bridges, cores, acct, nets, alphas, epsilon)
 
 
 def _accounting(segments, bridges, cores, ledger, nets, alphas, k0) -> dict:
@@ -470,14 +436,16 @@ class _DSU:
             self.parent[rb] = ra
 
 
-def verify_connected(segments: list[Segment], points=None, tol: float = 1e-12):
+def verify_connected(segments: list[Segment], points=None):
     """Whether the union of segments (and optional extra points) is connected.
 
     Joins via shared endpoints and point/segment distances first, then, only
-    if that leaves several components, via any segment/segment distance below
-    tol (covers T-joints, transversal crossings, collinear overlaps). Returns (ok, witness): a component count when
-    connected, otherwise a bipartition listing one separated part.
+    if that leaves several components, via any segment/segment distance of
+    at most 1e-12 (covers T-joints, transversal crossings, collinear
+    overlaps). Returns (ok, witness): a component count when connected,
+    otherwise a bipartition listing one separated part.
     """
+    tol = 1e-12
     pts = [] if points is None else [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
     if not segments and len(pts) <= 1:
         return True, {"components": 1 if (segments or pts) else 0}
@@ -524,13 +492,14 @@ def verify_connected(segments: list[Segment], points=None, tol: float = 1e-12):
     return False, {"components": len(roots), "separated_part": parts[0]}
 
 
-def curve_length(segments: list[Segment], quantum: float = 1e-9) -> tuple[float, float]:
+def curve_length(segments: list[Segment]) -> tuple[float, float]:
     """(naive sum of lengths, length after merging collinear overlaps).
 
-    Segments are grouped by quantized (direction, line offset); within a
-    group the projections form 1-d intervals whose union is measured, so
-    duplicates and partial collinear overlaps are counted once.
+    Segments are grouped by (direction, line offset) rounded to multiples of
+    1e-9; within a group the projections form 1-d intervals whose union is
+    measured, so duplicates and partial collinear overlaps are counted once.
     """
+    quantum = 1e-9
     naive = 0.0
     groups: dict[tuple, list[tuple[float, float]]] = {}
     for s in segments:
@@ -579,7 +548,7 @@ class CertificateReport:
     stages_checked: list[int]
 
 
-def length_certificate(result: CurveResult, epsilon: float | None = None) -> CertificateReport:
+def length_certificate(result: CurveResult) -> CertificateReport:
     """Validate ledger properties and core disjointness; report the constant.
 
     Raises CertificateError naming the stage and pair on any violation:
@@ -588,8 +557,9 @@ def length_certificate(result: CurveResult, epsilon: float | None = None) -> Cer
     must contain (k, w) for every vertex w that is extremal in its flat
     30-ball neighborhood (terminal vertex property); (c) the empirical
     constant relating curve length to the alpha budget is reported.
+    Flatness is judged at the construction's own epsilon.
     """
-    eps = result.epsilon if epsilon is None else epsilon
+    eps = result.epsilon
     nets = result.nets
     cstar, r0 = nets.cstar, nets.r0
     tol = 1e-12 * r0

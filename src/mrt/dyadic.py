@@ -162,11 +162,11 @@ def chain_cells(x, scales) -> list[tuple[int, ...]]:
     return [tuple(row) for row in cell_index(x, ks).tolist()]
 
 
-def chain_of_cubes(x, k_max: int, k_min: int = 0) -> list[DyadicCube]:
-    """Nested cubes containing x at scales k_min..k_max (coarse to fine)."""
-    if k_max < k_min:
-        raise ValueError("k_max must be >= k_min")
-    scales = range(k_min, k_max + 1)
+def chain_of_cubes(x, k_max: int) -> list[DyadicCube]:
+    """Nested cubes containing x at scales 0..k_max (coarse to fine)."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    scales = range(k_max + 1)
     return [DyadicCube(k, idx) for k, idx in zip(scales, chain_cells(x, scales))]
 
 

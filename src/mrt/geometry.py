@@ -365,7 +365,7 @@ def _objective(X, w, line: Line, p) -> float:
     return float((np.sum(w * d**p) / W) ** (1.0 / p))
 
 
-def _perturbed_seeds(X, w, count=8):
+def _perturbed_seeds(X, w):
     base = _pca_line(X, w)
     n = X.shape[1]
     seeds = [base]
@@ -384,20 +384,20 @@ def _perturbed_seeds(X, w, count=8):
         d2[int(np.argmin(np.abs(d1)))] = 1.0
         d2 = d2 - (d2 @ d1) * d1
     d2 = unit(d2)
-    angles = [a * np.pi / 20.0 for a in (1, -1, 2, -2, 3, -3, 4, -4)][:count]
+    angles = [a * np.pi / 20.0 for a in (1, -1, 2, -2, 3, -3, 4, -4)]
     for a in angles:
         seeds.append(Line(z, np.cos(a) * d1 + np.sin(a) * d2))
     return seeds
 
 
-def _fit_l1(X, w, iters=60):
+def _fit_l1(X, w):
     best: tuple[Line, float] | None = None
     scale = float(np.max(np.abs(X - X.mean(axis=0)))) + 1e-300
     floor = 1e-12 * scale
     for seed in _perturbed_seeds(X, w):
         line = seed
         prev = np.inf
-        for _ in range(iters):
+        for _ in range(60):
             d = line.distances(X)
             obj = _objective(X, w, line, 1)
             if prev - obj < 1e-15 * scale:

@@ -49,7 +49,6 @@ class JonesTerm:
 class JonesReport:
     """Truncated Jones function at a point, with its per-scale ledger."""
 
-    point: np.ndarray
     p: object
     variant: str
     c: float | None
@@ -60,12 +59,12 @@ class JonesReport:
     divergent_cubes: list[DyadicCube] = field(default_factory=list)
 
 
-def default_kmax(mu: DiscreteMeasure, x, cap: int = 40) -> int:
-    """First scale whose chain cube holds at most one atom (capped)."""
-    for k in range(cap + 1):
+def default_kmax(mu: DiscreteMeasure, x) -> int:
+    """First scale whose chain cube holds at most one atom, capped at 40."""
+    for k in range(40):
         if len(mu.atoms_in(cube_at(x, k))) <= 1:
             return k
-    return cap
+    return 40
 
 
 def _chain_entry(mu, k, idx, p, variant, c, cache, refine) -> tuple[DyadicCube, float, float]:
@@ -131,7 +130,6 @@ def jones_at(
         total += term
         terms.append(JonesTerm(Q, beta, mass, term, divergent))
     return JonesReport(
-        point=x,
         p=p,
         variant=variant,
         c=c,

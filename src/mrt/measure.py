@@ -195,12 +195,9 @@ class DiscreteMeasure:
     def mass(self, region: Region) -> float:
         return float(self.weights[self.atoms_in(region)].sum())
 
-    def center_of_mass(self, region: Region | None = None) -> np.ndarray:
-        """Weighted mean of the atoms in the region (whole measure if None)."""
-        if region is None:
-            idx = np.arange(len(self))
-        else:
-            idx = self.atoms_in(region)
+    def center_of_mass(self, region: Region) -> np.ndarray:
+        """Weighted mean of the atoms in the region."""
+        idx = self.atoms_in(region)
         w = self.weights[idx]
         W = float(w.sum())
         if W <= 0.0:

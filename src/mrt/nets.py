@@ -52,7 +52,6 @@ NEIGHBORHOOD_FACTOR = 65.0  # ball radius factor for alpha neighborhoods
 @dataclass
 class NetValidationReport:
     ok: bool
-    cstar: float
     cstar_min: float
     separation_ok: bool
     violations: list[dict] = field(default_factory=list)
@@ -88,9 +87,6 @@ class NetSequence:
     @property
     def K(self) -> int:
         return len(self.levels) - 1
-
-    def level(self, k: int) -> np.ndarray:
-        return self.levels[k]
 
     def sep(self, k: int) -> float:
         """Separation scale 2^{-k} r0 of level k."""
@@ -161,29 +157,20 @@ def nets_from_points(points, r0: float | None = None, K: int = 6, cstar: float =
     return NetSequence(levels, r0=r0, cstar=cstar, x0=E[0])
 
 
-def nets_from_tree(
-    mu: DiscreteMeasure,
-    tree: CubeTree,
-    cstar: float = 4.0,
-    r0: float | None = None,
-    max_gen: int | None = None,
-) -> NetSequence:
-    """Nets through centers of mass of triples of tree cubes.
+def nets_from_tree(mu: DiscreteMeasure, tree: CubeTree) -> NetSequence:
+    """Nets with Cstar = 4 through centers of mass of triples of tree cubes.
 
-    Generation g draws on Z_g = {center_of_mass(mu, 3Q) : Q in tree,
-    side Q = 2^{-(k_top+g)}} plus the centers of leaves that die above that
-    scale (a dying branch keeps contributing its last center, so forward
-    proximity survives finite truncation). r0 defaults to 3 diam Top, which
-    makes the generation-g separation equal to diam 3Q at the matching scale.
-    Witness cubes are recorded per net point.
+    Generation g, for every scale from the top to the deepest member, draws
+    on Z_g = {center_of_mass(mu, 3Q) : Q in tree, side Q = 2^{-(k_top+g)}}
+    plus the centers of leaves that die above that scale (a dying branch
+    keeps contributing its last center, so forward proximity holds at every
+    generation). r0 = 3 diam Top makes the generation-g separation equal to
+    diam 3Q at the matching scale. Witness cubes are recorded per net point.
     """
     top = tree.top
     k_top = top.k
     depth = max(Q.k for Q in tree.members) - k_top
-    if max_gen is not None:
-        depth = min(depth, max_gen)
-    if r0 is None:
-        r0 = 3.0 * top.diameter
+    r0 = 3.0 * top.diameter
     centers: dict[DyadicCube, np.ndarray] = {}
 
     def z(Q: DyadicCube) -> np.ndarray:
@@ -207,16 +194,16 @@ def nets_from_tree(
         idx = _greedy_separated(Z, 2.0 ** (-g) * r0)
         levels.append(Z[idx])
         witnesses.append([pool[i] for i in idx])
-    return NetSequence(levels, r0=r0, cstar=cstar, x0=z(top), witnesses=witnesses)
+    return NetSequence(levels, r0=r0, cstar=4.0, x0=z(top), witnesses=witnesses)
 
 
-def validate_nets(nets: NetSequence, cstar: float | None = None) -> NetValidationReport:
+def validate_nets(nets: NetSequence) -> NetValidationReport:
     """Check (V_I)-(V_III) and the enclosing ball; list every violation.
 
     Proximity bounds are strict, so cstar_min (the max proximity ratio) is
-    the infimum of constants that validate; ok requires all ratios < cstar.
+    the infimum of constants that validate; ok requires all ratios < nets.cstar.
     """
-    cstar = nets.cstar if cstar is None else float(cstar)
+    cstar = nets.cstar
     violations: list[dict] = []
     sep_ok = True
     ratios = [1.0]
@@ -271,7 +258,6 @@ def validate_nets(nets: NetSequence, cstar: float | None = None) -> NetValidatio
                 )
     return NetValidationReport(
         ok=sep_ok and not violations,
-        cstar=cstar,
         cstar_min=float(max(ratios)),
         separation_ok=sep_ok,
         violations=violations,

@@ -154,8 +154,8 @@ class GrowResult:
     diagnostic: str | None
 
 
-def _check_c(c: float | None) -> None:
-    if c is None or not c > 0:
+def _check_c(c: float) -> None:
+    if not c > 0:
         raise ValueError("lower-regular trees need c > 0")
 
 
@@ -165,7 +165,7 @@ def _lower_regular_ok(mu: DiscreteMeasure, Q: DyadicCube, c: float) -> bool:
     return mu.mass(tri) >= c * tri.diameter
 
 
-def base_cube_for(profile: DensityProfile, c: float | None = None) -> DyadicCube | None:
+def base_cube_for(profile: DensityProfile, c: float) -> DyadicCube | None:
     """The base cube at the profile's point; None when the density test fails.
 
     r_x is the largest ladder radius r such that the density ratio
@@ -186,7 +186,7 @@ def base_cube_for(profile: DensityProfile, c: float | None = None) -> DyadicCube
 def grow_tree(
     mu: DiscreteMeasure,
     base: DyadicCube,
-    c: float | None = None,
+    c: float,
     k_max: int = 8,
 ) -> GrowResult:
     """Deepest lower-regular tree under a base cube, down to scale k_max.
@@ -228,33 +228,31 @@ class DrawResult:
     coverage: dict
 
 
-def _witness_line_alpha(mu, cache, nets, p, c, refine, key):
+def _witness_line_alpha(mu, cache, nets, p, c, key):
     """The star_c line of a net vertex's witness cube and its theoretical alpha."""
     k, i = key
-    bv = beta_multi(mu, nets.witnesses[k][i], p, "star_c", c=c, refine=refine, cache=cache)
+    bv = beta_multi(mu, nets.witnesses[k][i], p, "star_c", c=c, refine=False, cache=cache)
     return bv.line, 4.0 * max(c ** -0.5, 1.0) * bv.value
 
 
 def draw_through_tree(
     mu: DiscreteMeasure,
     tree: CubeTree,
+    c: float,
     p=2,
-    c: float | None = None,
-    epsilon: float = 1.0 / 32.0,
     cache: BetaCache | None = None,
-    refine: bool = False,
 ) -> DrawResult:
     """Draw a curve through a lower-regular tree's centers of mass.
 
     Every member must satisfy mu(3Q) >= c diam 3Q (TreeStructureError
-    otherwise). Builds nets with Cstar = 4 and r0 = 3 diam Top, picks
-    per-vertex lines from beta*_c at the witness cube, sets alphas to the
-    larger of 4 max(c^{-1/2}, 1) beta*_c and the exact neighborhood
-    supremum, runs the curve construction, and checks that every leaf
-    center lies within the net tolerance of the curve (CertificateError
-    otherwise). Accounting carries the theoretical budget
+    otherwise). Builds nets through the tree (nets_from_tree), picks
+    per-vertex lines from unrefined beta*_c at the witness cube, sets alphas
+    to the larger of 4 max(c^{-1/2}, 1) beta*_c and the exact neighborhood
+    supremum, runs the curve construction at epsilon = 1/32, and checks that
+    every leaf center lies within the net tolerance of the curve
+    (CertificateError otherwise). Accounting carries the theoretical budget
     48 max(1/c, 1) s_star_c_tree next to the realized alpha budget; the
-    budget's betas follow `refine` like the vertex lines, so with a shared
+    budget's betas are unrefined like the vertex lines, so with a shared
     cache they are the values the caller already computed.
     """
     _check_c(c)
@@ -263,19 +261,19 @@ def draw_through_tree(
             raise TreeStructureError(f"lower-regular hypothesis fails at member {Q}")
     if cache is None:
         cache = BetaCache(mu)
-    nets = nets_from_tree(mu, tree, cstar=4.0)
+    nets = nets_from_tree(mu, tree)
     keys = [(k, i) for k in range(1, nets.K + 1) for i in range(len(nets.levels[k]))]
-    fitted = pmap(lambda key: _witness_line_alpha(mu, cache, nets, p, c, refine, key), keys)
+    fitted = pmap(lambda key: _witness_line_alpha(mu, cache, nets, p, c, key), keys)
     lines = {key: line for key, (line, _) in zip(keys, fitted)}
     theory = {key: alpha for key, (_, alpha) in zip(keys, fitted)}
     alphas = fit_alphas(nets, lines=lines)
     for key in keys:
         line, fitted_alpha = alphas.entries[key]
         alphas.entries[key] = (line, max(fitted_alpha, theory[key]))
-    curve = construct_curve(nets, alphas, epsilon=epsilon)
+    curve = construct_curve(nets, alphas)
     segs = [(np.asarray(s.a, dtype=float), np.asarray(s.b, dtype=float)) for s in curve.segments]
-    if not segs and curve.graph.vertices:
-        v = np.asarray(curve.graph.vertices[0], dtype=float)
+    if not segs and curve.vertices:
+        v = np.asarray(curve.vertices[0], dtype=float)
         segs = [(v, v)]
     children = {Q: tree.children_in_tree(Q) for Q in tree.members}
     leaf_centers = [
@@ -290,7 +288,7 @@ def draw_through_tree(
     if not coverage["ok"]:
         raise CertificateError(f"leaf coverage failed: {max_dist} > {tol}")
     acct = dict(curve.accounting)
-    rep = square_sum(mu, "s_star_c_tree", tree=tree, p=p, c=c, cache=cache, refine=refine)
+    rep = square_sum(mu, "s_star_c_tree", tree=tree, p=p, c=c, cache=cache, refine=False)
     acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * rep.total
     acct["regime_sum"] = rep.total
     acct["regime"] = "lower_regular"
@@ -340,7 +338,6 @@ def decompose_estimate(
     N_cap: float = 1e3,
     eps_ladder=(0.5, 0.1),
     k_max: int = 8,
-    refine: bool = False,
 ) -> DecompositionReport:
     """Desk-scale rectifiable/unrectifiable labeling with drawn curves.
 
@@ -351,8 +348,9 @@ def decompose_estimate(
     b = beta^2 diam with the eps ladder, and the good trees are drawn;
     captured mass is the rect-candidate mass within tolerance of any curve.
     A tree that cannot be grown or drawn is listed in `dropped` with the
-    reason: no base cube, the grow diagnostic, or the drawing error. All
-    thresholds are reported, none are asserted as ground truth.
+    reason: no base cube, the grow diagnostic, or the drawing error. Every
+    beta is unrefined (refine=False), which params records. All thresholds
+    are reported, none are asserted as ground truth.
 
     Each atom's density profile runs once, on the radii 2^{-j}, j <= k_max:
     the density estimate is its least ratio for j <= min(k_max, 20), and a
@@ -370,7 +368,7 @@ def decompose_estimate(
     def jones_val(i: int, c: float) -> tuple[float, bool]:
         key = (i, c)
         if key not in jones_memo:
-            rep = jones_at(mu, mu.points[i], p=p, variant="star_c", c=c, k_max=k_max, cache=cache, refine=refine)
+            rep = jones_at(mu, mu.points[i], p=p, variant="star_c", c=c, k_max=k_max, cache=cache, refine=False)
             jones_memo[key] = (rep.value, rep.divergent)
         return jones_memo[key]
 
@@ -415,7 +413,7 @@ def decompose_estimate(
             continue
         b_map = {}
         for Q in grown.tree.members:
-            bv = beta_multi(mu, Q, p, "star_c", c=c, refine=refine, cache=cache)
+            bv = beta_multi(mu, Q, p, "star_c", c=c, refine=False, cache=cache)
             b_map[Q] = bv.value**2 * Q.diameter
         tree = grown.tree
         for eps in eps_ladder:
@@ -424,9 +422,7 @@ def decompose_estimate(
                 tree = loc.good
                 break
         try:
-            curves.append(
-                draw_through_tree(mu, tree, p=p, c=c, cache=cache, refine=refine)
-            )
+            curves.append(draw_through_tree(mu, tree, c, p=p, cache=cache))
         except (TreeStructureError, CertificateError) as exc:
             dropped.append(DroppedTree(rep.index, c, base, f"{type(exc).__name__}: {exc}"))
     rect_ids = [a.index for a in atoms if a.label == "rect-candidate"]
@@ -448,7 +444,7 @@ def decompose_estimate(
         "N_cap": N_cap,
         "eps_ladder": list(eps_ladder),
         "k_max": k_max,
-        "refine": refine,
+        "refine": False,
         "density_factor": 1.5 * math.sqrt(n),
     }
     return DecompositionReport(

@@ -178,7 +178,14 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n0.3,0.4,0\n", ["beta"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\nnan,0.4,1\n", ["beta"], None, 2, "input", "InvalidWeight"),
         ("# dim=3\n0.1,0.2,1\n", ["beta"], None, 2, "input", "InputFormatError"),
+        ('{"dim": 2, "atoms": [[0.1, 0.2, true]]}', ["beta"], None, 2, "input", "InputFormatError"),
+        ('{"dim": 2, "atoms": [["0.3", 0.4, 1]]}', ["beta"], None, 2, "input", "InputFormatError"),
+        ('{"dim": 2, "atoms": [[0.3, null, 1]]}', ["beta"], None, 2, "input", "InputFormatError"),
+        ('{"dim": true, "atoms": [[0.3, 1]]}', ["beta"], None, 2, "input", "InputFormatError"),
+        ('{"dim": 1, "atoms": [[0.3, 1' + "0" * 400 + ']]}', ["beta"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", "0"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["decompose", "--c-ladder", ","], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["decompose", "--eps-ladder", ""], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta", "--p", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta", "--variant", "star_c", "--c", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", "inf"], None, 2, "input", "InputFormatError"),
@@ -190,12 +197,13 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
     ],
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
-         "dim-header-conflict", "zero-c-ladder", "infinite-p", "infinite-c", "infinite-c-ladder",
+         "dim-header-conflict", "json-boolean-entry", "json-string-entry", "json-null-entry",
+         "json-boolean-dim", "json-int-past-float-range", "zero-c-ladder", "empty-c-ladder", "empty-eps-ladder", "infinite-p", "infinite-c", "infinite-c-ladder",
          "infinite-n-cap", "infinite-cstar", "infinite-r0", "scale-overflow", "scale-past-float-range",
          "internal-error"],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):
-    measure = tmp_path / "measure.csv"
+    measure = tmp_path / ("measure.json" if text is not None and text.startswith("{") else "measure.csv")
     if text is not None:
         measure.write_text(text)
     if broken is not None:

@@ -16,7 +16,7 @@ from mrt import (
     nets_from_points,
     verify_connected,
 )
-from mrt.curve import CurveGraph, extension_chain
+from mrt.curve import extension_chain
 from mrt.errors import AlphaRecheckError
 from mrt.nets import hausdorff_to_segments
 
@@ -145,7 +145,7 @@ class TestConstructEdgeCases:
         nets = NetSequence(levels, r0=1.0, cstar=3.0)
         result = construct_curve(nets, fit_alphas(nets))
         assert result.segments == []
-        assert result.graph.vertices == [(0.0, 0.0)]
+        assert result.vertices == [(0.0, 0.0)]
         assert result.accounting["length_dedup"] == 0.0
 
     def test_alpha_recheck(self):
@@ -256,17 +256,6 @@ class TestVerifyConnected:
     def test_empty(self):
         ok, info = verify_connected([])
         assert ok and info["components"] == 0
-
-
-def test_curve_graph_dedups_vertices():
-    segs = [
-        Segment((0.0, 0.0), (1.0, 0.0), "edge", 0),
-        Segment((1.0, 0.0), (2.0, 0.0), "edge", 0),
-    ]
-    g = CurveGraph.from_segments(segs, extra_vertices=[(0.0, 0.0), (9.0, 9.0)])
-    assert len(g.vertices) == 4
-    assert g.segments[0] == (0, 1, "edge", 0)
-    assert g.segments[1] == (1, 2, "edge", 0)
 
 
 # ---------------------------------------------------------------------------

@@ -130,14 +130,14 @@ def test_chain_of_cubes_nested():
         assert coarse.contains_cube(fine)
         assert fine.parent() == coarse
     with pytest.raises(ValueError):
-        chain_of_cubes(x, 0, 2)
+        chain_of_cubes(x, -1)
 
 
 @pytest.mark.parametrize("x", ([0.3, 0.71], [-0.3, -1.7], [-1e-9, 5.25], [2048.4, -3.0], [-0.2], [0.1, -0.6, 7.5]))
 def test_chain_cells_match_cube_at(x):
     # the one-call cells of every scale equal a cube_at per scale
-    assert chain_of_cubes(x, 40, 0) == [cube_at(x, k) for k in range(41)]
-    assert chain_of_cubes(x, 3, -2) == [cube_at(x, k) for k in range(-2, 4)]
+    assert chain_of_cubes(x, 40) == [cube_at(x, k) for k in range(41)]
+    assert chain_cells(x, range(-2, 4)) == [cube_at(x, k).index for k in range(-2, 4)]
     scales = [5, 1, 3]
     assert chain_cells(x, scales) == [cube_at(x, k).index for k in scales]
 

@@ -35,7 +35,7 @@ class TestDefaultKmax:
 
     def test_duplicate_atoms_hit_cap(self):
         mu = DiscreteMeasure([[0.2, 0.2], [0.2, 0.2]], [1.0, 1.0])
-        assert default_kmax(mu, [0.2, 0.2], cap=7) == 7
+        assert default_kmax(mu, [0.2, 0.2]) == 40
 
 
 class TestJonesAt:

@@ -177,7 +177,7 @@ class TestRegionQueries:
 
     def test_center_of_mass(self):
         mu = small_measure()
-        com = mu.center_of_mass()
+        com = mu.center_of_mass(DyadicCube(0, (0, 0)))
         want = (mu.weights @ mu.points) / mu.total
         assert np.allclose(com, want)
         with pytest.raises(ZeroMassRegion):

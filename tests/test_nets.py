@@ -26,7 +26,7 @@ class TestNetSequence:
         assert nets.K == 1
         assert nets.sep(0) == 1.0
         assert nets.sep(2) == 0.25
-        assert np.array_equal(nets.level(1), levels[1])
+        assert np.array_equal(nets.levels[1], levels[1])
 
     def test_k0(self):
         two = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -139,8 +139,8 @@ class TestValidateNets:
         conds = {v["condition"] for v in rep.violations}
         assert {"V_II", "V_III", "ball"} <= conds
         assert rep.cstar_min >= 10.0
-        # a generous enough constant validates the same sequence
-        assert validate_nets(nets, cstar=25.0).ok
+        # a generous enough constant validates the same levels
+        assert validate_nets(NetSequence(levels, r0=1.0, cstar=25.0, x0=[0.0, 0.0])).ok
 
 
 class TestNetsFromTree:

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import pathlib
 
 import mrt
@@ -108,3 +109,63 @@ def test_public_names_are_referenced():
                 ]
     unreferenced = {full for full, name in defined if name not in referenced}
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+# optional parameters that no call in the package sets, kept on purpose
+UNSET_OPTIONS_ALLOWED = {
+    # the console entry point, which parses sys.argv when given no argument list
+    "cli.main(argv)",
+    # perfbench's tracer forwards (fn, items, threads) positionally
+    "_parallel.pmap(_unused)",
+    # the family enumeration perfbench traces by name (see UNREFERENCED_ALLOWED)
+    "beta.nearby_cubes_with_mass(cache)",
+    # the csv writer, which only tests call (see UNREFERENCED_ALLOWED)
+    "cli.save_measure(fmt)",
+    # tests check that each construction stage's lone vertices join the curve
+    "curve.verify_connected(points)",
+}
+
+
+def test_no_unset_options():
+    # every optional parameter of a package function is set, by keyword or by
+    # position, by some call in the package, so options that only ever take
+    # their default do not come back
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(pathlib.Path(mrt.__file__).parent.glob("*.py"))
+    }
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def is_set(call: ast.Call, name: str, position: float) -> bool:
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+
+    unset = set()
+    for module, tree in trees.items():
+        methods = {
+            id(m): cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for m in cls.body if isinstance(m, ast.FunctionDef)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            # a method's callers pass self implicitly; a constructor call names the class
+            shift = int(id(fn) in methods)
+            callee = methods[id(fn)] if fn.name == "__init__" else fn.name
+            params = fn.args.posonlyargs + fn.args.args
+            first = len(params) - len(fn.args.defaults)
+            optional = [(a.arg, i - shift) for i, a in enumerate(params) if i >= first]
+            kwonly = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            optional += [(a.arg, math.inf) for a, d in kwonly if d is not None]
+            for name, position in optional:
+                if not any(is_set(call, name, position) for call in calls.get(callee, ())):
+                    unset.add(f"{module}.{callee}({name})")
+    assert unset == UNSET_OPTIONS_ALLOWED

@@ -191,7 +191,7 @@ class TestGrowTree:
 
     def test_argument_validation(self):
         mu = segment_measure(8)
-        for c in (None, 0.0, -0.5):
+        for c in (0.0, -0.5):
             with pytest.raises(ValueError):
                 grow_tree(mu, DyadicCube(0, (0, 0)), c=c)
             with pytest.raises(ValueError):
@@ -222,7 +222,7 @@ class TestDrawThroughTree:
         c = 0.05
         tree = grow_at(mu, mu.points[20], c=c, k_max=3).tree
         cache = BetaCache(mu)
-        draw = draw_through_tree(mu, tree, c=c, cache=cache, refine=False)
+        draw = draw_through_tree(mu, tree, c=c, cache=cache)
         # one refine policy: the budget adds no second (refined) beta per cube
         assert all(cache.get((Q, 2, "star_c", c, True)) is None for Q in tree.members)
         expected = sum(
@@ -242,7 +242,7 @@ class TestDrawThroughTree:
     def test_argument_validation(self):
         mu = segment_measure(8)
         tree = CubeTree(DyadicCube(0, (0, 0)), [DyadicCube(0, (0, 0))])
-        for c in (None, 0.0):
+        for c in (0.0, -0.5):
             with pytest.raises(ValueError):
                 draw_through_tree(mu, tree, c=c)
 
