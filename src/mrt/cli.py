@@ -79,15 +79,15 @@ def load_measure(path, fmt: str = "auto") -> DiscreteMeasure:
         if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
             raise InputFormatError(f"{path}: expected an object with an 'atoms' array")
         dim = obj.get("dim")
-        if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool) or dim < 1):
+        if dim is not None and (type(dim) is not int or dim < 1):
             raise InputFormatError(f"{path}: 'dim' must be a positive integer")
         pts: list[list[float]] = []
         wts: list[float] = []
         for i, row in enumerate(obj["atoms"]):
             if not isinstance(row, list) or len(row) < 2:
                 raise InputFormatError(f"{path}: atom {i}: need coordinates plus a weight")
-            # float() would also take true, "0.3" and the like
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
+            # exact types: float() would also take true (a bool is an int) and "0.3"
+            if not all(type(v) in (int, float) for v in row):
                 raise InputFormatError(f"{path}: atom {i}: non-numeric entry")
             try:
                 vals = [float(v) for v in row]

@@ -517,7 +517,7 @@ def curve_length(segments: list[Segment]) -> tuple[float, float]:
             d = -d
         off = a - (a @ d) * d
         # rounded floats, not int64: the cast wraps past 2^63 (offsets near
-        # 1e10 at the default quantum) and would merge distinct lines
+        # 1e10 at this quantum) and would merge distinct lines
         key = (tuple(np.round(d / quantum)), tuple(np.round(off / quantum)))
         t1, t2 = float(a @ d), float(b @ d)
         groups.setdefault(key, []).append((min(t1, t2), max(t1, t2)))

@@ -198,7 +198,8 @@ def _raise_runtime_error(*_args):
     ],
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
          "dim-header-conflict", "json-boolean-entry", "json-string-entry", "json-null-entry",
-         "json-boolean-dim", "json-int-past-float-range", "zero-c-ladder", "empty-c-ladder", "empty-eps-ladder", "infinite-p", "infinite-c", "infinite-c-ladder",
+         "json-boolean-dim", "json-int-past-float-range", "zero-c-ladder", "empty-c-ladder",
+         "empty-eps-ladder", "infinite-p", "infinite-c", "infinite-c-ladder",
          "infinite-n-cap", "infinite-cstar", "infinite-r0", "scale-overflow", "scale-past-float-range",
          "internal-error"],
 )
