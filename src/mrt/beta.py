@@ -272,7 +272,7 @@ def nearby_cubes_with_mass(
 def _nearby_members(cache: BetaCache, Q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
     """Positions of Q's nearby mass-carrying cubes in mass_triples(Q.k) and mass_triples(Q.k - 1).
 
-    The vectorized form of in_nearby_family over each per-scale list.
+    The family's per-axis inequalities, tested against each per-scale list at once.
     """
     n = Q.dim
     qidx = np.asarray(Q.index, dtype=np.int64)

@@ -14,8 +14,7 @@ dilate of Q. Membership reduces to an exact integer inequality per axis
     coarser scale:  (|4 m + 1 - 2 j| + 6)^2 <= 2560000 n
 
 The family has millions of members in n >= 2 (its size is scale-free and
-translation-invariant); it is exposed as a membership test plus the per-axis
-bounds of that test.
+translation-invariant); it is exposed as the per-axis bounds of that test.
 Callers that pair the family with a measure should enumerate only the
 mass-carrying members, since empty cubes contribute zero to every statistic.
 """
@@ -182,20 +181,6 @@ def same_scale_radius(n: int) -> int:
 def parent_scale_bound(n: int) -> int:
     """Largest |4m + 1 - 2j| per axis admitted one scale coarser."""
     return isqrt(_NEARBY_SQ * n) - 6
-
-
-def in_nearby_family(Q: DyadicCube, R: DyadicCube) -> bool:
-    """Exact membership: side Q <= side R <= 2 side Q and 3R inside the dilate."""
-    n = Q.dim
-    if R.dim != n:
-        return False
-    if R.k == Q.k:
-        dmax = same_scale_radius(n)
-        return all(abs(i - j) <= dmax for i, j in zip(R.index, Q.index))
-    if R.k == Q.k - 1:
-        umax = parent_scale_bound(n)
-        return all(abs(4 * m + 1 - 2 * j) <= umax for m, j in zip(R.index, Q.index))
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ p = "sup":
   deterministic perturbed restarts (heuristic; certified against a grid
   oracle in tests).
 * sup is exact in the plane (the minimum-width strip, from one scan of the
-  convex hull's edges); in higher dimensions it searches directions with the
-  projected minimum-enclosing-ball radius as objective (heuristic).
+  convex hull's edges). For n >= 3 the direction is heuristic: the seed and
+  atom-pair directions are scored at once by the enclosing_balls radius of
+  each projection, and the best few are polished by compass search. The
+  value is the returned line's exact maximum distance, a certified bound.
 
 Also provides the diameter of a point set, the distance between closed
-segments (point-to-segment included) and a batched compass search,
-pattern_search.
+segments (point-to-segment included), enclosing_balls and a batched
+compass search, pattern_search.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .errors import DegenerateRegion, DimensionMismatch, EmptyInput, InvalidWeight
 
 _EIG_TIE_REL = 1e-12
-_SEED = 0x5EED
 
 
 def _as_points(points) -> np.ndarray:
@@ -260,47 +261,37 @@ def min_width_strip_2d(points) -> tuple[float, Line]:
 
 
 # ---------------------------------------------------------------------------
-# minimum enclosing ball (Welzl), used by the sup fit for n >= 3
+# enclosing balls (Badoiu-Clarkson), used by the sup fit for n >= 3
 
 
-def min_enclosing_ball(points) -> tuple[np.ndarray, float]:
-    X = _as_points(points)
-    rng = np.random.default_rng(_SEED)
-    idx = rng.permutation(len(X))
-    pts = [X[i] for i in idx]
-    c, r2 = _welzl(pts, [])
-    return c, float(np.sqrt(max(r2, 0.0)))
+def enclosing_balls(Z, start, first_step, iters) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosing balls of a (D, m, n) stack of point sets, all sets at once.
 
-
-def _welzl(points, boundary):
-    # recursion depth bounded by len(boundary) <= n + 1
-    c, r2 = _circumball(boundary)
-    for i, p in enumerate(points):
-        if c is None or float(np.dot(p - c, p - c)) > r2 * (1 + 1e-12) + 1e-24:
-            c, r2 = _welzl(points[:i], boundary + [p])
-    if c is None:
-        return np.zeros(1), 0.0
-    return c, r2
-
-
-def _circumball(boundary):
-    if not boundary:
-        return None, 0.0
-    p0 = boundary[0]
-    if len(boundary) == 1:
-        return p0.astype(float), 0.0
-    # solve in the affine hull of the boundary so the center is equidistant
-    # from all boundary points, not the minimum-norm algebraic solution
-    V = np.array([p - p0 for p in boundary[1:]], dtype=float)
-    G = 2.0 * (V @ V.T)
-    d = np.einsum("ij,ij->i", V, V)
-    try:
-        y = np.linalg.solve(G, d)
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(G, d, rcond=None)
-    c = p0 + y @ V
-    r2 = float(np.dot(c - p0, c - p0))
-    return c, r2
+    Runs the Badoiu-Clarkson iteration (Optimal core-sets for balls, CGTA
+    2008) on each set from its row of the (D, n) start: step i moves the
+    centre toward the point farthest from it, c_{i+1} = c_i + (p_i - c_i) / (i + 1),
+    for i = first_step, ..., first_step + iters - 1. Returns (centres, radii):
+    of the centres visited, each set's with the least maximum distance to its
+    points, and that distance. So every radius is the exact maximum distance
+    from its centre, at least the minimum radius r*. Started at a point in
+    the convex hull (the centroid) with first_step = 1, the centre c_i lies
+    within r* / sqrt(i) of the optimal one, so each radius is at most
+    (1 + 1 / sqrt(iters)) r*.
+    """
+    c = np.array(start, dtype=float)
+    best = c.copy()
+    best_r2 = np.full(len(Z), np.inf)
+    rows = np.arange(len(Z))
+    for i in range(first_step, first_step + iters):
+        W = Z - c[:, None, :]
+        d2 = np.einsum("dmn,dmn->dm", W, W)
+        j = d2.argmax(axis=1)
+        r2 = d2[rows, j]
+        closer = r2 < best_r2
+        np.copyto(best_r2, r2, where=closer)
+        np.copyto(best, c, where=closer[:, None])
+        c += (Z[rows, j] - c) / (i + 1)
+    return best, np.sqrt(best_r2)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +313,9 @@ def fit_line(points, weights=None, p=2) -> tuple[Line, float]:
     numeric p and max d for "sup".
 
     p=2 is exact. Ties between equal principal directions break toward the
-    lexicographically largest canonical eigenvector.
+    lexicographically largest canonical eigenvector. p="sup" is exact for
+    n <= 2; for n >= 3 the direction is heuristic, and the objective is
+    float(line.distances(points).max()) of the returned line, exactly.
     """
     X = _as_points(points)
     w = _as_weights(weights, len(X))
@@ -359,8 +352,6 @@ def _pca_line(X: np.ndarray, w: np.ndarray) -> Line:
 
 def _objective(X, w, line: Line, p) -> float:
     d = line.distances(X)
-    if p == "sup":
-        return float(d.max()) if len(d) else 0.0
     W = float(w.sum())
     return float((np.sum(w * d**p) / W) ** (1.0 / p))
 
@@ -411,18 +402,29 @@ def _fit_l1(X, w):
         raise EmptyInput("no seed line for the L1 fit")
     # a planar L1 optimum passes through two data points; on small inputs
     # sweeping the pairs beats any local descent
-    U = sorted_unique(X)
-    if 2 <= len(U) <= 24:
-        for i in range(len(U)):
-            for j in range(i + 1, len(U)):
-                diff = U[j] - U[i]
-                if float(np.linalg.norm(diff)) <= 1e-300:
-                    continue
-                line = Line(U[i], unit(diff))
-                obj = _objective(X, w, line, 1)
-                if obj < best[1]:
-                    best = (line, obj)
+    for line in _pair_lines(X):
+        obj = _objective(X, w, line, 1)
+        if obj < best[1]:
+            best = (line, obj)
     return best
+
+
+def _pair_lines(X) -> list[Line]:
+    """Lines through each pair of distinct points of X, if it has 2 to 24 of them."""
+    U = sorted_unique(X)
+    if not 2 <= len(U) <= 24:
+        return []
+    pairs = ((U[i], U[j] - U[i]) for i in range(len(U)) for j in range(i + 1, len(U)))
+    return [Line(a, unit(diff)) for a, diff in pairs if float(np.linalg.norm(diff)) > 1e-300]
+
+
+# enclosing-ball steps that score every candidate direction, centre the
+# _POLISHED best, score each compass poll and finish the winning poll's ball
+_SCORE_STEPS = 32
+_CENTRE_STEPS = 128
+_POLL_STEPS = 32
+_FINAL_STEPS = 256
+_POLISHED = 3
 
 
 def _fit_sup(X):
@@ -432,43 +434,45 @@ def _fit_sup(X):
     if n == 2:
         width, line = min_width_strip_2d(X)
         return line, width / 2.0
-    # scipy is imported only here, by the n >= 3 sup fits that need it
-    from scipy.optimize import minimize
-
     z = X.mean(axis=0)
     Y = X - z
+    dirs = np.array([line.direction for line in _perturbed_seeds(X, np.ones(len(X))) + _pair_lines(X)])
+    # the scoring and centring runs start at the centroid, the origin of Y
+    _, radii = _projected_balls(Y, dirs, np.zeros(n), 1, _SCORE_STEPS)
+    top = np.argsort(radii, kind="stable")[:_POLISHED]
+    centres, _ = _projected_balls(Y, dirs[top], np.zeros(n), 1, _CENTRE_STEPS)
+    u, c = dirs[top[0]], centres[0]
+    if radii[top[0]] > 0.0:  # else a line through the centroid meets every point
+        found = np.inf
+        for d, c0 in zip(dirs[top], centres):
+            val, v = _polish_direction(Y, d, c0)
+            if val < found:
+                found, u, c = val, v, c0
+    c, _ = _projected_balls(Y, u[None, :], c, _CENTRE_STEPS + 1, _FINAL_STEPS)
+    line = Line(z + c[0], u)
+    return line, float(line.distances(X).max())
 
-    def basis_for(d):
-        _, _, vt = np.linalg.svd(d.reshape(1, -1))
-        return vt[1:]
 
-    def radius(raw):
-        nrm = float(np.linalg.norm(raw))
-        if nrm < 1e-9:
-            return 1e18
-        d = raw / nrm
-        B = basis_for(d)
-        coords = Y @ B.T
-        _, r = min_enclosing_ball(coords)
-        return r
+def _projected_balls(Y, dirs, start, first_step, iters):
+    """enclosing_balls of the points Y and the start centre, projected onto each unit direction's complement."""
+    Z = Y[None, :, :] - (dirs @ Y.T)[:, :, None] * dirs[:, None, :]
+    return enclosing_balls(Z, start[None, :] - (dirs @ start)[:, None] * dirs, first_step, iters)
 
-    w = np.ones(len(X))
-    best_raw, best_val = None, np.inf
-    for seed in _perturbed_seeds(X, w):
-        res = minimize(
-            radius,
-            seed.direction,
-            method="Nelder-Mead",
-            options={"maxiter": 200 * n, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        val = float(res.fun)
-        if val < best_val:
-            best_val, best_raw = val, res.x
-    d = unit(best_raw)
-    B = basis_for(d)
-    coords = Y @ B.T
-    c, r = min_enclosing_ball(coords)
-    return Line(z + B.T @ c, d), float(r)
+
+def _polish_direction(Y, d, c):
+    """Compass search over the directions d + s B, B an orthonormal basis of d's complement.
+
+    Each poll's ball goes on from c, the centre for d. Returns (the least radius, its unit direction).
+    """
+    B = np.linalg.svd(d[None, :])[2][1:]
+
+    def f(S):
+        V = d + S @ B
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        return _projected_balls(Y, V, c, _CENTRE_STEPS + 1, _POLL_STEPS)[1]
+
+    val, s = pattern_search(f, np.zeros(len(B)), np.full(len(B), 0.1), tol=1e-3)
+    return val, unit(d + s @ B)
 
 
 def pattern_search(f, x0, steps, max_iter=200, tol=1e-13):

@@ -12,7 +12,9 @@ every vertex and pairwise breakpoint of the entries' capped parabolas.
 
 `nearby_cubes` and `nearby_count` share no path: the first filters a box
 of candidate indices through the family's defining inequalities, the second
-counts the admitted indices per axis in closed form.
+counts the admitted indices per axis in closed form. `in_nearby_family` tests
+one cube against those inequalities; the vectorized filter in
+`beta._nearby_members` must admit exactly the cubes it admits.
 
 `mass_triples` shares no path with `DiscreteMeasure.triple_table`: it
 enumerates the 4^n candidate cubes around every occupied cell and scans every
@@ -32,6 +34,9 @@ no batch axis; `_Family.slot_scores` must match it bit for bit, row by row.
 
 `chain_jones` is the Jones chain sum one cube at a time: `cube_at` per
 scale, a beta and a mass per chain cube, no memo of its own.
+
+`min_enclosing_circle` shares no path with `enclosing_balls`: it is exact,
+the best of the circles through two or three of the points.
 """
 
 from __future__ import annotations
@@ -309,6 +314,20 @@ def nearby_cubes(Q: DyadicCube) -> list[DyadicCube]:
     return fam
 
 
+def in_nearby_family(Q: DyadicCube, R: DyadicCube) -> bool:
+    """Exact membership: side Q <= side R <= 2 side Q and 3R inside the dilate."""
+    n = Q.dim
+    if R.dim != n:
+        return False
+    if R.k == Q.k:
+        dmax = same_scale_radius(n)
+        return all(abs(i - j) <= dmax for i, j in zip(R.index, Q.index))
+    if R.k == Q.k - 1:
+        umax = parent_scale_bound(n)
+        return all(abs(4 * m + 1 - 2 * j) <= umax for m, j in zip(R.index, Q.index))
+    return False
+
+
 def _parent_axis_range(j: int, umax: int) -> range:
     # integer m with |4m + 1 - 2j| <= umax
     lo = -((umax - 2 * j + 1) // 4)  # ceil((2j - 1 - umax) / 4)
@@ -344,6 +363,26 @@ def mass_triples(mu, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:
         if len(atoms):
             out.append((R, atoms, float(mu.weights[atoms].sum())))
     return out
+
+
+def min_enclosing_circle(points) -> tuple[np.ndarray, float]:
+    """Exact minimum enclosing circle of a few planar points, by enumeration.
+
+    The optimal centre is the midpoint of two points or the circumcentre of
+    three, and no centre has a smaller maximum distance than it, so the
+    least maximum distance over those candidates is the minimum radius.
+    """
+    X = np.asarray(points, dtype=float)
+    centres = [X[0]] + [(a + b) / 2.0 for a, b in itertools.combinations(X, 2)]
+    for a, b, c in itertools.combinations(X, 3):
+        u, v = b - a, c - a
+        det = 2.0 * (u[0] * v[1] - u[1] * v[0])
+        if abs(det) > 1e-12 * float(u @ u + v @ v):
+            uu, vv = float(u @ u), float(v @ v)
+            centres.append(a + np.array([v[1] * uu - u[1] * vv, u[0] * vv - v[0] * uu]) / det)
+    radii = [float(np.linalg.norm(X - c, axis=1).max()) for c in centres]
+    i = int(np.argmin(radii))
+    return centres[i], radii[i]
 
 
 def sequential_pattern_search(f, x0, steps, max_iter=200, tol=1e-13):

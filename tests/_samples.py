@@ -75,6 +75,17 @@ def lipschitz_graph_length(m: int = 65536) -> float:
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
 
 
+def helix_measure(m: int = 24) -> DiscreteMeasure:
+    """Two turns of the helix (0.5 + 0.25 cos t, 0.5 + 0.25 sin t, 0.05 + 0.07 t), t in [0, 4 pi]."""
+    t = 4 * np.pi * (np.arange(m) + 0.5) / m
+    pts = np.column_stack([0.5 + 0.25 * np.cos(t), 0.5 + 0.25 * np.sin(t), 0.05 + 0.07 * t])
+    return DiscreteMeasure(pts, np.full(m, 1.0 / m))
+
+
+def helix_length() -> float:
+    return float(4 * np.pi * np.hypot(0.25, 0.07))
+
+
 def four_corner_cantor(depth: int, total: float = 1.0, offset=(0.0, 0.0)) -> DiscreteMeasure:
     """Corners of the four-corner Cantor iteration at the given depth.
 

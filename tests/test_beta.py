@@ -20,11 +20,12 @@ from mrt import (
 )
 from mrt import beta as beta_mod
 from mrt.beta import VARIANTS, _family, _Family, _refine_objective, nearby_cubes_with_mass
-from mrt.dyadic import Box, cube_at, in_nearby_family
+from mrt.dyadic import Box, cube_at
 from mrt.errors import DegenerateRegion
 
 from _oracle import (
     brute_force_line_oracle,
+    in_nearby_family,
     mass_triples,
     moment_score,
     offset_envelope,

@@ -4,13 +4,21 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mrt import cli, rectify
 from mrt._serialize import dumps
 from mrt.cli import main, save_measure
 
-from _samples import four_corner_cantor, lipschitz_graph_measure, polyline_measure, segment_cantor_mixture
+from _samples import (
+    four_corner_cantor,
+    helix_length,
+    helix_measure,
+    lipschitz_graph_measure,
+    polyline_measure,
+    segment_cantor_mixture,
+)
 from conftest import FIXTURES_DIR
 
 
@@ -26,6 +34,22 @@ def run_python(code: str, *args: str) -> str:
 
 def test_import_does_not_load_scipy_optimize():
     assert run_python("import sys, mrt.cli; print('scipy.optimize' in sys.modules)") == "False"
+
+
+def test_no_module_loads_scipy():
+    # every module imported, and the sup fits of n >= 3 run, without scipy
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import numpy as np\n"
+        "import mrt\n"
+        "for info in pkgutil.iter_modules(mrt.__path__):\n"
+        "    importlib.import_module('mrt.' + info.name)\n"
+        "X = np.random.default_rng(0).uniform(size=(12, 3))\n"
+        "line, value = mrt.fit_line(X, None, 'sup')\n"
+        "beta = mrt.beta_sup_set(X, mrt.Box((0.5, 0.5, 0.5), 0.5))\n"
+        "print(value > 0.0, beta > 0.0, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert run_python(code) == "True True []"
 
 
 # layers that `mrt beta` never runs; concurrent.futures belonged to the thread pool,
@@ -164,6 +188,40 @@ def test_curve_and_validate_golden(tmp_path, command):
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
     assert dumps(rep) == (FIXTURES_DIR / f"{command}_polyline20_golden.json").read_text()
+
+
+# a helix in R^3 runs every command whose lines are sup fits
+def test_tst_helix(tmp_path):
+    measure = tmp_path / "measure.json"
+    save_measure(helix_measure(24), measure)
+    out = tmp_path / "report.json"
+    assert main(["tst", str(measure), "--k-hi", "2", "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    for kind in ("beta_sq_set", "s_star_star"):
+        cubes = rep[kind]["cubes"]
+        assert cubes and rep[kind]["total"] == sum(c["term"] for c in cubes)
+
+
+def test_curve_helix(tmp_path):
+    mu = helix_measure(12)
+    measure = tmp_path / "measure.json"
+    save_measure(mu, measure)
+    out = tmp_path / "report.json"
+    assert main(["curve", str(measure), "--depth", "4", "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["connected"] and rep["certificate"]["ok"]
+    # the polyline through the atoms in helix order is inscribed in the helix
+    polyline = float(np.linalg.norm(np.diff(mu.points, axis=0), axis=1).sum())
+    assert polyline <= helix_length()
+    assert rep["length"]["dedup"] >= polyline
+
+
+def test_decompose_helix(tmp_path):
+    measure = tmp_path / "measure.json"
+    save_measure(helix_measure(24), measure)
+    out = tmp_path / "report.json"
+    assert main(["decompose", str(measure), "--k-max", "3", "-o", str(out)]) == 0
+    assert 0.0 <= json.loads(out.read_text())["captured_fraction"] <= 1.0
 
 
 def _raise_runtime_error(*_args):

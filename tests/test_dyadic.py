@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mrt import Box, CubeTree, DiscreteMeasure, DyadicCube, chain_of_cubes, cube_at
-from mrt.dyadic import NEARBY_DILATION, chain_cells, in_nearby_family, same_scale_radius
+from mrt.dyadic import NEARBY_DILATION, chain_cells, same_scale_radius
 from mrt.errors import DimensionMismatch, ScaleOverflow, TreeStructureError
 
-from _oracle import nearby_count, nearby_cubes
+from _oracle import in_nearby_family, nearby_count, nearby_cubes
 
 
 class TestDyadicCube:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mrt.geometry import (
     canonical_direction,
     convex_hull_2d,
     diameter,
-    min_enclosing_ball,
+    enclosing_balls,
     min_width_strip_2d,
     pattern_search,
     sorted_unique,
@@ -18,10 +20,12 @@ from mrt.geometry import (
 from _oracle import (
     brute_force_line_oracle,
     convex_hull_loop,
+    min_enclosing_circle,
     min_width_strip_loop,
     rows,
     sequential_pattern_search,
 )
+from conftest import FIXTURES_DIR
 
 
 class TestLine:
@@ -138,25 +142,69 @@ class TestHull:
             assert width / 2 <= oval + 1e-9
 
 
+def squared_distances(pts, center):
+    # the arithmetic enclosing_balls measures its radii in
+    W = pts[None, :, :] - center[None, None, :]
+    return np.einsum("dmn,dmn->dm", W, W)[0]
+
+
 class TestEnclosingBall:
+    @staticmethod
+    def ball(pts, start, iters):
+        center, r = enclosing_balls(pts[None, :, :], start[None, :], 1, iters)
+        # the radius is the maximum distance from the returned centre, so
+        # every point lies in the ball, exactly
+        assert np.sqrt(squared_distances(pts, center[0]).max()) == r[0]
+        return center[0], float(r[0])
+
+    @staticmethod
+    def assert_within_bound(r, exact, iters):
+        # the bound the docstring states for a start inside the convex hull
+        assert exact * (1 - 1e-12) <= r <= (1 + 1 / np.sqrt(iters)) * exact * (1 + 1e-12)
+
     def test_two_points(self):
-        center, r = min_enclosing_ball(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        assert np.allclose(center, [1.0, 0.0])
-        assert r == pytest.approx(1.0)
+        pts = np.array([[0.0, 0.0], [2.0, 0.0]])
+        for start in (pts.mean(axis=0), pts[0], np.array([0.5, 0.0])):
+            for iters in (1, 2, 8, 64):
+                _center, r = self.ball(pts, start, iters)
+                self.assert_within_bound(r, 1.0, iters)
+        center, r = self.ball(pts, pts.mean(axis=0), 1)
+        assert np.array_equal(center, [1.0, 0.0]) and r == 1.0
 
     def test_equilateral_triangle(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-        center, r = min_enclosing_ball(pts)
-        assert r == pytest.approx(1 / np.sqrt(3), abs=1e-9)
-        assert np.allclose(center, [0.5, np.sqrt(3) / 6], atol=1e-9)
+        for start in (pts.mean(axis=0), *pts):
+            for iters in (1, 4, 16, 64, 256):
+                _center, r = self.ball(pts, start, iters)
+                self.assert_within_bound(r, 1 / np.sqrt(3), iters)
 
     def test_contains_all_points(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             pts = rng.normal(size=(12, 2))
-            center, r = min_enclosing_ball(pts)
-            d = np.linalg.norm(pts - center, axis=1)
-            assert np.all(d <= r + 1e-9)
+            _exact_center, exact = min_enclosing_circle(pts)
+            for iters in (1, 5, 40, 300):
+                _center, r = self.ball(pts, pts.mean(axis=0), iters)
+                self.assert_within_bound(r, exact, iters)
+
+    def test_sets_in_a_stack_are_independent(self):
+        # each set's centre and radius are those of its own run, bit for bit,
+        # from any start and first step
+        rng = np.random.default_rng(8)
+        Z = rng.normal(size=(5, 9, 3)) + rng.uniform(-1e3, 1e3, size=(5, 1, 3))
+        start = Z.mean(axis=1) + rng.normal(size=(5, 3))
+        for first_step in (1, 100):
+            centers, radii = enclosing_balls(Z, start, first_step, 50)
+            for i in range(len(Z)):
+                center, r = enclosing_balls(Z[i:i + 1], start[i:i + 1], first_step, 50)
+                assert center.tobytes() == centers[i:i + 1].tobytes() and r[0] == radii[i]
+
+
+def sup_fit(X):
+    """fit_line(X, None, "sup"), checking that the value is the line's exact maximum distance."""
+    line, value = fit_line(X, None, "sup")
+    assert value == float(line.distances(X).max())
+    return line, value
 
 
 class TestFitLine:
@@ -167,6 +215,13 @@ class TestFitLine:
             line, obj = fit_line(pts, None, p)
             assert obj <= 1e-12
             assert np.max(line.distances(pts)) <= 1e-9
+        # in R^3 and R^4 the sup fit keeps the line to rounding, at any scale
+        for scale, offset in ((1.0, 0.0), (1e-8, 0.0), (1e8, 3e9), (1.0, 1e6)):
+            for pts in (np.column_stack([t, 2 * t + 0.25, 0.5 - 3 * t]),
+                        np.column_stack([t, -t, 0.1 + 0.5 * t, 2 * t])):
+                X = scale * pts + offset
+                _line, obj = sup_fit(X)
+                assert obj <= 1e-12 * max(diameter(X), abs(offset))
 
     def test_weighted_pull(self):
         # heavy weight on outlier pulls the p=2 line toward it
@@ -179,6 +234,13 @@ class TestFitLine:
         line, obj = fit_line(np.array([[0.3, 0.4]]), None, 2)
         assert obj == pytest.approx(0.0)
         assert line.distances(np.array([[0.3, 0.4]]))[0] <= 1e-15
+        # one point, two points and coincident atoms in R^3: the sup fit meets them all
+        for X in ([[0.3, 0.4, 0.5]], [[0.3, 0.4, 0.5], [1.0, -2.0, 7.5]], [[0.3, 0.4, 0.5]] * 4,
+                  [[0.3, 0.4, 0.5]] * 3 + [[1.0, -2.0, 7.5]] * 2):
+            X = np.array(X)
+            line, obj = sup_fit(X)
+            assert obj <= 1e-15 * (1.0 + diameter(X))
+            assert np.all(np.isfinite(line.base)) and np.linalg.norm(line.direction) == pytest.approx(1.0)
 
     def test_oracle_agreement_p2(self):
         rng = np.random.default_rng(11)
@@ -205,6 +267,29 @@ class TestFitLine:
         line, obj = fit_line(pts, None, 2)
         assert obj <= 1e-12
         assert np.max(line.distances(pts)) <= 1e-8
+        # a smoke case in R^4: the sup line is no worse than the principal line
+        X = np.random.default_rng(4).normal(size=(15, 4))
+        _line, obj = sup_fit(X)
+        pca, _ = fit_line(X, None, 2)
+        assert 0.0 < obj <= float(pca.distances(X).max())
+
+    def test_sup_translation_invariant(self):
+        rng = np.random.default_rng(6)
+        for m, n in ((4, 3), (9, 3), (17, 3), (30, 3), (11, 4)):
+            X = rng.normal(size=(m, n))
+            _line, obj = sup_fit(X)
+            _line, moved = sup_fit(X + 1e6)
+            assert abs(moved - obj) <= 1e-9 * obj
+
+    def test_sup_3d_golden(self):
+        # sup3d_golden.json holds the values of the exact-ball Nelder-Mead
+        # fit this search replaced: a 20-point helix, seeded Gaussian sets,
+        # a near-collinear set and the helix moved by 1e6
+        cases = json.loads((FIXTURES_DIR / "sup3d_golden.json").read_text())["cases"]
+        assert len(cases) == 18
+        for case in cases:
+            _line, obj = sup_fit(np.array(case["points"]))
+            assert obj <= 1.02 * case["value"], case["name"]
 
 
 def test_pattern_search_quadratic():

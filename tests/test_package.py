@@ -73,11 +73,10 @@ def test_no_unused_imports():
 
 
 # public names that no module calls, kept on purpose: the writer that
-# load_measure reads back, the exact membership test that the vectorized
-# family filter in beta.nearby_cubes_with_mass is checked against, and that
-# enumeration itself, which perfbench traces by name (beta_multi reads the
-# same members by their positions in the per-scale triple lists)
-UNREFERENCED_ALLOWED = {"cli.save_measure", "dyadic.in_nearby_family", "beta.nearby_cubes_with_mass"}
+# load_measure reads back, and the family enumeration that perfbench traces by
+# name (beta_multi reads the same members by their positions in the per-scale
+# triple lists)
+UNREFERENCED_ALLOWED = {"cli.save_measure", "beta.nearby_cubes_with_mass"}
 
 
 def test_public_names_are_referenced():
