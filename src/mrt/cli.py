@@ -3,9 +3,13 @@
 Subcommands: beta (per-cube beta reports), jones (per-atom Jones reports),
 tst (beta-squared sums over cube families), curve (nets, curve construction,
 length certificate), decompose (rectifiable/unrectifiable labeling), and
-validate (net, tree, and ledger validators). Reports are JSON with sorted
-keys and 17-significant-digit floats, and echo every semantic parameter:
-identical input and config give byte-identical output.
+validate (net, tree, and ledger validators). Each cmd_* returns its report
+body and exit status; run wraps every body in one envelope, the command name
+and the config echo of every semantic parameter. Reports are JSON with
+sorted keys and 17-significant-digit floats: identical input and config give
+byte-identical output. curve and validate share one pipeline (nets, one net
+validation, alphas, the curve and its connectivity check) and differ only in
+how they report the length certificate.
 
 Each process imports only the layers its subcommand runs. beta and jones
 own the parser's variant lists and four of the six subcommands run them, so
@@ -24,12 +28,12 @@ import math
 import pathlib
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._parallel import pmap
-from ._serialize import dumps, format_float
+from ._serialize import dumps
 from .beta import VARIANTS, BetaCache, beta_multi
 from .dyadic import CubeTree, chain_of_cubes
 from .errors import (
@@ -61,8 +65,8 @@ def load_measure(path, fmt: str = "auto") -> DiscreteMeasure:
 
     csv rows hold n coordinates followed by a positive weight; `#` lines are
     comments and an optional `# dim=<n>` header pins the dimension. json
-    holds {"dim": n, "atoms": [[x1..xn, w], ...]}. Errors name the offending
-    line or atom.
+    holds {"dim": n, "atoms": [[x1..xn, w], ...]}. Both formats check each
+    row with _check_row, and errors name the offending line or atom.
     """
     p = pathlib.Path(path)
     if not p.is_file():
@@ -71,98 +75,82 @@ def load_measure(path, fmt: str = "auto") -> DiscreteMeasure:
         fmt = "json" if p.suffix.lower() == ".json" else "csv"
     if fmt not in ("csv", "json"):
         raise InputFormatError(f"unknown format {fmt!r} (expected csv or json)")
-    if fmt == "json":
+    rows = (_json_rows if fmt == "json" else _csv_rows)(p.read_text(), path)
+    if not rows:
+        raise InputFormatError(f"{path}: no atoms")
+    table = np.array(rows, dtype=float)
+    return DiscreteMeasure(table[:, :-1], table[:, -1])
+
+
+def _check_row(vals: list[float], dim: int | None, where: str) -> int:
+    """Check a row of coordinates plus a positive weight against dim, if set; return its dimension."""
+    if len(vals) < 2:
+        raise InputFormatError(f"{where}: need coordinates plus a weight")
+    if dim is not None and len(vals) != dim + 1:
+        raise InputFormatError(f"{where}: expected {dim} coordinates plus weight, got {len(vals) - 1}")
+    if not vals[-1] > 0:
+        raise InputFormatError(f"{where}: nonpositive weight {vals[-1]}")
+    return len(vals) - 1
+
+
+def _json_rows(text: str, path) -> list[list[float]]:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
+        raise InputFormatError(f"{path}: expected an object with an 'atoms' array")
+    dim = obj.get("dim")
+    if dim is not None and (type(dim) is not int or dim < 1):
+        raise InputFormatError(f"{path}: 'dim' must be a positive integer")
+    rows = []
+    for i, row in enumerate(obj["atoms"]):
+        where = f"{path}: atom {i}"
+        if not isinstance(row, list):
+            raise InputFormatError(f"{where}: need coordinates plus a weight")
+        # exact types: float() would also take true (a bool is an int) and "0.3"
+        if not all(type(v) in (int, float) for v in row):
+            raise InputFormatError(f"{where}: non-numeric entry")
         try:
-            obj = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
-            raise InputFormatError(f"{path}: expected an object with an 'atoms' array")
-        dim = obj.get("dim")
-        if dim is not None and (type(dim) is not int or dim < 1):
-            raise InputFormatError(f"{path}: 'dim' must be a positive integer")
-        pts: list[list[float]] = []
-        wts: list[float] = []
-        for i, row in enumerate(obj["atoms"]):
-            if not isinstance(row, list) or len(row) < 2:
-                raise InputFormatError(f"{path}: atom {i}: need coordinates plus a weight")
-            # exact types: float() would also take true (a bool is an int) and "0.3"
-            if not all(type(v) in (int, float) for v in row):
-                raise InputFormatError(f"{path}: atom {i}: non-numeric entry")
-            try:
-                vals = [float(v) for v in row]
-            except OverflowError as exc:
-                raise InputFormatError(f"{path}: atom {i}: integer beyond float range") from exc
-            if dim is None:
-                dim = len(vals) - 1
-            if len(vals) != dim + 1:
-                raise InputFormatError(
-                    f"{path}: atom {i}: expected {dim} coordinates plus weight, got {len(vals) - 1}"
-                )
-            if not vals[-1] > 0:
-                raise InputFormatError(f"{path}: atom {i}: nonpositive weight {vals[-1]}")
-            pts.append(vals[:-1])
-            wts.append(vals[-1])
-        if not pts:
-            raise InputFormatError(f"{path}: no atoms")
-        return DiscreteMeasure(np.array(pts, dtype=float), np.array(wts, dtype=float))
-    declared: int | None = None
+            vals = [float(v) for v in row]
+        except OverflowError as exc:
+            raise InputFormatError(f"{where}: integer beyond float range") from exc
+        dim = _check_row(vals, dim, where)
+        rows.append(vals)
+    return rows
+
+
+def _csv_rows(text: str, path) -> list[list[float]]:
     dim = None
-    pts, wts = [], []
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
+        where = f"{path}:{lineno}"
         if line.startswith("#"):
             m = _DIM_HEADER.match(line)
             if m:
                 declared = int(m.group(1))
                 if declared < 1:
-                    raise InputFormatError(f"{path}:{lineno}: dim must be positive")
+                    raise InputFormatError(f"{where}: dim must be positive")
                 if dim is not None and dim != declared:
                     raise InputFormatError(
-                        f"{path}:{lineno}: dim header {declared} conflicts with rows of dimension {dim}"
+                        f"{where}: dim header {declared} conflicts with rows of dimension {dim}"
                     )
                 dim = declared
-            continue
-        fields = line.split(",")
-        try:
-            vals = [float(f) for f in fields]
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{lineno}: malformed row {raw!r}") from exc
-        if len(vals) < 2:
-            raise InputFormatError(f"{path}:{lineno}: need coordinates plus a weight")
-        if dim is None:
-            dim = len(vals) - 1
-        if len(vals) != dim + 1:
-            raise InputFormatError(
-                f"{path}:{lineno}: expected {dim} coordinates plus weight, got {len(vals) - 1}"
-            )
-        if not vals[-1] > 0:
-            raise InputFormatError(f"{path}:{lineno}: nonpositive weight {vals[-1]}")
-        pts.append(vals[:-1])
-        wts.append(vals[-1])
-    if not pts:
-        raise InputFormatError(f"{path}: no atoms")
-    return DiscreteMeasure(np.array(pts, dtype=float), np.array(wts, dtype=float))
+        elif line:
+            try:
+                vals = [float(f) for f in line.split(",")]
+            except ValueError as exc:
+                raise InputFormatError(f"{where}: malformed row {raw!r}") from exc
+            dim = _check_row(vals, dim, where)
+            rows.append(vals)
+    return rows
 
 
-def measure_to_json(mu: DiscreteMeasure) -> dict:
-    atoms = [[*map(float, xy), float(w)] for xy, w in zip(mu.points, mu.weights)]
-    return {"dim": mu.dim, "atoms": atoms}
-
-
-def save_measure(mu: DiscreteMeasure, path, fmt: str = "json") -> None:
-    p = pathlib.Path(path)
-    if fmt == "json":
-        p.write_text(dumps(measure_to_json(mu)))
-    elif fmt == "csv":
-        lines = [f"# dim={mu.dim}"]
-        for xy, w in zip(mu.points, mu.weights):
-            lines.append(",".join(format_float(float(v)) for v in (*xy, w)))
-        p.write_text("\n".join(lines) + "\n")
-    else:
-        raise InputFormatError(f"unknown format {fmt!r} (expected csv or json)")
+def save_measure(mu: DiscreteMeasure, path) -> None:
+    """Write a measure as json; floats round-trip exactly through load_measure."""
+    atoms = [[*map(float, x), float(w)] for x, w in zip(mu.points, mu.weights)]
+    pathlib.Path(path).write_text(dumps({"dim": mu.dim, "atoms": atoms}))
 
 
 def save_report(report: dict, path=None) -> None:
@@ -232,25 +220,8 @@ class RunConfig:
             raise InputFormatError(f"epsilon must lie in (0, 1/32], got {self.epsilon}")
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "format": self.format,
-            "p": float(self.p),
-            "variant": self.variant,
-            "c": None if self.c is None else float(self.c),
-            "c_ladder": [float(v) for v in self.c_ladder],
-            "n_cap": float(self.n_cap),
-            "eps_ladder": [float(v) for v in self.eps_ladder],
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-            "k_max": self.k_max,
-            "cstar": float(self.cstar),
-            "r0": None if self.r0 is None else float(self.r0),
-            "depth": self.depth,
-            "epsilon": float(self.epsilon),
-            "seed": self.seed,
-        }
+        """Every field but the report path, for the report's config echo."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output"}
 
 
 def _finite_positive(v: float) -> bool:
@@ -325,13 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, input=args.input)
-    for name in (
-        "format", "output", "p", "variant", "c", "c_ladder", "n_cap", "eps_ladder",
-        "k_lo", "k_hi", "k_max", "cstar", "r0", "depth", "epsilon", "seed",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
     cfg.validate()
     return cfg
 
@@ -352,7 +317,7 @@ def _cube_dict(Q) -> dict:
     return {"k": Q.k, "index": [int(v) for v in Q.index]}
 
 
-def cmd_beta(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
+def cmd_beta(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     cache = BetaCache(mu)
     work = []
     for k in range(cfg.k_lo, cfg.k_hi + 1):
@@ -370,10 +335,10 @@ def cmd_beta(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
         }
 
     rows = pmap(one, work)
-    return {"command": "beta", "config": cfg.as_dict(), "n_cubes": len(rows), "cubes": rows}
+    return {"n_cubes": len(rows), "cubes": rows}, EXIT_OK
 
 
-def cmd_jones(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
+def cmd_jones(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     cache = BetaCache(mu)
 
     def one(i: int) -> dict:
@@ -394,15 +359,10 @@ def cmd_jones(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
 
     rows = pmap(one, range(len(mu.points)))
     total = float(sum(r["value"] * r["weight"] for r in rows))
-    return {
-        "command": "jones",
-        "config": cfg.as_dict(),
-        "atoms": rows,
-        "mass_weighted_sum": total,
-    }
+    return {"atoms": rows, "mass_weighted_sum": total}, EXIT_OK
 
 
-def cmd_tst(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
+def cmd_tst(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     cache = BetaCache(mu)
     k_range = range(cfg.k_lo, cfg.k_hi + 1)
     set_rep = square_sum(mu, "beta_sq_set", points=mu.points, k_range=k_range)
@@ -415,19 +375,44 @@ def cmd_tst(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
         ]
 
     return {
-        "command": "tst",
-        "config": cfg.as_dict(),
         "beta_sq_set": {"total": set_rep.total, "family": set_rep.family, "cubes": rows(set_rep)},
         "s_star_star": {"total": fam_rep.total, "family": fam_rep.family, "cubes": rows(fam_rep)},
-    }
+    }, EXIT_OK
 
 
-def _curve_payload(result) -> dict:
-    """Vertices, indexed segments, lengths, and accounting for a curve result."""
+def _drawn_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple:
+    """(net validation, curve, connected, witness) of a curve or validate run.
+
+    The nets are validated once; when they fail, no curve is drawn and the
+    last three entries are (None, False, {}).
+    """
+    from .curve import construct_curve, verify_connected
+    from .nets import fit_alphas, nets_from_points, validate_nets
+
+    nets = nets_from_points(mu.points, r0=cfg.r0, K=cfg.depth, cstar=cfg.cstar)
+    val = validate_nets(nets)
+    if not val.ok:
+        return val, None, False, {}
+    result = construct_curve(nets, fit_alphas(nets), epsilon=cfg.epsilon)
+    return val, result, *verify_connected(result.segments)
+
+
+def _net_check(val) -> dict:
+    return {"ok": bool(val.ok), "cstar_min": val.cstar_min, "violations": val.violations[:20]}
+
+
+def cmd_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
+    """Vertices, indexed segments, lengths, accounting and certificate of the curve."""
+    from .curve import length_certificate
+
+    val, result, connected, _witness = _drawn_curve(cfg, mu)
+    if result is None:
+        return {"net_validation": _net_check(val)}, EXIT_VALIDATION
+    cert = length_certificate(result)
     segs = sorted(result.segments, key=lambda s: (s.gen, s.kind, s.a, s.b))
     verts: list[tuple] = sorted(set(result.vertices))
     index = {v: i for i, v in enumerate(verts)}
-    return {
+    report = {
         "vertices": [[float(x) for x in v] for v in verts],
         "segments": [
             {"a": index[s.a], "b": index[s.b], "kind": s.kind, "gen": s.gen}
@@ -437,35 +422,7 @@ def _curve_payload(result) -> dict:
             "naive": result.accounting["length_naive"],
             "dedup": result.accounting["length_dedup"],
         },
-        "accounting": {k: v for k, v in result.accounting.items()},
-    }
-
-
-def cmd_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
-    from .curve import construct_curve, length_certificate, verify_connected
-    from .nets import fit_alphas, nets_from_points, validate_nets
-
-    nets = nets_from_points(mu.points, r0=cfg.r0, K=cfg.depth, cstar=cfg.cstar)
-    val = validate_nets(nets)
-    if not val.ok:
-        report = {
-            "command": "curve",
-            "config": cfg.as_dict(),
-            "net_validation": {
-                "ok": False,
-                "cstar_min": val.cstar_min,
-                "violations": val.violations[:20],
-            },
-        }
-        return report, EXIT_VALIDATION
-    alphas = fit_alphas(nets)
-    result = construct_curve(nets, alphas, epsilon=cfg.epsilon)
-    cert = length_certificate(result)
-    connected, witness = verify_connected(result.segments)
-    payload = _curve_payload(result)
-    payload.update({
-        "command": "curve",
-        "config": cfg.as_dict(),
+        "accounting": dict(result.accounting),
         "net_validation": {"ok": True, "cstar_min": val.cstar_min},
         "connected": bool(connected),
         "certificate": {
@@ -475,11 +432,11 @@ def cmd_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
             "checks": cert.checks,
             "stages_checked": cert.stages_checked,
         },
-    })
-    return payload, EXIT_OK if (cert.ok and connected) else EXIT_VALIDATION
+    }
+    return report, EXIT_OK if (cert.ok and connected) else EXIT_VALIDATION
 
 
-def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
+def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     from .rectify import decompose_estimate
 
     rep = decompose_estimate(
@@ -514,8 +471,6 @@ def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
         for d in rep.curves
     ]
     return {
-        "command": "decompose",
-        "config": cfg.as_dict(),
         "params": rep.params,
         "atoms": atoms,
         "curves": curves,
@@ -527,26 +482,16 @@ def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> dict:
         "rect_mass": rep.rect_mass,
         "captured_mass": rep.captured_mass,
         "captured_fraction": rep.captured_fraction,
-    }
+    }, EXIT_OK
 
 
 def cmd_validate(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
-    from .curve import construct_curve, length_certificate, verify_connected
-    from .nets import fit_alphas, nets_from_points, validate_nets
+    from .curve import length_certificate
 
-    checks: dict[str, dict] = {}
-    nets = nets_from_points(mu.points, r0=cfg.r0, K=cfg.depth, cstar=cfg.cstar)
-    val = validate_nets(nets)
-    checks["nets"] = {
-        "ok": bool(val.ok),
-        "cstar_min": val.cstar_min,
-        "violations": val.violations[:20],
-    }
+    val, result, connected, witness = _drawn_curve(cfg, mu)
+    checks = {"nets": _net_check(val)}
     curve_ok = False
-    if val.ok:
-        alphas = fit_alphas(nets)
-        result = construct_curve(nets, alphas, epsilon=cfg.epsilon)
-        connected, witness = verify_connected(result.segments)
+    if result is not None:
         checks["curve_connected"] = {
             "ok": bool(connected),
             "witness": {k: int(v) if isinstance(v, (int, np.integer)) else str(v)
@@ -579,8 +524,7 @@ def cmd_validate(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
         "n_members": n_members,
     }
     ok = bool(val.ok and curve_ok and tree_ok)
-    report = {"command": "validate", "config": cfg.as_dict(), "ok": ok, "checks": checks}
-    return report, EXIT_OK if ok else EXIT_VALIDATION
+    return {"ok": ok, "checks": checks}, EXIT_OK if ok else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -590,22 +534,13 @@ def cmd_validate(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
 def run(cfg: RunConfig) -> int:
     """Execute one configured command and write its report; returns exit code."""
     mu = load_measure(cfg.input, cfg.format)
-    status = EXIT_OK
-    if cfg.command == "beta":
-        report = cmd_beta(cfg, mu)
-    elif cfg.command == "jones":
-        report = cmd_jones(cfg, mu)
-    elif cfg.command == "tst":
-        report = cmd_tst(cfg, mu)
-    elif cfg.command == "curve":
-        report, status = cmd_curve(cfg, mu)
-    elif cfg.command == "decompose":
-        report = cmd_decompose(cfg, mu)
-    elif cfg.command == "validate":
-        report, status = cmd_validate(cfg, mu)
-    else:
+    # looked up per call, so that a replaced cmd_* module attribute is the one run
+    commands = {"beta": cmd_beta, "jones": cmd_jones, "tst": cmd_tst, "curve": cmd_curve,
+                "decompose": cmd_decompose, "validate": cmd_validate}
+    if cfg.command not in commands:
         raise InputFormatError(f"unknown command {cfg.command!r}")
-    save_report(report, cfg.output)
+    body, status = commands[cfg.command](cfg, mu)
+    save_report({"command": cfg.command, "config": cfg.as_dict(), **body}, cfg.output)
     return status
 
 

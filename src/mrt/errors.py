@@ -53,7 +53,12 @@ class CertificateError(MrtError, ValueError):
 
 
 class ScaleOverflow(MrtError, ValueError):
-    """A coordinate's dyadic cell index at the requested scale is too large for int64."""
+    """A requested scale is out of range.
+
+    Either a coordinate's dyadic cell index at that scale is too large for
+    int64, or a scale 2^-k r (a net separation, a density radius) underflows
+    to 0.
+    """
 
 
 class InputFormatError(MrtError, ValueError):

@@ -330,6 +330,12 @@ def fit_line(points, weights=None, p=2) -> tuple[Line, float]:
 
 
 def _pca_line(X: np.ndarray, w: np.ndarray) -> Line:
+    z, d, _ = _principal(X, w)
+    return Line(z, d)
+
+
+def _principal(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted centroid, principal direction and eigenvectors of the weighted scatter."""
     W = float(w.sum())
     z = (w @ X) / W
     Y = X - z
@@ -340,14 +346,13 @@ def _pca_line(X: np.ndarray, w: np.ndarray) -> Line:
         # all atoms coincide: any line through them fits exactly
         d = np.zeros(X.shape[1])
         d[0] = 1.0
-        return Line(z, d)
+        return z, d, vecs
     cands = [
         canonical_direction(vecs[:, j])
         for j in range(len(vals))
         if top - vals[j] <= _EIG_TIE_REL * top
     ]
-    d = max(cands, key=lambda v: tuple(v))
-    return Line(z, unit(d))
+    return z, unit(max(cands, key=lambda v: tuple(v))), vecs
 
 
 def _objective(X, w, line: Line, p) -> float:
@@ -357,16 +362,12 @@ def _objective(X, w, line: Line, p) -> float:
 
 
 def _perturbed_seeds(X, w):
-    base = _pca_line(X, w)
+    z, d, vecs = _principal(X, w)
+    base = Line(z, d)
     n = X.shape[1]
     seeds = [base]
     if n < 2:
         return seeds
-    W = float(w.sum())
-    z = (w @ X) / W
-    Y = X - z
-    M = (Y * w[:, None]).T @ Y / W
-    _, vecs = np.linalg.eigh(M)
     d1 = base.direction
     d2 = vecs[:, -2]
     d2 = d2 - (d2 @ d1) * d1
@@ -382,6 +383,11 @@ def _perturbed_seeds(X, w):
 
 
 def _fit_l1(X, w):
+    if (X == X[0]).all():
+        # every point is equal: the principal line meets them all, where the
+        # reweighting below would overflow dividing by its floor
+        line = _pca_line(X, w)
+        return line, _objective(X, w, line, 1)
     best: tuple[Line, float] | None = None
     scale = float(np.max(np.abs(X - X.mean(axis=0)))) + 1e-300
     floor = 1e-12 * scale

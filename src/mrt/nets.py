@@ -42,7 +42,7 @@ import numpy as np
 
 from ._parallel import pmap
 from .dyadic import CubeTree, DyadicCube
-from .errors import EmptyInput, NetValidationError, ZeroMassTriple
+from .errors import EmptyInput, NetValidationError, ScaleOverflow, ZeroMassTriple
 from .geometry import Line, diameter, fit_line, segment_distance
 from .measure import DiscreteMeasure, ZeroMassRegion
 
@@ -150,6 +150,8 @@ def nets_from_points(points, r0: float | None = None, K: int = 6, cstar: float =
     if r0 is None:
         # a single point (or all coincident) leaves the scale arbitrary
         r0 = diameter(E) or 1.0
+    if r0 > 0 and 2.0 ** (-K) * r0 == 0.0:
+        raise ScaleOverflow(f"separation 2^-{K} r0 underflows to 0 at r0 = {r0}")
     levels = []
     for k in range(K + 1):
         idx = _greedy_separated(E, 2.0 ** (-k) * r0)

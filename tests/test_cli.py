@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from mrt import cli, rectify
+from mrt import DiscreteMeasure, cli, rectify
 from mrt._serialize import dumps
-from mrt.cli import main, save_measure
+from mrt.errors import InputFormatError
+from mrt.cli import load_measure, main, save_measure
 
 from _samples import (
     four_corner_cantor,
@@ -190,6 +191,89 @@ def test_curve_and_validate_golden(tmp_path, command):
     assert dumps(rep) == (FIXTURES_DIR / f"{command}_polyline20_golden.json").read_text()
 
 
+def test_beta_star_c_p1_golden(tmp_path):
+    # per-cube star_c betas at p = 1 with their lines; the fixture, without
+    # the input path, was written before the CLI shared one report envelope
+    measure = tmp_path / "measure.json"
+    save_measure(polyline_measure(20), measure)
+    out = tmp_path / "report.json"
+    args = ["--k-hi", "2", "--variant", "star_c", "--c", "0.5", "--p", "1"]
+    assert main(["beta", str(measure), *args, "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    del rep["config"]["input"]
+    assert dumps(rep) == (FIXTURES_DIR / "beta_star_c_polyline20_golden.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["curve", "validate"])
+def test_failed_nets_golden(tmp_path, command):
+    # the level-1 net of these atoms misses (V_III), so neither command draws
+    # a curve; the fixtures, without the input path, were written before the
+    # two commands shared one pipeline
+    measure = tmp_path / "measure.csv"
+    measure.write_text("0,0,1\n0.5,0.5,1\n0.25,0.3,1\n")
+    out = tmp_path / "report.json"
+    assert main([command, str(measure), "--depth", "4", "-o", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    del rep["config"]["input"]
+    assert dumps(rep) == (FIXTURES_DIR / f"{command}_failed_nets_golden.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "text, args",
+    [(text, args)
+     for text in ("0.3,0.4,1\n", "0.3,0.4,1\n0.3,0.4,2\n")
+     for args in (["beta", "--k-hi", "1"], ["jones"], ["tst"], ["decompose"])]
+    + [("0,0,1\n1,0,1\n", ["jones", "--variant", "tilde", "--k-max", "4"])],
+    ids=["beta-one", "jones-one", "tst-one", "decompose-one", "beta-coincident",
+         "jones-coincident", "tst-coincident", "decompose-coincident", "jones-tilde-two"],
+)
+def test_p1_on_equal_atoms(tmp_path, text, args):
+    # every family of one atom, or of equal atoms, gets the p = 1 line through them
+    measure = tmp_path / "measure.csv"
+    measure.write_text(text)
+    assert main([args[0], str(measure), "--p", "1", *args[1:], "-o", str(tmp_path / "report.json")]) == 0
+
+
+def test_csv_and_json_load_equal(tmp_path):
+    csv = tmp_path / "measure.csv"
+    csv.write_text("# dim=2\n0.1,0.2,1\n\n# a comment\n0.3,-4e-3,0.5\n2,3,7\n")
+    js = tmp_path / "measure.json"
+    js.write_text('{"dim": 2, "atoms": [[0.1, 0.2, 1], [0.3, -4e-3, 0.5], [2, 3, 7]]}')
+    a, b = load_measure(csv), load_measure(js)
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
+    assert a.points.tolist() == [[0.1, 0.2], [0.3, -0.004], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("measure.csv", "0.1,0.2,1\n\n0.3,0.4,0\n", ":3: nonpositive weight 0.0"),
+        ("measure.json", '{"atoms": [[0.1, 0.2, 1], [0.3, 0.4, 0]]}', ": atom 1: nonpositive weight 0.0"),
+        ("measure.csv", "# dim=2\n0.1,0.2,0.3,1\n", ":2: expected 2 coordinates plus weight, got 3"),
+        ("measure.json", '{"dim": 2, "atoms": [[0.1, 0.2, 0.3, 1]]}',
+         ": atom 0: expected 2 coordinates plus weight, got 3"),
+    ],
+)
+def test_row_errors_name_the_row(tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(InputFormatError) as info:
+        load_measure(path)
+    assert str(info.value) == f"{path}{where}"
+
+
+def test_save_measure_round_trips(tmp_path):
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        pts = rng.normal(size=(9, n)) * 10.0 ** rng.integers(-300, 300, size=(9, 1))
+        mu = DiscreteMeasure(pts, rng.uniform(1e-9, 1e9, size=9))
+        path = tmp_path / f"measure{n}.json"
+        save_measure(mu, path)
+        back = load_measure(path)
+        assert back.points.tobytes() == mu.points.tobytes() and back.points.shape == mu.points.shape
+        assert back.weights.tobytes() == mu.weights.tobytes()
+
+
 # a helix in R^3 runs every command whose lines are sup fits
 def test_tst_helix(tmp_path):
     measure = tmp_path / "measure.json"
@@ -252,6 +336,14 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n", ["curve", "--r0", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["jones", "--k-max", "70"], None, 2, "input", "ScaleOverflow"),
         ("0,0,1\n0.5,0.5,1\n", ["jones", "--k-max", "1100"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n1,0,1\n", ["curve", "--depth", "1100"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n1,0,1\n", ["validate", "--depth", "1100"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n1,0,1\n", ["decompose", "--k-max", "1100"], None, 2, "input", "ScaleOverflow"),
+        ("0.1,0.2,1\n0.3\n", ["beta"], None, 2, "input", "InputFormatError"),
+        ('{"dim": 2, "atoms": [[0.1, 0.2, 1], [0.3, 0.4, -1]]}', ["beta"], None, 2, "input", "InputFormatError"),
+        ('{"atoms": [[0.1, 0.2, 1], [0.3, 0.4, 0.5, 1]]}', ["beta"], None, 2, "input", "InputFormatError"),
+        ("# dim=2\n", ["beta"], None, 2, "input", "InputFormatError"),
+        ('{"dim": 2, "atoms": []}', ["beta"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
     ],
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
@@ -259,7 +351,9 @@ def _raise_runtime_error(*_args):
          "json-boolean-dim", "json-int-past-float-range", "zero-c-ladder", "empty-c-ladder",
          "empty-eps-ladder", "infinite-p", "infinite-c", "infinite-c-ladder",
          "infinite-n-cap", "infinite-cstar", "infinite-r0", "scale-overflow", "scale-past-float-range",
-         "internal-error"],
+         "curve-separation-underflow", "validate-separation-underflow", "decompose-radius-underflow",
+         "one-field-row", "json-nonpositive-weight", "json-wrong-dimension", "empty-csv",
+         "empty-json", "internal-error"],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):
     measure = tmp_path / ("measure.json" if text is not None and text.startswith("{") else "measure.csv")

@@ -234,6 +234,14 @@ class TestFitLine:
         line, obj = fit_line(np.array([[0.3, 0.4]]), None, 2)
         assert obj == pytest.approx(0.0)
         assert line.distances(np.array([[0.3, 0.4]]))[0] <= 1e-15
+        # p = 1 on one point and on coincident atoms, in R^2 and R^3: the fit
+        # passes through them, where the reweighting once divided by its floor
+        for X, w in (([[0.3, 0.4]], None), ([[0.3, 0.4]] * 2, [1.0, 2.0]),
+                     ([[0.5, 0.5, 0.5]], None), ([[0.5, 0.5, 0.5]] * 3, [0.1, 0.2, 0.7])):
+            X = np.array(X)
+            line, obj = fit_line(X, w, 1)
+            assert obj <= 1e-15 and np.all(line.distances(X) <= 1e-15)
+            assert np.all(np.isfinite(line.base)) and np.linalg.norm(line.direction) == pytest.approx(1.0)
         # one point, two points and coincident atoms in R^3: the sup fit meets them all
         for X in ([[0.3, 0.4, 0.5]], [[0.3, 0.4, 0.5], [1.0, -2.0, 7.5]], [[0.3, 0.4, 0.5]] * 4,
                   [[0.3, 0.4, 0.5]] * 3 + [[1.0, -2.0, 7.5]] * 2):

@@ -72,8 +72,9 @@ def test_no_unused_imports():
     assert unused == []
 
 
-# public names that no module calls, kept on purpose: the writer that
-# load_measure reads back, and the family enumeration that perfbench traces by
+# public names that no module calls, kept on purpose: the json writer whose
+# files load_measure reads back exactly (the tests write every measure file
+# with it), and the family enumeration that perfbench traces by
 # name (beta_multi reads the same members by their positions in the per-scale
 # triple lists)
 UNREFERENCED_ALLOWED = {"cli.save_measure", "beta.nearby_cubes_with_mass"}
@@ -118,8 +119,6 @@ UNSET_OPTIONS_ALLOWED = {
     "_parallel.pmap(_unused)",
     # the family enumeration perfbench traces by name (see UNREFERENCED_ALLOWED)
     "beta.nearby_cubes_with_mass(cache)",
-    # the csv writer, which only tests call (see UNREFERENCED_ALLOWED)
-    "cli.save_measure(fmt)",
     # tests check that each construction stage's lone vertices join the curve
     "curve.verify_connected(points)",
 }
