@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, parent_scale_bound, same_scale_radius
+from .dyadic import DyadicCube, checked_length, parent_scale_bound, same_scale_radius
 from .errors import DegenerateRegion
 from .geometry import Line, fit_line, pattern_search, sorted_unique, unit
 from .measure import DiscreteMeasure, Region
@@ -336,7 +336,8 @@ def _family_beta(mu, k, same, coarse, p, variant, c, refine, cache: BetaCache) -
 
 def _triple_diams(k: int, n: int) -> dict[int, float]:
     # triple diameters depend only on the scale; the family spans two scales
-    return {kk: 3.0 * float(np.sqrt(n)) * 2.0**-kk for kk in (k, k - 1)}
+    return {kk: checked_length(3.0 * float(np.sqrt(n)) * 2.0**-kk, f"triple diameter at scale {kk}")
+            for kk in (k, k - 1)}
 
 
 class _Family:

@@ -5,11 +5,15 @@ tst (beta-squared sums over cube families), curve (nets, curve construction,
 length certificate), decompose (rectifiable/unrectifiable labeling), and
 validate (net, tree, and ledger validators). Each cmd_* returns its report
 body and exit status; run wraps every body in one envelope, the command name
-and the config echo of every semantic parameter. Reports are JSON with
-sorted keys and 17-significant-digit floats: identical input and config give
-byte-identical output. curve and validate share one pipeline (nets, one net
-validation, alphas, the curve and its connectivity check) and differ only in
-how they report the length certificate.
+and the config echo of every semantic parameter. curve and validate share
+one pipeline (nets, one net validation, alphas, the curve and its
+connectivity check) and differ only in how they report the length certificate.
+
+save_report writes every report, error object and measure file with the
+standard library's JSON encoder: sorted keys, two-space indents, and floats
+in Python's shortest round-trip form (repr: 0.1, 2.0, 1e+16), so each float
+parses back to the same bits and identical input and config give
+byte-identical output. NaN and infinities raise ValueError.
 
 Each process imports only the layers its subcommand runs. beta and jones
 own the parser's variant lists and four of the six subcommands run them, so
@@ -33,7 +37,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._parallel import pmap
-from ._serialize import dumps
 from .beta import VARIANTS, BetaCache, beta_multi
 from .dyadic import CubeTree, chain_of_cubes
 from .errors import (
@@ -150,12 +153,12 @@ def _csv_rows(text: str, path) -> list[list[float]]:
 def save_measure(mu: DiscreteMeasure, path) -> None:
     """Write a measure as json; floats round-trip exactly through load_measure."""
     atoms = [[*map(float, x), float(w)] for x, w in zip(mu.points, mu.weights)]
-    pathlib.Path(path).write_text(dumps({"dim": mu.dim, "atoms": atoms}))
+    save_report({"dim": mu.dim, "atoms": atoms}, path)
 
 
 def save_report(report: dict, path=None) -> None:
-    """Serialize a report deterministically to a path, or stdout if none."""
-    text = dumps(report)
+    """Write a report, an error object or a measure as JSON to a path, or stdout if none."""
+    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -545,8 +548,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def _emit_error(kind: str, exc: BaseException) -> None:
-    sys.stdout.write(dumps({"error": {"type": kind, "class": type(exc).__name__,
-                                      "message": str(exc)}}))
+    save_report({"error": {"type": kind, "class": type(exc).__name__, "message": str(exc)}})
 
 
 def main(argv=None) -> int:

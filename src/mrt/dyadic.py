@@ -22,6 +22,7 @@ mass-carrying members, since empty cubes contribute zero to every statistic.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, Iterator
@@ -143,6 +144,18 @@ def cell_index(X, k) -> np.ndarray:
         scale = int(np.broadcast_to(k, f.shape)[bad].min())
         raise ScaleOverflow(f"cell index at scale {scale} reaches 2^60; coordinates or scale too large")
     return f.astype(np.int64)
+
+
+def checked_length(length: float, what: str) -> float:
+    """length, a scale-k length such as 2^-k r, once it is a normal float.
+
+    Raises ScaleOverflow when it is zero or subnormal: such a length has lost
+    bits, and below 2^-1024 its reciprocal is inf, which turns a beta or a
+    density ratio into NaN.
+    """
+    if not length >= sys.float_info.min:
+        raise ScaleOverflow(f"{what} underflows to {length!r}, below the normal float range")
+    return length
 
 
 def cube_at(x, k: int) -> DyadicCube:

@@ -56,8 +56,8 @@ class ScaleOverflow(MrtError, ValueError):
     """A requested scale is out of range.
 
     Either a coordinate's dyadic cell index at that scale is too large for
-    int64, or a scale 2^-k r (a net separation, a density radius) underflows
-    to 0.
+    int64, or a scale-k length (a net separation, a density radius, a triple
+    diameter) is zero or subnormal (dyadic.checked_length).
     """
 
 

@@ -408,20 +408,28 @@ def _fit_l1(X, w):
         raise EmptyInput("no seed line for the L1 fit")
     # a planar L1 optimum passes through two data points; on small inputs
     # sweeping the pairs beats any local descent
-    for line in _pair_lines(X):
+    for a, u in zip(*_pair_lines(X)):
+        line = Line(a, u)
         obj = _objective(X, w, line, 1)
         if obj < best[1]:
             best = (line, obj)
     return best
 
 
-def _pair_lines(X) -> list[Line]:
-    """Lines through each pair of distinct points of X, if it has 2 to 24 of them."""
+def _pair_lines(X) -> tuple[np.ndarray, np.ndarray]:
+    """(bases, unit directions) of the lines through each pair of distinct points of X.
+
+    Both are empty unless X has 2 to 24 distinct points.
+    """
     U = sorted_unique(X)
     if not 2 <= len(U) <= 24:
-        return []
-    pairs = ((U[i], U[j] - U[i]) for i in range(len(U)) for j in range(i + 1, len(U)))
-    return [Line(a, unit(diff)) for a, diff in pairs if float(np.linalg.norm(diff)) > 1e-300]
+        return np.empty((0, X.shape[1])), np.empty((0, X.shape[1]))
+    i, j = np.triu_indices(len(U), 1)
+    D = U[j] - U[i]
+    # a dot product per row, as unit() takes it, so each direction keeps unit()'s bits
+    norms = np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).reshape(-1))
+    keep = norms > 1e-300
+    return U[i[keep]], D[keep] / norms[keep, None]
 
 
 # enclosing-ball steps that score every candidate direction, centre the
@@ -442,7 +450,8 @@ def _fit_sup(X):
         return line, width / 2.0
     z = X.mean(axis=0)
     Y = X - z
-    dirs = np.array([line.direction for line in _perturbed_seeds(X, np.ones(len(X))) + _pair_lines(X)])
+    seeds = [line.direction for line in _perturbed_seeds(X, np.ones(len(X)))]
+    dirs = np.vstack([seeds, _pair_lines(X)[1]])
     # the scoring and centring runs start at the centroid, the origin of Y
     _, radii = _projected_balls(Y, dirs, np.zeros(n), 1, _SCORE_STEPS)
     top = np.argsort(radii, kind="stable")[:_POLISHED]

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import pmap
-from .dyadic import CubeTree, DyadicCube
-from .errors import EmptyInput, NetValidationError, ScaleOverflow, ZeroMassTriple
+from .dyadic import CubeTree, DyadicCube, checked_length
+from .errors import EmptyInput, NetValidationError, ZeroMassTriple
 from .geometry import Line, diameter, fit_line, segment_distance
 from .measure import DiscreteMeasure, ZeroMassRegion
 
@@ -150,8 +150,8 @@ def nets_from_points(points, r0: float | None = None, K: int = 6, cstar: float =
     if r0 is None:
         # a single point (or all coincident) leaves the scale arbitrary
         r0 = diameter(E) or 1.0
-    if r0 > 0 and 2.0 ** (-K) * r0 == 0.0:
-        raise ScaleOverflow(f"separation 2^-{K} r0 underflows to 0 at r0 = {r0}")
+    if r0 > 0:
+        checked_length(2.0 ** (-K) * r0, f"separation 2^-{K} r0 at r0 = {r0}")
     levels = []
     for k in range(K + 1):
         idx = _greedy_separated(E, 2.0 ** (-k) * r0)
@@ -212,18 +212,12 @@ def validate_nets(nets: NetSequence) -> NetValidationReport:
     for k, V in enumerate(nets.levels):
         s = nets.sep(k)
         for i in range(len(V)):
-            d2 = ((V[i + 1 :] - V[i]) ** 2).sum(axis=1)
-            if d2.size and np.sqrt(d2.min()) < s * (1 - 1e-12):
+            d = nets.distances(k, V[i])[i + 1 :]
+            if d.size and d.min() < s * (1 - 1e-12):
                 sep_ok = False
-                j = i + 1 + int(np.argmin(d2))
+                j = i + 1 + int(np.argmin(d))
                 violations.append(
-                    {
-                        "condition": "V_I",
-                        "level": k,
-                        "pair": (i, j),
-                        "distance": float(np.sqrt(d2.min())),
-                        "bound": s,
-                    }
+                    {"condition": "V_I", "level": k, "pair": (i, j), "distance": float(d.min()), "bound": s}
                 )
     for k in range(nets.K):
         bound = cstar * nets.sep(k + 1)

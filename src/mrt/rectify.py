@@ -19,8 +19,8 @@ import numpy as np
 from ._parallel import pmap
 from .beta import BetaCache, beta_multi
 from .curve import CurveResult, construct_curve
-from .dyadic import CubeTree, DyadicCube, chain_cells, cube_at
-from .errors import CertificateError, ScaleOverflow, TreeStructureError
+from .dyadic import CubeTree, DyadicCube, chain_cells, checked_length, cube_at
+from .errors import CertificateError, TreeStructureError
 from .jones import jones_at, square_sum
 from .measure import DensityProfile, DiscreteMeasure
 from .nets import fit_alphas, hausdorff_to_segments, nets_from_tree
@@ -359,8 +359,7 @@ def decompose_estimate(
     n = mu.dim
     cache = BetaCache(mu)
     radii = [2.0 ** (-j) for j in range(k_max + 1)]
-    if radii[-1] == 0.0:
-        raise ScaleOverflow(f"radius 2^-{k_max} underflows to 0")
+    checked_length(radii[-1], f"radius 2^-{k_max}")
     n_est = min(k_max, 20) + 1
     atoms: list[AtomReport] = []
     profiles = pmap(lambda i: mu.density_profile(mu.points[i], radii), range(len(mu.points)))

@@ -6,11 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrt import DiscreteMeasure, cli, rectify
-from mrt._serialize import dumps
 from mrt.errors import InputFormatError
-from mrt.cli import load_measure, main, save_measure
+from mrt.cli import load_measure, main, save_measure, save_report
 
 from _samples import (
     four_corner_cantor,
@@ -31,6 +32,13 @@ def run_python(code: str, *args: str) -> str:
     out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     return out.stdout.strip()
+
+
+def rendered(report, tmp_path) -> str:
+    """The text save_report writes for report."""
+    path = tmp_path / "rendered.json"
+    save_report(report, path)
+    return path.read_text()
 
 
 def test_import_does_not_load_scipy_optimize():
@@ -144,7 +152,7 @@ def test_decompose_dense_mixture_golden(tmp_path):
     assert main(["decompose", str(measure), "--k-max", "3", "-o", str(out)]) == 0
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
-    assert dumps(rep) == (FIXTURES_DIR / "decompose_mixture2_golden.json").read_text()
+    assert rendered(rep, tmp_path) == (FIXTURES_DIR / "decompose_mixture2_golden.json").read_text()
 
 
 def test_tst_lipschitz_golden(tmp_path):
@@ -158,7 +166,7 @@ def test_tst_lipschitz_golden(tmp_path):
     assert main(["tst", str(measure), "--k-hi", "1", "-o", str(out)]) == 0
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
-    assert dumps(rep) == (FIXTURES_DIR / "tst_lipschitz40_golden.json").read_text()
+    assert rendered(rep, tmp_path) == (FIXTURES_DIR / "tst_lipschitz40_golden.json").read_text()
 
 
 def test_jones_default_kmax_golden(tmp_path):
@@ -173,7 +181,7 @@ def test_jones_default_kmax_golden(tmp_path):
     rep = json.loads(out.read_text())
     assert {a["k_max"] for a in rep["atoms"]} == {2, 3, 4, 5}
     del rep["config"]["input"]
-    assert dumps(rep) == (FIXTURES_DIR / "jones_polyline20_golden.json").read_text()
+    assert rendered(rep, tmp_path) == (FIXTURES_DIR / "jones_polyline20_golden.json").read_text()
 
 
 @pytest.mark.parametrize("command", ["curve", "validate"])
@@ -188,7 +196,7 @@ def test_curve_and_validate_golden(tmp_path, command):
     assert main([command, str(measure), "--depth", "4", "-o", str(out)]) == 0
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
-    assert dumps(rep) == (FIXTURES_DIR / f"{command}_polyline20_golden.json").read_text()
+    assert rendered(rep, tmp_path) == (FIXTURES_DIR / f"{command}_polyline20_golden.json").read_text()
 
 
 def test_beta_star_c_p1_golden(tmp_path):
@@ -201,7 +209,7 @@ def test_beta_star_c_p1_golden(tmp_path):
     assert main(["beta", str(measure), *args, "-o", str(out)]) == 0
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
-    assert dumps(rep) == (FIXTURES_DIR / "beta_star_c_polyline20_golden.json").read_text()
+    assert rendered(rep, tmp_path) == (FIXTURES_DIR / "beta_star_c_polyline20_golden.json").read_text()
 
 
 @pytest.mark.parametrize("command", ["curve", "validate"])
@@ -215,7 +223,7 @@ def test_failed_nets_golden(tmp_path, command):
     assert main([command, str(measure), "--depth", "4", "-o", str(out)]) == 1
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
-    assert dumps(rep) == (FIXTURES_DIR / f"{command}_failed_nets_golden.json").read_text()
+    assert rendered(rep, tmp_path) == (FIXTURES_DIR / f"{command}_failed_nets_golden.json").read_text()
 
 
 @pytest.mark.parametrize(
@@ -272,6 +280,51 @@ def test_save_measure_round_trips(tmp_path):
         back = load_measure(path)
         assert back.points.tobytes() == mu.points.tobytes() and back.points.shape == mu.points.shape
         assert back.weights.tobytes() == mu.weights.tobytes()
+
+
+# every text golden holds a CLI report without its input path
+TEXT_GOLDENS = ["decompose_mixture2", "tst_lipschitz40", "jones_polyline20", "curve_polyline20",
+                "validate_polyline20", "beta_star_c_polyline20", "curve_failed_nets",
+                "validate_failed_nets"]
+
+
+@pytest.mark.parametrize("name", TEXT_GOLDENS)
+def test_text_goldens_are_writer_renderings(tmp_path, name):
+    text = (FIXTURES_DIR / f"{name}_golden.json").read_text()
+    assert rendered(json.loads(text), tmp_path) == text
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-(10**300), 10**300).map(float)), max_size=8))
+@example([1e16, 3e16, -9e16, 2.0**60, 5e-324, 2.0**-1030, -0.0, 0.0, 2.0, 0.1, 1.7976931348623157e308])
+def test_report_floats_round_trip(tmp_path_factory, values):
+    # integral floats in [1e16, 1e17) once came back as JSON integers
+    path = tmp_path_factory.getbasetemp() / "floats.json"
+    save_report({"values": values, "first": values[0] if values else 0.5}, path)
+    back = json.loads(path.read_text())
+    assert all(type(v) is float for v in [*back["values"], back["first"]])
+    assert np.array(back["values"], dtype=float).tobytes() == np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("text", ['say "hi"', "back\\slash \\n", "\t\n\r\b\f\x00\x1f\x7f",
+                                  "Ångström ∑ 測度 😀", "  ", ""])
+def test_report_strings_round_trip(tmp_path, text):
+    report = {text: text, "nested": [text, {"key": text}]}
+    assert json.loads(rendered(report, tmp_path)) == report
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_report_exits_3(tmp_path, monkeypatch, capsys, value):
+    # save_report refuses the value with ValueError before it writes a byte
+    monkeypatch.setattr(cli, "cmd_beta", lambda cfg, mu: ({"beta": [0.5, value]}, 0))
+    measure = tmp_path / "measure.csv"
+    measure.write_text("0.1,0.2,1\n")
+    out = tmp_path / "report.json"
+    assert main(["beta", str(measure), "-o", str(out)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["type"], error["class"]) == ("internal", "ValueError")
+    assert not out.exists()
 
 
 # a helix in R^3 runs every command whose lines are sup fits
@@ -339,6 +392,9 @@ def _raise_runtime_error(*_args):
         ("0,0,1\n1,0,1\n", ["curve", "--depth", "1100"], None, 2, "input", "ScaleOverflow"),
         ("0,0,1\n1,0,1\n", ["validate", "--depth", "1100"], None, 2, "input", "ScaleOverflow"),
         ("0,0,1\n1,0,1\n", ["decompose", "--k-max", "1100"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n", ["jones", "--k-max", "1030"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n", ["jones", "--k-max", "1060"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n", ["decompose", "--k-max", "1060"], None, 2, "input", "ScaleOverflow"),
         ("0.1,0.2,1\n0.3\n", ["beta"], None, 2, "input", "InputFormatError"),
         ('{"dim": 2, "atoms": [[0.1, 0.2, 1], [0.3, 0.4, -1]]}', ["beta"], None, 2, "input", "InputFormatError"),
         ('{"atoms": [[0.1, 0.2, 1], [0.3, 0.4, 0.5, 1]]}', ["beta"], None, 2, "input", "InputFormatError"),
@@ -352,6 +408,7 @@ def _raise_runtime_error(*_args):
          "empty-eps-ladder", "infinite-p", "infinite-c", "infinite-c-ladder",
          "infinite-n-cap", "infinite-cstar", "infinite-r0", "scale-overflow", "scale-past-float-range",
          "curve-separation-underflow", "validate-separation-underflow", "decompose-radius-underflow",
+         "origin-jones-subnormal-diameter", "origin-jones-past-1024", "origin-decompose-subnormal-radius",
          "one-field-row", "json-nonpositive-weight", "json-wrong-dimension", "empty-csv",
          "empty-json", "internal-error"],
 )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrt import Box, CubeTree, DiscreteMeasure, DyadicCube, chain_of_cubes, cube_at
-from mrt.dyadic import NEARBY_DILATION, chain_cells, same_scale_radius
+from mrt.dyadic import NEARBY_DILATION, chain_cells, checked_length, same_scale_radius
 from mrt.errors import DimensionMismatch, ScaleOverflow, TreeStructureError
 
 from _oracle import in_nearby_family, nearby_count, nearby_cubes
@@ -103,6 +103,14 @@ class TestDyadicCube:
             assert cube_at([0.0, -0.0], k).index == (0, 0)
         with pytest.raises(ScaleOverflow, match="scale 61"):
             chain_of_cubes([0.0, 0.5], 1100)
+
+    def test_checked_length_takes_normal_floats_only(self):
+        # subnormal lengths have lost bits, and the least of them an infinite reciprocal
+        for length in (2.0**-1022, 3.0 * 2.0**-1023, 1.0, 1e300):
+            assert checked_length(length, "side") == length
+        for length in (0.0, 3.0 * 2.0**-1024, 5e-324):
+            with pytest.raises(ScaleOverflow, match="side underflows"):
+                checked_length(length, "side")
 
 
 class TestBox:

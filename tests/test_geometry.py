@@ -250,6 +250,23 @@ class TestFitLine:
             assert obj <= 1e-15 * (1.0 + diameter(X))
             assert np.all(np.isfinite(line.base)) and np.linalg.norm(line.direction) == pytest.approx(1.0)
 
+    def test_pair_lines_match_per_pair_units(self):
+        # the batched pair directions carry unit()'s bits, so the p = 1 and
+        # sup fits that score them are unchanged
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 4):
+            for m in (1, 2, 5, 24, 25):
+                X = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-100, 100)
+                if m < 25:  # repeated points, down to one distinct point
+                    X[m // 2:] = X[0]
+                bases, dirs = geometry._pair_lines(X)
+                U = sorted_unique(X)
+                ref = [(U[i], unit(U[j] - U[i])) for i in range(len(U)) for j in range(i + 1, len(U))
+                       if 2 <= len(U) <= 24 and np.linalg.norm(U[j] - U[i]) > 1e-300]
+                assert bases.shape == dirs.shape == (len(ref), n)
+                assert bases.tobytes() == np.array([a for a, _ in ref]).reshape(-1, n).tobytes()
+                assert dirs.tobytes() == np.array([u for _, u in ref]).reshape(-1, n).tobytes()
+
     def test_oracle_agreement_p2(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
