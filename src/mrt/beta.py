@@ -43,6 +43,8 @@ directly, and an end line replaces the witness only if that exact score is
 lower, so the reported value is never a moment value and never exceeds the
 unrefined witness's score. Other p seed, rank and search on the exact
 score itself, from the atom slots, many lines per call (`slot_scores`).
+One scorer, `_Family.approx_scores`, makes that choice for the ranking and
+the search alike.
 
 The p = 1 search additionally scores the p = 2 witness and the star_c search
 scores the star witness, so the computed values inherit the monotonicity of
@@ -427,20 +429,22 @@ class _Family:
         return vals.max(axis=1)
 
     def score_many(self, lines: list[Line]) -> np.ndarray:
-        """Scores of many lines, to rank candidates; never reported.
+        """approx_scores of many lines, to rank candidates; never reported."""
+        return self.approx_scores(np.array([ln.base for ln in lines]), np.array([ln.direction for ln in lines]))
+
+    def approx_scores(self, bases: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """The score of each line {b + t u}, b a row of bases, u of directions, to rank and search.
 
         p = 2 scores from the per-entry moments (moment_scores), which agree
         with `score` up to rounding. Other p take the exact slot_scores, in
-        blocks of lines that hold at most _GRID_BLOCK slot distances each.
+        blocks of rows that hold at most _GRID_BLOCK slot distances each;
+        slot_scores scores each row on its own, so the blocks change no bit.
         """
-        bases = np.array([ln.base for ln in lines])
-        dirs = np.array([ln.direction for ln in lines])
         if self.p == 2:
-            return self.moment_scores(bases, dirs)
+            return self.moment_scores(bases, directions)
         step = max(1, _GRID_BLOCK // len(self.slots))
-        return np.concatenate(
-            [self.slot_scores(bases[i : i + step], dirs[i : i + step]) for i in range(0, len(lines), step)]
-        )
+        blocks = [self.slot_scores(bases[i : i + step], directions[i : i + step]) for i in range(0, len(bases), step)]
+        return np.concatenate(blocks) if blocks else np.empty(0)
 
     def moment_scores(self, bases: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """score(Line(b, u)) for p = 2 and each row b of bases, u of directions.
@@ -609,12 +613,11 @@ def _family(mu, k, family, p, variant, c) -> _Family | None:
     return _Family(mu, k, p, variant, c, family) if family else None
 
 
-def _refine_objective(fam: _Family, n: int, p):
+def _refine_objective(fam: _Family, n: int):
     """The refine search's batched objective: each row of X is a line (base, raw direction).
 
     Rows whose direction has norm < 1e-9 score 1e30, so the search never
-    moves onto them. For p = 2 the rows go to moment_scores together; other
-    p go to slot_scores together, the exact score of each line.
+    moves onto them; the others go to approx_scores together.
     """
 
     def objective(X):
@@ -622,8 +625,7 @@ def _refine_objective(fam: _Family, n: int, p):
         nrm = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None])[:, 0, 0])
         out = np.full(len(X), 1e30)
         ok = nrm >= 1e-9
-        scores = fam.moment_scores if p == 2 else fam.slot_scores
-        out[ok] = scores(X[ok, :n], raw[ok] / nrm[ok, None])
+        out[ok] = fam.approx_scores(X[ok, :n], raw[ok] / nrm[ok, None])
         return out
 
     return objective
@@ -757,7 +759,7 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
     if refine and best_score > 0:
         step0 = 0.25 * diameter
 
-        objective = _refine_objective(fam, n, p)
+        objective = _refine_objective(fam, n)
         for i in rank[:3]:
             ln = candidates[int(i)]
             x0 = np.concatenate([ln.base, ln.direction])

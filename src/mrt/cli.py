@@ -4,10 +4,13 @@ Subcommands: beta (per-cube beta reports), jones (per-atom Jones reports),
 tst (beta-squared sums over cube families), curve (nets, curve construction,
 length certificate), decompose (rectifiable/unrectifiable labeling), and
 validate (net, tree, and ledger validators). Each cmd_* returns its report
-body and exit status; run wraps every body in one envelope, the command name
-and the config echo of every semantic parameter. curve and validate share
-one pipeline (nets, one net validation, alphas, the curve and its
-connectivity check) and differ only in how they report the length certificate.
+body and exit status; run wraps every body in one envelope: the command name
+and a config echo of the command's own options, its input and its format,
+read from the parsed arguments. Each default is written once, in
+build_parser; the option types check each value's range and _check_options
+the two checks that span options. curve and validate share one pipeline
+(nets, one net validation, alphas, the curve and its connectivity check) and
+differ only in how they report the length certificate.
 
 save_report writes every report, error object and measure file with the
 standard library's JSON encoder: sorted keys, two-space indents, and floats
@@ -21,7 +24,10 @@ they load with this module; nets, curve and rectify load inside the
 subcommands that use them.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 internal
-error. Failures emit a machine-readable error object on stdout.
+error. Failures emit a machine-readable error object on stdout; option
+errors (an unknown option or subcommand, a value out of range) are input
+errors too, raised as InputFormatError by the parser instead of argparse's
+usage text on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import math
 import pathlib
 import re
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -166,80 +171,54 @@ def save_report(report: dict, path=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# options
 
 
-@dataclass
-class RunConfig:
-    """Effective parameters of one invocation; echoed into every report."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise InputFormatError, so main emits them as JSON."""
 
-    command: str
-    input: str | None = None
-    format: str = "auto"
-    output: str | None = None
-    p: float = 2.0
-    variant: str = "star"
-    c: float | None = None
-    c_ladder: tuple = (0.01, 0.1, 1.0)
-    n_cap: float = 1e3
-    eps_ladder: tuple = (0.5, 0.1)
-    k_lo: int = 0
-    k_hi: int = 4
-    k_max: int | None = None
-    cstar: float = 2.0
-    r0: float | None = None
-    depth: int = 5
-    epsilon: float = 1.0 / 32.0
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.format not in ("auto", "csv", "json"):
-            raise InputFormatError(f"format must be auto/csv/json, got {self.format!r}")
-        if not (math.isfinite(self.p) and self.p >= 1):
-            raise InputFormatError(f"p must be finite and >= 1, got {self.p}")
-        if self.variant not in set(VARIANTS) | set(JONES_VARIANTS):
-            raise InputFormatError(f"unknown beta variant {self.variant!r}")
-        if self.variant == "star_c" and (self.c is None or not self.c > 0):
-            raise InputFormatError("variant star_c needs --c > 0")
-        if self.c is not None and not _finite_positive(self.c):
-            raise InputFormatError(f"c must be finite and > 0, got {self.c}")
-        if not self.c_ladder or not all(_finite_positive(v) for v in self.c_ladder):
-            raise InputFormatError("c ladder must be nonempty, with values finite and > 0")
-        if not _finite_positive(self.n_cap):
-            raise InputFormatError(f"N cap must be finite and > 0, got {self.n_cap}")
-        if not self.eps_ladder or any(not (0 < v < 1) for v in self.eps_ladder):
-            raise InputFormatError("eps ladder must be nonempty, with values in (0, 1)")
-        if self.k_lo < 0 or self.k_hi < self.k_lo:
-            raise InputFormatError(f"need 0 <= k_lo <= k_hi, got {self.k_lo}..{self.k_hi}")
-        if self.k_max is not None and self.k_max < 0:
-            raise InputFormatError(f"k_max must be >= 0, got {self.k_max}")
-        if not (math.isfinite(self.cstar) and self.cstar > 1):
-            raise InputFormatError(f"Cstar must be finite and > 1, got {self.cstar}")
-        if self.r0 is not None and not _finite_positive(self.r0):
-            raise InputFormatError(f"r0 must be finite and > 0, got {self.r0}")
-        if self.depth < 1:
-            raise InputFormatError(f"depth must be >= 1, got {self.depth}")
-        if not 0 < self.epsilon <= 1.0 / 32.0:
-            raise InputFormatError(f"epsilon must lie in (0, 1/32], got {self.epsilon}")
-
-    def as_dict(self) -> dict:
-        """Every field but the report path, for the report's config echo."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output"}
+    def error(self, message):
+        raise InputFormatError(message)
 
 
-def _finite_positive(v: float) -> bool:
-    return math.isfinite(v) and v > 0
+def _checked(cast, ok, need: str):
+    """An option type: cast the text, then require ok(value); need names the accepted range."""
+
+    def convert(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {need}, got {text!r}")
+
+    return convert
 
 
-def _parse_ladder(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+def _ladder(entry):
+    """An option type for a nonempty comma-separated list, each entry converted by entry."""
+
+    def convert(text: str) -> tuple:
+        values = tuple(entry(v) for v in text.split(",") if v.strip() != "")
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        return values
+
+    return convert
+
+
+_P = _checked(float, lambda v: math.isfinite(v) and v >= 1, "a finite number >= 1")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_UNIT = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_CSTAR = _checked(float, lambda v: math.isfinite(v) and v > 1, "a finite number > 1")
+_EPSILON = _checked(float, lambda v: 0 < v <= 1.0 / 32.0, "a number in (0, 1/32]")
+_SCALE = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_DEPTH = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mrt",
         description="Multiscale beta numbers, Jones functions, and curve drawing for discrete measures.",
     )
@@ -249,59 +228,61 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("input", help="measure file (csv or json)")
         sp.add_argument("--format", default="auto", choices=("auto", "csv", "json"))
         sp.add_argument("-o", "--output", default=None, help="report path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=0, help="echoed into the report")
+
+    def nets(sp, depth: int):
+        # the options of the nets -> curve pipeline that curve and validate share
+        sp.add_argument("--depth", type=_DEPTH, default=depth, help="finest net level K")
+        sp.add_argument("--cstar", type=_CSTAR, default=2.0)
+        sp.add_argument("--r0", type=_POSITIVE, default=None, help="top scale (default: diam of the support)")
+        sp.add_argument("--epsilon", type=_EPSILON, default=1.0 / 32.0)
 
     sp = sub.add_parser("beta", help="per-cube beta numbers over mass-carrying cubes")
     common(sp)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--p", type=_P, default=2.0)
     sp.add_argument("--variant", default="star", choices=VARIANTS)
-    sp.add_argument("--c", type=float, default=None, help="density threshold for star_c")
-    sp.add_argument("--k-lo", type=int, default=0)
-    sp.add_argument("--k-hi", type=int, default=4)
+    sp.add_argument("--c", type=_POSITIVE, default=None, help="density threshold for star_c")
+    sp.add_argument("--k-lo", type=_SCALE, default=0)
+    sp.add_argument("--k-hi", type=_SCALE, default=4)
 
     sp = sub.add_parser("jones", help="per-atom truncated Jones function values")
     common(sp)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--p", type=_P, default=2.0)
     sp.add_argument("--variant", default="star", choices=JONES_VARIANTS)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--k-max", type=int, default=None,
+    sp.add_argument("--c", type=_POSITIVE, default=None)
+    sp.add_argument("--k-max", type=_SCALE, default=None,
                     help="truncation scale (default: per-atom single-occupancy scale)")
 
     sp = sub.add_parser("tst", help="beta-squared sums: point-set version and mass-family version")
     common(sp)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--k-lo", type=int, default=0)
-    sp.add_argument("--k-hi", type=int, default=4)
+    sp.add_argument("--p", type=_P, default=2.0)
+    sp.add_argument("--k-lo", type=_SCALE, default=0)
+    sp.add_argument("--k-hi", type=_SCALE, default=4)
 
     sp = sub.add_parser("curve", help="nets, curve construction, and length certificate")
     common(sp)
-    sp.add_argument("--depth", type=int, default=5, help="finest net level K")
-    sp.add_argument("--cstar", type=float, default=2.0)
-    sp.add_argument("--r0", type=float, default=None, help="top scale (default: diam of the support)")
-    sp.add_argument("--epsilon", type=float, default=1.0 / 32.0)
+    nets(sp, depth=5)
 
     sp = sub.add_parser("decompose", help="rectifiable/unrectifiable labeling with drawn curves")
     common(sp)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--c-ladder", type=_parse_ladder, default=(0.01, 0.1, 1.0))
-    sp.add_argument("--n-cap", type=float, default=1e3)
-    sp.add_argument("--eps-ladder", type=_parse_ladder, default=(0.5, 0.1))
-    sp.add_argument("--k-max", type=int, default=8)
+    sp.add_argument("--p", type=_P, default=2.0)
+    sp.add_argument("--c-ladder", type=_ladder(_POSITIVE), default=(0.01, 0.1, 1.0))
+    sp.add_argument("--n-cap", type=_POSITIVE, default=1e3)
+    sp.add_argument("--eps-ladder", type=_ladder(_UNIT), default=(0.5, 0.1))
+    sp.add_argument("--k-max", type=_SCALE, default=8)
 
     sp = sub.add_parser("validate", help="net, tree, and curve-ledger validators")
     common(sp)
-    sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--cstar", type=float, default=2.0)
-    sp.add_argument("--r0", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=1.0 / 32.0)
-    sp.add_argument("--k-hi", type=int, default=3, help="deepest scale of the mass-cube tree check")
+    nets(sp, depth=4)
+    sp.add_argument("--k-hi", type=_SCALE, default=3, help="deepest scale of the mass-cube tree check")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
-    cfg.validate()
-    return cfg
+def _check_options(args: argparse.Namespace) -> None:
+    """The checks that span two options; the option types check each value on its own."""
+    if getattr(args, "variant", None) == "star_c" and args.c is None:
+        raise InputFormatError("variant star_c needs --c")
+    if hasattr(args, "k_lo") and args.k_lo > args.k_hi:
+        raise InputFormatError(f"need k_lo <= k_hi, got {args.k_lo}..{args.k_hi}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +301,7 @@ def _cube_dict(Q) -> dict:
     return {"k": Q.k, "index": [int(v) for v in Q.index]}
 
 
-def cmd_beta(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
+def cmd_beta(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     cache = BetaCache(mu)
     work = []
     for k in range(cfg.k_lo, cfg.k_hi + 1):
@@ -341,7 +322,7 @@ def cmd_beta(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     return {"n_cubes": len(rows), "cubes": rows}, EXIT_OK
 
 
-def cmd_jones(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
+def cmd_jones(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     cache = BetaCache(mu)
 
     def one(i: int) -> dict:
@@ -365,7 +346,7 @@ def cmd_jones(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     return {"atoms": rows, "mass_weighted_sum": total}, EXIT_OK
 
 
-def cmd_tst(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
+def cmd_tst(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     cache = BetaCache(mu)
     k_range = range(cfg.k_lo, cfg.k_hi + 1)
     set_rep = square_sum(mu, "beta_sq_set", points=mu.points, k_range=k_range)
@@ -383,7 +364,7 @@ def cmd_tst(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def _drawn_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple:
+def _drawn_curve(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple:
     """(net validation, curve, connected, witness) of a curve or validate run.
 
     The nets are validated once; when they fail, no curve is drawn and the
@@ -404,7 +385,7 @@ def _net_check(val) -> dict:
     return {"ok": bool(val.ok), "cstar_min": val.cstar_min, "violations": val.violations[:20]}
 
 
-def cmd_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
+def cmd_curve(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     """Vertices, indexed segments, lengths, accounting and certificate of the curve."""
     from .curve import length_certificate
 
@@ -439,7 +420,7 @@ def cmd_curve(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     return report, EXIT_OK if (cert.ok and connected) else EXIT_VALIDATION
 
 
-def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
+def cmd_decompose(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     from .rectify import decompose_estimate
 
     rep = decompose_estimate(
@@ -488,7 +469,7 @@ def cmd_decompose(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
+def cmd_validate(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     from .curve import length_certificate
 
     val, result, connected, witness = _drawn_curve(cfg, mu)
@@ -497,8 +478,7 @@ def cmd_validate(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
     if result is not None:
         checks["curve_connected"] = {
             "ok": bool(connected),
-            "witness": {k: int(v) if isinstance(v, (int, np.integer)) else str(v)
-                        for k, v in witness.items()},
+            "witness": witness,
         }
         try:
             cert = length_certificate(result)
@@ -534,16 +514,18 @@ def cmd_validate(cfg: RunConfig, mu: DiscreteMeasure) -> tuple[dict, int]:
 # dispatch
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configured command and write its report; returns exit code."""
-    mu = load_measure(cfg.input, cfg.format)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command and write its report; returns exit code.
+
+    The report's config echoes every parsed argument but the report path.
+    """
+    mu = load_measure(args.input, args.format)
     # looked up per call, so that a replaced cmd_* module attribute is the one run
     commands = {"beta": cmd_beta, "jones": cmd_jones, "tst": cmd_tst, "curve": cmd_curve,
                 "decompose": cmd_decompose, "validate": cmd_validate}
-    if cfg.command not in commands:
-        raise InputFormatError(f"unknown command {cfg.command!r}")
-    body, status = commands[cfg.command](cfg, mu)
-    save_report({"command": cfg.command, "config": cfg.as_dict(), **body}, cfg.output)
+    body, status = commands[args.command](args, mu)
+    config = {name: value for name, value in vars(args).items() if name != "output"}
+    save_report({"command": args.command, "config": config, **body}, args.output)
     return status
 
 
@@ -552,15 +534,10 @@ def _emit_error(kind: str, exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except InputFormatError as exc:
-        _emit_error("input", exc)
-        return EXIT_INPUT
-    try:
-        return run(cfg)
+        args = build_parser().parse_args(argv)
+        _check_options(args)
+        return run(args)
     except (InputFormatError, EmptyInput, DimensionMismatch, InvalidWeight, ScaleOverflow) as exc:
         _emit_error("input", exc)
         return EXIT_INPUT

@@ -364,23 +364,22 @@ def decompose_estimate(
     atoms: list[AtomReport] = []
     profiles = pmap(lambda i: mu.density_profile(mu.points[i], radii), range(len(mu.points)))
     densities = [float(prof.ratios[:n_est].min()) for prof in profiles]
-    jones_memo: dict[tuple[int, float], tuple[float, bool]] = {}
-
-    def jones_val(i: int, c: float) -> tuple[float, bool]:
-        key = (i, c)
-        if key not in jones_memo:
-            rep = jones_at(mu, mu.points[i], p=p, variant="star_c", c=c, k_max=k_max, cache=cache, refine=False)
-            jones_memo[key] = (rep.value, rep.divergent)
-        return jones_memo[key]
-
+    c_min = min(c_ladder)
     for i in range(len(mu.points)):
         dens = densities[i]
         label, reason, c_used, jval, jdiv = "unrect-candidate", None, None, math.inf, False
+        # an atom that is not a rect-candidate reports J at the least c. Any
+        # c that clears the density test lets c_min clear it too, and such an
+        # atom tried every c that clears, so the loop has computed that value
+        at_c_min = (jval, jdiv)
         density_cleared = False
         for c in c_ladder:
             if dens > 1.5 * math.sqrt(n) * c:
                 density_cleared = True
-                jval, jdiv = jones_val(i, c)
+                rep = jones_at(mu, mu.points[i], p=p, variant="star_c", c=c, k_max=k_max, cache=cache, refine=False)
+                jval, jdiv = rep.value, rep.divergent
+                if c == c_min:
+                    at_c_min = (jval, jdiv)
                 if not jdiv and jval <= N_cap:
                     label, c_used, reason = "rect-candidate", c, None
                     break
@@ -391,7 +390,7 @@ def decompose_estimate(
                 reason = "jones_divergent"
             else:
                 reason = "jones_above_cap"
-            jval, jdiv = jones_val(i, min(c_ladder)) if density_cleared else (jval, jdiv)
+            jval, jdiv = at_c_min
         atoms.append(AtomReport(i, float(dens), float(jval), bool(jdiv), c_used, label, reason))
 
     curves: list[DrawResult] = []

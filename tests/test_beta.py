@@ -364,7 +364,7 @@ class TestMomentObjective:
         starts += [np.concatenate([fam.P[i], fam.P[i + 7] - fam.P[i]]) for i in range(0, len(fam.P) - 7, 5)]
         assert len(starts) >= 6
         for x0 in starts:
-            got = beta_mod.pattern_search(_refine_objective(fam, n, 2), x0, steps, max_iter=60, tol=1e-12)
+            got = beta_mod.pattern_search(_refine_objective(fam, n), x0, steps, max_iter=60, tol=1e-12)
             want = sequential_pattern_search(one_line, x0, steps, max_iter=60, tol=1e-12)
             assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
@@ -474,7 +474,7 @@ class TestSlotScores:
         X = np.column_stack([rng.uniform(0.0, 1.0, size=(12, n)), rng.normal(scale=3.0, size=(12, n))])
         X[4, n:] = 0.0
         X[7, n:] = 1e-10
-        got = _refine_objective(fam, n, 1)(X)
+        got = _refine_objective(fam, n)(X)
         for x, value in zip(X, got):
             nrm = float(np.linalg.norm(x[n:]))
             assert value == (1e30 if nrm < 1e-9 else fam.score(Line(x[:n], x[n:] / nrm)))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -102,6 +103,51 @@ def test_no_subcommand_loads_numpy_ma(tmp_path):
     )
     out = run_python(code, *(json.dumps(r) for r in runs))
     assert json.loads(out) == [[0] * len(runs), False]
+
+
+def subcommand_options() -> dict[str, set]:
+    """Each subcommand's option dests, without help and the report path, plus command."""
+    parser = cli.build_parser()
+    subs = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in sp._actions} - {"help", "output"} | {"command"} for name, sp in subs.items()}
+
+
+def test_config_echoes_the_subcommand_options(tmp_path):
+    # a report's config holds its own subcommand's options and nothing else,
+    # so no second copy of the options, with defaults of its own, comes back
+    measure = tmp_path / "measure.json"
+    save_measure(lipschitz_graph_measure(40), measure)
+    runs = [
+        ["beta", "--k-hi", "1"],
+        ["jones", "--k-max", "2"],
+        ["tst", "--k-hi", "1"],
+        ["decompose", "--k-max", "3", "--c-ladder", "0.01", "--n-cap", "0.03"],
+        ["curve", "--depth", "3"],
+        ["validate", "--depth", "3"],
+    ]
+    options = subcommand_options()
+    assert sorted(cmd for cmd, *_ in runs) == sorted(options)
+    for cmd, *opts in runs:
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, str(measure), *opts, "-o", str(out)]) == 0
+        assert set(json.loads(out.read_text())["config"]) == options[cmd], cmd
+
+
+def test_validate_writes_the_separation_witness(tmp_path, monkeypatch):
+    # a disconnected curve's separated part is a JSON array of points, not a repr string
+    from mrt import curve
+
+    part = [(0.0, 0.0), (0.5, 0.25)]
+    monkeypatch.setattr(curve, "verify_connected",
+                        lambda segments: (False, {"components": 2, "separated_part": part}))
+    measure = tmp_path / "measure.json"
+    save_measure(polyline_measure(20), measure)
+    out = tmp_path / "report.json"
+    assert main(["validate", str(measure), "--depth", "4", "-o", str(out)]) == 1
+    assert json.loads(out.read_text())["checks"]["curve_connected"] == {
+        "ok": False,
+        "witness": {"components": 2, "separated_part": [[0.0, 0.0], [0.5, 0.25]]},
+    }
 
 
 @pytest.mark.parametrize(
@@ -400,6 +446,12 @@ def _raise_runtime_error(*_args):
         ('{"atoms": [[0.1, 0.2, 1], [0.3, 0.4, 0.5, 1]]}', ["beta"], None, 2, "input", "InputFormatError"),
         ("# dim=2\n", ["beta"], None, 2, "input", "InputFormatError"),
         ('{"dim": 2, "atoms": []}', ["beta"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["beta", "--p", "abc"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["beta", "--bogus"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["beta", "--variant", "tilde"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["decompose", "--c-ladder", "x,1"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["jones", "--seed", "1"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", [], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
     ],
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
@@ -410,7 +462,8 @@ def _raise_runtime_error(*_args):
          "curve-separation-underflow", "validate-separation-underflow", "decompose-radius-underflow",
          "origin-jones-subnormal-diameter", "origin-jones-past-1024", "origin-decompose-subnormal-radius",
          "one-field-row", "json-nonpositive-weight", "json-wrong-dimension", "empty-csv",
-         "empty-json", "internal-error"],
+         "empty-json", "non-numeric-p", "unknown-option", "variant-of-another-command",
+         "non-numeric-c-ladder", "removed-seed-option", "missing-subcommand", "internal-error"],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):
     measure = tmp_path / ("measure.json" if text is not None and text.startswith("{") else "measure.csv")
@@ -419,7 +472,8 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kin
     if broken is not None:
         monkeypatch.setattr(cli, broken, _raise_runtime_error)
     out = tmp_path / "report.json"
-    assert main([args[0], str(measure), *args[1:], "-o", str(out)]) == code
+    argv = [args[0], str(measure), *args[1:], "-o", str(out)] if args else []
+    assert main(argv) == code
     error = json.loads(capsys.readouterr().out)["error"]
     assert (error["type"], error["class"]) == (kind, cls)
     assert not out.exists()
