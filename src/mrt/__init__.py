@@ -31,7 +31,7 @@ _MODULES = {
     "geometry": ("Line", "fit_line"),
     "jones": ("JONES_VARIANTS", "JonesReport", "SquareSumReport", "default_kmax", "jones_at",
               "square_sum"),
-    "measure": ("Ball", "DiscreteMeasure"),
+    "measure": ("DiscreteMeasure",),
     "nets": ("AlphaAssignment", "NetSequence", "fit_alphas", "nets_from_points", "nets_from_tree",
              "validate_nets"),
     "rectify": ("DecompositionReport", "DrawResult", "GrowResult", "LocalizationResult",

@@ -58,8 +58,8 @@ finite measure the 1600 sqrt(n) dilate often covers the whole support, and
 then every cube of a scale has one family: the 9 scale-0 cubes of a shifted
 16-atom Cantor iterate need one solve, not nine.
 
-beta_sup_set is the set version (sup over points instead of the mass
-integral), exact in the plane via the minimum-width strip.
+beta_sup_set is the set version (sup over the points of a region instead of
+the mass integral), exact in the plane via the minimum-width strip.
 """
 
 from __future__ import annotations
@@ -165,10 +165,12 @@ def beta_best(mu: DiscreteMeasure, region: Region, p=2) -> BetaValue:
 
 
 def beta_sup_set(points, region: Region) -> float:
-    """Set beta: inf_l sup_{x in E cap Q} dist(x, l) / diam Q; 0 if empty."""
+    """Set beta: inf_l sup_{x in E} dist(x, l) / diam Q; 0 if E is empty.
+
+    points is E, the set's points that lie in the region Q; the caller
+    picks them (the triple table does), and they are not tested again.
+    """
     X = np.atleast_2d(np.asarray(points, dtype=float))
-    mask = region.contains_mask(X)
-    X = X[mask]
     if len(X) == 0:
         return 0.0
     diam = region.diameter

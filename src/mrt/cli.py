@@ -349,7 +349,7 @@ def cmd_jones(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
 def cmd_tst(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     cache = BetaCache(mu)
     k_range = range(cfg.k_lo, cfg.k_hi + 1)
-    set_rep = square_sum(mu, "beta_sq_set", points=mu.points, k_range=k_range)
+    set_rep = square_sum(mu, "beta_sq_set", k_range=k_range, cache=cache)
     fam_rep = square_sum(mu, "s_star_star", k_range=k_range, p=cfg.p, cache=cache)
 
     def rows(rep):

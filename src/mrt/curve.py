@@ -36,10 +36,9 @@ from .errors import (
     NetValidationError,
 )
 from .geometry import fit_line, segment_distance
-from .nets import AlphaAssignment, NetSequence
+from .nets import NEIGHBORHOOD_FACTOR, AlphaAssignment, NetSequence
 
 EDGE_FACTOR = 30.0    # edge/bridge threshold factor (of Cstar 2^{-k} r0)
-BALL_FACTOR = 65.0    # neighborhood ball factor
 CORE_FRACTION = 0.9   # central fraction of a bridge's main segment
 T2_WINDOW = 64.0      # T2 bridge separation must stay below this factor
 BRIDGE_WINDOW = 130.0  # any bridge separation stays below this factor
@@ -271,7 +270,7 @@ def construct_curve(
                 raise AlphaRecheckError(
                     f"alpha at level {k} vertex {i} too small: sup {sup} vs {alpha * sep(k)}"
                 )
-            members = nets.near(k, v, ball(k, BALL_FACTOR))
+            members = nets.near(k, v, ball(k, NEIGHBORHOOD_FACTOR))
             if alpha >= epsilon:
                 cases[i] = "I"
                 for a_pos in range(len(members)):
@@ -317,7 +316,7 @@ def construct_curve(
                     raise NetValidationError(
                         f"nearest previous-level vertex too far at level {k} vertex {i}"
                     )
-                in65 = nets.near(k - 1, v, ball(k, BALL_FACTOR))
+                in65 = nets.near(k - 1, v, ball(k, NEIGHBORHOOD_FACTOR))
                 tprev = line.params(Vp[in65])
                 prev_order = sorted(
                     range(len(in65)),
@@ -436,19 +435,18 @@ class _DSU:
             self.parent[rb] = ra
 
 
-def verify_connected(segments: list[Segment], points=None):
-    """Whether the union of segments (and optional extra points) is connected.
+def verify_connected(segments: list[Segment]):
+    """Whether the union of segments is connected.
 
-    Joins via shared endpoints and point/segment distances first, then, only
-    if that leaves several components, via any segment/segment distance of
-    at most 1e-12 (covers T-joints, transversal crossings, collinear
-    overlaps). Returns (ok, witness): a component count when connected,
-    otherwise a bipartition listing one separated part.
+    Joins via shared endpoints first, then, only if that leaves several
+    components, via any segment/segment distance of at most 1e-12 (covers
+    T-joints, transversal crossings, collinear overlaps). Returns (ok,
+    witness): a component count when connected, otherwise a bipartition
+    listing one separated part.
     """
     tol = 1e-12
-    pts = [] if points is None else [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
-    if not segments and len(pts) <= 1:
-        return True, {"components": 1 if (segments or pts) else 0}
+    if not segments:
+        return True, {"components": 0}
     nodes: dict[tuple, int] = {}
 
     def nid(p: tuple) -> int:
@@ -456,26 +454,16 @@ def verify_connected(segments: list[Segment], points=None):
             nodes[p] = len(nodes)
         return nodes[p]
 
-    seg_nodes = []
-    for s in segments:
-        ia, ib = nid(s.a), nid(s.b)
-        seg_nodes.append((ia, ib))
-    pt_nodes = [nid(_key(p)) for p in pts]
+    seg_nodes = [(nid(s.a), nid(s.b)) for s in segments]
     dsu = _DSU(len(nodes))
     for ia, ib in seg_nodes:
         dsu.union(ia, ib)
+    if len({dsu.find(i) for i in range(len(nodes))}) == 1:
+        return True, {"components": 1}
     arr = [
         (np.asarray(s.a, dtype=float), np.asarray(s.b, dtype=float), seg_nodes[i][0])
         for i, s in enumerate(segments)
     ]
-    for p, node in zip(pts, pt_nodes):
-        for a, b, seg_node in arr:
-            if dsu.find(node) == dsu.find(seg_node):
-                continue
-            if segment_distance(p, p, a, b) <= tol:
-                dsu.union(node, seg_node)
-    if len({dsu.find(i) for i in range(len(nodes))}) == 1:
-        return True, {"components": 1}
     # one pass suffices: a pair within tol is joined when met, and unions only merge
     for i in range(len(arr)):
         for j in range(i + 1, len(arr)):

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, ScaleOverflow, TreeStructureError
+from .errors import ScaleOverflow, TreeStructureError
 
 #: dilation factor of the nearby-cube membership box, as a multiple of sqrt(n)
 NEARBY_DILATION = 1600
@@ -40,16 +40,16 @@ _MAX_CELL_INDEX = 2.0**60
 
 @dataclass(frozen=True)
 class Box:
-    """Closed axis-parallel cube given by center and half-side.
+    """The closed triple of a dyadic cube, given by center and half-side.
 
-    `triple_of` is set on the box DyadicCube.triple() returns: it names the
-    cube whose triple this is, so a measure can answer the box from its
-    per-scale grid. It takes no part in equality or hashing.
+    `triple_of` names the cube whose triple this is, so a measure answers
+    the box from its per-scale triple table. It takes no part in equality
+    or hashing.
     """
 
     center: tuple[float, ...]
     half: float
-    triple_of: "DyadicCube | None" = field(default=None, compare=False, repr=False)
+    triple_of: "DyadicCube" = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -62,18 +62,6 @@ class Box:
     @property
     def diameter(self) -> float:
         return self.side * float(np.sqrt(self.dim))
-
-    def center_array(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
-    def contains_mask(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dim:
-            raise DimensionMismatch("point dimension does not match box")
-        # compare against the faces: |x - c| rounds, while the faces of a
-        # dyadic box are exact, so a point just outside one stays outside
-        c = self.center_array()
-        return np.all((c - self.half <= X) & (X <= c + self.half), axis=1)
 
 
 @dataclass(frozen=True)
@@ -101,12 +89,6 @@ class DyadicCube:
     def triple(self) -> Box:
         """The concentric closed cube of three times the side."""
         return Box(tuple(self.center()), 1.5 * self.side, self)
-
-    def contains_mask(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dim:
-            raise DimensionMismatch("point dimension does not match cube")
-        return np.all(cell_index(X, self.k) == np.asarray(self.index, dtype=np.int64), axis=1)
 
     def parent(self) -> "DyadicCube":
         return DyadicCube(self.k - 1, tuple(i // 2 for i in self.index))

@@ -22,6 +22,7 @@ compass search, pattern_search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,17 +317,30 @@ def fit_line(points, weights=None, p=2) -> tuple[Line, float]:
     lexicographically largest canonical eigenvector. p="sup" is exact for
     n <= 2; for n >= 3 the direction is heuristic, and the objective is
     float(line.distances(points).max()) of the returned line, exactly.
+
+    The fit runs on the points scaled by 2^-e, e the binary exponent of their
+    largest coordinate, and scales the base and the objective back. Scaling
+    by a power of two is exact, so in the normal range the fit keeps its
+    bits, and a set whose coordinates are all tiny (below about 1e-296)
+    fits as a unit-scale one does: the p=1 reweighting w / floor does not
+    overflow, nor the scatter matrix underflow. A spread that small around
+    a larger coordinate still underflows.
     """
     X = _as_points(points)
     w = _as_weights(weights, len(X))
+    if p not in (1, 2, "sup"):
+        raise ValueError(f"p must be 1, 2, or 'sup', got {p!r}")
+    _, e = math.frexp(float(np.abs(X).max()))
+    X = np.ldexp(X, -e)
     if p == 2:
         line = _pca_line(X, w)
-        return line, _objective(X, w, line, 2)
-    if p == 1:
-        return _fit_l1(X, w)
-    if p == "sup":
-        return _fit_sup(X)
-    raise ValueError(f"p must be 1, 2, or 'sup', got {p!r}")
+        value = _objective(X, w, line, 2)
+    elif p == 1:
+        line, value = _fit_l1(X, w)
+    else:
+        line, value = _fit_sup(X)
+    line.base = np.ldexp(line.base, e)
+    return line, math.ldexp(value, e)
 
 
 def _pca_line(X: np.ndarray, w: np.ndarray) -> Line:

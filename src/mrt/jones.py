@@ -18,8 +18,8 @@ flag plus the offending cubes, never as a non-finite float.
 
 square_sum computes the scale-indexed companion sums (over a cube family
 instead of a chain): the mass-carrying family per scale, a cube tree, or the
-set version. Each report carries a per-cube ledger so totals can be
-cross-checked independently.
+set version over the support of mu. Each report carries a per-cube ledger so
+totals can be cross-checked independently.
 """
 
 from __future__ import annotations
@@ -169,14 +169,13 @@ def mass_cube_family(
 
 
 def square_sum(
-    mu: DiscreteMeasure | None,
+    mu: DiscreteMeasure,
     kind: str,
     *,
     k_range=None,
     tree: CubeTree | None = None,
     p=2,
     c: float | None = None,
-    points=None,
     cache: BetaCache | None = None,
     refine: bool = True,
 ) -> SquareSumReport:
@@ -186,44 +185,41 @@ def square_sum(
       "s_star_star"   sum of beta_multi(star_star)^2 diam Q over the
                       mass-carrying family {Q : mu(3Q) > 0} at scales k_range
       "s_star_c_tree" sum of beta_multi(star_c)^2 diam Q over a cube tree
-      "beta_sq_set"   sum of beta_sup_set(E, 3Q)^2 diam Q over cubes whose
-                      triple meets the point set E, at scales k_range
+      "beta_sq_set"   sum of beta_sup_set(E cap 3Q, 3Q)^2 diam Q over cubes
+                      whose triple meets E, the support of mu, at scales
+                      k_range
 
     The mass-carrying family for s_star_star is a desk-scale truncation:
     faraway empty cubes whose dilate still reaches the support are omitted
     (their terms are small but nonzero); the report names the family.
     """
     ledger: list[tuple[DyadicCube, float, float]] = []
+    if cache is None:
+        cache = BetaCache(mu)
     if kind == "s_star_star":
-        if mu is None or k_range is None:
-            raise ValueError("s_star_star needs mu and k_range")
-        if cache is None:
-            cache = BetaCache(mu)
+        if k_range is None:
+            raise ValueError("s_star_star needs k_range")
         for Q in mass_cube_family(mu, k_range, cache):
             bv = beta_multi(mu, Q, p, "star_star", cache=cache, refine=refine)
             ledger.append((Q, bv.value, bv.value**2 * Q.diameter))
         family = "cubes with mu(3Q) > 0 at scales in k_range"
         params = {"k_range": list(k_range), "p": p}
     elif kind == "s_star_c_tree":
-        if mu is None or tree is None or c is None:
-            raise ValueError("s_star_c_tree needs mu, tree, and c")
-        if cache is None:
-            cache = BetaCache(mu)
+        if tree is None or c is None:
+            raise ValueError("s_star_c_tree needs tree and c")
         for Q in tree:
             bv = beta_multi(mu, Q, p, "star_c", c=c, cache=cache, refine=refine)
             ledger.append((Q, bv.value, bv.value**2 * Q.diameter))
         family = "all member cubes of the tree"
         params = {"p": p, "c": c, "tree_size": len(tree)}
     elif kind == "beta_sq_set":
-        if points is None or k_range is None:
-            raise ValueError("beta_sq_set needs points and k_range")
-        X = np.atleast_2d(np.asarray(points, dtype=float))
-        # the cubes whose triple meets E are the mass-carrying triples of
-        # the counting measure on E
-        counting = BetaCache(DiscreteMeasure(X, np.ones(len(X))))
+        if k_range is None:
+            raise ValueError("beta_sq_set needs k_range")
+        # the cubes whose triple meets the support are the mass-carrying
+        # triples of mu, and each lists the support points in its triple
         for k in k_range:
-            for Q, atoms, _mass in counting.mass_triples(k):
-                b = beta_sup_set(X[atoms], Q.triple())
+            for Q, atoms, _mass in cache.mass_triples(k):
+                b = beta_sup_set(mu.points[atoms], Q.triple())
                 ledger.append((Q, b, b * b * Q.diameter))
         family = "cubes whose triple meets the point set, at scales in k_range"
         params = {"k_range": list(k_range)}

@@ -2,20 +2,18 @@
 
 A DiscreteMeasure is an atom array with strictly positive weights. Region
 conventions: dyadic cubes are half-open (a point lies in exactly one cube per
-scale), while boxes and balls are closed. Ball masses back the density
-profile.
+scale), while their triples and the balls of the density profile are closed.
 
-Region queries (atoms_in, mass, center_of_mass) take one path per kind of
-region. Dyadic cubes and their triples (the boxes Q.triple() returns)
-are answered from two tables per dyadic scale, each built once in one
-vectorized pass and reused: the cell table maps a cube index to the atoms of
-the half-open cube, and the triple table maps every cube index with
-mu(3Q) > 0 to the atoms of the closed triple 3Q. The triple pass tests every
-(atom, candidate cube) pair with the face arithmetic of Box.contains_mask
-(c - h <= x <= c + h, exact on dyadic faces), so a triple holds the same atoms
-as a scan of the box; a triple query is then one dict lookup. Only balls and
-free boxes scan every atom. Atom indices are always ascending and mass sums
-run over them in that order, so results are bit-identical across runs.
+Region queries (atoms_in, mass, center_of_mass) take one of two paths.
+Dyadic cubes and their triples (the boxes Q.triple() returns) are answered
+from two tables per dyadic scale, each built once in one vectorized pass and
+reused: the cell table maps a cube index to the atoms of the half-open cube,
+and the triple table maps every cube index with mu(3Q) > 0 to the atoms of
+the closed triple 3Q. The triple pass tests every (atom, candidate cube)
+pair against the faces of 3Q (c - h <= x <= c + h, exact on dyadic faces),
+so a triple query is one dict lookup. No region query scans every atom. Atom
+indices are always ascending and mass sums run over them in that order, so
+results are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -34,33 +32,7 @@ from .errors import (
 from .geometry import sorted_unique
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Closed Euclidean ball."""
-
-    center: tuple[float, ...]
-    radius: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
-    def center_array(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
-    def contains_mask(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dim:
-            raise DimensionMismatch("point dimension does not match ball")
-        d2 = ((X - self.center_array()) ** 2).sum(axis=1)
-        return d2 <= self.radius * self.radius
-
-
-Region = DyadicCube | Box | Ball
+Region = DyadicCube | Box
 
 # (atom, candidate cube) pairs tested at once while building a triple table;
 # bounds the build's temporaries for any atom count and dimension
@@ -159,7 +131,7 @@ class DiscreteMeasure:
             for a in range(0, len(self), step):
                 X = self.points[a : a + step, None, :]
                 R = cells[a : a + step, None, :] + offsets
-                # the face arithmetic of Box.contains_mask on DyadicCube.triple()
+                # the closed faces of DyadicCube.triple(), exact on dyadic coordinates
                 c = (R.astype(float) + 0.5) * side
                 hit = np.all((c - half <= X) & (X <= c + half), axis=2)
                 atom, cand = np.nonzero(hit)
@@ -181,16 +153,10 @@ class DiscreteMeasure:
         return self.triple_table(Q.k).get(Q.index, np.empty(0, dtype=np.int64))
 
     def atoms_in(self, region: Region) -> np.ndarray:
-        """Ascending atom indices in a region (cube half-open, box/ball closed).
-
-        Cubes and triples come from the grid; other regions scan all atoms.
-        """
+        """Ascending atom indices in a half-open cube or a closed triple."""
         if isinstance(region, DyadicCube):
             return self.atoms_in_cube(region)
-        if isinstance(region, Box) and region.triple_of is not None:
-            return self.atoms_in_triple(region.triple_of)
-        mask = region.contains_mask(self.points)
-        return np.flatnonzero(mask)
+        return self.atoms_in_triple(region.triple_of)
 
     def mass(self, region: Region) -> float:
         return float(self.weights[self.atoms_in(region)].sum())
@@ -212,7 +178,7 @@ class DiscreteMeasure:
         r = sorted_unique(np.asarray(radii, dtype=float))[::-1]
         if len(r) == 0 or not np.all(r > 0):
             raise ValueError("radius ladder must contain positive radii")
-        # the closed-ball test of Ball.contains_mask, distances computed once
+        # closed balls, distances computed once
         d2 = ((self.points - x) ** 2).sum(axis=1)
         masses = np.array([float(self.weights[d2 <= ri * ri].sum()) for ri in r])
         ratios = masses / (2.0 * r)

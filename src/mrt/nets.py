@@ -46,7 +46,7 @@ from .errors import EmptyInput, NetValidationError, ZeroMassTriple
 from .geometry import Line, diameter, fit_line, segment_distance
 from .measure import DiscreteMeasure, ZeroMassRegion
 
-NEIGHBORHOOD_FACTOR = 65.0  # ball radius factor for alpha neighborhoods
+NEIGHBORHOOD_FACTOR = 65.0  # ball radius factor of the alpha and curve neighborhoods
 
 
 @dataclass

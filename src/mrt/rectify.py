@@ -19,7 +19,7 @@ import numpy as np
 from ._parallel import pmap
 from .beta import BetaCache, beta_multi
 from .curve import CurveResult, construct_curve
-from .dyadic import CubeTree, DyadicCube, chain_cells, checked_length, cube_at
+from .dyadic import CubeTree, DyadicCube, checked_length, cube_at
 from .errors import CertificateError, TreeStructureError
 from .jones import jones_at, square_sum
 from .measure import DensityProfile, DiscreteMeasure
@@ -41,25 +41,6 @@ class LocalizationResult:
     good_b_sum: float
     params: dict
     checks: dict
-
-
-def sum_function(tree: CubeTree, b: dict[DyadicCube, float], mu: DiscreteMeasure, x) -> float:
-    """Mass-normalized sum of b over tree cubes containing x (0/0 = 0).
-
-    x's cells at every tree scale come from one checked cell_index call.
-    """
-    total = 0.0
-    scales = sorted({Q.k for Q in tree.members})
-    for k, idx in zip(scales, chain_cells(x, scales)):
-        Q = DyadicCube(k, idx)
-        if Q in tree.members:
-            val = b.get(Q, 0.0)
-            mass = mu.mass(Q)
-            if val > 0.0:
-                if mass == 0.0:
-                    return math.inf
-                total += val / mass
-    return total
 
 
 def localize(
@@ -85,14 +66,17 @@ def localize(
     if not (0 < N < math.inf) or not (eps > 0):
         raise ValueError("localize needs finite positive N and positive eps")
     top = tree.top
+    # S(x) = sum of b(Q) / mu(Q) over the tree cubes Q that hold the atom x,
+    # coarse to fine; a cube with no atom adds to no S
+    S = np.zeros(len(mu.points))
+    for Q in tree:
+        ids = mu.atoms_in(Q)
+        val = b.get(Q, 0.0)
+        if len(ids) and val > 0.0:
+            S[ids] += val / mu.mass(Q)
     top_ids = mu.atoms_in(top)
-    S_vals = {}
     in_A = np.zeros(len(mu.points), dtype=bool)
-    for i in top_ids:
-        s = sum_function(tree, b, mu, mu.points[i])
-        S_vals[int(i)] = s
-        if s <= N:
-            in_A[i] = True
+    in_A[top_ids] = S[top_ids] <= N
     A_mass = float(mu.weights[in_A].sum())
     bad: set[DyadicCube] = set()
     for Q in tree:  # coarse to fine, so a parent is decided first
@@ -165,6 +149,11 @@ def _lower_regular_ok(mu: DiscreteMeasure, Q: DyadicCube, c: float) -> bool:
     return mu.mass(tri) >= c * tri.diameter
 
 
+def _density_factor(n: int) -> float:
+    """(3/2) sqrt(n): a density ratio mu(B(x, r))/2r must clear this times c in R^n."""
+    return 1.5 * math.sqrt(n)
+
+
 def base_cube_for(profile: DensityProfile, c: float) -> DyadicCube | None:
     """The base cube at the profile's point; None when the density test fails.
 
@@ -175,7 +164,7 @@ def base_cube_for(profile: DensityProfile, c: float) -> DyadicCube | None:
     """
     _check_c(c)
     x = profile.point
-    failed = np.flatnonzero(profile.ratios < 1.5 * math.sqrt(len(x)) * c)
+    failed = np.flatnonzero(profile.ratios < _density_factor(len(x)) * c)
     j = int(failed[-1]) + 1 if len(failed) else 0
     if j == len(profile.radii):
         return None
@@ -374,7 +363,7 @@ def decompose_estimate(
         at_c_min = (jval, jdiv)
         density_cleared = False
         for c in c_ladder:
-            if dens > 1.5 * math.sqrt(n) * c:
+            if dens > _density_factor(n) * c:
                 density_cleared = True
                 rep = jones_at(mu, mu.points[i], p=p, variant="star_c", c=c, k_max=k_max, cache=cache, refine=False)
                 jval, jdiv = rep.value, rep.divergent
@@ -445,7 +434,7 @@ def decompose_estimate(
         "eps_ladder": list(eps_ladder),
         "k_max": k_max,
         "refine": False,
-        "density_factor": 1.5 * math.sqrt(n),
+        "density_factor": _density_factor(n),
     }
     return DecompositionReport(
         atoms=atoms,

@@ -18,7 +18,11 @@ one cube against those inequalities; the vectorized filter in
 
 `mass_triples` shares no path with `DiscreteMeasure.triple_table`: it
 enumerates the 4^n candidate cubes around every occupied cell and scans every
-atom against each candidate's triple with `Box.contains_mask`.
+atom against each candidate's triple with `box_contains`, the closed-box test
+of one box at a time. `cube_contains` is the half-open cube test, by floor.
+
+`sum_function` is the localization sum of `rectify.localize` at one point:
+one `cube_at` per tree scale, instead of one pass over the tree's cubes.
 
 `sequential_pattern_search`, `moment_score` and `min_width_strip_loop` keep
 the one-point arithmetic that `pattern_search`, `_Family.moment_scores` and
@@ -46,7 +50,7 @@ import itertools
 import numpy as np
 
 from mrt.beta import BetaCache, beta_best, beta_multi
-from mrt.dyadic import DyadicCube, cube_at, parent_scale_bound, same_scale_radius
+from mrt.dyadic import DyadicCube, cell_index, cube_at, parent_scale_bound, same_scale_radius
 from mrt.errors import DegenerateRegion, DimensionMismatch
 from mrt.geometry import Line, _as_points, _as_weights, pattern_search, sorted_unique, unit
 from mrt.jones import default_kmax
@@ -347,6 +351,39 @@ def nearby_count(Q: DyadicCube) -> int:
     return same + parent
 
 
+def box_contains(box, X) -> np.ndarray:
+    """Which rows of X lie in the closed box (center, half-side)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != box.dim:
+        raise DimensionMismatch("point dimension does not match box")
+    # compare against the faces: |x - c| rounds, while the faces of a
+    # dyadic box are exact, so a point just outside one stays outside
+    c = np.asarray(box.center, dtype=float)
+    return np.all((c - box.half <= X) & (X <= c + box.half), axis=1)
+
+
+def cube_contains(Q: DyadicCube, X) -> np.ndarray:
+    """Which rows of X lie in the half-open dyadic cube Q."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != Q.dim:
+        raise DimensionMismatch("point dimension does not match cube")
+    return np.all(cell_index(X, Q.k) == np.asarray(Q.index, dtype=np.int64), axis=1)
+
+
+def sum_function(tree, b, mu, x) -> float:
+    """Sum of b(Q) / mu(Q) over the tree cubes Q that hold the atom x, coarse to fine.
+
+    x is an atom of mu, so every such Q has mass.
+    """
+    total = 0.0
+    for k in sorted({Q.k for Q in tree.members}):
+        Q = cube_at(x, k)
+        val = b.get(Q, 0.0)
+        if Q in tree.members and val > 0.0:
+            total += val / mu.mass(Q)
+    return total
+
+
 def mass_triples(mu, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:
     """(R, atoms of 3R, mu(3R)) for every scale-k cube R with mu(3R) > 0, in
     sorted index order, by the 4^n candidate enumeration."""
@@ -359,7 +396,7 @@ def mass_triples(mu, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:
     out = []
     for key in sorted(cand):
         R = DyadicCube(k, key)
-        atoms = np.flatnonzero(R.triple().contains_mask(mu.points))
+        atoms = np.flatnonzero(box_contains(R.triple(), mu.points))
         if len(atoms):
             out.append((R, atoms, float(mu.weights[atoms].sum())))
     return out

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrt import (
-    Ball,
     BetaCache,
     BetaValue,
     DiscreteMeasure,
@@ -20,7 +19,7 @@ from mrt import (
 )
 from mrt import beta as beta_mod
 from mrt.beta import VARIANTS, _family, _Family, _refine_objective, nearby_cubes_with_mass
-from mrt.dyadic import Box, cube_at
+from mrt.dyadic import cube_at
 from mrt.errors import DegenerateRegion
 
 from _oracle import (
@@ -42,6 +41,12 @@ def symmetric_pair():
     return DiscreteMeasure([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0])
 
 
+# the closed square [-1, 2]^2, the triple of the unit cube
+UNIT_TRIPLE = DyadicCube(0, (0, 0)).triple()
+# a region that holds no atom of the test measures
+FAR_CUBE = DyadicCube(0, (9, 9))
+
+
 def random_measure(rng, m=8, lo=0.0, hi=1.0):
     pts = rng.uniform(lo, hi, size=(m, 2))
     w = rng.uniform(0.2, 1.0, size=m)
@@ -52,49 +57,51 @@ class TestBetaFixedLine:
     def test_atoms_on_line(self):
         mu = segment_measure(20)
         ln = Line([0.0, 0.5], [1.0, 0.0])
-        assert beta_fixed_line(mu, Ball((0.5, 0.5), 1.0), ln, 2) <= 1e-15
+        assert beta_fixed_line(mu, UNIT_TRIPLE, ln, 2) <= 1e-15
 
     def test_hand_value(self):
-        # both atoms at distance 1 from the axis, region diameter 4
+        # both atoms at distance 1 from the axis, in the triple [-2, 1]^2 of diameter 3 sqrt 2
         mu = symmetric_pair()
         ln = Line([0.0, 0.0], [1.0, 0.0])
+        region = DyadicCube(0, (-1, -1)).triple()
         for p in (1, 2, 3):
-            assert beta_fixed_line(mu, Ball((0.0, 0.0), 2.0), ln, p) == pytest.approx(0.25)
+            assert beta_fixed_line(mu, region, ln, p) == pytest.approx(1.0 / (3.0 * np.sqrt(2.0)))
 
     def test_zero_mass_region(self):
         mu = symmetric_pair()
         ln = Line([0.0, 0.0], [1.0, 0.0])
-        assert beta_fixed_line(mu, Ball((9.0, 9.0), 0.5), ln, 2) == 0.0
+        assert beta_fixed_line(mu, FAR_CUBE, ln, 2) == 0.0
 
     def test_degenerate_region(self):
-        mu = DiscreteMeasure([[1.0, 1.0]], [1.0])
+        # at scale 1100 the side 2^-1100 rounds to 0; the origin's index stays 0
+        mu = DiscreteMeasure([[0.0, 0.0]], [1.0])
         with pytest.raises(DegenerateRegion):
-            beta_fixed_line(mu, Ball((1.0, 1.0), 0.0), Line([0, 0], [1, 0]), 2)
+            beta_fixed_line(mu, DyadicCube(1100, (0, 0)), Line([0, 0], [1, 0]), 2)
 
     def test_rejects_bad_p(self):
         mu = symmetric_pair()
         with pytest.raises(ValueError):
-            beta_fixed_line(mu, Ball((0.0, 0.0), 2.0), Line([0, 0], [1, 0]), 0.5)
+            beta_fixed_line(mu, UNIT_TRIPLE, Line([0, 0], [1, 0]), 0.5)
 
 
 class TestBetaBest:
     def test_collinear_atoms(self):
         mu = segment_measure(15)
         for p in (1, 2, "sup"):
-            bv = beta_best(mu, Ball((0.5, 0.5), 1.0), p)
+            bv = beta_best(mu, UNIT_TRIPLE, p)
             assert bv.value <= 1e-12
             assert bv.line is not None
 
     def test_zero_mass(self):
         mu = symmetric_pair()
-        bv = beta_best(mu, Ball((9.0, 9.0), 0.5), 2)
+        bv = beta_best(mu, FAR_CUBE, 2)
         assert bv.value == 0.0
         assert bv.line is None
 
     def test_value_is_infimum_bound(self):
         rng = np.random.default_rng(5)
         mu = random_measure(rng)
-        region = Box((0.5, 0.5), 0.5)
+        region = DyadicCube(0, (0, 0))
         bv = beta_best(mu, region, 2)
         for _ in range(25):
             base = rng.uniform(size=2)
@@ -106,7 +113,7 @@ class TestBetaBest:
         rng = np.random.default_rng(6)
         for _ in range(20):
             mu = random_measure(rng)
-            region = Box((0.5, 0.5), 0.5)
+            region = DyadicCube(0, (0, 0))
             b1 = beta_best(mu, region, 1).value
             b2 = beta_best(mu, region, 2).value
             assert b1 <= b2 + 1e-12
@@ -115,7 +122,7 @@ class TestBetaBest:
         rng = np.random.default_rng(7)
         for _ in range(5):
             mu = random_measure(rng, m=6)
-            region = Box((0.5, 0.5), 0.5)
+            region = DyadicCube(0, (0, 0))
             bv = beta_best(mu, region, 2)
             oval, _ = brute_force_line_oracle(
                 mu.points, mu.weights, p=2, n_angles=180, n_offsets=60, refine=True
@@ -124,7 +131,7 @@ class TestBetaBest:
 
     def test_sup_variant(self):
         mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [0.5, 0.4]], [1, 1, 1])
-        region = Box((0.5, 0.2), 0.5)
+        region = UNIT_TRIPLE
         bv = beta_best(mu, region, "sup")
         # the minimal strip has width 0.4, so the sup distance is 0.2
         assert bv.value == pytest.approx(0.2 / region.diameter, abs=1e-12)
@@ -132,11 +139,11 @@ class TestBetaBest:
 
 class TestBetaSupSet:
     def test_empty_intersection(self):
-        assert beta_sup_set(np.array([[5.0, 5.0]]), Box((0.0, 0.0), 1.0)) == 0.0
+        assert beta_sup_set(np.empty((0, 2)), UNIT_TRIPLE) == 0.0
 
     def test_collinear(self):
         pts = np.column_stack([np.linspace(0, 1, 9), np.zeros(9)])
-        assert beta_sup_set(pts, Box((0.5, 0.0), 1.0)) <= 1e-12
+        assert beta_sup_set(pts, UNIT_TRIPLE) <= 1e-12
 
     def test_square_corners(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

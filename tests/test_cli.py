@@ -56,7 +56,7 @@ def test_no_module_loads_scipy():
         "    importlib.import_module('mrt.' + info.name)\n"
         "X = np.random.default_rng(0).uniform(size=(12, 3))\n"
         "line, value = mrt.fit_line(X, None, 'sup')\n"
-        "beta = mrt.beta_sup_set(X, mrt.Box((0.5, 0.5, 0.5), 0.5))\n"
+        "beta = mrt.beta_sup_set(X, mrt.DyadicCube(0, (0, 0, 0)).triple())\n"
         "print(value > 0.0, beta > 0.0, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert run_python(code) == "True True []"
@@ -453,6 +453,8 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n", ["jones", "--seed", "1"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", [], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
+        ("0,0,1\n1e-300,0,1\n", ["beta", "--p", "1", "--k-hi", "1"], None, 0, None, None),
+        ("0,0,1\n1e-300,0,1\n", ["jones", "--variant", "tilde", "--p", "1", "--k-max", "2"], None, 0, None, None),
     ],
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
          "dim-header-conflict", "json-boolean-entry", "json-string-entry", "json-null-entry",
@@ -463,7 +465,8 @@ def _raise_runtime_error(*_args):
          "origin-jones-subnormal-diameter", "origin-jones-past-1024", "origin-decompose-subnormal-radius",
          "one-field-row", "json-nonpositive-weight", "json-wrong-dimension", "empty-csv",
          "empty-json", "non-numeric-p", "unknown-option", "variant-of-another-command",
-         "non-numeric-c-ladder", "removed-seed-option", "missing-subcommand", "internal-error"],
+         "non-numeric-c-ladder", "removed-seed-option", "missing-subcommand", "internal-error",
+         "near-coincident-beta-p1", "near-coincident-jones-p1"],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):
     measure = tmp_path / ("measure.json" if text is not None and text.startswith("{") else "measure.csv")
@@ -474,6 +477,10 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kin
     out = tmp_path / "report.json"
     argv = [args[0], str(measure), *args[1:], "-o", str(out)] if args else []
     assert main(argv) == code
+    if code == 0:
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["command"] == args[0]
+        return
     error = json.loads(capsys.readouterr().out)["error"]
     assert (error["type"], error["class"]) == (kind, cls)
     assert not out.exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrt import Box, CubeTree, DiscreteMeasure, DyadicCube, chain_of_cubes, cube_at
-from mrt.dyadic import NEARBY_DILATION, chain_cells, checked_length, same_scale_radius
+from mrt.dyadic import NEARBY_DILATION, cell_index, chain_cells, checked_length, same_scale_radius
 from mrt.errors import DimensionMismatch, ScaleOverflow, TreeStructureError
 
 from _oracle import in_nearby_family, nearby_count, nearby_cubes
@@ -26,30 +26,30 @@ class TestDyadicCube:
 
     def test_half_open_membership(self):
         Q = DyadicCube(2, (0, 0))
+        mu = DiscreteMeasure([[0.0, 0.0], [0.2499999, 0.1], [0.25, 0.1]], np.ones(3))
         # the upper face belongs to the next cube over
-        assert Q.contains_mask([[0.0, 0.0], [0.2499999, 0.1], [0.25, 0.1]]).tolist() == [True, True, False]
+        assert mu.atoms_in(Q).tolist() == [0, 1]
         assert cube_at([0.25, 0.1], 2).index == (1, 0)
 
     def test_membership_by_floor_matches_cube_at(self):
         rng = np.random.default_rng(0)
-        X = rng.uniform(-2, 2, size=(50, 2))
+        mu = DiscreteMeasure(rng.uniform(-2, 2, size=(50, 2)), np.ones(50))
         for k in (0, 1, 4):
-            for x in X:
-                Q = cube_at(x, k)
-                assert Q.contains_mask(x)[0]
+            for i, x in enumerate(mu.points):
+                assert i in mu.atoms_in(cube_at(x, k))
 
     def test_every_point_in_exactly_one_cube(self):
         rng = np.random.default_rng(1)
-        X = rng.uniform(size=(40, 2))
+        mu = DiscreteMeasure(rng.uniform(size=(40, 2)), np.ones(40))
         k = 2
         cells = [DyadicCube(k, idx) for idx in itertools.product(range(4), repeat=2)]
-        counts = sum(c.contains_mask(X).astype(int) for c in cells)
+        counts = np.bincount(np.concatenate([mu.atoms_in(c) for c in cells]), minlength=len(mu))
         assert np.all(counts == 1)
 
     def test_negative_coordinates(self):
         Q = cube_at([-0.3, -1.7], 2)
         assert Q.index == (-2, -7)
-        assert Q.contains_mask([-0.3, -1.7])[0]
+        assert DiscreteMeasure([[-0.3, -1.7]], [1.0]).atoms_in(Q).tolist() == [0]
 
     def test_parent_children_roundtrip(self):
         for idx in [(0, 0), (5, 3), (-1, -4), (-7, 2)]:
@@ -73,11 +73,14 @@ class TestDyadicCube:
         Q = DyadicCube(1, (0, 1))
         T = Q.triple()
         assert T.side == pytest.approx(3 * Q.side)
-        assert np.allclose(T.center_array(), Q.center())
+        assert np.allclose(T.center, Q.center())
 
     def test_dimension_mismatch(self):
+        mu = DiscreteMeasure(np.zeros((2, 3)), np.ones(2))
         with pytest.raises(DimensionMismatch):
-            DyadicCube(0, (0, 0)).contains_mask(np.zeros((2, 3)))
+            mu.atoms_in(DyadicCube(0, (0, 0)))
+        with pytest.raises(DimensionMismatch):
+            mu.atoms_in(DyadicCube(0, (0, 0)).triple())
 
     def test_cell_index_overflow_is_typed(self):
         # at scale 70 both points' indices pass 2^63: the int64 cast would
@@ -88,7 +91,7 @@ class TestDyadicCube:
         with pytest.raises(ScaleOverflow):
             cube_at(mu.points[0], 70)
         with pytest.raises(ScaleOverflow):
-            DyadicCube(70, (0, 0)).contains_mask(mu.points)
+            cell_index(mu.points, 70)
         # the last scale below the 2^60 bound still answers exactly
         Q = cube_at(mu.points[1], 60)
         assert Q.index == tuple(math.floor(Fraction(v) * 2**60) for v in mu.points[1])
@@ -115,18 +118,19 @@ class TestDyadicCube:
 
 class TestBox:
     def test_closed_membership(self):
-        B = Box((0.5, 0.5), 0.5)
-        assert B.contains_mask([[1.0, 1.0], [0.0, 0.0], [1.0000001, 0.5]]).tolist() == [True, True, False]
-        assert B.diameter == pytest.approx(np.sqrt(2))
+        # the triple of [0.5, 1)^2 is the closed square [0, 1.5]^2
+        B = DyadicCube(1, (1, 1)).triple()
+        mu = DiscreteMeasure([[1.5, 1.5], [0.0, 0.0], [1.5000001, 0.75]], np.ones(3))
+        assert mu.atoms_in(B).tolist() == [0, 1]
+        assert B.diameter == pytest.approx(1.5 * np.sqrt(2))
 
     def test_triple_carries_its_cube(self):
         Q = DyadicCube(3, (1, 0))
         T = Q.triple()
         assert T.triple_of == Q
         # the carried cube takes no part in equality or hashing
-        plain = Box(T.center, T.half)
-        assert T == plain and hash(T) == hash(plain)
-        assert plain.triple_of is None
+        other = Box(T.center, T.half, DyadicCube(0, (0, 0)))
+        assert T == other and hash(T) == hash(other)
 
 
 def test_chain_of_cubes_nested():
@@ -214,12 +218,12 @@ class TestNearbyFamily:
         for R in [DyadicCube(2, (3 + d, -1)), DyadicCube(1, (0, 0)), Q]:
             assert in_nearby_family(Q, R)
             T = R.triple()
-            gap = np.abs(T.center_array() - Q.center()) + T.half
+            gap = np.abs(np.asarray(T.center) - Q.center()) + T.half
             assert np.all(gap <= big_half + 1e-9)
         # one cube past the same-scale cutoff pokes out
         R = DyadicCube(2, (3 + d + 1, -1))
         T = R.triple()
-        gap = np.abs(T.center_array() - Q.center()) + T.half
+        gap = np.abs(np.asarray(T.center) - Q.center()) + T.half
         assert np.any(gap > big_half - 1e-9)
 
 

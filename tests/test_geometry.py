@@ -234,9 +234,11 @@ class TestFitLine:
         line, obj = fit_line(np.array([[0.3, 0.4]]), None, 2)
         assert obj == pytest.approx(0.0)
         assert line.distances(np.array([[0.3, 0.4]]))[0] <= 1e-15
-        # p = 1 on one point and on coincident atoms, in R^2 and R^3: the fit
-        # passes through them, where the reweighting once divided by its floor
+        # p = 1 on one point, on coincident atoms and on atoms 1e-300 apart, in
+        # R^2 and R^3: the fit passes through them, where the reweighting once
+        # divided by its floor, and w / floor overflowed for the 1e-300 pair
         for X, w in (([[0.3, 0.4]], None), ([[0.3, 0.4]] * 2, [1.0, 2.0]),
+                     ([[0.0, 0.0], [1e-300, 0.0]], None),
                      ([[0.5, 0.5, 0.5]], None), ([[0.5, 0.5, 0.5]] * 3, [0.1, 0.2, 0.7])):
             X = np.array(X)
             line, obj = fit_line(X, w, 1)
@@ -249,6 +251,21 @@ class TestFitLine:
             line, obj = sup_fit(X)
             assert obj <= 1e-15 * (1.0 + diameter(X))
             assert np.all(np.isfinite(line.base)) and np.linalg.norm(line.direction) == pytest.approx(1.0)
+
+    def test_power_of_two_scaling_keeps_bits(self):
+        # the fit scales the points by a power of two of their extent, so a
+        # set scaled by 2^s fits the scaled line and value, bit for bit
+        rng = np.random.default_rng(14)
+        for n in (2, 3):
+            X = rng.uniform(-1.0, 1.0, size=(7, n))
+            w = rng.uniform(0.5, 2.0, size=7)
+            for p in (1, 2, "sup"):
+                line, obj = fit_line(X, w, p)
+                for s in (-7, 3, 40):
+                    scaled, sobj = fit_line(np.ldexp(X, s), w, p)
+                    assert sobj == np.ldexp(obj, s)
+                    assert scaled.base.tobytes() == np.ldexp(line.base, s).tobytes()
+                    assert scaled.direction.tobytes() == line.direction.tobytes()
 
     def test_pair_lines_match_per_pair_units(self):
         # the batched pair directions carry unit()'s bits, so the p = 1 and

@@ -17,7 +17,7 @@ from mrt import (
 )
 from mrt.jones import JONES_VARIANTS, mass_cube_family
 
-from _oracle import chain_jones
+from _oracle import box_contains, chain_jones
 from _samples import four_corner_cantor, segment_measure
 
 
@@ -172,17 +172,19 @@ class TestSquareSum:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            square_sum(None, "nope")
+            square_sum(segment_measure(3), "nope")
 
     def test_beta_sq_set(self):
+        # the set version reads the support only: the weights do not matter
         sq = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
-        rep = square_sum(None, "beta_sq_set", points=sq, k_range=range(0, 2))
+        rep = square_sum(DiscreteMeasure(sq, [1.0, 2.0, 3.0, 4.0]), "beta_sq_set", k_range=range(0, 2))
         assert rep.total > 0
+        assert rep.total == square_sum(DiscreteMeasure(sq, np.ones(4)), "beta_sq_set", k_range=range(0, 2)).total
         for Q, b, term in rep.ledger:
             assert term == pytest.approx(b * b * Q.diameter)
-            assert np.any(Q.triple().contains_mask(sq))
+            assert np.any(box_contains(Q.triple(), sq))
         line = np.column_stack([np.linspace(0, 1, 7), np.full(7, 0.5)])
-        flat = square_sum(None, "beta_sq_set", points=line, k_range=range(0, 2))
+        flat = square_sum(DiscreteMeasure(line, np.ones(7)), "beta_sq_set", k_range=range(0, 2))
         assert flat.total <= 1e-20
 
     def test_mass_cube_family(self):

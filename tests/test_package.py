@@ -80,21 +80,46 @@ def test_no_unused_imports():
 UNREFERENCED_ALLOWED = {"cli.save_measure", "beta.nearby_cubes_with_mass"}
 
 
+def _typing_nodes(tree: ast.Module) -> set[int]:
+    """ids of the annotations in tree and of its module-level union aliases (X = A | B)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            found |= {id(arg.annotation) for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                      if arg is not None and arg.annotation is not None}
+            if node.returns is not None:
+                found.add(id(node.returns))
+        elif isinstance(node, ast.AnnAssign):
+            found.add(id(node.annotation))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.BitOr):
+            found.add(id(node.value))
+    return found
+
+
 def test_public_names_are_referenced():
     # every public module-level function and class, and every public method,
     # is referenced by name (as a name or an attribute) somewhere in the
-    # package, so helpers that only tests call do not come back
+    # package, so helpers that only tests call do not come back. A name in
+    # an annotation or in a type alias does not count: it calls nothing
     trees = {
         path.stem: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(pathlib.Path(mrt.__file__).parent.glob("*.py"))
     }
     referenced = set()
     for tree in trees.values():
-        for node in ast.walk(tree):
+        skip = _typing_nodes(tree)
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if id(node) in skip:
+                continue
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
     defined = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -119,8 +144,6 @@ UNSET_OPTIONS_ALLOWED = {
     "_parallel.pmap(_unused)",
     # the family enumeration perfbench traces by name (see UNREFERENCED_ALLOWED)
     "beta.nearby_cubes_with_mass(cache)",
-    # tests check that each construction stage's lone vertices join the curve
-    "curve.verify_connected(points)",
 }
 
 

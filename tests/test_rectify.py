@@ -18,8 +18,9 @@ from mrt import (
 )
 from mrt import rectify
 from mrt.errors import CertificateError, TreeStructureError
-from mrt.rectify import base_cube_for, sum_function
+from mrt.rectify import base_cube_for
 
+from _oracle import cube_contains, sum_function
 from _samples import four_corner_cantor, graph_cantor_mixture, lipschitz_graph_measure, segment_measure
 
 
@@ -51,14 +52,24 @@ class TestSumFunction:
     def test_hand_value(self):
         mu, tree, top, left, right, b = two_cluster_setup()
         # left-cluster atoms: one positive term, b / mass(left cube) = 1 / 0.5
-        assert sum_function(tree, b, mu, mu.points[0]) == pytest.approx(2.0)
+        s = sum_function(tree, b, mu, mu.points[0])
+        assert s == pytest.approx(2.0)
         assert sum_function(tree, b, mu, mu.points[15]) == 0.0
+        # localize puts an atom in A exactly when its sum is at most N
+        for N, left_in_A in ((s, True), (np.nextafter(s, 0.0), False)):
+            A = localize(tree, b, mu, N=N, eps=0.5).A_mask
+            assert np.all(A[mu.atoms_in(left)] == left_in_A)
+            assert np.all(A[mu.atoms_in(right)])
 
-    def test_positive_b_over_zero_mass_is_infinite(self):
+    def test_positive_b_over_zero_mass_is_skipped(self):
+        # lower regularity bounds mu(3Q), not mu(Q): a tree cube can carry
+        # b > 0 and no atom, and then it adds to no atom's sum
         mu, tree, top, left, right, _ = two_cluster_setup()
         empty = DyadicCube(2, (3, 3))  # [0.75, 1)^2 holds no atoms
         tree2 = CubeTree(top, set(tree.members) | {empty})
-        assert sum_function(tree2, {empty: 0.5}, mu, [0.8, 0.8]) == math.inf
+        loc = localize(tree2, {empty: 0.5}, mu, N=1.0, eps=0.5)
+        assert np.all(loc.A_mask)
+        assert loc.bad == frozenset({empty})
 
 
 class TestLocalize:
@@ -158,13 +169,13 @@ class TestLocalizeProperty:
         A_mass = float(mu.weights[in_A].sum())
 
         def too_light(R):
-            return float(mu.weights[in_A & R.contains_mask(mu.points)].sum()) <= eps * A_mass * mu.mass(R)
+            return float(mu.weights[in_A & cube_contains(R, mu.points)].sum()) <= eps * A_mass * mu.mass(R)
 
         bad = {Q for Q in tree.members if any(R.contains_cube(Q) and too_light(R) for R in tree.members)}
         assert loc.bad == bad
         in_Aprime = in_A.copy()
         for Q in bad:
-            in_Aprime &= ~Q.contains_mask(mu.points)
+            in_Aprime &= ~cube_contains(Q, mu.points)
         assert loc.A_prime_mass == float(mu.weights[in_Aprime].sum())
 
 
