@@ -29,8 +29,7 @@ _MODULES = {
                "NetValidationError", "ScaleOverflow", "TreeStructureError", "ZeroMassRegion",
                "ZeroMassTriple"),
     "geometry": ("Line", "fit_line"),
-    "jones": ("JONES_VARIANTS", "JonesReport", "SquareSumReport", "default_kmax", "jones_at",
-              "square_sum"),
+    "jones": ("JONES_VARIANTS", "SquareSumReport", "default_kmax", "jones_at", "square_sum"),
     "measure": ("DiscreteMeasure",),
     "nets": ("AlphaAssignment", "NetSequence", "fit_alphas", "nets_from_points", "nets_from_tree",
              "validate_nets"),

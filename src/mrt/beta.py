@@ -135,9 +135,8 @@ def beta_fixed_line(mu: DiscreteMeasure, region: Region, line: Line, p=2) -> flo
 def beta_best(mu: DiscreteMeasure, region: Region, p=2) -> BetaValue:
     """Best-line beta of a single region: inf_l beta_p(mu, E, l).
 
-    Exact for p=2 (principal line) and, in the plane, for p="sup" (min-width
-    strip); p=1 uses the multistart reweighted fit. The value is the witness
-    line's exact objective.
+    Exact for p=2 (principal line); p=1 uses the multistart reweighted fit.
+    The value is the witness line's exact objective.
     """
     idx = mu.atoms_in(region)
     if len(idx) == 0:
@@ -147,12 +146,8 @@ def beta_best(mu: DiscreteMeasure, region: Region, p=2) -> BetaValue:
         raise DegenerateRegion("region with atoms has zero diameter")
     X = mu.points[idx]
     w = mu.weights[idx]
-    fit_p = p if p in (1, 2, "sup") else 2
-    line, _ = fit_line(X, w, fit_p)
-    if p == "sup":
-        value = float(line.distances(X).max()) / diam
-    else:
-        value = beta_fixed_line(mu, region, line, p)
+    line, _ = fit_line(X, w, p if p in (1, 2) else 2)
+    value = beta_fixed_line(mu, region, line, p)
     if p == 1:
         # score the p=2 witness too; keeps the computed values nondecreasing
         # in p (power-mean inequality at the shared line) regardless of how
@@ -194,9 +189,8 @@ class BetaCache:
     the per-scale lists mass_triples(k) and mass_triples(k - 1), with p,
     variant, c and refine; the solve reads nothing else of the cube. Each
     cube's value is also kept under its exact (cube, p, variant, c, refine)
-    key; it is its family's value object itself. Jones chains keep each
-    chain cube's (cube, beta, mass) under (scale, index, p, variant, c,
-    refine). All keys are exact, so hits are bit-identical to recomputation.
+    key; it is its family's value object itself. All keys are exact, so hits
+    are bit-identical to recomputation.
     """
 
     def __init__(self, mu: DiscreteMeasure):
@@ -205,7 +199,6 @@ class BetaCache:
         self._tripidx: dict[int, np.ndarray] = {}
         self._values: dict[tuple, BetaValue] = {}
         self._families: dict[tuple, BetaValue] = {}
-        self._chain: dict[tuple, tuple[DyadicCube, float, float]] = {}
 
     def mass_triples(self, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:
         """All scale-k cubes R with mu(3R) > 0, with atom indices and masses."""
@@ -247,10 +240,6 @@ class BetaCache:
     def family_value(self, key, compute):
         """The family value for key; computed once, like get_or_compute."""
         return _memo(self._families, key, compute)
-
-    def chain_entry(self, key, compute):
-        """A Jones-chain cube's (cube, beta, mass) for key; computed once."""
-        return _memo(self._chain, key, compute)
 
 
 def _memo(store: dict, key, compute):

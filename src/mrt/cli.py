@@ -323,25 +323,18 @@ def cmd_beta(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
 
 
 def cmd_jones(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
-    cache = BetaCache(mu)
-
-    def one(i: int) -> dict:
-        rep = jones_at(
-            mu, mu.points[i], p=cfg.p, variant=cfg.variant, c=cfg.c,
-            k_max=cfg.k_max, cache=cache,
-        )
-        return {
+    values, k_max = jones_at(mu, range(len(mu)), p=cfg.p, variant=cfg.variant, c=cfg.c, k_max=cfg.k_max)
+    rows = [
+        {
             "atom": i,
             "point": [float(v) for v in mu.points[i]],
             "weight": float(mu.weights[i]),
-            "value": float(rep.value),
-            "divergent": bool(rep.divergent),
-            "divergent_cubes": [_cube_dict(Q) for Q in rep.divergent_cubes],
-            "k_max": rep.k_max,
-            "n_terms": len(rep.terms),
+            "value": value,
+            "k_max": k,
+            "n_terms": k + 1,
         }
-
-    rows = pmap(one, range(len(mu.points)))
+        for i, (value, k) in enumerate(zip(values.tolist(), k_max.tolist()))
+    ]
     total = float(sum(r["value"] * r["weight"] for r in rows))
     return {"atoms": rows, "mass_weighted_sum": total}, EXIT_OK
 
@@ -436,7 +429,6 @@ def cmd_decompose(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, i
             "atom": a.index,
             "density": a.density,
             "jones": a.jones,
-            "jones_divergent": a.jones_divergent,
             "c_used": a.c_used,
             "label": a.label,
             "reason": a.reason,

@@ -405,6 +405,10 @@ def _fit_l1(X, w):
     best: tuple[Line, float] | None = None
     scale = float(np.max(np.abs(X - X.mean(axis=0)))) + 1e-300
     floor = 1e-12 * scale
+    # reweight by w / max(d, floor) times 2^e: a power-of-two multiple of
+    # the same weights, so the same line, that stays finite when floor is
+    # subnormal
+    e = math.frexp(floor)[1]
     for seed in _perturbed_seeds(X, w):
         line = seed
         prev = np.inf
@@ -414,7 +418,7 @@ def _fit_l1(X, w):
             if prev - obj < 1e-15 * scale:
                 break
             prev = obj
-            line = _pca_line(X, w / np.maximum(d, floor))
+            line = _pca_line(X, w / np.ldexp(np.maximum(d, floor), -e))
         obj = _objective(X, w, line, 1)
         if best is None or obj < best[1]:
             best = (line, obj)

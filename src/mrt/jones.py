@@ -1,7 +1,7 @@
 """Density-normalized multiscale square functions (Jones functions).
 
-For a point x and unit-or-smaller dyadic scales 0..k_max, the chain of cubes
-containing x contributes one term per scale:
+For an atom x of mu and unit-or-smaller dyadic scales 0..k_max, the chain of
+cubes containing x contributes one term per scale:
 
     J(x) = sum_k beta(Q_k)^2 * diam Q_k / mu(Q_k)
 
@@ -12,9 +12,8 @@ where beta is one of
     variant "star_star" coupled nearby-family beta, unsquared max inside
     variant "tilde"     best-line beta of the concentric triple 3Q_k
 
-Conventions: 0/0 = 0 (zero beta over a zero-mass cube contributes nothing);
-beta > 0 over a zero-mass cube means the sum diverges, which is reported as a
-flag plus the offending cubes, never as a non-finite float.
+x is an atom, so it lies in every cube of its chain: mu(Q_k) > 0 and every
+term is finite.
 
 square_sum computes the scale-indexed companion sums (over a cube family
 instead of a chain): the mass-carrying family per scale, a cube tree, or the
@@ -30,33 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beta import BetaCache, beta_best, beta_multi, beta_sup_set
-from .dyadic import CubeTree, DyadicCube, chain_cells, cube_at
-from .measure import DiscreteMeasure
+from .dyadic import CubeTree, DyadicCube, cell_index, cube_at
+from .measure import DiscreteMeasure, group_rows
 
 JONES_VARIANTS = ("star", "tilde", "star_star", "star_c")
-
-
-@dataclass
-class JonesTerm:
-    cube: DyadicCube
-    beta: float
-    mass: float
-    term: float
-    divergent: bool
-
-
-@dataclass
-class JonesReport:
-    """Truncated Jones function at a point, with its per-scale ledger."""
-
-    p: object
-    variant: str
-    c: float | None
-    k_max: int
-    terms: list[JonesTerm]
-    value: float
-    divergent: bool
-    divergent_cubes: list[DyadicCube] = field(default_factory=list)
 
 
 def default_kmax(mu: DiscreteMeasure, x) -> int:
@@ -67,78 +43,50 @@ def default_kmax(mu: DiscreteMeasure, x) -> int:
     return 40
 
 
-def _chain_entry(mu, k, idx, p, variant, c, cache, refine) -> tuple[DyadicCube, float, float]:
-    """(cube, beta, mass) of the scale-k chain cube with index idx."""
-    Q = DyadicCube(k, idx)
-    if variant == "tilde":
-        bv = beta_best(mu, Q.triple(), p)
-    else:
-        bv = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache)
-    return Q, bv.value, mu.mass(Q)
-
-
 def jones_at(
     mu: DiscreteMeasure,
-    x,
+    atoms,
     p=2,
     variant: str = "star",
     k_max: int | None = None,
     c: float | None = None,
     cache: BetaCache | None = None,
     refine: bool = True,
-) -> JonesReport:
-    """Truncated Jones function of mu at x.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated Jones function of mu at the given atom indices: (values, k_max per atom).
 
-    k_max defaults to the first scale at which the chain cube contains at
-    most one atom. p > 2 triggers a warning (the p=2 theory is the sharp
-    one; larger p only weakens the statistics).
+    k_max=None gives each atom default_kmax at its point. p > 2 triggers a
+    warning (the p=2 theory is the sharp one; larger p only weakens the
+    statistics).
 
-    The chain's cells come from one checked cell_index call, and each chain
-    cube's (cube, beta, mass) is read from the cache's chain memo, keyed by
-    (scale, index, p, variant, c, refine): points that share a chain cube,
-    as every point does at the coarse scales, compute it once. The sum runs
-    coarse to fine, so the value is the one a fresh cache gives.
+    One pass runs coarse to fine. At each scale the atoms still summing are
+    grouped by the cell that holds them; each cell's beta and mass are
+    computed once and its term is added to each of its atoms. Every atom
+    adds its chain's terms in chain order, so its value does not depend on
+    which other atoms share the call.
     """
     if variant not in JONES_VARIANTS:
         raise ValueError(f"variant must be one of {JONES_VARIANTS}")
     if isinstance(p, (int, float)) and p > 2:
         warnings.warn("p > 2 beta numbers are larger and the sums may diverge faster")
-    x = np.asarray(x, dtype=float).reshape(-1)
+    atoms = np.asarray(atoms, dtype=np.int64).reshape(-1)
     if k_max is None:
-        k_max = default_kmax(mu, x)
+        kmax = np.array([default_kmax(mu, mu.points[i]) for i in atoms], dtype=np.int64)
+    else:
+        kmax = np.full(len(atoms), k_max, dtype=np.int64)
     if cache is None:
         cache = BetaCache(mu)
-    settings = (p, variant, c, bool(refine))
-    terms: list[JonesTerm] = []
-    divergent_cubes: list[DyadicCube] = []
-    total = 0.0
-    for k, idx in enumerate(chain_cells(x, range(k_max + 1))):
-        Q, beta, mass = cache.chain_entry(
-            (k, idx, settings), lambda: _chain_entry(mu, k, idx, p, variant, c, cache, refine)
-        )
-        b2 = beta * beta
-        if mass > 0.0:
-            term = b2 * Q.diameter / mass
-            divergent = False
-        elif b2 == 0.0:
-            term = 0.0  # 0/0 convention
-            divergent = False
-        else:
-            term = 0.0  # excluded from the float sum; flagged instead
-            divergent = True
-            divergent_cubes.append(Q)
-        total += term
-        terms.append(JonesTerm(Q, beta, mass, term, divergent))
-    return JonesReport(
-        p=p,
-        variant=variant,
-        c=c,
-        k_max=int(k_max),
-        terms=terms,
-        value=float(total),
-        divergent=bool(divergent_cubes),
-        divergent_cubes=divergent_cubes,
-    )
+    values = np.zeros(len(atoms))
+    for k in range(int(kmax.max(initial=-1)) + 1):
+        live = np.flatnonzero(kmax >= k)
+        for idx, rows in group_rows(cell_index(mu.points[atoms[live]], k), live).items():
+            Q = DyadicCube(k, idx)
+            if variant == "tilde":
+                beta = beta_best(mu, Q.triple(), p).value
+            else:
+                beta = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache).value
+            values[rows] += beta * beta * Q.diameter / mu.mass(Q)
+    return values, kmax
 
 
 # ---------------------------------------------------------------------------

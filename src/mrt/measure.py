@@ -39,7 +39,7 @@ Region = DyadicCube | Box
 _TRIPLE_PAIRS_PER_CHUNK = 1 << 16
 
 
-def _group(keys: np.ndarray, ids: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+def group_rows(keys: np.ndarray, ids: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     """Map each distinct row of keys to the ids on that row.
 
     ids must be ascending; the sort is stable, so each key's ids stay
@@ -109,7 +109,7 @@ class DiscreteMeasure:
     def _cells(self, k: int) -> dict[tuple[int, ...], np.ndarray]:
         cache = self._cell_cache.get(k)
         if cache is None:
-            cache = self._cell_cache[k] = _group(cell_index(self.points, k), np.arange(len(self)))
+            cache = self._cell_cache[k] = group_rows(cell_index(self.points, k), np.arange(len(self)))
         return cache
 
     def triple_table(self, k: int) -> dict[tuple[int, ...], np.ndarray]:
@@ -137,7 +137,7 @@ class DiscreteMeasure:
                 atom, cand = np.nonzero(hit)
                 keys.append(R[atom, cand])
                 ids.append(atom + a)
-            table = self._triple_cache[k] = _group(np.concatenate(keys), np.concatenate(ids))
+            table = self._triple_cache[k] = group_rows(np.concatenate(keys), np.concatenate(ids))
         return table
 
     def atoms_in_cube(self, Q: DyadicCube) -> np.ndarray:

@@ -292,8 +292,7 @@ def draw_through_tree(
 class AtomReport:
     index: int
     density: float
-    jones: float
-    jones_divergent: bool
+    jones: float | None
     c_used: float | None
     label: str
     reason: str | None
@@ -332,10 +331,10 @@ def decompose_estimate(
 
     An atom is a rect-candidate when for some ladder value c its density
     estimate clears (3/2) sqrt(n) c and its truncated c-qualified Jones
-    value stays at or below N_cap without divergence. Rect-candidates seed
-    lower-regular trees (deduplicated by base cube), localized against
-    b = beta^2 diam with the eps ladder, and the good trees are drawn;
-    captured mass is the rect-candidate mass within tolerance of any curve.
+    value stays at or below N_cap. Rect-candidates seed lower-regular trees
+    (deduplicated by base cube), localized against b = beta^2 diam with the
+    eps ladder, and the good trees are drawn; captured mass is the
+    rect-candidate mass within tolerance of any curve.
     A tree that cannot be grown or drawn is listed in `dropped` with the
     reason: no base cube, the grow diagnostic, or the drawing error. Every
     beta is unrefined (refine=False), which params records. All thresholds
@@ -344,43 +343,39 @@ def decompose_estimate(
     Each atom's density profile runs once, on the radii 2^{-j}, j <= k_max:
     the density estimate is its least ratio for j <= min(k_max, 20), and a
     rect-candidate's base cube comes from the whole ladder (base_cube_for).
+    Each ladder value c takes one Jones pass, over the atoms that clear its
+    density test and are not yet rect-candidates. An atom that is not a
+    rect-candidate reports J at the least c, or None if it clears no test.
     """
     n = mu.dim
     cache = BetaCache(mu)
     radii = [2.0 ** (-j) for j in range(k_max + 1)]
     checked_length(radii[-1], f"radius 2^-{k_max}")
     n_est = min(k_max, 20) + 1
-    atoms: list[AtomReport] = []
     profiles = pmap(lambda i: mu.density_profile(mu.points[i], radii), range(len(mu.points)))
     densities = [float(prof.ratios[:n_est].min()) for prof in profiles]
     c_min = min(c_ladder)
-    for i in range(len(mu.points)):
-        dens = densities[i]
-        label, reason, c_used, jval, jdiv = "unrect-candidate", None, None, math.inf, False
-        # an atom that is not a rect-candidate reports J at the least c. Any
-        # c that clears the density test lets c_min clear it too, and such an
-        # atom tried every c that clears, so the loop has computed that value
-        at_c_min = (jval, jdiv)
-        density_cleared = False
-        for c in c_ladder:
-            if dens > _density_factor(n) * c:
-                density_cleared = True
-                rep = jones_at(mu, mu.points[i], p=p, variant="star_c", c=c, k_max=k_max, cache=cache, refine=False)
-                jval, jdiv = rep.value, rep.divergent
-                if c == c_min:
-                    at_c_min = (jval, jdiv)
-                if not jdiv and jval <= N_cap:
-                    label, c_used, reason = "rect-candidate", c, None
-                    break
-        if label != "rect-candidate":
-            if not density_cleared:
-                reason = "density_below_threshold"
-            elif jdiv:
-                reason = "jones_divergent"
-            else:
-                reason = "jones_above_cap"
-            jval, jdiv = at_c_min
-        atoms.append(AtomReport(i, float(dens), float(jval), bool(jdiv), c_used, label, reason))
+    # any c that clears an atom's density test lets c_min clear it too, so
+    # every atom that clears some test gets its J at c_min, or is a
+    # rect-candidate before c_min comes up
+    jones: dict[int, float] = {}
+    c_used: dict[int, float] = {}
+    for c in c_ladder:
+        todo = [i for i, dens in enumerate(densities) if i not in c_used and dens > _density_factor(n) * c]
+        values, _ = jones_at(mu, todo, p=p, variant="star_c", c=c, k_max=k_max, cache=cache, refine=False)
+        for i, jval in zip(todo, values.tolist()):
+            if jval <= N_cap:
+                jones[i], c_used[i] = jval, c
+            elif c == c_min:
+                jones[i] = jval
+    atoms = []
+    for i, dens in enumerate(densities):
+        if i in c_used:
+            label, reason = "rect-candidate", None
+        else:
+            label = "unrect-candidate"
+            reason = "jones_above_cap" if i in jones else "density_below_threshold"
+        atoms.append(AtomReport(i, dens, jones.get(i), c_used.get(i), label, reason))
 
     curves: list[DrawResult] = []
     dropped: list[DroppedTree] = []

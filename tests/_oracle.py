@@ -36,8 +36,10 @@ bit. `rows` adapts a one-point objective to the batched `pattern_search`.
 rounding. `slot_score` is the exact objective of one line, one slot pass with
 no batch axis; `_Family.slot_scores` must match it bit for bit, row by row.
 
-`chain_jones` is the Jones chain sum one cube at a time: `cube_at` per
-scale, a beta and a mass per chain cube, no memo of its own.
+`chain_jones` is the Jones chain sum at one point, one cube at a time:
+`cube_at` per scale, a beta and a mass per chain cube, no memo of its own.
+`jones_at` sums every atom's chain in one pass over the scales and must
+match it bit for bit.
 
 `min_enclosing_circle` shares no path with `enclosing_balls`: it is exact,
 the best of the circles through two or three of the points.
@@ -550,32 +552,21 @@ def slot_score_many(fam, lines) -> np.ndarray:
     return vals.max(axis=0)
 
 
-def chain_jones(mu, x, p=2, variant="star", k_max=None, c=None, refine=True, cache=None):
-    """(value, divergent, ledger, divergent cubes) of the truncated Jones sum at x.
+def chain_jones(mu, x, p=2, variant="star", k_max=None, c=None, refine=True):
+    """(value, k_max) of the truncated Jones sum at an atom x.
 
-    The ledger lists (cube, beta, mass, term, divergent) coarse to fine.
     Tilde terms take the best line of the triple; the others beta_multi.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if k_max is None:
         k_max = default_kmax(mu, x)
-    if cache is None:
-        cache = BetaCache(mu)
-    ledger, flagged, total = [], [], 0.0
+    cache = BetaCache(mu)
+    total = 0.0
     for k in range(k_max + 1):
         Q = cube_at(x, k)
         if variant == "tilde":
             beta = beta_best(mu, Q.triple(), p).value
         else:
             beta = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache).value
-        mass = mu.mass(Q)
-        b2 = beta * beta
-        term, divergent = 0.0, False
-        if mass > 0.0:
-            term = b2 * Q.diameter / mass
-        elif b2 != 0.0:
-            divergent = True
-            flagged.append(Q)
-        total += term
-        ledger.append((Q, beta, mass, term, divergent))
-    return float(total), bool(flagged), ledger, flagged
+        total += beta * beta * Q.diameter / mu.mass(Q)
+    return float(total), k_max

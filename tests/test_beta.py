@@ -87,7 +87,7 @@ class TestBetaFixedLine:
 class TestBetaBest:
     def test_collinear_atoms(self):
         mu = segment_measure(15)
-        for p in (1, 2, "sup"):
+        for p in (1, 2):
             bv = beta_best(mu, UNIT_TRIPLE, p)
             assert bv.value <= 1e-12
             assert bv.line is not None
@@ -129,17 +129,15 @@ class TestBetaBest:
             )
             assert bv.value == pytest.approx(oval / region.diameter, rel=1e-3, abs=1e-9)
 
-    def test_sup_variant(self):
-        mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [0.5, 0.4]], [1, 1, 1])
-        region = UNIT_TRIPLE
-        bv = beta_best(mu, region, "sup")
-        # the minimal strip has width 0.4, so the sup distance is 0.2
-        assert bv.value == pytest.approx(0.2 / region.diameter, abs=1e-12)
-
 
 class TestBetaSupSet:
     def test_empty_intersection(self):
         assert beta_sup_set(np.empty((0, 2)), UNIT_TRIPLE) == 0.0
+
+    def test_hand_value(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.4]])
+        # the minimal strip has width 0.4, so the sup distance is 0.2
+        assert beta_sup_set(pts, UNIT_TRIPLE) == pytest.approx(0.2 / UNIT_TRIPLE.diameter, abs=1e-12)
 
     def test_collinear(self):
         pts = np.column_stack([np.linspace(0, 1, 9), np.zeros(9)])

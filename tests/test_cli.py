@@ -217,9 +217,9 @@ def test_tst_lipschitz_golden(tmp_path):
 
 def test_jones_default_kmax_golden(tmp_path):
     # without --k-max each atom's chain runs to its own first single-occupancy
-    # scale (2 to 5 here), so chains of different lengths share the chain
-    # memo. The fixture, without the input path, was written while each
-    # chain cube was computed on its own
+    # scale (2 to 5 here), so atoms leave the one pass at different scales.
+    # The fixture, without the input path, was written while each chain cube
+    # was computed on its own
     measure = tmp_path / "measure.json"
     save_measure(polyline_measure(20), measure)
     out = tmp_path / "report.json"
@@ -455,6 +455,9 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
         ("0,0,1\n1e-300,0,1\n", ["beta", "--p", "1", "--k-hi", "1"], None, 0, None, None),
         ("0,0,1\n1e-300,0,1\n", ["jones", "--variant", "tilde", "--p", "1", "--k-max", "2"], None, 0, None, None),
+        ("1,0,1\n1,1e-300,1\n", ["beta", "--p", "1", "--k-hi", "1"], None, 0, None, None),
+        ("1,0,1\n1,1e-300,1\n", ["jones", "--variant", "tilde", "--p", "1", "--k-max", "2"], None, 0, None, None),
+        ("0.1,0.1,0.001\n0.9,0.9,0.001\n", ["decompose"], None, 0, None, None),
     ],
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
          "dim-header-conflict", "json-boolean-entry", "json-string-entry", "json-null-entry",
@@ -466,7 +469,8 @@ def _raise_runtime_error(*_args):
          "one-field-row", "json-nonpositive-weight", "json-wrong-dimension", "empty-csv",
          "empty-json", "non-numeric-p", "unknown-option", "variant-of-another-command",
          "non-numeric-c-ladder", "removed-seed-option", "missing-subcommand", "internal-error",
-         "near-coincident-beta-p1", "near-coincident-jones-p1"],
+         "near-coincident-beta-p1", "near-coincident-jones-p1", "offset-near-coincident-beta-p1",
+         "offset-near-coincident-jones-p1", "decompose-below-every-density-test"],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):
     measure = tmp_path / ("measure.json" if text is not None and text.startswith("{") else "measure.csv")

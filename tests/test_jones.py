@@ -43,100 +43,79 @@ class TestJonesAt:
         mu = DiscreteMeasure([[0.4, 0.6]], [1.0])
         for variant in JONES_VARIANTS:
             c = 0.01 if variant == "star_c" else None
-            rep = jones_at(mu, [0.4, 0.6], variant=variant, c=c, k_max=3)
-            assert rep.value == 0.0
-            assert not rep.divergent
-            assert all(t.term == 0.0 for t in rep.terms)
+            values, k_max = jones_at(mu, [0], variant=variant, c=c, k_max=3)
+            assert values.tolist() == [0.0]
+            assert k_max.tolist() == [3]
 
     def test_flat_measure_gives_zero(self):
         mu = segment_measure(20)
-        x = mu.points[9]
         cache = BetaCache(mu)
         for variant in JONES_VARIANTS:
             c = 0.01 if variant == "star_c" else None
-            rep = jones_at(mu, x, variant=variant, c=c, cache=cache)
-            assert rep.value <= 1e-20
-            assert not rep.divergent
+            values, _ = jones_at(mu, range(len(mu)), variant=variant, c=c, cache=cache)
+            assert np.all(values <= 1e-20)
 
     def test_terms_count_and_summary(self):
         mu = segment_measure(12)
-        rep = jones_at(mu, mu.points[4], variant="tilde", k_max=4)
-        assert len(rep.terms) == 5
-        assert [t.cube.k for t in rep.terms] == [0, 1, 2, 3, 4]
-        assert rep.variant == "tilde"
-        assert rep.k_max == 4
-        assert rep.value == sum(t.term for t in rep.terms)
-
-    def test_divergence_flagged_not_summed(self):
-        # chain cubes at (0.9, 0.9) carry no mass, but the nearby family
-        # still reaches the off-line atoms, so beta > 0 over zero mass
-        mu = DiscreteMeasure([[0.1, 0.1], [0.45, 0.2], [0.3, 0.48]], [1, 1, 1])
-        rep = jones_at(mu, [0.9, 0.9], variant="star", k_max=3, refine=False)
-        assert rep.divergent
-        assert len(rep.divergent_cubes) >= 1
-        assert np.isfinite(rep.value)
-        flagged = [t for t in rep.terms if t.divergent]
-        assert flagged and all(t.term == 0.0 and t.mass == 0.0 for t in flagged)
+        values, k_max = jones_at(mu, [4], variant="tilde", k_max=4)
+        assert k_max.tolist() == [4]
+        assert values[0] == chain_jones(mu, mu.points[4], 2, "tilde", 4)[0]
 
     def test_star_c_at_most_star(self):
         rng = np.random.default_rng(21)
         pts = rng.uniform(size=(8, 2))
         mu = DiscreteMeasure(pts, rng.uniform(0.5, 1.0, 8))
         cache = BetaCache(mu)
-        x = mu.points[0]
-        js = jones_at(mu, x, variant="star", k_max=3, cache=cache, refine=False)
-        jc = jones_at(mu, x, variant="star_c", c=0.05, k_max=3, cache=cache, refine=False)
-        assert jc.value <= js.value + 1e-12
+        js, _ = jones_at(mu, range(8), variant="star", k_max=3, cache=cache, refine=False)
+        jc, _ = jones_at(mu, range(8), variant="star_c", c=0.05, k_max=3, cache=cache, refine=False)
+        assert np.all(jc <= js + 1e-12)
 
     def test_invalid_variant(self):
         mu = segment_measure(5)
         with pytest.raises(ValueError):
-            jones_at(mu, mu.points[0], variant="best")
+            jones_at(mu, [0], variant="best")
 
     def test_large_p_warns(self):
         mu = segment_measure(5)
         with pytest.warns(UserWarning):
-            jones_at(mu, mu.points[0], p=4, variant="tilde", k_max=1)
+            jones_at(mu, [0], p=4, variant="tilde", k_max=1)
 
     def test_cantor_depth3_value(self):
         mu = four_corner_cantor(3)
-        corner = mu.points[np.argmin(mu.points.sum(axis=1))]
-        rep = jones_at(mu, corner, variant="tilde", p=2)
-        assert rep.value == pytest.approx(0.311129, abs=5e-6)
-        assert not rep.divergent
+        corner = int(np.argmin(mu.points.sum(axis=1)))
+        values, _ = jones_at(mu, [corner], variant="tilde", p=2)
+        assert values[0] == pytest.approx(0.311129, abs=5e-6)
 
 
 @st.composite
 def chain_cases(draw):
-    """Distinct atoms on the 1/8 lattice of [-2, 2)^n, n = 1..3, and a point off the atoms."""
+    """Distinct atoms on the 1/8 lattice of [-2, 2)^n, n = 1..3."""
     n = draw(st.integers(1, 3))
     lattice = st.tuples(*[st.integers(-16, 15)] * n)
     cells = draw(st.lists(lattice, min_size=1, max_size=4, unique=True))
     weights = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=len(cells), max_size=len(cells)))
-    probe = (np.array(draw(lattice), dtype=float) + 0.5) / 8.0
     c = draw(st.sampled_from([0.01, 0.5]))
-    # None: each point's own default k_max
+    # None: each atom's own default k_max
     k_max = draw(st.one_of(st.none(), st.integers(0, 3)))
-    return DiscreteMeasure(np.array(cells, dtype=float) / 8.0, weights), probe, c, k_max
+    return DiscreteMeasure(np.array(cells, dtype=float) / 8.0, weights), c, k_max
 
 
 class TestChainMemo:
     @settings(max_examples=25, deadline=None, database=None)
     @given(chain_cases(), st.booleans())
     def test_shared_cache_matches_chain_loop(self, case, refine):
-        # jones_at reads chain cubes from one cache's chain memo across points
-        # and variants; the oracle computes every chain cube from a fresh cache
-        mu, probe, c, k_max = case
+        # jones_at sums every atom's chain in one pass, from one cache shared
+        # across variants; the oracle walks each chain from a fresh cache
+        mu, c, k_max = case
         cache = BetaCache(mu)
         for variant in JONES_VARIANTS:
             cv = c if variant == "star_c" else None
-            for x in [*mu.points, probe]:
-                rep = jones_at(mu, x, variant=variant, c=cv, k_max=k_max, cache=cache, refine=refine)
-                value, divergent, ledger, flagged = chain_jones(mu, x, 2, variant, k_max, cv, refine)
-                assert rep.value == value and rep.divergent == divergent
-                assert [(t.cube, t.beta, t.mass, t.term, t.divergent) for t in rep.terms] == ledger
-                assert rep.divergent_cubes == flagged
-                assert rep.k_max == len(ledger) - 1
+            values, k_maxes = jones_at(mu, range(len(mu)), variant=variant, c=cv, k_max=k_max, cache=cache,
+                                       refine=refine)
+            for i, x in enumerate(mu.points):
+                assert (values[i], k_maxes[i]) == chain_jones(mu, x, 2, variant, k_max, cv, refine)
+                one, one_k = jones_at(mu, [i], variant=variant, c=cv, k_max=k_max, cache=cache, refine=refine)
+                assert (one[0], one_k[0]) == (values[i], k_maxes[i])
 
 
 class TestSquareSum:

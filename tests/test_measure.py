@@ -144,13 +144,13 @@ class TestRegionQueries:
         Q = DyadicCube(0, (8, 8))
         want = np.flatnonzero(box_contains(Q.triple(), mu.points))
         builds = []
-        group = measure._group
+        group = measure.group_rows
 
         def counted_group(keys, ids):
             builds.append(len(ids))
             return group(keys, ids)
 
-        monkeypatch.setattr(measure, "_group", counted_group)
+        monkeypatch.setattr(measure, "group_rows", counted_group)
         assert np.array_equal(mu.atoms_in(Q.triple()), want)
         built = len(builds)
         assert mu.mass(Q.triple()) == float(len(want))

@@ -303,6 +303,8 @@ class TestDecomposeEstimate:
         outlier = rep.atoms[-1]
         assert outlier.label == "unrect-candidate"
         assert outlier.reason == "density_below_threshold"
+        # it clears no density test, so it has no Jones value
+        assert outlier.jones is None and outlier.c_used is None
         assert rep.rect_mass == pytest.approx(1.0)
 
     def test_cantor_atoms_exceed_tiny_cap(self):
