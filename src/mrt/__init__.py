@@ -23,13 +23,13 @@ _MODULES = {
              "beta_sup_set"),
     "curve": ("BridgeRecord", "CertificateReport", "CurveResult", "PhantomLedger",
               "Segment", "construct_curve", "curve_length", "length_certificate", "verify_connected"),
-    "dyadic": ("Box", "CubeTree", "DyadicCube", "chain_of_cubes", "cube_at"),
+    "dyadic": ("Box", "CubeTree", "DyadicCube", "cube_at"),
     "errors": ("AlphaRecheckError", "CertificateError", "DegenerateRegion", "DimensionMismatch",
                "EmptyInput", "ForwardProximityError", "InputFormatError", "InvalidWeight", "MrtError",
                "NetValidationError", "ScaleOverflow", "TreeStructureError", "ZeroMassRegion",
                "ZeroMassTriple"),
     "geometry": ("Line", "fit_line"),
-    "jones": ("JONES_VARIANTS", "SquareSumReport", "default_kmax", "jones_at", "square_sum"),
+    "jones": ("JONES_VARIANTS", "SquareSumReport", "jones_at", "square_sum"),
     "measure": ("DiscreteMeasure",),
     "nets": ("AlphaAssignment", "NetSequence", "fit_alphas", "nets_from_points", "nets_from_tree",
              "validate_nets"),

@@ -70,7 +70,7 @@ import numpy as np
 
 from .dyadic import DyadicCube, checked_length, parent_scale_bound, same_scale_radius
 from .errors import DegenerateRegion
-from .geometry import Line, fit_line, pattern_search, sorted_unique, unit
+from .geometry import Line, _pair_lines, fit_line, pattern_search, sorted_unique, unit
 from .measure import DiscreteMeasure, Region
 
 VARIANTS = ("star", "star_star", "star_c")
@@ -109,8 +109,6 @@ class BetaValue:
 
     value: float
     line: Line | None
-    p: object
-    variant: str
 
     def __post_init__(self):
         if not np.isfinite(self.value) or not 0 <= self.value <= 1 + 1e-9:
@@ -140,7 +138,7 @@ def beta_best(mu: DiscreteMeasure, region: Region, p=2) -> BetaValue:
     """
     idx = mu.atoms_in(region)
     if len(idx) == 0:
-        return BetaValue(0.0, None, p, "best")
+        return BetaValue(0.0, None)
     diam = region.diameter
     if diam <= 0:
         raise DegenerateRegion("region with atoms has zero diameter")
@@ -156,7 +154,7 @@ def beta_best(mu: DiscreteMeasure, region: Region, p=2) -> BetaValue:
         value2 = beta_fixed_line(mu, region, line2, 1)
         if value2 < value:
             value, line = value2, line2
-    return BetaValue(value, line, p, "best")
+    return BetaValue(value, line)
 
 
 def beta_sup_set(points, region: Region) -> float:
@@ -355,18 +353,13 @@ class _Family:
         # fine twin scores at least as much at every line.
         entries = []
         seen_sets: set = set()
-        fine_sets: set = set()
         k_fine = max(R.k for (R, _, _) in raw_entries)
-        for R, atoms, mass in raw_entries:
-            if R.k == k_fine:
-                fine_sets.add(atoms.tobytes())
-        for R, atoms, mass in raw_entries:
-            sig = (R.k, atoms.tobytes())
-            if sig in seen_sets:
+        keys = [atoms.tobytes() for (_, atoms, _) in raw_entries]
+        fine_sets = {key for (R, _, _), key in zip(raw_entries, keys) if R.k == k_fine}
+        for (R, atoms, mass), key in zip(raw_entries, keys):
+            if (R.k, key) in seen_sets or (R.k < k_fine and key in fine_sets):
                 continue
-            if R.k < k_fine and atoms.tobytes() in fine_sets:
-                continue
-            seen_sets.add(sig)
+            seen_sets.add((R.k, key))
             entries.append((R, atoms, mass))
         self.p = p
         self.entries = entries
@@ -627,7 +620,7 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
     # cube with this family key gets the same bits
     fam = _family(mu, k, _members(cache, k, same, coarse), p, variant, c)
     if fam is None:
-        return BetaValue(0.0, None, p, variant)
+        return BetaValue(0.0, None)
     n = mu.dim
     diameter = 2.0 ** (-k) * float(np.sqrt(n))
     entries, slots, W, Pc, cen, starts = fam.entries, fam.slots, fam.W, fam.Pc, fam.cen, fam.starts
@@ -670,17 +663,10 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
     candidates.append(ln)
     # the unique-coordinate row sort is only worth it when the family is
     # small enough for the dense angle sweep to be in play
-    if len(all_atoms) <= 64:
-        pts = sorted_unique(mu.points[all_atoms])
-    else:
-        pts = mu.points[all_atoms[:17]]
-    if len(pts) <= 16:
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                diff = pts[j] - pts[i]
-                if float(np.linalg.norm(diff)) > 1e-300:
-                    candidates.append(Line(pts[i], unit(diff)))
-    dense = len(pts) <= 16 and p == 2
+    few = len(all_atoms) <= 64 and len(sorted_unique(mu.points[all_atoms])) <= 16
+    if few:
+        candidates += [Line(a, u) for a, u in zip(*_pair_lines(mu.points[all_atoms]))]
+    dense = few and p == 2
     if n == 2 and dense:
         n_ang = _GRID_ANGLES_DENSE
         sweep, sweep_t = fam.offset_profile(np.pi * np.arange(n_ang) / n_ang)
@@ -764,4 +750,4 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
                 best_line = line
 
     value = float(np.sqrt(best_score)) if variant in ("star", "star_c") else float(best_score)
-    return BetaValue(value, best_line, p, variant)
+    return BetaValue(value, best_line)

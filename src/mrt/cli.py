@@ -43,7 +43,7 @@ import numpy as np
 
 from ._parallel import pmap
 from .beta import VARIANTS, BetaCache, beta_multi
-from .dyadic import CubeTree, chain_of_cubes
+from .dyadic import CubeTree, DyadicCube
 from .errors import (
     CertificateError,
     DimensionMismatch,
@@ -480,16 +480,17 @@ def cmd_validate(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, in
         except CertificateError as exc:
             checks["certificate"] = {"ok": False, "error": str(exc)}
     tree_ok = True
+    # the cubes of every atom's chain at scales 0..k_hi, grouped by the
+    # scale-0 root that holds them: a scale-k index's root is index >> k
     by_root: dict[tuple, set] = {}
-    for x in mu.points:
-        chain = chain_of_cubes(x, cfg.k_hi)
-        by_root.setdefault(chain[0].index, set()).update(chain)
+    for k in range(cfg.k_hi + 1):
+        for index in mu.cell_table(k):
+            by_root.setdefault(tuple(i >> k for i in index), set()).add(DyadicCube(k, index))
     n_members = 0
     for root_index in sorted(by_root):
         members = by_root[root_index]
-        top = next(Q for Q in members if Q.k == 0)
         try:
-            CubeTree(top, frozenset(members))
+            CubeTree(DyadicCube(0, root_index), members)
         except MrtError:
             tree_ok = False
         n_members += len(members)

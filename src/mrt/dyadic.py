@@ -146,24 +146,6 @@ def cube_at(x, k: int) -> DyadicCube:
     return DyadicCube(int(k), tuple(int(i) for i in idx))
 
 
-def chain_cells(x, scales) -> list[tuple[int, ...]]:
-    """Index of the cube holding the point x at each of the given scales.
-
-    One checked cell_index call covers every scale.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    ks = np.asarray(scales, dtype=np.int64).reshape(-1, 1)
-    return [tuple(row) for row in cell_index(x, ks).tolist()]
-
-
-def chain_of_cubes(x, k_max: int) -> list[DyadicCube]:
-    """Nested cubes containing x at scales 0..k_max (coarse to fine)."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    scales = range(k_max + 1)
-    return [DyadicCube(k, idx) for k, idx in zip(scales, chain_cells(x, scales))]
-
-
 # ---------------------------------------------------------------------------
 # nearby-cube family
 

@@ -13,7 +13,10 @@ where beta is one of
     variant "tilde"     best-line beta of the concentric triple 3Q_k
 
 x is an atom, so it lies in every cube of its chain: mu(Q_k) > 0 and every
-term is finite.
+term is finite. The chain is read from the measure, which owns each atom's
+cell at every scale (DiscreteMeasure.cells). By default each atom's sum stops
+at the first scale whose cell holds at most one atom of mu, or at scale 40
+for coincident atoms.
 
 square_sum computes the scale-indexed companion sums (over a cube family
 instead of a chain): the mass-carrying family per scale, a cube tree, or the
@@ -29,18 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beta import BetaCache, beta_best, beta_multi, beta_sup_set
-from .dyadic import CubeTree, DyadicCube, cell_index, cube_at
+from .dyadic import CubeTree, DyadicCube
 from .measure import DiscreteMeasure, group_rows
 
 JONES_VARIANTS = ("star", "tilde", "star_star", "star_c")
 
 
-def default_kmax(mu: DiscreteMeasure, x) -> int:
-    """First scale whose chain cube holds at most one atom, capped at 40."""
-    for k in range(40):
-        if len(mu.atoms_in(cube_at(x, k))) <= 1:
-            return k
-    return 40
+# the deepest scale a default truncation reaches
+_KMAX_CAP = 40
 
 
 def jones_at(
@@ -55,37 +54,44 @@ def jones_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncated Jones function of mu at the given atom indices: (values, k_max per atom).
 
-    k_max=None gives each atom default_kmax at its point. p > 2 triggers a
-    warning (the p=2 theory is the sharp one; larger p only weakens the
-    statistics).
+    k_max=None truncates each atom at the first scale whose cell holds at
+    most one atom of mu, and at scale 40 if none does (coincident atoms).
+    p > 2 triggers a warning (the p=2 theory is the sharp one; larger p only
+    weakens the statistics).
 
     One pass runs coarse to fine. At each scale the atoms still summing are
-    grouped by the cell that holds them; each cell's beta and mass are
-    computed once and its term is added to each of its atoms. Every atom
-    adds its chain's terms in chain order, so its value does not depend on
-    which other atoms share the call.
+    grouped by the cell that holds them, read from the measure's `cells(k)`;
+    each cell's beta and mass are computed once and its term is added to each
+    of its atoms. Under the default truncation an atom stops after the term
+    of a scale whose cell holds at most one atom. Every atom adds its chain's
+    terms in chain order, so its value does not depend on which other atoms
+    share the call.
     """
     if variant not in JONES_VARIANTS:
         raise ValueError(f"variant must be one of {JONES_VARIANTS}")
     if isinstance(p, (int, float)) and p > 2:
         warnings.warn("p > 2 beta numbers are larger and the sums may diverge faster")
     atoms = np.asarray(atoms, dtype=np.int64).reshape(-1)
-    if k_max is None:
-        kmax = np.array([default_kmax(mu, mu.points[i]) for i in atoms], dtype=np.int64)
-    else:
-        kmax = np.full(len(atoms), k_max, dtype=np.int64)
+    last = _KMAX_CAP if k_max is None else k_max
+    kmax = np.full(len(atoms), last, dtype=np.int64)
     if cache is None:
         cache = BetaCache(mu)
     values = np.zeros(len(atoms))
-    for k in range(int(kmax.max(initial=-1)) + 1):
-        live = np.flatnonzero(kmax >= k)
-        for idx, rows in group_rows(cell_index(mu.points[atoms[live]], k), live).items():
+    live = np.arange(len(atoms))
+    for k in range(last + 1):
+        if len(live) == 0:
+            # no atom sums at a finer scale, whose cells could overflow
+            break
+        for idx, rows in group_rows(mu.cells(k)[atoms[live]], live).items():
             Q = DyadicCube(k, idx)
             if variant == "tilde":
                 beta = beta_best(mu, Q.triple(), p).value
             else:
                 beta = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache).value
             values[rows] += beta * beta * Q.diameter / mu.mass(Q)
+            if k_max is None and len(mu.cell_table(k)[idx]) <= 1:
+                kmax[rows] = k
+        live = live[kmax[live] > k]
     return values, kmax
 
 

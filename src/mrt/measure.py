@@ -4,6 +4,12 @@ A DiscreteMeasure is an atom array with strictly positive weights. Region
 conventions: dyadic cubes are half-open (a point lies in exactly one cube per
 scale), while their triples and the balls of the density profile are closed.
 
+The measure owns each atom's cell: `cells(k)` is the index of the scale-k
+cube holding each atom, computed once per scale. The cell and triple tables
+are built from it, and callers that group atoms by cube (jones_at, the tree
+check of `mrt validate`) read it or the cell table instead of walking one
+atom's chain of cubes.
+
 Region queries (atoms_in, mass, center_of_mass) take one of two paths.
 Dyadic cubes and their triples (the boxes Q.triple() returns) are answered
 from two tables per dyadic scale, each built once in one vectorized pass and
@@ -88,6 +94,7 @@ class DiscreteMeasure:
         self.weights = w.copy()
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
+        self._index_cache: dict[int, np.ndarray] = {}
         self._cell_cache: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
         self._triple_cache: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
 
@@ -106,11 +113,23 @@ class DiscreteMeasure:
 
     # -- region queries -----------------------------------------------------
 
-    def _cells(self, k: int) -> dict[tuple[int, ...], np.ndarray]:
-        cache = self._cell_cache.get(k)
-        if cache is None:
-            cache = self._cell_cache[k] = group_rows(cell_index(self.points, k), np.arange(len(self)))
-        return cache
+    def cells(self, k: int) -> np.ndarray:
+        """Read-only (atoms, dim) array: the index of the scale-k cube holding each atom."""
+        cells = self._index_cache.get(k)
+        if cells is None:
+            cells = self._index_cache[k] = cell_index(self.points, k)
+            cells.setflags(write=False)
+        return cells
+
+    def cell_table(self, k: int) -> dict[tuple[int, ...], np.ndarray]:
+        """Every scale-k cube index with mu(Q) > 0 -> ascending atom ids of Q.
+
+        The dict is in sorted index order.
+        """
+        table = self._cell_cache.get(k)
+        if table is None:
+            table = self._cell_cache[k] = group_rows(self.cells(k), np.arange(len(self)))
+        return table
 
     def triple_table(self, k: int) -> dict[tuple[int, ...], np.ndarray]:
         """Every scale-k cube index with mu(3Q) > 0 -> ascending atom ids of 3Q.
@@ -125,7 +144,7 @@ class DiscreteMeasure:
             offsets = np.indices((4,) * n).reshape(n, -1).T - 2
             side = 2.0 ** (-k)
             half = 1.5 * side
-            cells = cell_index(self.points, k)
+            cells = self.cells(k)
             step = max(1, _TRIPLE_PAIRS_PER_CHUNK // len(offsets))
             keys, ids = [], []
             for a in range(0, len(self), step):
@@ -144,7 +163,7 @@ class DiscreteMeasure:
         """Ascending indices of atoms in the half-open cube Q."""
         if Q.dim != self.dim:
             raise DimensionMismatch("cube dimension does not match measure")
-        return self._cells(Q.k).get(Q.index, np.empty(0, dtype=np.int64))
+        return self.cell_table(Q.k).get(Q.index, np.empty(0, dtype=np.int64))
 
     def atoms_in_triple(self, Q: DyadicCube) -> np.ndarray:
         """Ascending indices of atoms in the closed triple 3Q."""

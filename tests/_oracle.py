@@ -38,8 +38,16 @@ no batch axis; `_Family.slot_scores` must match it bit for bit, row by row.
 
 `chain_jones` is the Jones chain sum at one point, one cube at a time:
 `cube_at` per scale, a beta and a mass per chain cube, no memo of its own.
-`jones_at` sums every atom's chain in one pass over the scales and must
-match it bit for bit.
+Its default truncation is `default_kmax`, which counts the atoms of each
+chain cube with `cube_contains` until one holds at most one. `jones_at` sums
+every atom's chain in one pass over the scales, truncating in that pass, and
+must match both bit for bit.
+
+`chain_cells` and `chain_of_cubes` give one point's cells and cubes at many
+scales from one broadcast `cell_index` call. `tree_check` is the tree
+section of `mrt validate` by the chain walk: the union of every atom's chain
+of cubes, grouped by its scale-0 root, where `validate` reads the keys of
+the measure's per-scale cell tables.
 
 `min_enclosing_circle` shares no path with `enclosing_balls`: it is exact,
 the best of the circles through two or three of the points.
@@ -52,10 +60,9 @@ import itertools
 import numpy as np
 
 from mrt.beta import BetaCache, beta_best, beta_multi
-from mrt.dyadic import DyadicCube, cell_index, cube_at, parent_scale_bound, same_scale_radius
-from mrt.errors import DegenerateRegion, DimensionMismatch
+from mrt.dyadic import CubeTree, DyadicCube, cell_index, cube_at, parent_scale_bound, same_scale_radius
+from mrt.errors import DegenerateRegion, DimensionMismatch, MrtError
 from mrt.geometry import Line, _as_points, _as_weights, pattern_search, sorted_unique, unit
-from mrt.jones import default_kmax
 
 
 def rows(f):
@@ -570,3 +577,45 @@ def chain_jones(mu, x, p=2, variant="star", k_max=None, c=None, refine=True):
             beta = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache).value
         total += beta * beta * Q.diameter / mu.mass(Q)
     return float(total), k_max
+
+
+def default_kmax(mu, x) -> int:
+    """First scale whose chain cube holds at most one atom, capped at 40."""
+    for k in range(40):
+        if np.count_nonzero(cube_contains(cube_at(x, k), mu.points)) <= 1:
+            return k
+    return 40
+
+
+def chain_cells(x, scales) -> list[tuple[int, ...]]:
+    """Index of the cube holding the point x at each of the given scales.
+
+    One checked cell_index call covers every scale.
+    """
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    ks = np.asarray(scales, dtype=np.int64).reshape(-1, 1)
+    return [tuple(row) for row in cell_index(x, ks).tolist()]
+
+
+def chain_of_cubes(x, k_max: int) -> list[DyadicCube]:
+    """Nested cubes containing x at scales 0..k_max (coarse to fine)."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    scales = range(k_max + 1)
+    return [DyadicCube(k, idx) for k, idx in zip(scales, chain_cells(x, scales))]
+
+
+def tree_check(mu, k_hi: int) -> dict:
+    """The tree section of `mrt validate`: every atom's chain at scales 0..k_hi,
+    one tree per scale-0 root."""
+    by_root: dict[tuple, set] = {}
+    for x in mu.points:
+        chain = chain_of_cubes(x, k_hi)
+        by_root.setdefault(chain[0].index, set()).update(chain)
+    ok = True
+    for root, members in by_root.items():
+        try:
+            CubeTree(DyadicCube(0, root), members)
+        except MrtError:
+            ok = False
+    return {"ok": ok, "n_roots": len(by_root), "n_members": sum(len(m) for m in by_root.values())}

@@ -766,8 +766,8 @@ class TestFamilyMemo:
 
 def test_beta_value_rejects_out_of_range():
     with pytest.raises(ValueError):
-        BetaValue(1.5, None, 2, "star")
+        BetaValue(1.5, None)
     with pytest.raises(ValueError):
-        BetaValue(-0.1, None, 2, "star")
+        BetaValue(-0.1, None)
     with pytest.raises(ValueError):
-        BetaValue(float("nan"), None, 2, "star")
+        BetaValue(float("nan"), None)

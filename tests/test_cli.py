@@ -14,6 +14,7 @@ from mrt import DiscreteMeasure, cli, rectify
 from mrt.errors import InputFormatError
 from mrt.cli import load_measure, main, save_measure, save_report
 
+from _oracle import tree_check
 from _samples import (
     four_corner_cantor,
     helix_length,
@@ -219,7 +220,8 @@ def test_jones_default_kmax_golden(tmp_path):
     # without --k-max each atom's chain runs to its own first single-occupancy
     # scale (2 to 5 here), so atoms leave the one pass at different scales.
     # The fixture, without the input path, was written while each chain cube
-    # was computed on its own
+    # was computed on its own and each truncation came from a walk down the
+    # atom's chain
     measure = tmp_path / "measure.json"
     save_measure(polyline_measure(20), measure)
     out = tmp_path / "report.json"
@@ -243,6 +245,23 @@ def test_curve_and_validate_golden(tmp_path, command):
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
     assert rendered(rep, tmp_path) == (FIXTURES_DIR / f"{command}_polyline20_golden.json").read_text()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(*[st.integers(-32, 31)] * n), min_size=1, max_size=12)),
+    st.integers(0, 6),
+)
+def test_validate_tree_matches_chain_walk(tmp_path_factory, cells, k_hi):
+    # validate reads the tree from the per-scale cell tables; the oracle
+    # unites every atom's chain of cubes, one root at a time. Atoms sit on
+    # the 1/8 lattice of [-4, 4)^n, some coincident
+    tmp_path = tmp_path_factory.mktemp("tree")
+    measure = tmp_path / "measure.json"
+    save_measure(DiscreteMeasure(np.array(cells, dtype=float) / 8.0, np.ones(len(cells))), measure)
+    out = tmp_path / "report.json"
+    assert main(["validate", str(measure), "--depth", "1", "--k-hi", str(k_hi), "-o", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())["checks"]["tree"] == tree_check(load_measure(measure), k_hi)
 
 
 def test_beta_star_c_p1_golden(tmp_path):

@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mrt import Box, CubeTree, DiscreteMeasure, DyadicCube, chain_of_cubes, cube_at
-from mrt.dyadic import NEARBY_DILATION, cell_index, chain_cells, checked_length, same_scale_radius
+from mrt import Box, CubeTree, DiscreteMeasure, DyadicCube, cube_at
+from mrt.dyadic import NEARBY_DILATION, cell_index, checked_length, same_scale_radius
 from mrt.errors import DimensionMismatch, ScaleOverflow, TreeStructureError
 
-from _oracle import in_nearby_family, nearby_count, nearby_cubes
+from _oracle import chain_cells, chain_of_cubes, in_nearby_family, nearby_count, nearby_cubes
 
 
 class TestDyadicCube:
@@ -131,6 +131,9 @@ class TestBox:
         # the carried cube takes no part in equality or hashing
         other = Box(T.center, T.half, DyadicCube(0, (0, 0)))
         assert T == other and hash(T) == hash(other)
+
+
+# the test-side chain walk of _oracle rests on cell_index's broadcast scales
 
 
 def test_chain_of_cubes_nested():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrt import (
@@ -9,33 +9,35 @@ from mrt import (
     DiscreteMeasure,
     DyadicCube,
     beta_multi,
-    chain_of_cubes,
     cube_at,
-    default_kmax,
     jones_at,
     square_sum,
 )
 from mrt.jones import JONES_VARIANTS, mass_cube_family
 
-from _oracle import box_contains, chain_jones
+from _oracle import box_contains, chain_jones, chain_of_cubes
 from _samples import four_corner_cantor, segment_measure
 
 
 class TestDefaultKmax:
+    # without k_max, jones_at stops each atom at the first scale whose cell
+    # holds at most one atom, and at scale 40 if none does
     def test_single_atom(self):
         mu = DiscreteMeasure([[0.3, 0.3]], [1.0])
-        assert default_kmax(mu, [0.3, 0.3]) == 0
+        assert jones_at(mu, [0])[1].tolist() == [0]
 
     def test_two_close_atoms(self):
         mu = DiscreteMeasure([[0.1, 0.1], [0.1 + 2.0**-6, 0.1]], [1.0, 1.0])
-        k = default_kmax(mu, [0.1, 0.1])
+        _, k_max = jones_at(mu, [0, 1])
+        k = int(k_max[0])
+        assert k_max.tolist() == [k, k]
         # first scale whose chain cube keeps at most one atom
         assert len(mu.atoms_in_cube(cube_at([0.1, 0.1], k))) <= 1
         assert len(mu.atoms_in_cube(cube_at([0.1, 0.1], k - 1))) > 1
 
     def test_duplicate_atoms_hit_cap(self):
         mu = DiscreteMeasure([[0.2, 0.2], [0.2, 0.2]], [1.0, 1.0])
-        assert default_kmax(mu, [0.2, 0.2]) == 40
+        assert jones_at(mu, [0, 1])[1].tolist() == [40, 40]
 
 
 class TestJonesAt:
@@ -116,6 +118,36 @@ class TestChainMemo:
                 assert (values[i], k_maxes[i]) == chain_jones(mu, x, 2, variant, k_max, cv, refine)
                 one, one_k = jones_at(mu, [i], variant=variant, c=cv, k_max=k_max, cache=cache, refine=refine)
                 assert (one[0], one_k[0]) == (values[i], k_maxes[i])
+
+
+@st.composite
+def truncation_cases(draw):
+    """Up to 24 atoms at up to 4 points of a dyadic lattice of [-2, 2)^n,
+    n = 1..3, so truncations run from 0 (a lone atom) to 40 (coincident atoms)."""
+    n = draw(st.integers(1, 3))
+    j = draw(st.integers(0, 12))
+    lattice = st.tuples(*[st.integers(-(2 ** (j + 1)), 2 ** (j + 1) - 1)] * n)
+    points = draw(st.lists(lattice, min_size=1, max_size=4, unique=True))
+    cells = draw(st.lists(st.sampled_from(points), min_size=1, max_size=24))
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=len(cells), max_size=len(cells)))
+    return DiscreteMeasure(np.array(cells, dtype=float) * 2.0**-j, weights)
+
+
+class TestDefaultTruncation:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(truncation_cases(), st.sampled_from(["tilde", "star"]))
+    @example(DiscreteMeasure([[-0.75, 0.5]], [1.0]), "star")
+    @example(DiscreteMeasure([[-0.25, 0.5], [-0.25, 0.5], [1.0, -1.5]], [1.0, 3.0, 0.5]), "tilde")
+    def test_in_pass_truncation_matches_chain_walk(self, mu, variant):
+        # the one pass stops each atom where the per-atom chain walk of
+        # default_kmax stops it, and sums the same terms in the same order
+        values, k_maxes = jones_at(mu, range(len(mu)), variant=variant, refine=False)
+        # coincident atoms share one chain, so the walk runs once per point
+        walks = {}
+        for i, x in enumerate(mu.points):
+            if x.tobytes() not in walks:
+                walks[x.tobytes()] = chain_jones(mu, x, 2, variant, None, None, False)
+            assert (values[i], k_maxes[i]) == walks[x.tobytes()]
 
 
 class TestSquareSum:

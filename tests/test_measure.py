@@ -137,6 +137,18 @@ class TestRegionQueries:
             assert np.array_equal(table[key], atoms)
             assert np.array_equal(mu.atoms_in_triple(DyadicCube(k, key)), atoms)
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(lattice_measures(), st.integers(-1, 6))
+    def test_cell_table_matches_cube_at(self, mu, k):
+        # the measure's cells are cube_at's per atom, computed once and frozen
+        cells = mu.cells(k)
+        assert cells.tolist() == [list(cube_at(x, k).index) for x in mu.points]
+        assert mu.cells(k) is cells and not cells.flags.writeable
+        table = mu.cell_table(k)
+        assert list(table) == sorted({tuple(row) for row in cells.tolist()})
+        for key, atoms in table.items():
+            assert atoms.tolist() == [i for i, row in enumerate(cells.tolist()) if tuple(row) == key]
+
     def test_triple_query_does_not_scan(self, monkeypatch):
         # every triple query reads the one table built for its scale
         rng = np.random.default_rng(5)

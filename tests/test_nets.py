@@ -7,7 +7,6 @@ from mrt import (
     DyadicCube,
     Line,
     NetSequence,
-    chain_of_cubes,
     fit_alphas,
     nets_from_points,
     nets_from_tree,
@@ -16,6 +15,7 @@ from mrt import (
 from mrt.errors import EmptyInput, NetValidationError, ZeroMassTriple
 from mrt.nets import hausdorff_to_segments
 
+from _oracle import chain_of_cubes
 from _samples import circle_measure, segment_measure
 
 

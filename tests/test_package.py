@@ -72,6 +72,28 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_cells_come_from_the_measure():
+    # cell_index runs in two places: DiscreteMeasure.cells, which computes
+    # every atom's cell once per scale for the tables and passes that read
+    # it, and cube_at, which places one point. A per-atom chain walk would
+    # need a third call, so it cannot come back unnoticed
+    callers = set()
+    for path in sorted(pathlib.Path(mrt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(path.stem, tree)]
+        while scopes:
+            name, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    scopes.append((f"{name}.{child.name}", child))
+                    continue
+                f = child.func if isinstance(child, ast.Call) else None
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "cell_index":
+                    callers.add(name)
+                scopes.append((name, child))
+    assert callers == {"measure.DiscreteMeasure.cells", "dyadic.cube_at"}
+
+
 # public names that no module calls, kept on purpose: the json writer whose
 # files load_measure reads back exactly (the tests write every measure file
 # with it), and the family enumeration that perfbench traces by
