@@ -3,7 +3,7 @@
 Subcommands: beta (per-cube beta reports), jones (per-atom Jones reports),
 tst (beta-squared sums over cube families), curve (nets, curve construction,
 length certificate), decompose (rectifiable/unrectifiable labeling), and
-validate (net, tree, and ledger validators). Each cmd_* returns its report
+validate (net and curve-ledger validators). Each cmd_* returns its report
 body and exit status; run wraps every body in one envelope: the command name
 and a config echo of the command's own options, its input and its format,
 read from the parsed arguments. Each default is written once, in
@@ -43,7 +43,6 @@ import numpy as np
 
 from ._parallel import pmap
 from .beta import VARIANTS, BetaCache, beta_multi
-from .dyadic import CubeTree, DyadicCube
 from .errors import (
     CertificateError,
     DimensionMismatch,
@@ -270,10 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-ladder", type=_ladder(_UNIT), default=(0.5, 0.1))
     sp.add_argument("--k-max", type=_SCALE, default=8)
 
-    sp = sub.add_parser("validate", help="net, tree, and curve-ledger validators")
+    sp = sub.add_parser("validate", help="net and curve-ledger validators")
     common(sp)
     nets(sp, depth=4)
-    sp.add_argument("--k-hi", type=_SCALE, default=3, help="deepest scale of the mass-cube tree check")
     return parser
 
 
@@ -466,7 +464,7 @@ def cmd_validate(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, in
 
     val, result, connected, witness = _drawn_curve(cfg, mu)
     checks = {"nets": _net_check(val)}
-    curve_ok = False
+    ok = False  # a curve is drawn only on valid nets
     if result is not None:
         checks["curve_connected"] = {
             "ok": bool(connected),
@@ -476,30 +474,9 @@ def cmd_validate(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, in
             cert = length_certificate(result)
             checks["certificate"] = {"ok": bool(cert.ok), "c_hat": cert.c_hat,
                                      "details": cert.checks}
-            curve_ok = connected and cert.ok
+            ok = bool(connected and cert.ok)
         except CertificateError as exc:
             checks["certificate"] = {"ok": False, "error": str(exc)}
-    tree_ok = True
-    # the cubes of every atom's chain at scales 0..k_hi, grouped by the
-    # scale-0 root that holds them: a scale-k index's root is index >> k
-    by_root: dict[tuple, set] = {}
-    for k in range(cfg.k_hi + 1):
-        for index in mu.cell_table(k):
-            by_root.setdefault(tuple(i >> k for i in index), set()).add(DyadicCube(k, index))
-    n_members = 0
-    for root_index in sorted(by_root):
-        members = by_root[root_index]
-        try:
-            CubeTree(DyadicCube(0, root_index), members)
-        except MrtError:
-            tree_ok = False
-        n_members += len(members)
-    checks["tree"] = {
-        "ok": tree_ok,
-        "n_roots": len(by_root),
-        "n_members": n_members,
-    }
-    ok = bool(val.ok and curve_ok and tree_ok)
     return {"ok": ok, "checks": checks}, EXIT_OK if ok else EXIT_VALIDATION
 
 

@@ -108,23 +108,19 @@ class DyadicCube:
         return all(i >> shift == j for i, j in zip(R.index, self.index))
 
 
-def cell_index(X, k) -> np.ndarray:
+def cell_index(X, k: int) -> np.ndarray:
     """Integer index of the scale-k cube holding each coordinate, floor(x 2^k).
 
-    k may be an integer array that broadcasts against X, e.g. a column of
-    scales against one point, to get a point's cells at many scales in one
-    call. Scaling is by np.ldexp, which is exact where x 2^k is finite and
-    gives inf where it is not, so every overflow reaches the check: it
-    raises ScaleOverflow when an index reaches 2^60 in magnitude, since
-    past 2^63 the int64 cast wraps to INT64_MIN, and the nearby-family test
-    forms 4 j + 1 - 2 i, which must stay inside int64 too.
+    Scaling is by np.ldexp, which is exact where x 2^k is finite and gives
+    inf where it is not, so every overflow reaches the check: it raises
+    ScaleOverflow when an index reaches 2^60 in magnitude, since past 2^63
+    the int64 cast wraps to INT64_MIN, and the nearby-family test forms
+    4 j + 1 - 2 i, which must stay inside int64 too.
     """
     with np.errstate(over="ignore"):
         f = np.floor(np.ldexp(np.asarray(X, dtype=float), k))
-    bad = ~(np.abs(f) < _MAX_CELL_INDEX)
-    if bad.any():
-        scale = int(np.broadcast_to(k, f.shape)[bad].min())
-        raise ScaleOverflow(f"cell index at scale {scale} reaches 2^60; coordinates or scale too large")
+    if not (np.abs(f) < _MAX_CELL_INDEX).all():
+        raise ScaleOverflow(f"cell index at scale {k} reaches 2^60; coordinates or scale too large")
     return f.astype(np.int64)
 
 

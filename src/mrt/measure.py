@@ -6,9 +6,8 @@ scale), while their triples and the balls of the density profile are closed.
 
 The measure owns each atom's cell: `cells(k)` is the index of the scale-k
 cube holding each atom, computed once per scale. The cell and triple tables
-are built from it, and callers that group atoms by cube (jones_at, the tree
-check of `mrt validate`) read it or the cell table instead of walking one
-atom's chain of cubes.
+are built from it, and jones_at, which groups atoms by cube, reads it
+instead of walking one atom's chain of cubes.
 
 Region queries (atoms_in, mass, center_of_mass) take one of two paths.
 Dyadic cubes and their triples (the boxes Q.triple() returns) are answered

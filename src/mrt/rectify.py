@@ -36,11 +36,6 @@ class LocalizationResult:
     bad: frozenset
     A_mask: np.ndarray
     A_mass: float
-    A_prime_mass: float
-    budget: float
-    good_b_sum: float
-    params: dict
-    checks: dict
 
 
 def localize(
@@ -58,10 +53,12 @@ def localize(
     bad cubes are bad. With mu(A) = 0 every cube is bad. A' is A minus the
     bad cubes. Since a tree holds every ancestor of its members, one top-down
     pass decides badness: Q is bad when its parent is, or when Q itself holds
-    too little of A. The output rechecks:
-    (1) good cubes form a tree with the same top (or none), (2) downward
-    badness, (3) mass comparability of A and its good part, (4) the strict
-    budget bound on the good-cube sum of b.
+    too little of A. So the bad cubes are closed downward, and the good ones,
+    when the top is good, form a tree with the same top (CubeTree rejects a
+    set that is not closed under parents). The output rechecks the two
+    conclusions that floating point can break: (1) mass comparability of A
+    and its good part, mu(A') >= (1 - eps mu(top)) mu(A), and (2) the strict
+    budget bound on the good-cube sum of b, which stays below N / eps.
     """
     if not (0 < N < math.inf) or not (eps > 0):
         raise ValueError("localize needs finite positive N and positive eps")
@@ -94,38 +91,13 @@ def localize(
         in_Aprime[mu.atoms_in(Q)] = False
     A_prime_mass = float(mu.weights[in_Aprime].sum())
     good_b_sum = float(sum(b.get(Q, 0.0) for Q in good_set))
-    budget = N / eps
-    top_mass = mu.mass(top)
     checks = {
-        "good_is_tree": good is None
-        or (
-            good.top == top
-            and all(
-                Q == top or Q.parent() not in tree.members or Q.parent() in good_set
-                for Q in good_set
-            )
-        ),
-        "bad_downward_closed": all(
-            child in bad
-            for Q in bad
-            for child in tree.children_in_tree(Q)
-        ),
-        "mass_comparable": A_prime_mass >= (1 - eps * top_mass) * A_mass - 1e-12 * max(1.0, A_mass),
-        "budget_strict": good_b_sum < budget,
+        "mass_comparable": A_prime_mass >= (1 - eps * mu.mass(top)) * A_mass - 1e-12 * max(1.0, A_mass),
+        "budget_strict": good_b_sum < N / eps,
     }
     if not all(checks.values()):
         raise TreeStructureError(f"localization postcondition failed: {checks}")
-    return LocalizationResult(
-        good=good,
-        bad=frozenset(bad),
-        A_mask=in_A,
-        A_mass=A_mass,
-        A_prime_mass=A_prime_mass,
-        budget=budget,
-        good_b_sum=good_b_sum,
-        params={"N": N, "eps": eps},
-        checks=checks,
-    )
+    return LocalizationResult(good=good, bad=frozenset(bad), A_mask=in_A, A_mass=A_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +168,7 @@ def grow_tree(
             if _lower_regular_ok(mu, child, c):
                 members.add(child)
                 frontier.append(child)
-    tree = CubeTree(base, frozenset(members))
-    for Q in tree.members:   # recheck the defining inequality on members
-        if not _lower_regular_ok(mu, Q, c):
-            raise TreeStructureError(f"lower-regular recheck failed at {Q}")
-    return GrowResult(tree, None)
+    return GrowResult(CubeTree(base, frozenset(members)), None)
 
 
 # ---------------------------------------------------------------------------

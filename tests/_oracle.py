@@ -44,10 +44,7 @@ every atom's chain in one pass over the scales, truncating in that pass, and
 must match both bit for bit.
 
 `chain_cells` and `chain_of_cubes` give one point's cells and cubes at many
-scales from one broadcast `cell_index` call. `tree_check` is the tree
-section of `mrt validate` by the chain walk: the union of every atom's chain
-of cubes, grouped by its scale-0 root, where `validate` reads the keys of
-the measure's per-scale cell tables.
+scales, one `cell_index` call per scale.
 
 `min_enclosing_circle` shares no path with `enclosing_balls`: it is exact,
 the best of the circles through two or three of the points.
@@ -60,8 +57,8 @@ import itertools
 import numpy as np
 
 from mrt.beta import BetaCache, beta_best, beta_multi
-from mrt.dyadic import CubeTree, DyadicCube, cell_index, cube_at, parent_scale_bound, same_scale_radius
-from mrt.errors import DegenerateRegion, DimensionMismatch, MrtError
+from mrt.dyadic import DyadicCube, cell_index, cube_at, parent_scale_bound, same_scale_radius
+from mrt.errors import DegenerateRegion, DimensionMismatch
 from mrt.geometry import Line, _as_points, _as_weights, pattern_search, sorted_unique, unit
 
 
@@ -588,13 +585,9 @@ def default_kmax(mu, x) -> int:
 
 
 def chain_cells(x, scales) -> list[tuple[int, ...]]:
-    """Index of the cube holding the point x at each of the given scales.
-
-    One checked cell_index call covers every scale.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    ks = np.asarray(scales, dtype=np.int64).reshape(-1, 1)
-    return [tuple(row) for row in cell_index(x, ks).tolist()]
+    """Index of the cube holding the point x at each of the given scales."""
+    x = np.asarray(x, dtype=float)
+    return [tuple(cell_index(x, k).tolist()) for k in scales]
 
 
 def chain_of_cubes(x, k_max: int) -> list[DyadicCube]:
@@ -604,18 +597,3 @@ def chain_of_cubes(x, k_max: int) -> list[DyadicCube]:
     scales = range(k_max + 1)
     return [DyadicCube(k, idx) for k, idx in zip(scales, chain_cells(x, scales))]
 
-
-def tree_check(mu, k_hi: int) -> dict:
-    """The tree section of `mrt validate`: every atom's chain at scales 0..k_hi,
-    one tree per scale-0 root."""
-    by_root: dict[tuple, set] = {}
-    for x in mu.points:
-        chain = chain_of_cubes(x, k_hi)
-        by_root.setdefault(chain[0].index, set()).update(chain)
-    ok = True
-    for root, members in by_root.items():
-        try:
-            CubeTree(DyadicCube(0, root), members)
-        except MrtError:
-            ok = False
-    return {"ok": ok, "n_roots": len(by_root), "n_members": sum(len(m) for m in by_root.values())}

@@ -133,7 +133,7 @@ class TestBox:
         assert T == other and hash(T) == hash(other)
 
 
-# the test-side chain walk of _oracle rests on cell_index's broadcast scales
+# the test-side chain walk of _oracle, one cell_index call per scale
 
 
 def test_chain_of_cubes_nested():
@@ -150,7 +150,7 @@ def test_chain_of_cubes_nested():
 
 @pytest.mark.parametrize("x", ([0.3, 0.71], [-0.3, -1.7], [-1e-9, 5.25], [2048.4, -3.0], [-0.2], [0.1, -0.6, 7.5]))
 def test_chain_cells_match_cube_at(x):
-    # the one-call cells of every scale equal a cube_at per scale
+    # the chain's cells, in any order of scales, equal a cube_at per scale
     assert chain_of_cubes(x, 40) == [cube_at(x, k) for k in range(41)]
     assert chain_cells(x, range(-2, 4)) == [cube_at(x, k).index for k in range(-2, 4)]
     scales = [5, 1, 3]

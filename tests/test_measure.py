@@ -3,17 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrt import DiscreteMeasure, DyadicCube, measure
+from mrt import CubeTree, DiscreteMeasure, DyadicCube, measure
 from mrt.dyadic import cube_at
-from mrt.errors import DimensionMismatch, EmptyInput, InvalidWeight, ZeroMassRegion
+from mrt.errors import DimensionMismatch, EmptyInput, InvalidWeight, TreeStructureError, ZeroMassRegion
 
-from _oracle import box_contains
+from _oracle import box_contains, chain_of_cubes
 
 
 def small_measure():
     pts = np.array([[0.1, 0.1], [0.4, 0.2], [0.6, 0.7], [0.9, 0.9]])
     w = np.array([1.0, 2.0, 3.0, 4.0])
     return DiscreteMeasure(pts, w)
+
+
+def cell_trees(mu, k_hi: int) -> list[CubeTree]:
+    """The cubes of the cell tables at scales 0..k_hi, one CubeTree per
+    scale-0 root: a scale-k index's root is index >> k."""
+    by_root: dict[tuple, set] = {}
+    for k in range(k_hi + 1):
+        for index in mu.cell_table(k):
+            by_root.setdefault(tuple(i >> k for i in index), set()).add(DyadicCube(k, index))
+    return [CubeTree(DyadicCube(0, root), members) for root, members in sorted(by_root.items())]
 
 
 @st.composite
@@ -148,6 +158,26 @@ class TestRegionQueries:
         assert list(table) == sorted({tuple(row) for row in cells.tolist()})
         for key, atoms in table.items():
             assert atoms.tolist() == [i for i, row in enumerate(cells.tolist()) if tuple(row) == key]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(lattice_measures(), st.integers(0, 6))
+    def test_occupied_cubes_form_trees(self, mu, k_hi):
+        # the occupied cubes of scales 0..k_hi are the union of the atoms'
+        # chains, one tree per scale-0 root
+        trees = {T.top: T for T in cell_trees(mu, k_hi)}
+        chains = [chain_of_cubes(x, k_hi) for x in mu.points]
+        for chain in chains:
+            assert set(chain) <= trees[chain[0]].members
+        assert sum(len(T) for T in trees.values()) == len({Q for chain in chains for Q in chain})
+
+    def test_cell_trees_catch_a_cell_off_its_chain(self, monkeypatch):
+        assert len(cell_trees(DiscreteMeasure([[0.3, 0.3]], [1.0]), 2)) == 1
+        mu = DiscreteMeasure([[0.3, 0.3]], [1.0])
+        cells = mu.cells
+        # the scale-2 cell (1, 1) moved to (2, 2), whose parent holds no atom
+        monkeypatch.setattr(mu, "cells", lambda k: cells(k) + (k == 2))
+        with pytest.raises(TreeStructureError):
+            cell_trees(mu, 2)
 
     def test_triple_query_does_not_scan(self, monkeypatch):
         # every triple query reads the one table built for its scale

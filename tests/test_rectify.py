@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mrt import rectify
 from mrt.errors import CertificateError, TreeStructureError
 from mrt.rectify import base_cube_for
 
-from _oracle import cube_contains, sum_function
+from _oracle import box_contains, cube_contains, sum_function
 from _samples import four_corner_cantor, graph_cantor_mixture, lipschitz_graph_measure, segment_measure
 
 
@@ -82,10 +83,6 @@ class TestLocalize:
         # A is exactly the right cluster
         assert loc.A_mass == pytest.approx(0.5)
         assert np.array_equal(np.nonzero(loc.A_mask)[0], np.arange(10, 20))
-        assert loc.A_prime_mass == pytest.approx(0.5)
-        assert loc.good_b_sum == 0.0
-        assert loc.budget == pytest.approx(2.0)
-        assert all(loc.checks.values())
 
     def test_badness_inherited_by_children(self):
         mu, tree, top, left, right, b = two_cluster_setup()
@@ -155,6 +152,17 @@ def inherited_badness_case():
     return CubeTree(top, [top, P, Q, R]), {R: 0.5}, mu, 0.5, 0.5
 
 
+def split_is_a_tree(tree, loc) -> bool:
+    """The split's structure: bad cubes closed downward in the tree, and the
+    good cubes, unless the top is bad, a tree under the same top."""
+    downward = all(C in loc.bad for Q in loc.bad for C in tree.children_in_tree(Q))
+    if tree.top in loc.bad:
+        return downward and loc.good is None
+    # a CubeTree holds the ancestors of its members
+    return downward and loc.good is not None and loc.good.top == tree.top and (
+        loc.good.members == tree.members - loc.bad)
+
+
 class TestLocalizeProperty:
     @settings(max_examples=200, deadline=None, database=None)
     @given(localize_cases())
@@ -173,10 +181,41 @@ class TestLocalizeProperty:
 
         bad = {Q for Q in tree.members if any(R.contains_cube(Q) and too_light(R) for R in tree.members)}
         assert loc.bad == bad
+        assert split_is_a_tree(tree, loc)
+        # the lemma's two conclusions, which localize rechecks in floating
+        # point: A' = A minus the bad cubes keeps mass, and the good cubes
+        # stay within the budget
         in_Aprime = in_A.copy()
         for Q in bad:
             in_Aprime &= ~cube_contains(Q, mu.points)
-        assert loc.A_prime_mass == float(mu.weights[in_Aprime].sum())
+        A_prime_mass = float(mu.weights[in_Aprime].sum())
+        assert A_prime_mass >= (1 - eps * mu.mass(tree.top)) * A_mass - 1e-12 * max(1.0, A_mass)
+        assert sum(b.get(Q, 0.0) for Q in tree.members - bad) < N / eps
+
+    def test_split_check_catches_a_corrupted_split(self):
+        tree, b, mu, N, eps = inherited_badness_case()
+        loc = localize(tree, b, mu, N=N, eps=eps)
+        top, P, Q = DyadicCube(0, (0, 0)), DyadicCube(1, (0, 0)), DyadicCube(2, (1, 1))
+        assert loc.bad == {P, Q, DyadicCube(2, (0, 0))} and split_is_a_tree(tree, loc)
+        # a bad cube with a child that is not bad
+        assert not split_is_a_tree(tree, replace(loc, bad=loc.bad - {Q}))
+        # a good tree that holds a bad cube, and one missing a good cube
+        assert not split_is_a_tree(tree, replace(loc, good=CubeTree(top, [top, P, Q])))
+        assert not split_is_a_tree(tree, replace(loc, good=None))
+
+
+def lower_regular(mu, Q, c) -> bool:
+    """mu(3Q) >= c diam 3Q, with mu(3Q) from a scan of every atom."""
+    tri = Q.triple()
+    return float(mu.weights[box_contains(tri, mu.points)].sum()) >= c * tri.diameter
+
+
+def grow_misses(mu, tree, c, k_max) -> list:
+    """Where a grown tree breaks its definition: a member that is not lower
+    regular, or a lower-regular child of a member above k_max left out."""
+    misses = [Q for Q in tree if not lower_regular(mu, Q, c)]
+    return misses + [C for Q in tree if Q.k < k_max for C in Q.children()
+                     if C not in tree and lower_regular(mu, C, c)]
 
 
 class TestGrowTree:
@@ -188,9 +227,31 @@ class TestGrowTree:
         assert grown.diagnostic is None
         assert grown.tree.top == base
         assert max(Q.k for Q in grown.tree) == 4
-        for Q in grown.tree.members:
-            tri = Q.triple()
-            assert mu.mass(tri) >= 0.05 * tri.diameter
+        assert grow_misses(mu, grown.tree, 0.05, 4) == []
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 63).map(lambda v: v / 64)] * 2), min_size=1, max_size=24),
+        st.sampled_from([0.01, 0.05, 0.2]),
+    )
+    def test_grown_tree_is_the_deepest_lower_regular_tree(self, cells, c):
+        # atoms on the 1/64 lattice sit on the faces of the triples
+        mu = DiscreteMeasure(np.array(cells), np.full(len(cells), 1.0 / len(cells)))
+        top = DyadicCube(0, (0, 0))
+        grown = grow_tree(mu, top, c=c, k_max=4)
+        if grown.tree is None:
+            assert not lower_regular(mu, top, c)
+        else:
+            assert grow_misses(mu, grown.tree, c, 4) == []
+
+    def test_grow_misses_catch_a_member_that_fails(self, monkeypatch):
+        # a predicate that admits every child grows cubes whose triples hold
+        # too little mass; the scan finds them
+        mu = segment_measure(16)
+        assert grow_misses(mu, grow_tree(mu, DyadicCube(0, (0, 0)), c=0.05, k_max=3).tree, 0.05, 3) == []
+        monkeypatch.setattr(rectify, "_lower_regular_ok", lambda mu, Q, c: True)
+        grown = grow_tree(mu, DyadicCube(0, (0, 0)), c=0.05, k_max=3)
+        assert grow_misses(mu, grown.tree, 0.05, 3) != []
 
     def test_density_failure_reports_diagnostic(self):
         mu = DiscreteMeasure([[0.2, 0.2], [0.7, 0.7]], [1e-6, 1e-6])
