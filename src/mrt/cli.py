@@ -449,8 +449,7 @@ def cmd_decompose(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, i
         "atoms": atoms,
         "curves": curves,
         "dropped": [
-            {"atom": d.atom, "c": d.c, "reason": d.reason,
-             "base_cube": None if d.base_cube is None else _cube_dict(d.base_cube)}
+            {"atom": d.atom, "c": d.c, "reason": d.reason, "base_cube": _cube_dict(d.base_cube)}
             for d in rep.dropped
         ],
         "rect_mass": rep.rect_mass,

@@ -27,7 +27,7 @@ totals can be cross-checked independently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,6 @@ class SquareSumReport:
     total: float
     ledger: list[tuple[DyadicCube, float, float]]  # (cube, beta, term)
     family: str
-    params: dict = field(default_factory=dict)
 
 
 def mass_cube_family(
@@ -157,7 +156,6 @@ def square_sum(
             bv = beta_multi(mu, Q, p, "star_star", cache=cache, refine=refine)
             ledger.append((Q, bv.value, bv.value**2 * Q.diameter))
         family = "cubes with mu(3Q) > 0 at scales in k_range"
-        params = {"k_range": list(k_range), "p": p}
     elif kind == "s_star_c_tree":
         if tree is None or c is None:
             raise ValueError("s_star_c_tree needs tree and c")
@@ -165,7 +163,6 @@ def square_sum(
             bv = beta_multi(mu, Q, p, "star_c", c=c, cache=cache, refine=refine)
             ledger.append((Q, bv.value, bv.value**2 * Q.diameter))
         family = "all member cubes of the tree"
-        params = {"p": p, "c": c, "tree_size": len(tree)}
     elif kind == "beta_sq_set":
         if k_range is None:
             raise ValueError("beta_sq_set needs k_range")
@@ -176,8 +173,7 @@ def square_sum(
                 b = beta_sup_set(mu.points[atoms], Q.triple())
                 ledger.append((Q, b, b * b * Q.diameter))
         family = "cubes whose triple meets the point set, at scales in k_range"
-        params = {"k_range": list(k_range)}
     else:
         raise ValueError(f"unknown square_sum kind {kind!r}")
     total = float(sum(t for (_, _, t) in ledger))
-    return SquareSumReport(kind=kind, total=total, ledger=ledger, family=family, params=params)
+    return SquareSumReport(kind=kind, total=total, ledger=ledger, family=family)

@@ -2,12 +2,12 @@
 
 A DiscreteMeasure is an atom array with strictly positive weights. Region
 conventions: dyadic cubes are half-open (a point lies in exactly one cube per
-scale), while their triples and the balls of the density profile are closed.
+scale), while their triples are closed.
 
 The measure owns each atom's cell: `cells(k)` is the index of the scale-k
 cube holding each atom, computed once per scale. The cell and triple tables
-are built from it, and jones_at, which groups atoms by cube, reads it
-instead of walking one atom's chain of cubes.
+are built from it, and jones_at and density_profile, which group atoms by
+cube, read it instead of walking one atom's chain of cubes.
 
 Region queries (atoms_in, mass, center_of_mass) take one of two paths.
 Dyadic cubes and their triples (the boxes Q.triple() returns) are answered
@@ -23,8 +23,6 @@ results are bit-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dyadic import Box, DyadicCube, cell_index
@@ -34,7 +32,6 @@ from .errors import (
     InvalidWeight,
     ZeroMassRegion,
 )
-from .geometry import sorted_unique
 
 
 Region = DyadicCube | Box
@@ -59,16 +56,6 @@ def group_rows(keys: np.ndarray, ids: np.ndarray) -> dict[tuple[int, ...], np.nd
     cut = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
     firsts = keys[np.concatenate(([0], cut))].tolist()
     return {tuple(key): part for key, part in zip(firsts, np.split(ids, cut))}
-
-
-@dataclass
-class DensityProfile:
-    """Ball-mass to diameter ratios mu(B(x, r)) / (2r) along a radius ladder."""
-
-    point: np.ndarray
-    radii: np.ndarray  # strictly decreasing
-    masses: np.ndarray
-    ratios: np.ndarray
 
 
 class DiscreteMeasure:
@@ -190,14 +177,17 @@ class DiscreteMeasure:
 
     # -- profiles ------------------------------------------------------------
 
-    def density_profile(self, x, radii) -> DensityProfile:
-        """Ratios mu(B(x, r)) / (2r) along a decreasing radius ladder."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        r = sorted_unique(np.asarray(radii, dtype=float))[::-1]
-        if len(r) == 0 or not np.all(r > 0):
-            raise ValueError("radius ladder must contain positive radii")
-        # closed balls, distances computed once
-        d2 = ((self.points - x) ** 2).sum(axis=1)
-        masses = np.array([float(self.weights[d2 <= ri * ri].sum()) for ri in r])
-        ratios = masses / (2.0 * r)
-        return DensityProfile(point=x, radii=r, masses=masses, ratios=ratios)
+    def density_profile(self, k_max: int) -> np.ndarray:
+        """(atoms, k_max + 1) array: mu(3Q_k(x)) for every atom x and scale k = 0..k_max.
+
+        Q_k(x) is the scale-k cube holding x. Each cube's triple mass is
+        mass(Q.triple()), computed once and given to every atom of Q, so it
+        keeps the bits of any other query of that triple.
+        """
+        if k_max < 0:
+            raise ValueError("density profile needs k_max >= 0")
+        masses = np.empty((len(self), k_max + 1))
+        for k in range(k_max + 1):
+            for idx, ids in self.cell_table(k).items():
+                masses[ids, k] = self.mass(DyadicCube(k, idx).triple())
+        return masses

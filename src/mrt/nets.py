@@ -53,7 +53,6 @@ NEIGHBORHOOD_FACTOR = 65.0  # ball radius factor of the alpha and curve neighbor
 class NetValidationReport:
     ok: bool
     cstar_min: float
-    separation_ok: bool
     violations: list[dict] = field(default_factory=list)
 
 
@@ -207,14 +206,12 @@ def validate_nets(nets: NetSequence) -> NetValidationReport:
     """
     cstar = nets.cstar
     violations: list[dict] = []
-    sep_ok = True
     ratios = [1.0]
     for k, V in enumerate(nets.levels):
         s = nets.sep(k)
         for i in range(len(V)):
             d = nets.distances(k, V[i])[i + 1 :]
             if d.size and d.min() < s * (1 - 1e-12):
-                sep_ok = False
                 j = i + 1 + int(np.argmin(d))
                 violations.append(
                     {"condition": "V_I", "level": k, "pair": (i, j), "distance": float(d.min()), "bound": s}
@@ -253,9 +250,8 @@ def validate_nets(nets: NetSequence) -> NetValidationReport:
                     }
                 )
     return NetValidationReport(
-        ok=sep_ok and not violations,
+        ok=not violations,
         cstar_min=float(max(ratios)),
-        separation_ok=sep_ok,
         violations=violations,
     )
 

@@ -22,20 +22,12 @@ from .curve import CurveResult, construct_curve
 from .dyadic import CubeTree, DyadicCube, checked_length, cube_at
 from .errors import CertificateError, TreeStructureError
 from .jones import jones_at, square_sum
-from .measure import DensityProfile, DiscreteMeasure
+from .measure import DiscreteMeasure
 from .nets import fit_alphas, hausdorff_to_segments, nets_from_tree
 
 
 # ---------------------------------------------------------------------------
 # localization
-
-
-@dataclass
-class LocalizationResult:
-    good: CubeTree | None
-    bad: frozenset
-    A_mask: np.ndarray
-    A_mass: float
 
 
 def localize(
@@ -44,8 +36,8 @@ def localize(
     mu: DiscreteMeasure,
     N: float,
     eps: float,
-) -> LocalizationResult:
-    """Partition a tree into good and bad cubes against a budget.
+) -> CubeTree | None:
+    """The good cubes of a tree against a budget: a tree under the same top, or None.
 
     A is the set of atoms of the top cube where the normalized sum stays at
     most N. A cube is bad when some tree cube containing it holds too little
@@ -55,10 +47,10 @@ def localize(
     pass decides badness: Q is bad when its parent is, or when Q itself holds
     too little of A. So the bad cubes are closed downward, and the good ones,
     when the top is good, form a tree with the same top (CubeTree rejects a
-    set that is not closed under parents). The output rechecks the two
-    conclusions that floating point can break: (1) mass comparability of A
-    and its good part, mu(A') >= (1 - eps mu(top)) mu(A), and (2) the strict
-    budget bound on the good-cube sum of b, which stays below N / eps.
+    set that is not closed under parents). It rechecks the two conclusions
+    that floating point can break: (1) mass comparability of A and its good
+    part, mu(A') >= (1 - eps mu(top)) mu(A), and (2) the strict budget bound
+    on the good-cube sum of b, which stays below N / eps.
     """
     if not (0 < N < math.inf) or not (eps > 0):
         raise ValueError("localize needs finite positive N and positive eps")
@@ -97,7 +89,7 @@ def localize(
     }
     if not all(checks.values()):
         raise TreeStructureError(f"localization postcondition failed: {checks}")
-    return LocalizationResult(good=good, bad=frozenset(bad), A_mask=in_A, A_mass=A_mass)
+    return good
 
 
 # ---------------------------------------------------------------------------
@@ -119,29 +111,6 @@ def _lower_regular_ok(mu: DiscreteMeasure, Q: DyadicCube, c: float) -> bool:
     """mu(3Q) >= c diam 3Q."""
     tri = Q.triple()
     return mu.mass(tri) >= c * tri.diameter
-
-
-def _density_factor(n: int) -> float:
-    """(3/2) sqrt(n): a density ratio mu(B(x, r))/2r must clear this times c in R^n."""
-    return 1.5 * math.sqrt(n)
-
-
-def base_cube_for(profile: DensityProfile, c: float) -> DyadicCube | None:
-    """The base cube at the profile's point; None when the density test fails.
-
-    r_x is the largest ladder radius r such that the density ratio
-    mu(B(x, r))/2r clears (3/2) sqrt(n) c at r and at every smaller ladder
-    radius; the base cube is the largest cube of side <= min(r_x, 1)
-    containing x.
-    """
-    _check_c(c)
-    x = profile.point
-    failed = np.flatnonzero(profile.ratios < _density_factor(len(x)) * c)
-    j = int(failed[-1]) + 1 if len(failed) else 0
-    if j == len(profile.radii):
-        return None
-    r_x = float(profile.radii[j])
-    return cube_at(x, max(0, int(round(-math.log2(min(r_x, 1.0))))))
 
 
 def grow_tree(
@@ -272,7 +241,7 @@ class DroppedTree:
 
     atom: int
     c: float
-    base_cube: DyadicCube | None
+    base_cube: DyadicCube
     reason: str
 
 
@@ -297,31 +266,42 @@ def decompose_estimate(
 ) -> DecompositionReport:
     """Desk-scale rectifiable/unrectifiable labeling with drawn curves.
 
-    An atom is a rect-candidate when for some ladder value c its density
-    estimate clears (3/2) sqrt(n) c and its truncated c-qualified Jones
-    value stays at or below N_cap. Rect-candidates seed lower-regular trees
-    (deduplicated by base cube), localized against b = beta^2 diam with the
-    eps ladder, and the good trees are drawn; captured mass is the
-    rect-candidate mass within tolerance of any curve.
-    A tree that cannot be grown or drawn is listed in `dropped` with the
-    reason: no base cube, the grow diagnostic, or the drawing error. Every
-    beta is unrefined (refine=False), which params records. All thresholds
-    are reported, none are asserted as ground truth.
+    An atom x clears the density test at a ladder value c when every triple
+    of its chain of cubes is lower regular: mu(3Q_k(x)) >= c diam 3Q_k(x) at
+    every scale k <= k_max, the predicate grow_tree applies. Since
+    B(x, 2^-k) lies in 3Q_k(x), which lies in B(x, 2 sqrt(n) 2^-k), the
+    chain ratio and the ball ratio mu(B(x, r))/2r bound each other up to
+    the factors (3/2) sqrt(n) and 4/3, so a positive liminf of one is
+    positive lower density. The reported density is the least ratio
+    mu(3Q_k(x)) / diam 3Q_k(x) over k <= k_max, read for all atoms in one
+    pass (DiscreteMeasure.density_profile).
 
-    Each atom's density profile runs once, on the radii 2^{-j}, j <= k_max:
-    the density estimate is its least ratio for j <= min(k_max, 20), and a
-    rect-candidate's base cube comes from the whole ladder (base_cube_for).
-    Each ladder value c takes one Jones pass, over the atoms that clear its
-    density test and are not yet rect-candidates. An atom that is not a
-    rect-candidate reports J at the least c, or None if it clears no test.
+    An atom is a rect-candidate when for some ladder value c it clears the
+    density test and its truncated c-qualified Jones value stays at or
+    below N_cap. Each ladder value c takes one Jones pass, over the atoms
+    that clear its density test and are not yet rect-candidates. An atom
+    that is not a rect-candidate reports J at the least c, or None if it
+    clears no test.
+
+    A rect-candidate seeds a lower-regular tree under its scale-0 cube,
+    which is lower regular at its c by the density test (trees are
+    deduplicated by base cube). The tree is localized against
+    b = beta^2 diam with the eps ladder, and the good tree is drawn;
+    captured mass is the rect-candidate mass within tolerance of any curve.
+    A tree that cannot be drawn is listed in `dropped` with the drawing
+    error. Every beta is unrefined (refine=False), which params records.
+    All thresholds are reported, none are asserted as ground truth.
     """
     n = mu.dim
     cache = BetaCache(mu)
-    radii = [2.0 ** (-j) for j in range(k_max + 1)]
-    checked_length(radii[-1], f"radius 2^-{k_max}")
-    n_est = min(k_max, 20) + 1
-    profiles = pmap(lambda i: mu.density_profile(mu.points[i], radii), range(len(mu.points)))
-    densities = [float(prof.ratios[:n_est].min()) for prof in profiles]
+    # tri.diameter depends on the scale only; a subnormal one would make
+    # the density ratio inf
+    diams = np.array([
+        checked_length(DyadicCube(k, (0,) * n).triple().diameter, f"triple diameter at scale {k}")
+        for k in range(k_max + 1)
+    ])
+    masses = mu.density_profile(k_max)
+    densities = (masses / diams).min(axis=1).tolist()
     c_min = min(c_ladder)
     # any c that clears an atom's density test lets c_min clear it too, so
     # every atom that clears some test gets its J at c_min, or is a
@@ -329,7 +309,8 @@ def decompose_estimate(
     jones: dict[int, float] = {}
     c_used: dict[int, float] = {}
     for c in c_ladder:
-        todo = [i for i, dens in enumerate(densities) if i not in c_used and dens > _density_factor(n) * c]
+        cleared = np.all(masses >= c * diams, axis=1)
+        todo = [i for i in np.flatnonzero(cleared).tolist() if i not in c_used]
         values, _ = jones_at(mu, todo, p=p, variant="star_c", c=c, k_max=k_max, cache=cache, refine=False)
         for i, jval in zip(todo, values.tolist()):
             if jval <= N_cap:
@@ -352,26 +333,20 @@ def decompose_estimate(
         if rep.label != "rect-candidate":
             continue
         c = rep.c_used
-        base = base_cube_for(profiles[rep.index], c=c)
-        if base is None:
-            dropped.append(DroppedTree(rep.index, c, None, "density ratio below threshold at all scanned radii"))
-            continue
+        base = cube_at(mu.points[rep.index], 0)
         if (c, base) in seen_bases:
             continue
         seen_bases.add((c, base))
-        grown = grow_tree(mu, base, c=c, k_max=k_max)
-        if grown.tree is None:
-            dropped.append(DroppedTree(rep.index, c, base, grown.diagnostic))
-            continue
+        # the density test made the base lower regular at c, so a tree grows
+        tree = grow_tree(mu, base, c=c, k_max=k_max).tree
         b_map = {}
-        for Q in grown.tree.members:
+        for Q in tree.members:
             bv = beta_multi(mu, Q, p, "star_c", c=c, refine=False, cache=cache)
             b_map[Q] = bv.value**2 * Q.diameter
-        tree = grown.tree
         for eps in eps_ladder:
-            loc = localize(tree, b_map, mu, N=N_cap, eps=eps)
-            if loc.good is not None:
-                tree = loc.good
+            good = localize(tree, b_map, mu, N=N_cap, eps=eps)
+            if good is not None:
+                tree = good
                 break
         try:
             curves.append(draw_through_tree(mu, tree, c, p=p, cache=cache))
@@ -397,7 +372,6 @@ def decompose_estimate(
         "eps_ladder": list(eps_ladder),
         "k_max": k_max,
         "refine": False,
-        "density_factor": _density_factor(n),
     }
     return DecompositionReport(
         atoms=atoms,

@@ -24,6 +24,12 @@ of one box at a time. `cube_contains` is the half-open cube test, by floor.
 `sum_function` is the localization sum of `rectify.localize` at one point:
 one `cube_at` per tree scale, instead of one pass over the tree's cubes.
 
+`chain_masses` is one atom's row of `DiscreteMeasure.density_profile`: one
+`cube_at` and one `atoms_in` triple query per scale, instead of one pass per
+scale over the cells. `ball_masses` is the closed-ball scan that the chain
+pass replaced, mu(B(x, r)) from the distance of x to every atom; the chain
+triples sit between two of its balls.
+
 `sequential_pattern_search`, `moment_score` and `min_width_strip_loop` keep
 the one-point arithmetic that `pattern_search`, `_Family.moment_scores` and
 `min_width_strip_2d` batch: a compass search that scores one poll per
@@ -388,6 +394,17 @@ def sum_function(tree, b, mu, x) -> float:
         if Q in tree.members and val > 0.0:
             total += val / mu.mass(Q)
     return total
+
+
+def chain_masses(mu, x, k_max: int) -> list[float]:
+    """mu(3Q_k(x)) at scales k = 0..k_max, one cube and one triple query per scale."""
+    return [float(mu.weights[mu.atoms_in(cube_at(x, k).triple())].sum()) for k in range(k_max + 1)]
+
+
+def ball_masses(mu, x, radii) -> np.ndarray:
+    """mu(B(x, r)) of the closed ball at each radius, from every atom's distance to x."""
+    d2 = ((mu.points - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
+    return np.array([float(mu.weights[d2 <= r * r].sum()) for r in radii])
 
 
 def mass_triples(mu, k: int) -> list[tuple[DyadicCube, np.ndarray, float]]:

@@ -7,7 +7,7 @@ from mrt import CubeTree, DiscreteMeasure, DyadicCube, measure
 from mrt.dyadic import cube_at
 from mrt.errors import DimensionMismatch, EmptyInput, InvalidWeight, TreeStructureError, ZeroMassRegion
 
-from _oracle import box_contains, chain_of_cubes
+from _oracle import ball_masses, box_contains, chain_masses, chain_of_cubes
 
 
 def small_measure():
@@ -215,20 +215,52 @@ class TestRegionQueries:
             mu.center_of_mass(DyadicCube(0, (5, 5)))
 
 
+@st.composite
+def weighted_lattice_measures(draw):
+    """lattice_measures' atoms with unequal weights, so that a sum taken in
+    another order or over another atom set can differ in its last bit."""
+    mu = draw(lattice_measures())
+    w = draw(st.lists(st.floats(0.001, 10.0), min_size=len(mu), max_size=len(mu)))
+    return DiscreteMeasure(mu.points, w)
+
+
 class TestProfiles:
     def test_density_profile_values(self):
-        mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
-        prof = mu.density_profile([0.0, 0.0], [2.0, 1.0, 0.5])
-        # radii are sorted decreasing; masses 2, 2, 1
-        assert np.allclose(prof.radii, [2.0, 1.0, 0.5])
-        assert np.allclose(prof.masses, [2.0, 2.0, 1.0])
-        assert np.allclose(prof.ratios, [0.5, 1.0, 1.0])
+        mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
+        # the origin's closed triples [-1, 2]^2, [-0.5, 1]^2, [-0.25, 0.5]^2;
+        # (1, 0)'s are [0, 3] x [-1, 2], [0.5, 2] x [-0.5, 1], [0.75, 1.5] x [-0.25, 0.5]
+        prof = mu.density_profile(2)
+        assert prof.tolist() == [[3.0, 3.0, 1.0], [3.0, 2.0, 2.0]]
 
-    def test_density_profile_rejects_bad_radii(self):
-        mu = small_measure()
+    def test_density_profile_rejects_negative_k_max(self):
+        # a negative k_max asks for no scale at all, like an empty radius ladder
         with pytest.raises(ValueError):
-            mu.density_profile([0.0, 0.0], [1.0, -1.0])
-        with pytest.raises(ValueError):
-            mu.density_profile([0.0, 0.0], [])
-        with pytest.raises(ValueError):
-            mu.density_profile([0.0, 0.0], [1.0, np.nan, np.nan])
+            small_measure().density_profile(-1)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(weighted_lattice_measures(), st.integers(0, 6))
+    def test_density_profile_matches_chain_oracle(self, mu, k_max):
+        prof = mu.density_profile(k_max)
+        assert prof.shape == (len(mu), k_max + 1)
+        for i, x in enumerate(mu.points):
+            assert np.array(chain_masses(mu, x, k_max)).tobytes() == prof[i].tobytes()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.integers(1, 2), st.integers(0, 4), st.data())
+    def test_chain_triples_sit_between_balls(self, n, j, data):
+        # B(x, 2^-k) is inside 3Q_k(x), which is inside B(x, 2 sqrt(n) 2^-k).
+        # Lattice coordinates and integer weights keep every distance and sum
+        # exact, with atoms on the faces of triples and on ball boundaries;
+        # dividing by 2r and by diam 3Q_k gives the two density inequalities
+        # mu(B(x, r))/2r <= (3/2) sqrt(n) mu(3Q)/diam 3Q and
+        # mu(3Q)/diam 3Q <= (4/3) mu(B(x, R))/2R at r = 2^-k, R = 2 sqrt(n) 2^-k
+        coord = st.integers(-24, 24).map(lambda i: i * 2.0**-j)
+        pts = data.draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=10))
+        w = data.draw(st.lists(st.integers(1, 8), min_size=len(pts), max_size=len(pts)))
+        mu = DiscreteMeasure(pts, w)
+        k_max = 5
+        prof = mu.density_profile(k_max)
+        for i, x in enumerate(mu.points):
+            for k in range(k_max + 1):
+                inner, outer = ball_masses(mu, x, [2.0**-k, 2.0 * np.sqrt(n) * 2.0**-k])
+                assert inner <= prof[i, k] <= outer

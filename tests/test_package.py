@@ -4,10 +4,19 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import mrt
+from mrt.cli import save_measure
+
+from _samples import segment_cantor_mixture
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -44,6 +53,37 @@ def test_traced_functions_exist():
         if not callable(vars(owner).get(attr) if owner is not None else None):
             missing.append(f"{modname}.{qualname}")
     assert missing == []
+
+
+#: counters each tracer hook takes at its span's boundary
+HOOK_ATTRS = {"beta.beta_multi": {"distinct", "computed"}, "geometry.pattern_search": {"evals"},
+              "parallel.pmap": {"items"}}
+
+
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["decompose", "--k-max", "3"], {"measure.density_profile", "beta.beta_multi", "parallel.pmap"}),
+        (["tst", "--k-hi", "1"], {"beta.beta_multi", "geometry.pattern_search"}),
+    ],
+    ids=["decompose", "tst"],
+)
+def test_traced_run(tmp_path, args, names):
+    # a traced name that resolves can still break the tracer: its hooks bind
+    # arguments by name or position (beta_multi's refine and cache, pmap's
+    # third argument, pattern_search's f), so run the tracer end to end
+    measure = tmp_path / "measure.json"
+    save_measure(segment_cantor_mixture(1)[0], measure)
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_path), args[0], str(measure),
+            *args[1:], "-o", str(tmp_path / "report.json")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    assert names <= {s["name"] for s in spans}
+    for s in spans:
+        assert HOOK_ATTRS.get(s["name"], set()) <= set(s.get("attrs", {})), s
 
 
 def test_pattern_search_objective_is_named_f():

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,21 +17,29 @@ from mrt import (
     localize,
 )
 from mrt import rectify
+from mrt.dyadic import cube_at
 from mrt.errors import CertificateError, TreeStructureError
-from mrt.rectify import base_cube_for
 
-from _oracle import box_contains, cube_contains, sum_function
+from _oracle import box_contains, chain_masses, cube_contains, sum_function
 from _samples import four_corner_cantor, graph_cantor_mixture, lipschitz_graph_measure, segment_measure
 
 
-def ladder_profile(mu, x, k_max):
-    """The density profile decompose_estimate takes at x: radii 2^-j, j <= k_max."""
-    return mu.density_profile(x, [2.0 ** (-j) for j in range(k_max + 1)])
-
-
 def grow_at(mu, x, c, k_max):
-    """grow_tree under the base cube that x's ladder profile picks."""
-    return grow_tree(mu, base_cube_for(ladder_profile(mu, x, k_max), c=c), c=c, k_max=k_max)
+    """grow_tree under x's scale-0 cube, the base decompose_estimate takes."""
+    return grow_tree(mu, cube_at(x, 0), c=c, k_max=k_max)
+
+
+def in_A(tree, b, mu, N) -> np.ndarray:
+    """localize's A: the atoms of the top cube whose localization sum is at most N."""
+    A = np.zeros(len(mu), dtype=bool)
+    for i in mu.atoms_in_cube(tree.top):
+        A[i] = sum_function(tree, b, mu, mu.points[i]) <= N
+    return A
+
+
+def bad_cubes(tree, good) -> frozenset:
+    """The cubes localize did not keep."""
+    return tree.members - (good.members if good is not None else frozenset())
 
 
 def two_cluster_setup():
@@ -58,9 +65,11 @@ class TestSumFunction:
         assert sum_function(tree, b, mu, mu.points[15]) == 0.0
         # localize puts an atom in A exactly when its sum is at most N
         for N, left_in_A in ((s, True), (np.nextafter(s, 0.0), False)):
-            A = localize(tree, b, mu, N=N, eps=0.5).A_mask
+            A = in_A(tree, b, mu, N)
             assert np.all(A[mu.atoms_in(left)] == left_in_A)
             assert np.all(A[mu.atoms_in(right)])
+            # localize keeps the left cube exactly when its atoms are in A
+            assert (left in localize(tree, b, mu, N=N, eps=0.5).members) == left_in_A
 
     def test_positive_b_over_zero_mass_is_skipped(self):
         # lower regularity bounds mu(3Q), not mu(Q): a tree cube can carry
@@ -68,36 +77,36 @@ class TestSumFunction:
         mu, tree, top, left, right, _ = two_cluster_setup()
         empty = DyadicCube(2, (3, 3))  # [0.75, 1)^2 holds no atoms
         tree2 = CubeTree(top, set(tree.members) | {empty})
-        loc = localize(tree2, {empty: 0.5}, mu, N=1.0, eps=0.5)
-        assert np.all(loc.A_mask)
-        assert loc.bad == frozenset({empty})
+        good = localize(tree2, {empty: 0.5}, mu, N=1.0, eps=0.5)
+        assert np.all(in_A(tree2, {empty: 0.5}, mu, 1.0))
+        assert bad_cubes(tree2, good) == frozenset({empty})
 
 
 class TestLocalize:
     def test_splits_loaded_subtree(self):
         mu, tree, top, left, right, b = two_cluster_setup()
-        loc = localize(tree, b, mu, N=1.0, eps=0.5)
-        assert loc.bad == frozenset({left})
-        assert loc.good is not None
-        assert loc.good.members == frozenset({top, right})
+        good = localize(tree, b, mu, N=1.0, eps=0.5)
+        assert good is not None
+        assert bad_cubes(tree, good) == frozenset({left})
+        assert good.members == frozenset({top, right})
         # A is exactly the right cluster
-        assert loc.A_mass == pytest.approx(0.5)
-        assert np.array_equal(np.nonzero(loc.A_mask)[0], np.arange(10, 20))
+        A = in_A(tree, b, mu, 1.0)
+        assert float(mu.weights[A].sum()) == pytest.approx(0.5)
+        assert np.array_equal(np.nonzero(A)[0], np.arange(10, 20))
 
     def test_badness_inherited_by_children(self):
         mu, tree, top, left, right, b = two_cluster_setup()
         child = DyadicCube(2, (0, 0))  # inside the loaded left cube
         tree2 = CubeTree(top, set(tree.members) | {child})
-        loc = localize(tree2, b, mu, N=1.0, eps=0.5)
-        assert child in loc.bad
-        assert loc.good is not None and child not in loc.good.members
+        good = localize(tree2, b, mu, N=1.0, eps=0.5)
+        assert child in bad_cubes(tree2, good)
+        assert good is not None and child not in good.members
 
     def test_zero_A_makes_everything_bad(self):
         mu, tree, top, left, right, _ = two_cluster_setup()
-        loc = localize(tree, {top: 1.0}, mu, N=0.5, eps=0.5)
-        assert loc.A_mass == 0.0
-        assert loc.bad == tree.members
-        assert loc.good is None
+        good = localize(tree, {top: 1.0}, mu, N=0.5, eps=0.5)
+        assert not np.any(in_A(tree, {top: 1.0}, mu, 0.5))
+        assert good is None
 
     def test_argument_validation(self):
         mu, tree, *_ = two_cluster_setup()
@@ -108,10 +117,9 @@ class TestLocalize:
 
     def test_all_good_when_b_small(self):
         mu, tree, *_ , b = two_cluster_setup()
-        loc = localize(tree, {}, mu, N=1.0, eps=0.1)
-        assert loc.good is not None and loc.good.members == tree.members
-        assert not loc.bad
-        assert loc.A_mass == pytest.approx(mu.total)
+        good = localize(tree, {}, mu, N=1.0, eps=0.1)
+        assert good is not None and good.members == tree.members
+        assert np.all(in_A(tree, {}, mu, 1.0))
 
 
 @st.composite
@@ -152,15 +160,15 @@ def inherited_badness_case():
     return CubeTree(top, [top, P, Q, R]), {R: 0.5}, mu, 0.5, 0.5
 
 
-def split_is_a_tree(tree, loc) -> bool:
+def split_is_a_tree(tree, good, bad) -> bool:
     """The split's structure: bad cubes closed downward in the tree, and the
     good cubes, unless the top is bad, a tree under the same top."""
-    downward = all(C in loc.bad for Q in loc.bad for C in tree.children_in_tree(Q))
-    if tree.top in loc.bad:
-        return downward and loc.good is None
+    downward = all(C in bad for Q in bad for C in tree.children_in_tree(Q))
+    if tree.top in bad:
+        return downward and good is None
     # a CubeTree holds the ancestors of its members
-    return downward and loc.good is not None and loc.good.top == tree.top and (
-        loc.good.members == tree.members - loc.bad)
+    return downward and good is not None and good.top == tree.top and (
+        good.members == tree.members - bad)
 
 
 class TestLocalizeProperty:
@@ -169,23 +177,20 @@ class TestLocalizeProperty:
     @example(inherited_badness_case())
     def test_matches_docstring(self, case):
         tree, b, mu, N, eps = case
-        loc = localize(tree, b, mu, N=N, eps=eps)
-        in_A = np.zeros(len(mu), dtype=bool)
-        for i in mu.atoms_in_cube(tree.top):
-            in_A[i] = sum_function(tree, b, mu, mu.points[i]) <= N
-        assert np.array_equal(loc.A_mask, in_A)
-        A_mass = float(mu.weights[in_A].sum())
+        good = localize(tree, b, mu, N=N, eps=eps)
+        A = in_A(tree, b, mu, N)
+        A_mass = float(mu.weights[A].sum())
 
         def too_light(R):
-            return float(mu.weights[in_A & cube_contains(R, mu.points)].sum()) <= eps * A_mass * mu.mass(R)
+            return float(mu.weights[A & cube_contains(R, mu.points)].sum()) <= eps * A_mass * mu.mass(R)
 
         bad = {Q for Q in tree.members if any(R.contains_cube(Q) and too_light(R) for R in tree.members)}
-        assert loc.bad == bad
-        assert split_is_a_tree(tree, loc)
+        assert bad_cubes(tree, good) == bad
+        assert split_is_a_tree(tree, good, bad)
         # the lemma's two conclusions, which localize rechecks in floating
         # point: A' = A minus the bad cubes keeps mass, and the good cubes
         # stay within the budget
-        in_Aprime = in_A.copy()
+        in_Aprime = A.copy()
         for Q in bad:
             in_Aprime &= ~cube_contains(Q, mu.points)
         A_prime_mass = float(mu.weights[in_Aprime].sum())
@@ -194,14 +199,15 @@ class TestLocalizeProperty:
 
     def test_split_check_catches_a_corrupted_split(self):
         tree, b, mu, N, eps = inherited_badness_case()
-        loc = localize(tree, b, mu, N=N, eps=eps)
+        good = localize(tree, b, mu, N=N, eps=eps)
+        bad = bad_cubes(tree, good)
         top, P, Q = DyadicCube(0, (0, 0)), DyadicCube(1, (0, 0)), DyadicCube(2, (1, 1))
-        assert loc.bad == {P, Q, DyadicCube(2, (0, 0))} and split_is_a_tree(tree, loc)
+        assert bad == {P, Q, DyadicCube(2, (0, 0))} and split_is_a_tree(tree, good, bad)
         # a bad cube with a child that is not bad
-        assert not split_is_a_tree(tree, replace(loc, bad=loc.bad - {Q}))
+        assert not split_is_a_tree(tree, good, bad - {Q})
         # a good tree that holds a bad cube, and one missing a good cube
-        assert not split_is_a_tree(tree, replace(loc, good=CubeTree(top, [top, P, Q])))
-        assert not split_is_a_tree(tree, replace(loc, good=None))
+        assert not split_is_a_tree(tree, CubeTree(top, [top, P, Q]), bad)
+        assert not split_is_a_tree(tree, None, bad)
 
 
 def lower_regular(mu, Q, c) -> bool:
@@ -221,7 +227,7 @@ def grow_misses(mu, tree, c, k_max) -> list:
 class TestGrowTree:
     def test_lower_regular_on_segment(self):
         mu = segment_measure(128)
-        base = base_cube_for(ladder_profile(mu, mu.points[60], 4), c=0.05)
+        base = cube_at(mu.points[60], 0)
         grown = grow_tree(mu, base, c=0.05, k_max=4)
         assert grown.tree is not None
         assert grown.diagnostic is None
@@ -255,7 +261,10 @@ class TestGrowTree:
 
     def test_density_failure_reports_diagnostic(self):
         mu = DiscreteMeasure([[0.2, 0.2], [0.7, 0.7]], [1e-6, 1e-6])
-        assert base_cube_for(ladder_profile(mu, mu.points[0], 4), c=1.0) is None
+        # both atoms fail the density test, so they seed no tree
+        rep = decompose_estimate(mu, c_ladder=(1.0,), k_max=4)
+        assert [a.reason for a in rep.atoms] == ["density_below_threshold"] * 2
+        assert rep.curves == [] and rep.dropped == []
         # a base cube that fails mu(3Q) >= c diam 3Q grows no tree
         grown = grow_tree(mu, DyadicCube(0, (0, 0)), c=1.0, k_max=4)
         assert grown.tree is None
@@ -267,7 +276,7 @@ class TestGrowTree:
             with pytest.raises(ValueError):
                 grow_tree(mu, DyadicCube(0, (0, 0)), c=c)
             with pytest.raises(ValueError):
-                base_cube_for(ladder_profile(mu, mu.points[0], 8), c=c)
+                decompose_estimate(mu, c_ladder=(c,), k_max=2)
 
 
 class TestDrawThroughTree:
@@ -379,6 +388,46 @@ class TestDecomposeEstimate:
         assert rep.captured_fraction == 0.0
 
 
+@st.composite
+def density_cases(draw):
+    """A small measure on the 1/64 lattice with unequal weights, a k_max, and
+    a c drawn from fixed values or from some atom's own chain ratio."""
+    m = draw(st.integers(1, 12))
+    cell = st.integers(-8, 71).map(lambda v: v / 64)
+    pts = draw(st.lists(st.tuples(cell, cell), min_size=m, max_size=m))
+    w = draw(st.lists(st.floats(1e-4, 1.0), min_size=m, max_size=m))
+    mu = DiscreteMeasure(pts, w)
+    k_max = draw(st.integers(0, 5))
+    i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, k_max))
+    tri = cube_at(mu.points[i], k).triple()
+    c = draw(st.sampled_from([0.001, 0.01, 0.1, 1.0, chain_masses(mu, mu.points[i], k_max)[k] / tri.diameter]))
+    return mu, k_max, c
+
+
+class TestChainDensity:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(density_cases())
+    def test_atom_clears_c_exactly_when_its_chain_is_lower_regular(self, case):
+        mu, k_max, c = case
+        asked = []
+
+        def no_jones(mu, atoms, **kwargs):
+            asked.extend(atoms)
+            return np.full(len(atoms), np.inf), np.full(len(atoms), k_max)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rectify, "jones_at", no_jones)
+            rep = decompose_estimate(mu, c_ladder=(c,), k_max=k_max)
+        for i, (x, atom) in enumerate(zip(mu.points, rep.atoms)):
+            chain = [cube_at(x, k) for k in range(k_max + 1)]
+            cleared = all(rectify._lower_regular_ok(mu, Q, c) for Q in chain)
+            assert (i in asked) == cleared
+            assert atom.reason == ("jones_above_cap" if cleared else "density_below_threshold")
+            # the least chain ratio, bit for bit
+            ratios = [m / Q.triple().diameter for m, Q in zip(chain_masses(mu, x, k_max), chain)]
+            assert atom.density == min(ratios)
+
+
 class TestComputeOnce:
     """Each decomposition fact is computed once, on the benchmark's mixture input."""
 
@@ -386,43 +435,39 @@ class TestComputeOnce:
 
     def test_one_density_profile_per_atom(self, monkeypatch):
         mu = graph_cantor_mixture()
-        calls = []
+        rows = []
         profile = DiscreteMeasure.density_profile
 
-        def counted(self, x, radii):
-            calls.append(tuple(np.asarray(x)))
-            return profile(self, x, radii)
+        def counted(self, k_max):
+            rows.append(profile(self, k_max))
+            return rows[-1]
 
         monkeypatch.setattr(DiscreteMeasure, "density_profile", counted)
         rep = decompose_estimate(mu, **self.KWARGS)
-        assert len(calls) == len(mu) == 192
-        assert len(set(calls)) == len(mu)
+        # one pass, one row per atom, one column per scale 0..k_max
+        assert len(rows) == 1 and rows[0].shape == (len(mu), 5) and len(mu) == 192
         # the decomposition still draws the graph and labels every atom
         assert rep.curves
         assert sum(a.label == "rect-candidate" for a in rep.atoms) == 128
 
     def test_grow_tree_takes_its_base(self, monkeypatch):
         mu = graph_cantor_mixture()
-        growing = []
-        base_calls = []
-        grow, base_for = rectify.grow_tree, rectify.base_cube_for
+        grown = []
+        grow = rectify.grow_tree
 
-        def traced_grow(*args, **kwargs):
-            growing.append(True)
-            try:
-                return grow(*args, **kwargs)
-            finally:
-                growing.pop()
-
-        def traced_base(*args, **kwargs):
-            base_calls.append(bool(growing))
-            return base_for(*args, **kwargs)
+        def traced_grow(mu, base, c, k_max):
+            grown.append((base, c, grow(mu, base, c=c, k_max=k_max)))
+            return grown[-1][2]
 
         monkeypatch.setattr(rectify, "grow_tree", traced_grow)
-        monkeypatch.setattr(rectify, "base_cube_for", traced_base)
-        decompose_estimate(mu, **self.KWARGS)
-        # one base per rect-candidate, none of them chosen inside grow_tree
-        assert len(base_calls) == 128 and not any(base_calls)
+        rep = decompose_estimate(mu, **self.KWARGS)
+        # one tree per distinct scale-0 cube of the rect-candidates, each
+        # grown from that cube, which the density test made lower regular
+        rect = [a.index for a in rep.atoms if a.label == "rect-candidate"]
+        bases = [base for base, _, _ in grown]
+        assert len(rect) == 128 and len(bases) == len(set(bases))
+        assert set(bases) == {cube_at(mu.points[i], 0) for i in rect}
+        assert all(c == 0.01 and g.tree is not None and g.tree.top == base for base, c, g in grown)
 
     def test_no_net_validation_inside(self, monkeypatch):
         from mrt import nets
