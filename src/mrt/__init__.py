@@ -21,20 +21,20 @@ __version__ = "0.1.0"
 _MODULES = {
     "beta": ("VARIANTS", "BetaCache", "BetaValue", "beta_best", "beta_fixed_line", "beta_multi",
              "beta_sup_set"),
-    "curve": ("BridgeRecord", "CertificateReport", "CurveResult", "PhantomLedger",
-              "Segment", "construct_curve", "curve_length", "length_certificate", "verify_connected"),
+    "curve": ("BridgeRecord", "CurveResult", "PhantomLedger", "Segment", "construct_curve",
+              "curve_length", "length_certificate", "verify_connected"),
     "dyadic": ("Box", "CubeTree", "DyadicCube", "cube_at"),
     "errors": ("AlphaRecheckError", "CertificateError", "DegenerateRegion", "DimensionMismatch",
                "EmptyInput", "ForwardProximityError", "InputFormatError", "InvalidWeight", "MrtError",
                "NetValidationError", "ScaleOverflow", "TreeStructureError", "ZeroMassRegion",
                "ZeroMassTriple"),
     "geometry": ("Line", "fit_line"),
-    "jones": ("JONES_VARIANTS", "SquareSumReport", "jones_at", "square_sum"),
+    "jones": ("JONES_VARIANTS", "jones_at", "square_sum"),
     "measure": ("DiscreteMeasure",),
     "nets": ("AlphaAssignment", "NetSequence", "fit_alphas", "nets_from_points", "nets_from_tree",
              "validate_nets"),
-    "rectify": ("DecompositionReport", "DrawResult", "GrowResult", "decompose_estimate",
-                "draw_through_tree", "grow_tree", "localize"),
+    "rectify": ("DecompositionReport", "DrawResult", "decompose_estimate", "draw_through_tree",
+                "grow_tree", "localize"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -69,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicCube, checked_length, parent_scale_bound, same_scale_radius
-from .errors import DegenerateRegion
 from .geometry import Line, _pair_lines, fit_line, pattern_search, sorted_unique, unit
 from .measure import DiscreteMeasure, Region
 
@@ -115,6 +114,17 @@ class BetaValue:
             raise ValueError(f"beta value must lie in [0, 1], got {self.value}")
 
 
+def _diameter(region: Region) -> float:
+    """The region's diameter, once it is a normal float (dyadic.checked_length).
+
+    A scale-k diameter below the normal range has lost bits, and its
+    reciprocal overflows; ScaleOverflow names the region's scale.
+    """
+    if isinstance(region, DyadicCube):
+        return checked_length(region.diameter, f"cube diameter at scale {region.k}")
+    return checked_length(region.diameter, f"triple diameter at scale {region.triple_of.k}")
+
+
 def beta_fixed_line(mu: DiscreteMeasure, region: Region, line: Line, p=2) -> float:
     """beta_p(mu, E, l) for a fixed line; 0 when mu(E) = 0."""
     if not (isinstance(p, (int, float)) and p >= 1):
@@ -122,9 +132,7 @@ def beta_fixed_line(mu: DiscreteMeasure, region: Region, line: Line, p=2) -> flo
     idx = mu.atoms_in(region)
     if len(idx) == 0:
         return 0.0
-    diam = region.diameter
-    if diam <= 0:
-        raise DegenerateRegion("region with atoms has zero diameter")
+    diam = _diameter(region)
     w = mu.weights[idx]
     d = line.distances(mu.points[idx])
     return float((np.sum(w * (d / diam) ** p) / w.sum()) ** (1.0 / p))
@@ -139,9 +147,6 @@ def beta_best(mu: DiscreteMeasure, region: Region, p=2) -> BetaValue:
     idx = mu.atoms_in(region)
     if len(idx) == 0:
         return BetaValue(0.0, None)
-    diam = region.diameter
-    if diam <= 0:
-        raise DegenerateRegion("region with atoms has zero diameter")
     X = mu.points[idx]
     w = mu.weights[idx]
     line, _ = fit_line(X, w, p if p in (1, 2) else 2)
@@ -166,9 +171,7 @@ def beta_sup_set(points, region: Region) -> float:
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if len(X) == 0:
         return 0.0
-    diam = region.diameter
-    if diam <= 0:
-        raise DegenerateRegion("region with points has zero diameter")
+    diam = _diameter(region)
     line, maxdist = fit_line(X, None, "sup")
     return float(maxdist) / diam
 

@@ -18,7 +18,10 @@ class InvalidWeight(MrtError, ValueError):
 
 
 class DegenerateRegion(MrtError, ValueError):
-    """A region with zero diameter was passed where a normalization needs diam > 0."""
+    """A point set too degenerate to fit, such as a hull whose edges all have zero length.
+
+    A region whose diameter is zero or subnormal raises ScaleOverflow instead.
+    """
 
 
 class ZeroMassRegion(MrtError, ValueError):
@@ -56,8 +59,8 @@ class ScaleOverflow(MrtError, ValueError):
     """A requested scale is out of range.
 
     Either a coordinate's dyadic cell index at that scale is too large for
-    int64, or a scale-k length (a net separation, a density radius, a triple
-    diameter) is zero or subnormal (dyadic.checked_length).
+    int64, or a scale-k length (a net separation, a density radius, a cube or
+    triple diameter) is zero or subnormal (dyadic.checked_length).
     """
 
 

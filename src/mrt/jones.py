@@ -18,21 +18,19 @@ cell at every scale (DiscreteMeasure.cells). By default each atom's sum stops
 at the first scale whose cell holds at most one atom of mu, or at scale 40
 for coincident atoms.
 
-square_sum computes the scale-indexed companion sums (over a cube family
-instead of a chain): the mass-carrying family per scale, a cube tree, or the
-set version over the support of mu. Each report carries a per-cube ledger so
-totals can be cross-checked independently.
+square_sum lists, for the scale-indexed companion sums (over a cube family
+instead of a chain), the set beta and the coupled beta** of every cube whose
+triple carries mass; the caller forms each term and total from the rows.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .beta import BetaCache, beta_best, beta_multi, beta_sup_set
-from .dyadic import CubeTree, DyadicCube
+from .dyadic import DyadicCube
 from .measure import DiscreteMeasure, group_rows
 
 JONES_VARIANTS = ("star", "tilde", "star_star", "star_c")
@@ -99,81 +97,22 @@ def jones_at(
 # scale-indexed square sums
 
 
-@dataclass
-class SquareSumReport:
-    """A beta-squared sum with its per-cube ledger."""
+def square_sum(mu: DiscreteMeasure, k_range, p=2) -> list[tuple[DyadicCube, float, float]]:
+    """One (Q, set beta, beta**) row per cube Q with mu(3Q) > 0 at the scales in k_range.
 
-    kind: str
-    total: float
-    ledger: list[tuple[DyadicCube, float, float]]  # (cube, beta, term)
-    family: str
+    The rows run scale by scale in k_range, each scale's cubes in the order
+    of mass_triples(k), so row by row they are the terms of two sums:
 
-
-def mass_cube_family(
-    mu: DiscreteMeasure, k_range, cache: BetaCache | None = None
-) -> list[DyadicCube]:
-    """Cubes with mu(3Q) > 0 at each scale in k_range, sorted."""
-    if cache is None:
-        cache = BetaCache(mu)
-    out: list[DyadicCube] = []
-    for k in k_range:
-        out.extend(R for (R, _, _) in cache.mass_triples(k))
-    return out
-
-
-def square_sum(
-    mu: DiscreteMeasure,
-    kind: str,
-    *,
-    k_range=None,
-    tree: CubeTree | None = None,
-    p=2,
-    c: float | None = None,
-    cache: BetaCache | None = None,
-    refine: bool = True,
-) -> SquareSumReport:
-    """Scale-indexed beta-squared sums.
-
-    kind:
-      "s_star_star"   sum of beta_multi(star_star)^2 diam Q over the
-                      mass-carrying family {Q : mu(3Q) > 0} at scales k_range
-      "s_star_c_tree" sum of beta_multi(star_c)^2 diam Q over a cube tree
-      "beta_sq_set"   sum of beta_sup_set(E cap 3Q, 3Q)^2 diam Q over cubes
-                      whose triple meets E, the support of mu, at scales
-                      k_range
-
-    The mass-carrying family for s_star_star is a desk-scale truncation:
-    faraway empty cubes whose dilate still reaches the support are omitted
-    (their terms are small but nonzero); the report names the family.
+      sum of beta_sup_set(E cap 3Q, 3Q)^2 diam Q, the set TST sum of the
+        support E of mu, whose cubes with 3Q meeting E are exactly these;
+      sum of beta_multi(star_star)^2 diam Q, a desk-scale truncation that
+        omits the faraway empty cubes whose dilate still reaches the support
+        (their terms are small but nonzero).
     """
-    ledger: list[tuple[DyadicCube, float, float]] = []
-    if cache is None:
-        cache = BetaCache(mu)
-    if kind == "s_star_star":
-        if k_range is None:
-            raise ValueError("s_star_star needs k_range")
-        for Q in mass_cube_family(mu, k_range, cache):
-            bv = beta_multi(mu, Q, p, "star_star", cache=cache, refine=refine)
-            ledger.append((Q, bv.value, bv.value**2 * Q.diameter))
-        family = "cubes with mu(3Q) > 0 at scales in k_range"
-    elif kind == "s_star_c_tree":
-        if tree is None or c is None:
-            raise ValueError("s_star_c_tree needs tree and c")
-        for Q in tree:
-            bv = beta_multi(mu, Q, p, "star_c", c=c, cache=cache, refine=refine)
-            ledger.append((Q, bv.value, bv.value**2 * Q.diameter))
-        family = "all member cubes of the tree"
-    elif kind == "beta_sq_set":
-        if k_range is None:
-            raise ValueError("beta_sq_set needs k_range")
-        # the cubes whose triple meets the support are the mass-carrying
-        # triples of mu, and each lists the support points in its triple
-        for k in k_range:
-            for Q, atoms, _mass in cache.mass_triples(k):
-                b = beta_sup_set(mu.points[atoms], Q.triple())
-                ledger.append((Q, b, b * b * Q.diameter))
-        family = "cubes whose triple meets the point set, at scales in k_range"
-    else:
-        raise ValueError(f"unknown square_sum kind {kind!r}")
-    total = float(sum(t for (_, _, t) in ledger))
-    return SquareSumReport(kind=kind, total=total, ledger=ledger, family=family)
+    cache = BetaCache(mu)
+    rows = []
+    for k in k_range:
+        for Q, atoms, _mass in cache.mass_triples(k):
+            b_set = beta_sup_set(mu.points[atoms], Q.triple())
+            rows.append((Q, b_set, beta_multi(mu, Q, p, "star_star", cache=cache).value))
+    return rows

@@ -21,7 +21,7 @@ from .beta import BetaCache, beta_multi
 from .curve import CurveResult, construct_curve
 from .dyadic import CubeTree, DyadicCube, checked_length, cube_at
 from .errors import CertificateError, TreeStructureError
-from .jones import jones_at, square_sum
+from .jones import jones_at
 from .measure import DiscreteMeasure
 from .nets import fit_alphas, hausdorff_to_segments, nets_from_tree
 
@@ -96,12 +96,6 @@ def localize(
 # tree growing
 
 
-@dataclass
-class GrowResult:
-    tree: CubeTree | None
-    diagnostic: str | None
-
-
 def _check_c(c: float) -> None:
     if not c > 0:
         raise ValueError("lower-regular trees need c > 0")
@@ -118,15 +112,15 @@ def grow_tree(
     base: DyadicCube,
     c: float,
     k_max: int = 8,
-) -> GrowResult:
+) -> CubeTree | None:
     """Deepest lower-regular tree under a base cube, down to scale k_max.
 
     Every member satisfies mu(3Q) >= c diam 3Q. A base cube that fails the
-    inequality yields an empty tree with a diagnostic.
+    inequality grows no tree: None.
     """
     _check_c(c)
     if not _lower_regular_ok(mu, base, c):
-        return GrowResult(None, f"regime predicate fails at base cube {base}")
+        return None
     members = {base}
     frontier = [base]
     while frontier:
@@ -137,7 +131,7 @@ def grow_tree(
             if _lower_regular_ok(mu, child, c):
                 members.add(child)
                 frontier.append(child)
-    return GrowResult(CubeTree(base, frozenset(members)), None)
+    return CubeTree(base, frozenset(members))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +171,10 @@ def draw_through_tree(
     supremum, runs the curve construction at epsilon = 1/32, and checks that
     every leaf center lies within the net tolerance of the curve
     (CertificateError otherwise). Accounting carries the theoretical budget
-    48 max(1/c, 1) s_star_c_tree next to the realized alpha budget; the
-    budget's betas are unrefined like the vertex lines, so with a shared
-    cache they are the values the caller already computed.
+    48 max(1/c, 1) regime_sum next to the realized alpha budget, where
+    regime_sum is the sum of beta*_c^2 diam Q over the tree's members in
+    tree order; its betas are unrefined like the vertex lines, so with a
+    shared cache they are the values the caller already computed.
     """
     _check_c(c)
     for Q in tree:
@@ -214,9 +209,12 @@ def draw_through_tree(
     if not coverage["ok"]:
         raise CertificateError(f"leaf coverage failed: {max_dist} > {tol}")
     acct = dict(curve.accounting)
-    rep = square_sum(mu, "s_star_c_tree", tree=tree, p=p, c=c, cache=cache, refine=False)
-    acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * rep.total
-    acct["regime_sum"] = rep.total
+    regime_sum = float(sum(
+        beta_multi(mu, Q, p, "star_c", c=c, refine=False, cache=cache).value ** 2 * Q.diameter
+        for Q in tree
+    ))
+    acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * regime_sum
+    acct["regime_sum"] = regime_sum
     acct["regime"] = "lower_regular"
     return DrawResult(curve=curve, segments=segs, accounting=acct, coverage=coverage)
 
@@ -338,7 +336,7 @@ def decompose_estimate(
             continue
         seen_bases.add((c, base))
         # the density test made the base lower regular at c, so a tree grows
-        tree = grow_tree(mu, base, c=c, k_max=k_max).tree
+        tree = grow_tree(mu, base, c=c, k_max=k_max)
         b_map = {}
         for Q in tree.members:
             bv = beta_multi(mu, Q, p, "star_c", c=c, refine=False, cache=cache)

@@ -20,7 +20,7 @@ from mrt import (
 from mrt import beta as beta_mod
 from mrt.beta import VARIANTS, _family, _Family, _refine_objective, nearby_cubes_with_mass
 from mrt.dyadic import cube_at
-from mrt.errors import DegenerateRegion
+from mrt.errors import ScaleOverflow
 
 from _oracle import (
     brute_force_line_oracle,
@@ -75,7 +75,7 @@ class TestBetaFixedLine:
     def test_degenerate_region(self):
         # at scale 1100 the side 2^-1100 rounds to 0; the origin's index stays 0
         mu = DiscreteMeasure([[0.0, 0.0]], [1.0])
-        with pytest.raises(DegenerateRegion):
+        with pytest.raises(ScaleOverflow, match="cube diameter at scale 1100 underflows"):
             beta_fixed_line(mu, DyadicCube(1100, (0, 0)), Line([0, 0], [1, 0]), 2)
 
     def test_rejects_bad_p(self):

@@ -381,8 +381,11 @@ def test_tst_helix(tmp_path):
     out = tmp_path / "report.json"
     assert main(["tst", str(measure), "--k-hi", "2", "-o", str(out)]) == 0
     rep = json.loads(out.read_text())
+    # both sums run over the cubes with mu(3Q) > 0, in one pass
+    assert [c["cube"] for c in rep["beta_sq_set"]["cubes"]] == [c["cube"] for c in rep["s_star_star"]["cubes"]]
     for kind in ("beta_sq_set", "s_star_star"):
         cubes = rep[kind]["cubes"]
+        # sum adds left to right from 0, as the report's total does
         assert cubes and rep[kind]["total"] == sum(c["term"] for c in cubes)
 
 
@@ -442,6 +445,10 @@ def _raise_runtime_error(*_args):
         ("0,0,1\n", ["jones", "--k-max", "1030"], None, 2, "input", "ScaleOverflow"),
         ("0,0,1\n", ["jones", "--k-max", "1060"], None, 2, "input", "ScaleOverflow"),
         ("0,0,1\n", ["decompose", "--k-max", "1060"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n", ["jones", "--variant", "tilde", "--k-max", "1030"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n", ["jones", "--variant", "tilde", "--k-max", "1100"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n", ["tst", "--k-lo", "1100", "--k-hi", "1100"], None, 2, "input", "ScaleOverflow"),
+        ("0,0,1\n", ["tst", "--k-hi", "1100"], None, 2, "input", "ScaleOverflow"),
         ("0.1,0.2,1\n0.3\n", ["beta"], None, 2, "input", "InputFormatError"),
         ('{"dim": 2, "atoms": [[0.1, 0.2, 1], [0.3, 0.4, -1]]}', ["beta"], None, 2, "input", "InputFormatError"),
         ('{"atoms": [[0.1, 0.2, 1], [0.3, 0.4, 0.5, 1]]}', ["beta"], None, 2, "input", "InputFormatError"),
@@ -469,6 +476,8 @@ def _raise_runtime_error(*_args):
          "infinite-n-cap", "infinite-cstar", "infinite-r0", "scale-overflow", "scale-past-float-range",
          "curve-separation-underflow", "validate-separation-underflow", "decompose-radius-underflow",
          "origin-jones-subnormal-diameter", "origin-jones-past-1024", "origin-decompose-subnormal-radius",
+         "origin-jones-tilde-subnormal-diameter", "origin-jones-tilde-past-1024", "origin-tst-past-1024",
+         "origin-tst-subnormal-diameter",
          "one-field-row", "json-nonpositive-weight", "json-wrong-dimension", "empty-csv",
          "empty-json", "non-numeric-p", "unknown-option", "variant-of-another-command",
          "non-numeric-c-ladder", "removed-seed-option", "removed-validate-k-hi-option",

@@ -81,10 +81,8 @@ class TestHandBuiltT2:
 
     def test_certificate_passes(self):
         result = self.build()
-        rep = length_certificate(result)
-        assert rep.ok
-        assert rep.checks["cores_checked"] == 1
-        assert rep.checks["bridges_checked"] == 1
+        checks = length_certificate(result)
+        assert checks == {"cores_checked": 1, "bridges_checked": 1, "stages_checked": len(result.ledger.stages)}
 
     def test_certificate_catches_deleted_bridge_pair(self):
         result = self.build()

@@ -5,17 +5,17 @@ from hypothesis import strategies as st
 
 from mrt import (
     BetaCache,
-    CubeTree,
     DiscreteMeasure,
     DyadicCube,
     beta_multi,
+    beta_sup_set,
     cube_at,
     jones_at,
     square_sum,
 )
-from mrt.jones import JONES_VARIANTS, mass_cube_family
+from mrt.jones import JONES_VARIANTS
 
-from _oracle import box_contains, chain_jones, chain_of_cubes
+from _oracle import box_contains, chain_jones, mass_triples
 from _samples import four_corner_cantor, segment_measure
 
 
@@ -151,59 +151,41 @@ class TestDefaultTruncation:
 
 
 class TestSquareSum:
-    def test_tree_sum_matches_ledger_and_direct(self):
-        mu = four_corner_cantor(2)
-        chain = chain_of_cubes(mu.points[5], 3)
-        tree = CubeTree(chain[0], chain)
-        rep = square_sum(mu, "s_star_c_tree", tree=tree, p=2, c=0.05, refine=False)
-        # a fresh cache, so the direct sum solves every family again
-        direct = sum(
-            beta_multi(mu, Q, 2, "star_c", c=0.05, refine=False, cache=BetaCache(mu)).value ** 2
-            * Q.diameter
-            for Q in tree
-        )
-        assert direct > 0
-        assert rep.total == pytest.approx(direct, abs=1e-15)
-        assert rep.total == pytest.approx(sum(t for (_, _, t) in rep.ledger))
-        assert len(rep.ledger) == len(tree)
-
     def test_star_star_flat(self):
-        mu = segment_measure(10)
-        rep = square_sum(mu, "s_star_star", k_range=range(0, 2), refine=False)
-        assert rep.total <= 1e-20
-
-    def test_star_c_tree_needs_c(self):
-        mu = segment_measure(6)
-        chain = chain_of_cubes(mu.points[0], 1)
-        tree = CubeTree(chain[0], chain)
-        with pytest.raises(ValueError):
-            square_sum(mu, "s_star_c_tree", tree=tree)
-        rep = square_sum(mu, "s_star_c_tree", tree=tree, c=0.05, refine=False)
-        assert rep.total <= 1e-20
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            square_sum(segment_measure(3), "nope")
+        # collinear atoms: every beta** is 0
+        rows = square_sum(segment_measure(10), range(0, 2))
+        assert rows
+        assert sum(bss**2 * Q.diameter for (Q, _, bss) in rows) <= 1e-20
 
     def test_beta_sq_set(self):
         # the set version reads the support only: the weights do not matter
         sq = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
-        rep = square_sum(DiscreteMeasure(sq, [1.0, 2.0, 3.0, 4.0]), "beta_sq_set", k_range=range(0, 2))
-        assert rep.total > 0
-        assert rep.total == square_sum(DiscreteMeasure(sq, np.ones(4)), "beta_sq_set", k_range=range(0, 2)).total
-        for Q, b, term in rep.ledger:
-            assert term == pytest.approx(b * b * Q.diameter)
+        rows = square_sum(DiscreteMeasure(sq, [1.0, 2.0, 3.0, 4.0]), range(0, 2))
+        unit = square_sum(DiscreteMeasure(sq, np.ones(4)), range(0, 2))
+        assert [(Q, b) for (Q, b, _) in rows] == [(Q, b) for (Q, b, _) in unit]
+        assert sum(b * b * Q.diameter for (Q, b, _) in rows) > 0
+        for Q, _, _ in rows:
             assert np.any(box_contains(Q.triple(), sq))
         line = np.column_stack([np.linspace(0, 1, 7), np.full(7, 0.5)])
-        flat = square_sum(DiscreteMeasure(line, np.ones(7)), "beta_sq_set", k_range=range(0, 2))
-        assert flat.total <= 1e-20
+        flat = square_sum(DiscreteMeasure(line, np.ones(7)), range(0, 2))
+        assert sum(b * b * Q.diameter for (Q, b, _) in flat) <= 1e-20
+
+    def test_rows_are_the_two_betas(self):
+        # each row holds the cube's set beta and its beta** at the given p,
+        # bit for bit as a fresh computation gives them
+        mu = four_corner_cantor(2)
+        for p in (1, 2):
+            for Q, b_set, b_ss in square_sum(mu, range(0, 2), p):
+                atoms = np.flatnonzero(box_contains(Q.triple(), mu.points))
+                assert b_set == beta_sup_set(mu.points[atoms], Q.triple())
+                assert b_ss == beta_multi(mu, Q, p, "star_star", cache=BetaCache(mu)).value
 
     def test_mass_cube_family(self):
+        # the rows are the cubes with mu(3Q) > 0, scale by scale, each scale
+        # sorted by index as the candidate scan lists them
         mu = segment_measure(9)
-        cache = BetaCache(mu)
-        fam = mass_cube_family(mu, range(0, 3), cache)
-        for Q in fam:
-            assert mu.mass(Q.triple()) > 0
+        fam = [Q for (Q, _, _) in square_sum(mu, range(0, 3))]
+        assert fam == [R for k in range(0, 3) for (R, _, _) in mass_triples(mu, k)]
         # brute force at one scale: every cube with massive triple is present
         k = 2
         got = {Q.index for Q in fam if Q.k == k}

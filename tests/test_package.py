@@ -61,14 +61,14 @@ HOOK_ATTRS = {"beta.beta_multi": {"distinct", "computed"}, "geometry.pattern_sea
 
 
 @pytest.mark.parametrize(
-    "args, names",
+    "args, names, square_sums",
     [
-        (["decompose", "--k-max", "3"], {"measure.density_profile", "beta.beta_multi", "parallel.pmap"}),
-        (["tst", "--k-hi", "1"], {"beta.beta_multi", "geometry.pattern_search"}),
+        (["decompose", "--k-max", "3"], {"measure.density_profile", "beta.beta_multi", "parallel.pmap"}, 0),
+        (["tst", "--k-hi", "1"], {"beta.beta_multi", "geometry.pattern_search", "jones.square_sum"}, 1),
     ],
     ids=["decompose", "tst"],
 )
-def test_traced_run(tmp_path, args, names):
+def test_traced_run(tmp_path, args, names, square_sums):
     # a traced name that resolves can still break the tracer: its hooks bind
     # arguments by name or position (beta_multi's refine and cache, pmap's
     # third argument, pattern_search's f), so run the tracer end to end
@@ -82,6 +82,8 @@ def test_traced_run(tmp_path, args, names):
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(spans_path.read_text())["spans"]
     assert names <= {s["name"] for s in spans}
+    # tst makes its one pass over the cubes inside the span the benchmark times
+    assert sum(s["name"] == "jones.square_sum" for s in spans) == square_sums
     for s in spans:
         assert HOOK_ATTRS.get(s["name"], set()) <= set(s.get("attrs", {})), s
 
