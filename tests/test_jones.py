@@ -5,17 +5,19 @@ from hypothesis import strategies as st
 
 from mrt import (
     BetaCache,
+    CubeTree,
     DiscreteMeasure,
     DyadicCube,
     beta_multi,
     beta_sup_set,
     cube_at,
+    draw_through_tree,
     jones_at,
     square_sum,
 )
 from mrt.jones import JONES_VARIANTS
 
-from _oracle import box_contains, chain_jones, mass_triples
+from _oracle import box_contains, chain_jones, chain_of_cubes, mass_triples
 from _samples import four_corner_cantor, segment_measure
 
 
@@ -151,6 +153,22 @@ class TestDefaultTruncation:
 
 
 class TestSquareSum:
+    def test_tree_sum_matches_ledger_and_direct(self):
+        # the tree sum of beta*_c^2 diam Q that draw_through_tree carries
+        mu = four_corner_cantor(2)
+        chain = chain_of_cubes(mu.points[5], 3)
+        tree = CubeTree(chain[0], chain)
+        acct = draw_through_tree(mu, tree, c=0.05).accounting
+        # a fresh cache, so the direct sum solves every family again
+        direct = sum(
+            beta_multi(mu, Q, 2, "star_c", c=0.05, refine=False, cache=BetaCache(mu)).value ** 2
+            * Q.diameter
+            for Q in tree
+        )
+        assert direct > 0
+        assert acct["regime_sum"] == direct
+        assert acct["regime_budget"] == 48.0 * (1.0 / 0.05) * direct
+
     def test_star_star_flat(self):
         # collinear atoms: every beta** is 0
         rows = square_sum(segment_measure(10), range(0, 2))
