@@ -33,8 +33,7 @@ _MODULES = {
     "measure": ("DiscreteMeasure",),
     "nets": ("AlphaAssignment", "NetSequence", "fit_alphas", "nets_from_points", "nets_from_tree",
              "validate_nets"),
-    "rectify": ("DecompositionReport", "DrawResult", "decompose_estimate", "draw_through_tree",
-                "grow_tree", "localize"),
+    "rectify": ("DrawResult", "decompose_estimate", "draw_through_tree", "grow_tree", "localize"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 

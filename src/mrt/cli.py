@@ -73,7 +73,8 @@ def load_measure(path, fmt: str = "auto") -> DiscreteMeasure:
     csv rows hold n coordinates followed by a positive weight; `#` lines are
     comments and an optional `# dim=<n>` header pins the dimension. json
     holds {"dim": n, "atoms": [[x1..xn, w], ...]}. Both formats check each
-    row with _check_row, and errors name the offending line or atom.
+    row with _check_row, and errors name the offending line or atom. A file
+    that cannot be read or decoded raises InputFormatError naming the path.
     """
     p = pathlib.Path(path)
     if not p.is_file():
@@ -82,7 +83,11 @@ def load_measure(path, fmt: str = "auto") -> DiscreteMeasure:
         fmt = "json" if p.suffix.lower() == ".json" else "csv"
     if fmt not in ("csv", "json"):
         raise InputFormatError(f"unknown format {fmt!r} (expected csv or json)")
-    rows = (_json_rows if fmt == "json" else _csv_rows)(p.read_text(), path)
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"{path}: cannot read: {exc}") from exc
+    rows = (_json_rows if fmt == "json" else _csv_rows)(text, path)
     if not rows:
         raise InputFormatError(f"{path}: no atoms")
     table = np.array(rows, dtype=float)
@@ -161,12 +166,18 @@ def save_measure(mu: DiscreteMeasure, path) -> None:
 
 
 def save_report(report: dict, path=None) -> None:
-    """Write a report, an error object or a measure as JSON to a path, or stdout if none."""
+    """Write a report, an error object or a measure as JSON to a path, or stdout if none.
+
+    A path that cannot be written raises InputFormatError naming the path.
+    """
     text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        pathlib.Path(path).write_text(text)
+        try:
+            pathlib.Path(path).write_text(text)
+        except OSError as exc:
+            raise InputFormatError(f"{path}: cannot write: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +306,6 @@ def _line_dict(line) -> dict | None:
             "direction": [float(v) for v in canon.direction]}
 
 
-def _cube_dict(Q) -> dict:
-    return {"k": Q.k, "index": [int(v) for v in Q.index]}
-
-
 def cmd_beta(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     cache = BetaCache(mu)
     work = []
@@ -310,7 +317,7 @@ def cmd_beta(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
         Q, mass = item
         bv = beta_multi(mu, Q, cfg.p, cfg.variant, c=cfg.c, cache=cache)
         return {
-            "cube": _cube_dict(Q),
+            "cube": Q.as_dict(),
             "beta": float(bv.value),
             "mass_triple": float(mass),
             "line": _line_dict(bv.line),
@@ -346,7 +353,7 @@ def cmd_tst(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
         return {
             "total": float(sum(t for (_, _, t) in ledger)),
             "family": family,
-            "cubes": [{"cube": _cube_dict(Q), "beta": float(b), "term": float(t)} for (Q, b, t) in ledger],
+            "cubes": [{"cube": Q.as_dict(), "beta": float(b), "term": float(t)} for (Q, b, t) in ledger],
         }
 
     return {
@@ -415,48 +422,8 @@ def cmd_curve(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
 def cmd_decompose(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     from .rectify import decompose_estimate
 
-    rep = decompose_estimate(
-        mu,
-        p=cfg.p,
-        c_ladder=cfg.c_ladder,
-        N_cap=cfg.n_cap,
-        eps_ladder=cfg.eps_ladder,
-        k_max=cfg.k_max,
-    )
-    atoms = [
-        {
-            "atom": a.index,
-            "density": a.density,
-            "jones": a.jones,
-            "c_used": a.c_used,
-            "label": a.label,
-            "reason": a.reason,
-        }
-        for a in rep.atoms
-    ]
-    curves = [
-        {
-            "regime": d.accounting["regime"],
-            "n_segments": len(d.curve.segments),
-            "length_dedup": d.accounting["length_dedup"],
-            "c_hat": d.accounting["c_hat"],
-            "regime_budget": d.accounting["regime_budget"],
-            "coverage": d.coverage,
-        }
-        for d in rep.curves
-    ]
-    return {
-        "params": rep.params,
-        "atoms": atoms,
-        "curves": curves,
-        "dropped": [
-            {"atom": d.atom, "c": d.c, "reason": d.reason, "base_cube": _cube_dict(d.base_cube)}
-            for d in rep.dropped
-        ],
-        "rect_mass": rep.rect_mass,
-        "captured_mass": rep.captured_mass,
-        "captured_fraction": rep.captured_fraction,
-    }, EXIT_OK
+    return decompose_estimate(mu, p=cfg.p, c_ladder=cfg.c_ladder, N_cap=cfg.n_cap,
+                              eps_ladder=cfg.eps_ladder, k_max=cfg.k_max), EXIT_OK
 
 
 def cmd_validate(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:

@@ -68,8 +68,8 @@ class BridgeRecord:
     b: tuple
     index_set: frozenset
     segments: list[Segment]
+    core: tuple                               # (point, point)
     cases: set = field(default_factory=set)   # {"initial", "I", "T2"}
-    core: tuple | None = None                 # (point, point)
 
     @property
     def key(self) -> tuple:
@@ -374,9 +374,7 @@ def _accounting(segments, bridges, cores, ledger, nets, alphas, k0) -> dict:
     naive, dedup = curve_length(segments)
     edge_total = float(sum(s.length for s in segments if s.kind == "edge"))
     bridge_total = float(sum(rec.length for rec in bridges.values()))
-    core_total = float(
-        sum(math.dist(rec.core[0], rec.core[1]) for rec in cores if rec.core is not None)
-    )
+    core_total = float(sum(math.dist(rec.core[0], rec.core[1]) for rec in cores))
     phantom_final = ledger.total(max(ledger.stages)) if ledger.stages else 0.0
     budget_full = alphas.budget() if alphas is not None else 0.0
     budget_stages = 0.0
@@ -543,7 +541,7 @@ def length_certificate(result: CurveResult) -> dict:
     nets = result.nets
     cstar, r0 = nets.cstar, nets.r0
     tol = 1e-12 * r0
-    cores = [rec for rec in result.cores if rec.core is not None]
+    cores = result.cores
     for i in range(len(cores)):
         for j in range(i + 1, len(cores)):
             d = segment_distance(*map(np.asarray, cores[i].core + cores[j].core))

@@ -107,6 +107,10 @@ class DyadicCube:
         shift = R.k - self.k
         return all(i >> shift == j for i, j in zip(R.index, self.index))
 
+    def as_dict(self) -> dict:
+        """The cube as a report entry: {"k": k, "index": [j_1, ..., j_n]}."""
+        return {"k": self.k, "index": [int(v) for v in self.index]}
+
 
 def cell_index(X, k: int) -> np.ndarray:
     """Integer index of the scale-k cube holding each coordinate, floor(x 2^k).

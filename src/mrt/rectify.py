@@ -5,14 +5,14 @@ member's triple carries mass at least c times its diameter), localize the
 tree against a per-cube budget to split good from bad cubes, build nets
 through the good tree's centers of mass, and run the curve construction with
 beta*_c lines and alphas. The decomposition estimator applies this machinery
-per atom and reports which atoms look carried by rectifiable curves at desk
-scale, with every threshold exposed.
+per atom and returns the `mrt decompose` report body: which atoms look
+carried by rectifiable curves at desk scale, and the curves drawn.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +142,7 @@ def grow_tree(
 class DrawResult:
     curve: CurveResult
     # the curve as (a, b) point pairs; a curve with no segment is its first
-    # vertex (a, a), and a curve with no vertex is empty
+    # vertex (a, a)
     segments: list[tuple[np.ndarray, np.ndarray]]
     accounting: dict
     coverage: dict
@@ -193,18 +193,16 @@ def draw_through_tree(
         alphas.entries[key] = (line, max(fitted_alpha, theory[key]))
     curve = construct_curve(nets, alphas)
     segs = [(np.asarray(s.a, dtype=float), np.asarray(s.b, dtype=float)) for s in curve.segments]
-    if not segs and curve.vertices:
+    if not segs:
+        # construct_curve returns at least one vertex
         v = np.asarray(curve.vertices[0], dtype=float)
         segs = [(v, v)]
-    children = {Q: tree.children_in_tree(Q) for Q in tree.members}
-    leaf_centers = [
-        mu.center_of_mass(Q.triple()) for Q in tree if not children[Q] and mu.mass(Q.triple()) > 0
-    ]
+    # every member is lower regular with c > 0, so each leaf's triple has mass
+    leaf_centers = [mu.center_of_mass(Q.triple()) for Q in tree if not tree.children_in_tree(Q)]
     tol = 2.0 * nets.cstar * nets.sep(nets.K) + tree.top.side * math.sqrt(mu.dim) * 2.0 ** (
         -(nets.K)
     )
-    # no segment at all leaves every leaf center at infinite distance
-    max_dist = hausdorff_to_segments(np.array(leaf_centers), segs) if leaf_centers else 0.0
+    max_dist = hausdorff_to_segments(np.array(leaf_centers), segs)
     coverage = {"max_leaf_distance": max_dist, "tolerance": tol, "ok": max_dist <= tol}
     if not coverage["ok"]:
         raise CertificateError(f"leaf coverage failed: {max_dist} > {tol}")
@@ -215,43 +213,11 @@ def draw_through_tree(
     ))
     acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * regime_sum
     acct["regime_sum"] = regime_sum
-    acct["regime"] = "lower_regular"
     return DrawResult(curve=curve, segments=segs, accounting=acct, coverage=coverage)
 
 
 # ---------------------------------------------------------------------------
 # decomposition estimator
-
-
-@dataclass
-class AtomReport:
-    index: int
-    density: float
-    jones: float | None
-    c_used: float | None
-    label: str
-    reason: str | None
-
-
-@dataclass
-class DroppedTree:
-    """A rect-candidate's tree that was not drawn, with the reason."""
-
-    atom: int
-    c: float
-    base_cube: DyadicCube
-    reason: str
-
-
-@dataclass
-class DecompositionReport:
-    atoms: list[AtomReport]
-    curves: list[DrawResult]
-    captured_mass: float
-    rect_mass: float
-    captured_fraction: float
-    params: dict
-    dropped: list[DroppedTree] = field(default_factory=list)
 
 
 def decompose_estimate(
@@ -261,8 +227,12 @@ def decompose_estimate(
     N_cap: float = 1e3,
     eps_ladder=(0.5, 0.1),
     k_max: int = 8,
-) -> DecompositionReport:
+) -> dict:
     """Desk-scale rectifiable/unrectifiable labeling with drawn curves.
+
+    Returns the `mrt decompose` report body: a row per atom ("atoms"), per
+    drawn tree ("curves") and per tree not drawn ("dropped"), "rect_mass",
+    "captured_mass" and "captured_fraction".
 
     An atom x clears the density test at a ladder value c when every triple
     of its chain of cubes is lower regular: mu(3Q_k(x)) >= c diam 3Q_k(x) at
@@ -286,9 +256,9 @@ def decompose_estimate(
     deduplicated by base cube). The tree is localized against
     b = beta^2 diam with the eps ladder, and the good tree is drawn;
     captured mass is the rect-candidate mass within tolerance of any curve.
-    A tree that cannot be drawn is listed in `dropped` with the drawing
-    error. Every beta is unrefined (refine=False), which params records.
-    All thresholds are reported, none are asserted as ground truth.
+    A tree that cannot be drawn is listed in "dropped" with the drawing
+    error. Every beta is unrefined (refine=False). No threshold is asserted
+    as ground truth.
     """
     n = mu.dim
     cache = BetaCache(mu)
@@ -322,19 +292,17 @@ def decompose_estimate(
         else:
             label = "unrect-candidate"
             reason = "jones_above_cap" if i in jones else "density_below_threshold"
-        atoms.append(AtomReport(i, dens, jones.get(i), c_used.get(i), label, reason))
+        atoms.append({"atom": i, "density": dens, "jones": jones.get(i), "c_used": c_used.get(i),
+                      "label": label, "reason": reason})
 
-    curves: list[DrawResult] = []
-    dropped: list[DroppedTree] = []
-    seen_bases: set = set()
-    for rep in atoms:
-        if rep.label != "rect-candidate":
-            continue
-        c = rep.c_used
-        base = cube_at(mu.points[rep.index], 0)
-        if (c, base) in seen_bases:
-            continue
-        seen_bases.add((c, base))
+    rect_ids = sorted(c_used)
+    # one tree per (c, scale-0 cube), seeded by its first rect-candidate
+    seeds: dict = {}
+    for i in rect_ids:
+        seeds.setdefault((c_used[i], cube_at(mu.points[i], 0)), i)
+    draws: list[DrawResult] = []
+    dropped = []
+    for (c, base), i in seeds.items():
         # the density test made the base lower regular at c, so a tree grows
         tree = grow_tree(mu, base, c=c, k_max=k_max)
         b_map = {}
@@ -347,36 +315,36 @@ def decompose_estimate(
                 tree = good
                 break
         try:
-            curves.append(draw_through_tree(mu, tree, c, p=p, cache=cache))
+            draws.append(draw_through_tree(mu, tree, c, p=p, cache=cache))
         except (TreeStructureError, CertificateError) as exc:
-            dropped.append(DroppedTree(rep.index, c, base, f"{type(exc).__name__}: {exc}"))
-    rect_ids = [a.index for a in atoms if a.label == "rect-candidate"]
+            dropped.append({"atom": i, "c": c, "base_cube": base.as_dict(),
+                            "reason": f"{type(exc).__name__}: {exc}"})
     rect_mass = float(mu.weights[rect_ids].sum()) if rect_ids else 0.0
     captured_ids: list[int] = []
     slack = 2.0 ** (-k_max) * math.sqrt(n)
     for i in rect_ids:
         x = mu.points[i][None, :]
-        for dr in curves:
-            if dr.segments and hausdorff_to_segments(x, dr.segments) <= dr.coverage["tolerance"] + slack:
+        for dr in draws:
+            if hausdorff_to_segments(x, dr.segments) <= dr.coverage["tolerance"] + slack:
                 captured_ids.append(i)
                 break
     # summed like rect_mass, so that capturing every atom gives exactly 1
     captured = float(mu.weights[captured_ids].sum()) if captured_ids else 0.0
-    fraction = captured / rect_mass if rect_mass > 0 else 0.0
-    params = {
-        "p": p,
-        "c_ladder": list(c_ladder),
-        "N_cap": N_cap,
-        "eps_ladder": list(eps_ladder),
-        "k_max": k_max,
-        "refine": False,
+    curves = [
+        {
+            "n_segments": len(dr.curve.segments),
+            "length_dedup": dr.accounting["length_dedup"],
+            "c_hat": dr.accounting["c_hat"],
+            "regime_budget": dr.accounting["regime_budget"],
+            "coverage": dr.coverage,
+        }
+        for dr in draws
+    ]
+    return {
+        "atoms": atoms,
+        "curves": curves,
+        "dropped": dropped,
+        "rect_mass": rect_mass,
+        "captured_mass": captured,
+        "captured_fraction": captured / rect_mass if rect_mass > 0 else 0.0,
     }
-    return DecompositionReport(
-        atoms=atoms,
-        curves=curves,
-        captured_mass=captured,
-        rect_mass=rect_mass,
-        captured_fraction=fraction,
-        params=params,
-        dropped=dropped,
-    )

@@ -468,6 +468,8 @@ def _raise_runtime_error(*_args):
         ("1,0,1\n1,1e-300,1\n", ["beta", "--p", "1", "--k-hi", "1"], None, 0, None, None),
         ("1,0,1\n1,1e-300,1\n", ["jones", "--variant", "tilde", "--p", "1", "--k-max", "2"], None, 0, None, None),
         ("0.1,0.1,0.001\n0.9,0.9,0.001\n", ["decompose"], None, 0, None, None),
+        (b"\xff\xfe0,0,1\n", ["beta"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["beta", "-o", "<tmp>/missing/report.json"], None, 2, "input", "InputFormatError"),
     ],
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
          "dim-header-conflict", "json-boolean-entry", "json-string-entry", "json-null-entry",
@@ -483,16 +485,21 @@ def _raise_runtime_error(*_args):
          "non-numeric-c-ladder", "removed-seed-option", "removed-validate-k-hi-option",
          "missing-subcommand", "internal-error",
          "near-coincident-beta-p1", "near-coincident-jones-p1", "offset-near-coincident-beta-p1",
-         "offset-near-coincident-jones-p1", "decompose-below-every-density-test"],
+         "offset-near-coincident-jones-p1", "decompose-below-every-density-test", "non-utf8-file",
+         "output-in-missing-directory"],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):
-    measure = tmp_path / ("measure.json" if text is not None and text.startswith("{") else "measure.csv")
-    if text is not None:
+    measure = tmp_path / ("measure.json" if isinstance(text, str) and text.startswith("{") else "measure.csv")
+    if isinstance(text, bytes):
+        measure.write_bytes(text)
+    elif text is not None:
         measure.write_text(text)
     if broken is not None:
         monkeypatch.setattr(cli, broken, _raise_runtime_error)
     out = tmp_path / "report.json"
-    argv = [args[0], str(measure), *args[1:], "-o", str(out)] if args else []
+    # an -o in args comes last and wins; <tmp> names the test's directory
+    opts = [a.replace("<tmp>", str(tmp_path)) for a in args[1:]]
+    argv = [args[0], str(measure), "-o", str(out), *opts] if args else []
     assert main(argv) == code
     if code == 0:
         assert capsys.readouterr().out == ""

@@ -103,6 +103,40 @@ class TestHandBuiltT2:
             length_certificate(result)
 
 
+class TestMovingExtensionChains:
+    """A T2 bridge whose endpoints are missing from every finer level."""
+
+    def build(self):
+        lv0 = np.array([[0.5, 0.0], [30.8, 0.0]])
+        lv1 = np.array([[0.0, 0.0], [31.0, 0.0]])
+        lv2 = np.array([[0.2, 0.0], [30.9, 0.0]])
+        lv3 = np.array([[0.25, 0.0], [30.85, 0.0]])
+        nets = NetSequence([lv0, lv1, lv2, lv3], r0=1.0, cstar=2.0)
+        return construct_curve(nets, fit_alphas(nets))
+
+    def test_chain_segments_are_drawn_and_booked(self):
+        result = self.build()
+        assert list(result.bridges) == [(1, (0.0, 0.0), (31.0, 0.0))]
+        rec = result.bridges[(1, (0.0, 0.0), (31.0, 0.0))]
+        assert rec.cases == {"T2"}
+        chains = [[(0.0, 0.0), (0.2, 0.0), (0.25, 0.0)], [(31.0, 0.0), (30.9, 0.0), (30.85, 0.0)]]
+        chain_segs = {(u, w) for chain in chains for u, w in zip(chain, chain[1:])}
+        # the final snapshot holds every chain segment, owned by the bridge
+        final = {(s.a, s.b): s for s in result.segments}
+        for ab in chain_segs:
+            assert final[ab].kind == "bridge" and final[ab].owner == rec.key
+        assert {(s.a, s.b) for s in rec.segments} == chain_segs | {((0.0, 0.0), (31.0, 0.0))}
+        # the bridge's stage books every pair of both chains
+        pairs = {(1 + j, p) for chain in chains for j, p in enumerate(chain)}
+        assert rec.index_set == pairs and pairs <= result.ledger.stages[1]
+        assert result.accounting["bridge_length"] == pytest.approx(31.4)
+        assert length_certificate(result)["bridges_checked"] == 1
+        assert verify_connected(result.segments) == (True, {"components": 1})
+        # every point of the finest level lies on the curve
+        segs = [(np.asarray(s.a), np.asarray(s.b)) for s in result.segments]
+        assert hausdorff_to_segments(result.nets.levels[-1], segs) <= 1e-12
+
+
 def assert_joined(snap):
     """A stage's segments are connected, and each of its vertices lies on one of them."""
     ok, info = verify_connected(snap.segments)

