@@ -22,22 +22,23 @@ bound: it is the exact score of a concrete witness line, chosen from per-cube
 minimizers, the global minimizer, atom-pair lines, planar angle sweeps, and a
 deterministic pattern-search refinement.
 
-For p = 2 in the plane, small families (<= 16 distinct atoms) solve the
-offset profile: for a line direction, each entry's capped score is a clamped
-convex parabola in the line's offset, so its sublevel sets are intervals and
-the least coupled score over all offsets is the least level at which those
-intervals meet. A bisection on that level runs for many angles at once from
-the per-entry moments. The 720-angle profile's basins are then refined by
-shrinking local angle grids, one batched profile call per round; each
-basin's end line only seeds the candidates.
+For p = 2 in the plane, every family up to 240 atom slots, and every family
+on <= 16 distinct atoms, solves the offset profile: for a line direction,
+each entry's capped score is a clamped convex parabola in the line's offset,
+so its sublevel sets are intervals and the least coupled score over all
+offsets is the least level at which those intervals meet. A bisection on
+that level runs for many angles at once from the per-entry moments. Each
+basin of the profile seeds one candidate: at 720 angles for the small
+families, whose basins are first refined by shrinking local angle grids,
+one batched profile call per round, and at 144 angles for the others.
 
 The search objective and the certified value are kept apart. For p = 2
 every line that only seeds or ranks candidates is scored from per-entry
 moments (mass, centroid and scatter of the weights scaled by diam^-2, the
 L^2 quantities of Lerman, CPAM 2003) in O(entries) per line instead of
-rescanning every atom slot: the 144 x 48 angle-offset grid, the ranking of
-the candidates, and the refinement's pattern search, which scores the polls
-of a search step in one batch. These agree with the direct score up to
+rescanning every atom slot: the angle profile, the ranking of the
+candidates, and the refinement's pattern search, which scores the polls of
+a search step in one batch. These agree with the direct score up to
 rounding. The leading candidates and each search's end line are then scored
 directly, and an end line replaces the witness only if that exact score is
 lower, so the reported value is never a moment value and never exceeds the
@@ -79,13 +80,13 @@ _MAX_ENTRY_FITS = 48
 
 # planar families also get candidates from an angle sweep: the coupled max
 # objective has many local basins (and flat plateaus where every nearby cube
-# is capped) that line fits alone miss. p = 2 families on <= 16 distinct
-# atoms take the least offset per angle (`_Family.offset_profile`) at 720
-# angles, and each basin of that profile is zoomed in on by an 8-angle grid
-# that shrinks 4x per round, all basins in one profile call per round. Other
-# families up to 240 atom slots score a 144 angle x 48 offset grid: for p = 2
-# from the entry moments (`_Family.grid_cell`), in blocks of angles, for
-# other p from the atom slots, one angle at a time (`_Family.slot_grid_cell`).
+# is capped) that line fits alone miss. p = 2 families take the least offset
+# per angle (`_Family.offset_profile`) and one candidate per basin: on <= 16
+# distinct atoms at 720 angles, each basin zoomed in on by an 8-angle grid
+# that shrinks 4x per round, all basins in one profile call per round; up to
+# 240 atom slots at 144 angles. Other p score a 144 angle x 48 offset grid
+# from the atom slots, one angle at a time (`_Family.slot_grid_cell`), up to
+# 240 atom slots.
 _GRID_SLOT_LIMIT = 240
 _GRID_ANGLES = 144
 _GRID_OFFSETS = 48
@@ -93,8 +94,8 @@ _GRID_ANGLES_DENSE = 720
 _ZOOM = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
 # halvings of the level bracket [max_e f_e min(v_e, 1), max_e f_e]
 _PROFILE_BISECTIONS = 64
-# floats per temporary of the p = 2 grid (1 MB): a family of up to 240 slots
-# can have 240 entries, and 240 x 144 x 48 floats are 13 MB
+# slot distances per block of the other-p `approx_scores` (1 MB of floats):
+# the ranking and the refine search score many lines of a whole family each
 _GRID_BLOCK = 1 << 17
 
 
@@ -343,8 +344,8 @@ class _Family:
     the capped, weighted beta^2 for star and star_c, of the capped beta for
     star_star) and `score` that of one line; every value beta_multi reports
     is a `score`. For p = 2 the candidates are seeded and ranked from
-    per-entry moments instead (`moments`, `moment_scores`, `offset_profile`,
-    `grid_cell`), in O(entries) per line.
+    per-entry moments instead (`moments`, `moment_scores`, `offset_profile`),
+    in O(entries) per line.
     """
 
     def __init__(self, mu: DiscreteMeasure, k: int, p, variant: str, c, raw_entries):
@@ -483,32 +484,11 @@ class _Family:
         v = np.outer(C[:, 0, 0], nx * nx) + np.outer(2.0 * C[:, 0, 1], nx * ny) + np.outer(C[:, 1, 1], ny * ny)
         return S0 * self.inv_mass, c, np.maximum(v, 0.0) * self.inv_mass[:, None]
 
-    def grid_cell(self, thetas, ts) -> tuple[int, int]:
-        """The (angle, offset) grid cell of least p = 2 objective, first in row-major order.
-
-        Cell (i, j) is the line {cen + ts[j] nu + r (cos th_i, sin th_i)},
-        where entry e scores f_e min(M0 (t - c)^2 + v, 1) (star_star: the
-        square root), the vertex form of `_planar`. Angles go in blocks so
-        that no temporary holds more than _GRID_BLOCK floats; n = 2 only.
-        """
-        M0, c, v = self._planar(thetas)
-        f = self.entry_factor
-        ts = np.asarray(ts, dtype=float)
-        step = max(1, _GRID_BLOCK // (len(M0) * len(ts)))
-        best, cell = np.inf, (0, 0)
-        for a in range(0, c.shape[1], step):
-            d = ts - c[:, a : a + step, None]
-            b2 = np.minimum(M0[:, None, None] * d * d + v[:, a : a + step, None], 1.0)
-            worst = (b2 * f[:, None, None] if f is not None else np.sqrt(b2)).max(axis=0)
-            j = int(np.argmin(worst))
-            if worst.flat[j] < best:
-                best, cell = worst.flat[j], (a + j // len(ts), j % len(ts))
-        return cell
-
     def slot_grid_cell(self, thetas, ts) -> tuple[int, int]:
         """The (angle, offset) grid cell of least objective, from the atom slots; any p.
 
-        The cells of `grid_cell`, scored one angle at a time from every
+        Cell (i, j) is the line {cen + ts[j] nu + r (cos th_i, sin th_i)},
+        nu = (-sin th_i, cos th_i), scored one angle at a time from every
         slot's offset against every ts; a later angle wins only when
         strictly lower. n = 2 only.
         """
@@ -600,6 +580,11 @@ def _family(mu, k, family, p, variant, c) -> _Family | None:
     return _Family(mu, k, p, variant, c, family) if family else None
 
 
+def _planar_line(cen, th, t) -> Line:
+    """The line {cen + t nu + r (cos th, sin th)}, nu = (-sin th, cos th)."""
+    return Line(cen + t * np.array([-np.sin(th), np.cos(th)]), np.array([np.cos(th), np.sin(th)]))
+
+
 def _refine_objective(fam: _Family, n: int):
     """The refine search's batched objective: each row of X is a line (base, raw direction).
 
@@ -669,9 +654,8 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
     few = len(all_atoms) <= 64 and len(sorted_unique(mu.points[all_atoms])) <= 16
     if few:
         candidates += [Line(a, u) for a, u in zip(*_pair_lines(mu.points[all_atoms]))]
-    dense = few and p == 2
-    if n == 2 and dense:
-        n_ang = _GRID_ANGLES_DENSE
+    if n == 2 and p == 2 and (few or len(slots) <= _GRID_SLOT_LIMIT):
+        n_ang = _GRID_ANGLES_DENSE if few else _GRID_ANGLES
         sweep, sweep_t = fam.offset_profile(np.pi * np.arange(n_ang) / n_ang)
         # refine every local basin of the circular angle profile; value-ranked
         # starts miss narrow dips whose grid samples sit high on the wall
@@ -684,8 +668,9 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
             local = local[np.argsort(sweep[local], kind="stable")[:48]]
         th = np.pi * local / n_ang
         val, tr = sweep[local], sweep_t[local]
-        # a basin at an exact zero has nothing below it to search for
-        live = np.flatnonzero(val > 1e-30)
+        # only small families zoom, and a basin at an exact zero has nothing
+        # below it to search for
+        live = np.flatnonzero(val > 1e-30) if few else np.empty(0, dtype=np.intp)
         rows = np.arange(len(live))
         step = np.pi / n_ang / _ZOOM.max()
         while len(live) and step >= 1e-14:
@@ -700,19 +685,12 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
             sel, pick = live[moved], flat[moved]
             th[sel], val[sel], tr[sel] = grid.ravel()[pick], gv[pick], gt[pick]
             step /= 4.0
-        for a, t in zip(th, tr):
-            candidates.append(
-                Line(cen + t * np.array([-np.sin(a), np.cos(a)]), np.array([np.cos(a), np.sin(a)]))
-            )
+        candidates += [_planar_line(cen, a, t) for a, t in zip(th, tr)]
     elif n == 2 and len(slots) <= _GRID_SLOT_LIMIT:
         rad = float(np.max(np.linalg.norm(Pc, axis=1))) + diameter
         ts = np.linspace(-rad, rad, _GRID_OFFSETS)
-        grid_cell = fam.grid_cell if p == 2 else fam.slot_grid_cell
-        i, j = grid_cell(np.pi * np.arange(_GRID_ANGLES) / _GRID_ANGLES, ts)
-        th, t = np.pi * i / _GRID_ANGLES, float(ts[j])
-        candidates.append(
-            Line(cen + t * np.array([-np.sin(th), np.cos(th)]), np.array([np.cos(th), np.sin(th)]))
-        )
+        i, j = fam.slot_grid_cell(np.pi * np.arange(_GRID_ANGLES) / _GRID_ANGLES, ts)
+        candidates.append(_planar_line(cen, np.pi * i / _GRID_ANGLES, float(ts[j])))
     # cross-pipeline witnesses make the computed values respect the
     # definitional monotonicities term by term (see module docstring)
     witness_ids: list[int] = []

@@ -126,10 +126,6 @@ class Line:
                 raise ValueError("zero direction")
             self.direction = self.direction / norm
 
-    @property
-    def dim(self) -> int:
-        return self.base.shape[0]
-
     def params(self, X) -> np.ndarray:
         """Signed parameter of the orthogonal projection of each point."""
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -93,10 +93,6 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
     # -- region queries -----------------------------------------------------
 
     def cells(self, k: int) -> np.ndarray:

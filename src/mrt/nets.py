@@ -260,7 +260,6 @@ def validate_nets(nets: NetSequence) -> NetValidationReport:
 class AlphaAssignment:
     """Per-(level, vertex) fitted lines and flatness numbers."""
 
-    cstar: float
     r0: float
     entries: dict[tuple[int, int], tuple[Line, float]]
 
@@ -303,7 +302,7 @@ def fit_alphas(
         return ell, alpha
 
     fitted = pmap(one, keys)
-    return AlphaAssignment(cstar=nets.cstar, r0=nets.r0, entries=dict(zip(keys, fitted)))
+    return AlphaAssignment(r0=nets.r0, entries=dict(zip(keys, fitted)))
 
 
 def hausdorff_to_segments(points: np.ndarray, segments: list[tuple[np.ndarray, np.ndarray]]) -> float:

@@ -9,6 +9,9 @@ agreement tests.
 `offset_envelope_min` shares no path with `_Family.offset_profile`: it scores
 one angle from the family's atom slots and takes the least envelope value over
 every vertex and pairwise breakpoint of the entries' capped parabolas.
+`moment_grid_cell` is the p = 2 angle x offset grid from the entry moments
+that the profile replaced; `_Family.slot_grid_cell`, the grid of other p,
+must pick its cell.
 
 `nearby_cubes` and `nearby_count` share no path: the first filters a box
 of candidate indices through the family's defining inequalities, the second
@@ -277,6 +280,24 @@ def offset_envelope(fam, th, ts):
         1.0,
     )
     return (factor[:, None] * b2).max(axis=0)
+
+
+def moment_grid_cell(fam, thetas, ts) -> tuple[int, int]:
+    """The (angle, offset) cell of least planar p = 2 objective, first in row-major order.
+
+    Cell (i, j) is the line {cen + ts[j] nu + r (cos th_i, sin th_i)}, where
+    entry e scores f_e min(M0 (t - c)^2 + v, 1) (star_star: the square root)
+    in the vertex form of `_Family._planar`, every cell in one array. This
+    is the p = 2 grid that `_Family.slot_grid_cell` scores from the atom
+    slots for other p.
+    """
+    M0, c, v = fam._planar(thetas)
+    f = fam.entry_factor
+    d = np.asarray(ts, dtype=float) - c[:, :, None]
+    b2 = np.minimum(M0[:, None, None] * d * d + v[:, :, None], 1.0)
+    worst = (b2 * f[:, None, None] if f is not None else np.sqrt(b2)).max(axis=0)
+    i, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
+    return int(i), int(j)
 
 
 def offset_envelope_min(fam, th) -> tuple[float, float]:

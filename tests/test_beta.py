@@ -26,6 +26,7 @@ from _oracle import (
     brute_force_line_oracle,
     in_nearby_family,
     mass_triples,
+    moment_grid_cell,
     moment_score,
     offset_envelope,
     offset_envelope_min,
@@ -399,28 +400,26 @@ GRID_ANGLES = np.pi * np.arange(beta_mod._GRID_ANGLES) / beta_mod._GRID_ANGLES
 class TestMomentGrid:
     """The p = 2 grid and candidate ranking from entry moments agree with the slot forms.
 
-    `slot_grid_cell` is the grid that other p score from the atom slots.
+    `slot_grid_cell` is the grid that other p score from the atom slots, and
+    `moment_grid_cell` the p = 2 grid that the offset profile replaced.
     """
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_grid_picks_slot_cell(self, variant):
-        blocks = []
         for fam, k in grid_families(variant):
             ts = grid_offsets(fam, k)
-            assert fam.grid_cell(GRID_ANGLES, ts) == fam.slot_grid_cell(GRID_ANGLES, ts)
-            blocks.append(len(fam.entries) * len(ts) * len(GRID_ANGLES) / beta_mod._GRID_BLOCK)
-        # some family's grid spans several angle blocks
-        assert max(blocks) > 2
+            assert moment_grid_cell(fam, GRID_ANGLES, ts) == fam.slot_grid_cell(GRID_ANGLES, ts)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_grid_cell_does_not_depend_on_block_size(self, variant, monkeypatch):
-        fam, k = next(grid_families(variant))
-        ts = grid_offsets(fam, k)
-        cells = set()
-        for block in (1, 5 * len(ts) * len(fam.entries), 1 << 30):
-            monkeypatch.setattr(beta_mod, "_GRID_BLOCK", block)
-            cells.add(fam.grid_cell(GRID_ANGLES, ts))
-        assert len(cells) == 1
+    def test_profile_is_no_worse_than_grid(self, variant):
+        # at every angle the profile takes the least offset, so its least
+        # value over the grid's angles is at most the grid's best cell
+        for fam, k in grid_families(variant):
+            ts = grid_offsets(fam, k)
+            i, j = moment_grid_cell(fam, GRID_ANGLES, ts)
+            grid_best = offset_envelope(fam, GRID_ANGLES[i], ts[j])[0]
+            vals, _ = fam.offset_profile(GRID_ANGLES)
+            assert vals.min() <= grid_best * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_score_many_matches_slot_scores(self, variant):
@@ -629,6 +628,24 @@ class TestGoldenDenseBeta:
             assert bv.value <= row["value"] * (1.0 + 1e-12)
             score = cube_family(mu, Q, row["p"], row["variant"], row["c"], cache).score(bv.line)
             assert bv.value == (score if row["variant"] == "star_star" else float(np.sqrt(score)))
+
+
+class TestBasinZoom:
+    """The dense sweep zooms in on each basin of its 720-angle profile."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_beats_a_finer_angle_grid(self, variant):
+        # the least profile value over 64 x 720 angles bounds the value from
+        # above only if the basins are searched between the 720 samples:
+        # without the zoom, star reads 0.04999378831609332 here
+        mu = lipschitz_graph_measure(16)
+        Q = DyadicCube(3, (0, 3))
+        c = 0.05 if variant == "star_c" else None
+        fam = cube_family(mu, Q, 2, variant, c)
+        assert len(np.unique(fam.P, axis=0)) <= 16
+        vals, _ = fam.offset_profile(np.pi * np.arange(64 * 720) / (64 * 720))
+        bv = beta_multi(mu, Q, 2, variant, c=c, refine=False)
+        assert bv.value <= float(np.sqrt(vals.min()))
 
 
 def solve_keys(mu, Q, p, variant, c, refine, cache):

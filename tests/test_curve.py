@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -91,6 +93,16 @@ class TestHandBuiltT2:
         stage = rec.gen
         result.ledger.stages[stage] = frozenset(result.ledger.stages[stage] - {victim})
         with pytest.raises(CertificateError):
+            length_certificate(result)
+
+    def test_certificate_catches_intersecting_cores(self):
+        # a second bridge whose core is the first one's
+        result = self.build()
+        rec = result.cores[0]
+        twin = dataclasses.replace(rec, gen=rec.gen + 1)
+        result.cores.append(twin)
+        pattern = f"cores of bridges {re.escape(str(rec.key))} and {re.escape(str(twin.key))} intersect"
+        with pytest.raises(CertificateError, match=pattern):
             length_certificate(result)
 
     def test_certificate_catches_deleted_terminal_pair(self):

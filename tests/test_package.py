@@ -88,6 +88,15 @@ def test_traced_run(tmp_path, args, names, square_sums):
         assert HOOK_ATTRS.get(s["name"], set()) <= set(s.get("attrs", {})), s
 
 
+def test_benchmark_selftest():
+    # one round of each workload through every benchmark check, so a report
+    # edit that breaks a check fails here and not only in a benchmark run;
+    # the self-test writes only under the ignored .perfbench_out/
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+
 def test_pattern_search_objective_is_named_f():
     # the tracer counts objective calls by wrapping the argument named f
     from mrt.geometry import pattern_search
