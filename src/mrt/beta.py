@@ -7,10 +7,11 @@ For a region E with diameter diam E and a line l,
 with the convention beta = 0 when mu(E) = 0. beta_best takes the infimum over
 lines for a single region. beta_multi takes the coupled infimum for a dyadic
 cube Q over its nearby-cube family Delta*(Q) (same scale and one coarser,
-triples inside the closed 1600 sqrt(n) dilate of Q):
+triples inside the closed 1600 sqrt(n) dilate of Q), in the L^2 gauge (p = 2)
+in which the characterization is stated:
 
-    variant "star":       inf_l max_R bhat_p(mu, 3R, l)^2 * min(mu(3R)/diam 3R, 1)
-    variant "star_star":  inf_l max_R bhat_p(mu, 3R, l)
+    variant "star":       inf_l max_R bhat_2(mu, 3R, l)^2 * min(mu(3R)/diam 3R, 1)
+    variant "star_star":  inf_l max_R bhat_2(mu, 3R, l)
     variant "star_c":     as "star" but only R with mu(3R) >= c diam 3R,
                           weight min(c, 1); zero if no cube qualifies
 
@@ -22,37 +23,34 @@ bound: it is the exact score of a concrete witness line, chosen from per-cube
 minimizers, the global minimizer, atom-pair lines, planar angle sweeps, and a
 deterministic pattern-search refinement.
 
-For p = 2 in the plane, every family up to 240 atom slots, and every family
-on <= 16 distinct atoms, solves the offset profile: for a line direction,
-each entry's capped score is a clamped convex parabola in the line's offset,
-so its sublevel sets are intervals and the least coupled score over all
+In the plane, every family up to 240 atom slots, and every family on <= 16
+distinct atoms, solves the offset profile: for a line direction, each
+entry's capped score is a clamped convex parabola in the line's offset, so
+its sublevel sets are intervals and the least coupled score over all
 offsets is the least level at which those intervals meet. A bisection on
 that level runs for many angles at once from the per-entry moments. Each
 basin of the profile seeds one candidate: at 720 angles for the small
 families, whose basins are first refined by shrinking local angle grids,
 one batched profile call per round, and at 144 angles for the others.
 
-The search objective and the certified value are kept apart. For p = 2
-every line that only seeds or ranks candidates is scored from per-entry
-moments (mass, centroid and scatter of the weights scaled by diam^-2, the
-L^2 quantities of Lerman, CPAM 2003) in O(entries) per line instead of
-rescanning every atom slot: the angle profile, the ranking of the
-candidates, and the refinement's pattern search, which scores the polls of
-a search step in one batch. These agree with the direct score up to
-rounding. The leading candidates and each search's end line are then scored
-directly, and an end line replaces the witness only if that exact score is
-lower, so the reported value is never a moment value and never exceeds the
-unrefined witness's score. Other p seed, rank and search on the exact
-score itself, from the atom slots, many lines per call (`slot_scores`).
-One scorer, `_Family.approx_scores`, makes that choice for the ranking and
-the search alike.
+The search objective and the certified value are kept apart. Every line
+that only seeds or ranks candidates is scored from per-entry moments (mass,
+centroid and scatter of the weights scaled by diam^-2, the L^2 quantities
+of Lerman, CPAM 2003) in O(entries) per line instead of rescanning every
+atom slot: the angle profile, the ranking of the candidates, and the
+refinement's pattern search, which scores the polls of a search step in one
+batch. These agree with the direct score up to rounding. The leading
+candidates and each search's end line are then scored directly, and an end
+line replaces the witness only if that exact score is lower, so the
+reported value is never a moment value and never exceeds the unrefined
+witness's score.
 
-The p = 1 search additionally scores the p = 2 witness and the star_c search
-scores the star witness, so the computed values inherit the monotonicity of
-the definitions: nondecreasing in p on {1, 2} and star_c <= star cube by cube.
+The star_c search additionally scores the star witness, so the computed
+values inherit the monotonicity of the definitions: star_c <= star cube by
+cube.
 
 The solve reads only the scale and the family of mass-carrying nearby cubes,
-never the cube itself, so BetaCache runs it once per (scale, family, p,
+never the cube itself, so BetaCache runs it once per (scale, family,
 variant, c, refine) and every cube with that family gets the same bits; the
 family is named by its members' positions in the per-scale triple lists. On a
 finite measure the 1600 sqrt(n) dilate often covers the whole support, and
@@ -80,23 +78,17 @@ _MAX_ENTRY_FITS = 48
 
 # planar families also get candidates from an angle sweep: the coupled max
 # objective has many local basins (and flat plateaus where every nearby cube
-# is capped) that line fits alone miss. p = 2 families take the least offset
-# per angle (`_Family.offset_profile`) and one candidate per basin: on <= 16
-# distinct atoms at 720 angles, each basin zoomed in on by an 8-angle grid
-# that shrinks 4x per round, all basins in one profile call per round; up to
-# 240 atom slots at 144 angles. Other p score a 144 angle x 48 offset grid
-# from the atom slots, one angle at a time (`_Family.slot_grid_cell`), up to
-# 240 atom slots.
+# is capped) that line fits alone miss. They take the least offset per angle
+# (`_Family.offset_profile`) and one candidate per basin: on <= 16 distinct
+# atoms at 720 angles, each basin zoomed in on by an 8-angle grid that
+# shrinks 4x per round, all basins in one profile call per round; up to 240
+# atom slots at 144 angles.
 _GRID_SLOT_LIMIT = 240
 _GRID_ANGLES = 144
-_GRID_OFFSETS = 48
 _GRID_ANGLES_DENSE = 720
 _ZOOM = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
 # halvings of the level bracket [max_e f_e min(v_e, 1), max_e f_e]
 _PROFILE_BISECTIONS = 64
-# slot distances per block of the other-p `approx_scores` (1 MB of floats):
-# the ranking and the refine search score many lines of a whole family each
-_GRID_BLOCK = 1 << 17
 
 
 @dataclass
@@ -188,8 +180,8 @@ class BetaCache:
     small measure every cube of a scale has the same nearby family. So the
     coupled inf-max is memoized per family: the key is the raw family of
     `nearby_cubes_with_mass`, named by the scale and the member positions in
-    the per-scale lists mass_triples(k) and mass_triples(k - 1), with p,
-    variant, c and refine; the solve reads nothing else of the cube. Each
+    the per-scale lists mass_triples(k) and mass_triples(k - 1), with variant,
+    c and refine; the solve reads nothing else of the cube. Each
     cube's value is also kept under its exact (cube, p, variant, c, refine)
     key; it is its family's value object itself. All keys are exact, so hits
     are bit-identical to recomputation.
@@ -233,9 +225,8 @@ class BetaCache:
         """The cube value for key, calling compute() only if none is stored.
 
         compute() may ask for other keys, never for its own: a cube key asks
-        only for its family key, and a family key asks only for the sibling
-        family keys of beta_multi's witnesses, from p = 1 to p = 2 and from
-        star_c to star.
+        only for its family key, and a star_c family key asks only for the
+        star family key of its witness.
         """
         return _memo(self._values, key, compute)
 
@@ -300,33 +291,35 @@ def beta_multi(
     See module docstring for the three variants. The returned value equals
     the witness line's exact score (sqrt of the weighted min-max for the
     squared variants), making it a certified upper bound of the infimum.
+    p must be 2 (ValueError otherwise); it stays in the signature and in the
+    cube key (Q, p, variant, c, refine) that perfbench's tracer reads.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if variant == "star_c":
         if c is None or c <= 0:
             raise ValueError("variant star_c needs c > 0")
-    if not (isinstance(p, (int, float)) and p >= 1):
-        raise ValueError("beta_multi needs numeric p >= 1")
+    if p != 2:
+        raise ValueError(f"beta_multi takes p = 2 only, got {p!r}")
     if cache is None:
         cache = BetaCache(mu)
 
     def compute():
-        return _family_beta(mu, Q.k, *_nearby_members(cache, Q), p, variant, c, refine, cache)
+        return _family_beta(mu, Q.k, *_nearby_members(cache, Q), variant, c, refine, cache)
 
     return cache.get_or_compute((Q, p, variant, c, bool(refine)), compute)
 
 
-def _family_beta(mu, k, same, coarse, p, variant, c, refine, cache: BetaCache) -> BetaValue:
+def _family_beta(mu, k, same, coarse, variant, c, refine, cache: BetaCache) -> BetaValue:
     """The coupled beta of a nearby family, solved once per family key.
 
     The positions same in mass_triples(k) and coarse in mass_triples(k - 1)
     (`_nearby_members`) name the raw family that `nearby_cubes_with_mass`
     lists, before the star_c filter and the twin dedupe: they alone fix the
-    filtered family and both sibling witnesses.
+    filtered family and the star witness of star_c.
     """
-    key = (k, same.tobytes(), coarse.tobytes(), p, variant, c, bool(refine))
-    return cache.family_value(key, lambda: _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache))
+    key = (k, same.tobytes(), coarse.tobytes(), variant, c, bool(refine))
+    return cache.family_value(key, lambda: _beta_multi(mu, k, same, coarse, variant, c, refine, cache))
 
 
 def _triple_diams(k: int, n: int) -> dict[int, float]:
@@ -343,12 +336,12 @@ class _Family:
     the exact coupled objective of a batch of lines (the max over entries of
     the capped, weighted beta^2 for star and star_c, of the capped beta for
     star_star) and `score` that of one line; every value beta_multi reports
-    is a `score`. For p = 2 the candidates are seeded and ranked from
-    per-entry moments instead (`moments`, `moment_scores`, `offset_profile`),
-    in O(entries) per line.
+    is a `score`. The candidates are seeded and ranked from per-entry
+    moments instead (`moments`, `moment_scores`, `offset_profile`), in
+    O(entries) per line.
     """
 
-    def __init__(self, mu: DiscreteMeasure, k: int, p, variant: str, c, raw_entries):
+    def __init__(self, mu: DiscreteMeasure, k: int, variant: str, c, raw_entries):
         diam3 = _triple_diams(k, mu.dim)
         # same-scale cubes with identical atom sets have identical scores: keep
         # one representative. A coarse cube whose triple holds exactly the same
@@ -365,7 +358,6 @@ class _Family:
                 continue
             seen_sets.add((R.k, key))
             entries.append((R, atoms, mass))
-        self.p = p
         self.entries = entries
         atom_arrays = [a for (_, a, _) in entries]
         self.slots = np.concatenate(atom_arrays)
@@ -402,40 +394,26 @@ class _Family:
         in slot order, so a row's value does not depend on the other rows.
         Each direction must be a unit vector.
         """
-        p, E = self.p, len(self.entries)
+        E = len(self.entries)
         Y = self.P[None, :, :] - bases[:, None, :]
         t = np.matmul(Y, directions[:, :, None])
         resid = Y - t * directions[:, None, :]
         d = np.sqrt(np.einsum("rij,rij->ri", resid, resid))
-        contrib = self.W * (d * self.slot_inv_diam) ** p
+        contrib = self.W * (d * self.slot_inv_diam) ** 2
         bins = (E * np.arange(len(bases)))[:, None] + self.entry_id
         sums = np.bincount(bins.ravel(), weights=contrib.ravel(), minlength=len(bases) * E)
         # per-cube betas are truncated at 1: a line can sit arbitrarily far
         # from one nearby cube, but the variant scores live in [0, 1]
-        b = np.minimum((sums.reshape(-1, E) * self.inv_mass) ** (1.0 / p), 1.0)
+        b = np.minimum(np.sqrt(sums.reshape(-1, E) * self.inv_mass), 1.0)
         vals = b * b * self.entry_factor if self.entry_factor is not None else b
         return vals.max(axis=1)
 
     def score_many(self, lines: list[Line]) -> np.ndarray:
-        """approx_scores of many lines, to rank candidates; never reported."""
-        return self.approx_scores(np.array([ln.base for ln in lines]), np.array([ln.direction for ln in lines]))
-
-    def approx_scores(self, bases: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """The score of each line {b + t u}, b a row of bases, u of directions, to rank and search.
-
-        p = 2 scores from the per-entry moments (moment_scores), which agree
-        with `score` up to rounding. Other p take the exact slot_scores, in
-        blocks of rows that hold at most _GRID_BLOCK slot distances each;
-        slot_scores scores each row on its own, so the blocks change no bit.
-        """
-        if self.p == 2:
-            return self.moment_scores(bases, directions)
-        step = max(1, _GRID_BLOCK // len(self.slots))
-        blocks = [self.slot_scores(bases[i : i + step], directions[i : i + step]) for i in range(0, len(bases), step)]
-        return np.concatenate(blocks) if blocks else np.empty(0)
+        """moment_scores of many lines, to rank candidates; never reported."""
+        return self.moment_scores(np.array([ln.base for ln in lines]), np.array([ln.direction for ln in lines]))
 
     def moment_scores(self, bases: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """score(Line(b, u)) for p = 2 and each row b of bases, u of directions.
+        """score(Line(b, u)) for each row b of bases, u of directions, to rank and search.
 
         With slot weights q = w / diam(3R)^2, an entry's mass S0 = sum q,
         centroid m and scatter C = sum q (x - m)(x - m)^T give its weighted
@@ -484,33 +462,8 @@ class _Family:
         v = np.outer(C[:, 0, 0], nx * nx) + np.outer(2.0 * C[:, 0, 1], nx * ny) + np.outer(C[:, 1, 1], ny * ny)
         return S0 * self.inv_mass, c, np.maximum(v, 0.0) * self.inv_mass[:, None]
 
-    def slot_grid_cell(self, thetas, ts) -> tuple[int, int]:
-        """The (angle, offset) grid cell of least objective, from the atom slots; any p.
-
-        Cell (i, j) is the line {cen + ts[j] nu + r (cos th_i, sin th_i)},
-        nu = (-sin th_i, cos th_i), scored one angle at a time from every
-        slot's offset against every ts; a later angle wins only when
-        strictly lower. n = 2 only.
-        """
-        p = self.p
-        ts = np.asarray(ts, dtype=float)
-        best, cell = np.inf, (0, 0)
-        for i, th in enumerate(thetas):
-            nrm = np.array([-np.sin(th), np.cos(th)])
-            s = self.P @ nrm - self.cen @ nrm
-            devs = np.abs(s[:, None] - ts[None, :])
-            contrib = self.W[:, None] * (devs * self.slot_inv_diam[:, None]) ** p
-            sums = np.add.reduceat(contrib, self.starts, axis=0)
-            b = np.minimum((sums * self.inv_mass[:, None]) ** (1.0 / p), 1.0)
-            vals = b * b * self.entry_factor[:, None] if self.entry_factor is not None else b
-            worst = vals.max(axis=0)
-            j = int(np.argmin(worst))
-            if worst[j] < best:
-                best, cell = worst[j], (i, j)
-        return cell
-
     def offset_profile(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """Least p = 2 objective over the planar lines of each angle, and its offset.
+        """Least objective over the planar lines of each angle, and its offset.
 
         For angle th the lines are {cen + t nu + r (cos th, sin th)} with
         normal nu = (-sin th, cos th). Entry e scores f_e min(M0 (t - c)^2 + v, 1)
@@ -522,8 +475,8 @@ class _Family:
         and max_e f_e finds, for every angle at once, the least level whose
         intervals still meet, and t is the midpoint of their intersection, or
         the family centre t = 0 when every entry is capped at that level and
-        every t ties. Returns the objective at (th, t) and t, per angle; p = 2
-        and n = 2 only.
+        every t ties. Returns the objective at (th, t) and t, per angle; n = 2
+        only.
         """
         M0, c, v = self._planar(thetas)
         f = self.entry_factor if self.entry_factor is not None else np.ones(len(self.entries))
@@ -572,12 +525,12 @@ class _Family:
         return vals, t
 
 
-def _family(mu, k, family, p, variant, c) -> _Family | None:
+def _family(mu, k, family, variant, c) -> _Family | None:
     """A scale-k nearby family as solved (star_c keeps the dense members); None if empty."""
     if variant == "star_c":
         diam3 = _triple_diams(k, mu.dim)
         family = [e for e in family if e[2] >= c * diam3[e[0].k]]
-    return _Family(mu, k, p, variant, c, family) if family else None
+    return _Family(mu, k, variant, c, family) if family else None
 
 
 def _planar_line(cen, th, t) -> Line:
@@ -589,7 +542,7 @@ def _refine_objective(fam: _Family, n: int):
     """The refine search's batched objective: each row of X is a line (base, raw direction).
 
     Rows whose direction has norm < 1e-9 score 1e30, so the search never
-    moves onto them; the others go to approx_scores together.
+    moves onto them; the others go to moment_scores together.
     """
 
     def objective(X):
@@ -597,27 +550,26 @@ def _refine_objective(fam: _Family, n: int):
         nrm = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None])[:, 0, 0])
         out = np.full(len(X), 1e30)
         ok = nrm >= 1e-9
-        out[ok] = fam.approx_scores(X[ok, :n], raw[ok] / nrm[ok, None])
+        out[ok] = fam.moment_scores(X[ok, :n], raw[ok] / nrm[ok, None])
         return out
 
     return objective
 
 
-def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
+def _beta_multi(mu, k, same, coarse, variant, c, refine, cache) -> BetaValue:
     # the solve sees only the scale and the family, never the cube, so every
     # cube with this family key gets the same bits
-    fam = _family(mu, k, _members(cache, k, same, coarse), p, variant, c)
+    fam = _family(mu, k, _members(cache, k, same, coarse), variant, c)
     if fam is None:
         return BetaValue(0.0, None)
     n = mu.dim
     diameter = 2.0 ** (-k) * float(np.sqrt(n))
     entries, slots, W, Pc, cen, starts = fam.entries, fam.slots, fam.W, fam.Pc, fam.cen, fam.starts
 
-    fit_p = p if p in (1, 2) else 2
     candidates: list[Line] = []
     # cap per-cube fits on huge families; order is deterministic. Candidates
     # only seed the search, so the cheap principal-line fit is enough here;
-    # the scorer itself is always p-correct.
+    # every reported value is the exact score.
     order = sorted(range(len(entries)), key=lambda i: (-entries[i][2], entries[i][0].k, entries[i][0].index))
     pick = order[:_MAX_ENTRY_FITS]
     if n == 2:
@@ -647,14 +599,14 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
             ln, _ = fit_line(mu.points[atoms], mu.weights[atoms], 2)
             candidates.append(ln)
     all_atoms = sorted_unique(slots)
-    ln, _ = fit_line(mu.points[all_atoms], mu.weights[all_atoms], fit_p)
+    ln, _ = fit_line(mu.points[all_atoms], mu.weights[all_atoms], 2)
     candidates.append(ln)
     # the unique-coordinate row sort is only worth it when the family is
     # small enough for the dense angle sweep to be in play
     few = len(all_atoms) <= 64 and len(sorted_unique(mu.points[all_atoms])) <= 16
     if few:
         candidates += [Line(a, u) for a, u in zip(*_pair_lines(mu.points[all_atoms]))]
-    if n == 2 and p == 2 and (few or len(slots) <= _GRID_SLOT_LIMIT):
+    if n == 2 and (few or len(slots) <= _GRID_SLOT_LIMIT):
         n_ang = _GRID_ANGLES_DENSE if few else _GRID_ANGLES
         sweep, sweep_t = fam.offset_profile(np.pi * np.arange(n_ang) / n_ang)
         # refine every local basin of the circular angle profile; value-ranked
@@ -686,21 +638,11 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
             th[sel], val[sel], tr[sel] = grid.ravel()[pick], gv[pick], gt[pick]
             step /= 4.0
         candidates += [_planar_line(cen, a, t) for a, t in zip(th, tr)]
-    elif n == 2 and len(slots) <= _GRID_SLOT_LIMIT:
-        rad = float(np.max(np.linalg.norm(Pc, axis=1))) + diameter
-        ts = np.linspace(-rad, rad, _GRID_OFFSETS)
-        i, j = fam.slot_grid_cell(np.pi * np.arange(_GRID_ANGLES) / _GRID_ANGLES, ts)
-        candidates.append(_planar_line(cen, np.pi * i / _GRID_ANGLES, float(ts[j])))
-    # cross-pipeline witnesses make the computed values respect the
-    # definitional monotonicities term by term (see module docstring)
+    # the star witness makes the computed star_c value respect the
+    # definitional monotonicity term by term (see module docstring)
     witness_ids: list[int] = []
-    if p == 1:
-        sib = _family_beta(mu, k, same, coarse, 2, variant, c, refine, cache)
-        if sib.line is not None:
-            witness_ids.append(len(candidates))
-            candidates.append(sib.line)
     if variant == "star_c":
-        sib = _family_beta(mu, k, same, coarse, p, "star", None, refine, cache)
+        sib = _family_beta(mu, k, same, coarse, "star", None, refine, cache)
         if sib.line is not None:
             witness_ids.append(len(candidates))
             candidates.append(sib.line)
@@ -708,8 +650,8 @@ def _beta_multi(mu, k, same, coarse, p, variant, c, refine, cache) -> BetaValue:
     approx = fam.score_many(candidates)
     rank = np.argsort(approx, kind="stable")
     # the reported value must be an exact evaluation at the witness line, and
-    # the monotonicity guarantees need the sibling witnesses scored the same
-    # way, so the leaders and every witness go through the one-line scorer
+    # the monotonicity guarantee needs the star witness scored the same way,
+    # so the leaders and the witness go through the one-line scorer
     exact_pool = sorted({int(i) for i in rank[:3]} | set(witness_ids))
     best_score, best_i = min((fam.score(candidates[i]), i) for i in exact_pool)
     best_line = candidates[best_i]

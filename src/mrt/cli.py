@@ -8,7 +8,7 @@ body and exit status; run wraps every body in one envelope: the command name
 and a config echo of the command's own options, its input and its format,
 read from the parsed arguments. Each default is written once, in
 build_parser; the option types check each value's range and _check_options
-the two checks that span options. curve and validate share one pipeline
+the checks that span options. curve and validate share one pipeline
 (nets, one net validation, alphas, the curve and its connectivity check) and
 differ only in how they report the length certificate.
 
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("beta", help="per-cube beta numbers over mass-carrying cubes")
     common(sp)
-    sp.add_argument("--p", type=_P, default=2.0)
     sp.add_argument("--variant", default="star", choices=VARIANTS)
     sp.add_argument("--c", type=_POSITIVE, default=None, help="density threshold for star_c")
     sp.add_argument("--k-lo", type=_SCALE, default=0)
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("jones", help="per-atom truncated Jones function values")
     common(sp)
-    sp.add_argument("--p", type=_P, default=2.0)
+    sp.add_argument("--p", type=_P, default=2.0, help="exponent of the tilde beta; the star variants take 2 only")
     sp.add_argument("--variant", default="star", choices=JONES_VARIANTS)
     sp.add_argument("--c", type=_POSITIVE, default=None)
     sp.add_argument("--k-max", type=_SCALE, default=None,
@@ -264,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tst", help="beta-squared sums: point-set version and mass-family version")
     common(sp)
-    sp.add_argument("--p", type=_P, default=2.0)
     sp.add_argument("--k-lo", type=_SCALE, default=0)
     sp.add_argument("--k-hi", type=_SCALE, default=4)
 
@@ -274,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose", help="rectifiable/unrectifiable labeling with drawn curves")
     common(sp)
-    sp.add_argument("--p", type=_P, default=2.0)
     sp.add_argument("--c-ladder", type=_ladder(_POSITIVE), default=(0.01, 0.1, 1.0))
     sp.add_argument("--n-cap", type=_POSITIVE, default=1e3)
     sp.add_argument("--eps-ladder", type=_ladder(_UNIT), default=(0.5, 0.1))
@@ -290,6 +287,8 @@ def _check_options(args: argparse.Namespace) -> None:
     """The checks that span two options; the option types check each value on its own."""
     if getattr(args, "variant", None) == "star_c" and args.c is None:
         raise InputFormatError("variant star_c needs --c")
+    if args.command == "jones" and args.variant != "tilde" and args.p != 2:
+        raise InputFormatError(f"variant {args.variant} takes p = 2 only, got {args.p}")
     if hasattr(args, "k_lo") and args.k_lo > args.k_hi:
         raise InputFormatError(f"need k_lo <= k_hi, got {args.k_lo}..{args.k_hi}")
 
@@ -315,7 +314,7 @@ def cmd_beta(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
 
     def one(item):
         Q, mass = item
-        bv = beta_multi(mu, Q, cfg.p, cfg.variant, c=cfg.c, cache=cache)
+        bv = beta_multi(mu, Q, variant=cfg.variant, c=cfg.c, cache=cache)
         return {
             "cube": Q.as_dict(),
             "beta": float(bv.value),
@@ -345,7 +344,7 @@ def cmd_jones(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
 
 
 def cmd_tst(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
-    rows = square_sum(mu, range(cfg.k_lo, cfg.k_hi + 1), cfg.p)
+    rows = square_sum(mu, range(cfg.k_lo, cfg.k_hi + 1))
     set_rows = [(Q, b, b * b * Q.diameter) for (Q, b, _) in rows]
     fam_rows = [(Q, b, b**2 * Q.diameter) for (Q, _, b) in rows]
 
@@ -416,7 +415,7 @@ def cmd_curve(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
 def cmd_decompose(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
     from .rectify import decompose_estimate
 
-    return decompose_estimate(mu, p=cfg.p, c_ladder=cfg.c_ladder, N_cap=cfg.n_cap,
+    return decompose_estimate(mu, c_ladder=cfg.c_ladder, N_cap=cfg.n_cap,
                               eps_ladder=cfg.eps_ladder, k_max=cfg.k_max), EXIT_OK
 
 

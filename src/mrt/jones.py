@@ -54,8 +54,10 @@ def jones_at(
 
     k_max=None truncates each atom at the first scale whose cell holds at
     most one atom of mu, and at scale 40 if none does (coincident atoms).
-    p > 2 triggers a warning (the p=2 theory is the sharp one; larger p only
-    weakens the statistics).
+    p is the exponent of the tilde variant's best-line beta, and p > 2
+    triggers a warning (the p=2 theory is the sharp one; larger p only
+    weakens the statistics). The star variants' coupled betas take p = 2
+    only, and beta_multi raises ValueError on any other p.
 
     One pass runs coarse to fine. At each scale the atoms still summing are
     grouped by the cell that holds them, read from the measure's `cells(k)`;
@@ -97,7 +99,7 @@ def jones_at(
 # scale-indexed square sums
 
 
-def square_sum(mu: DiscreteMeasure, k_range, p=2) -> list[tuple[DyadicCube, float, float]]:
+def square_sum(mu: DiscreteMeasure, k_range) -> list[tuple[DyadicCube, float, float]]:
     """One (Q, set beta, beta**) row per cube Q with mu(3Q) > 0 at the scales in k_range.
 
     The rows run scale by scale in k_range, each scale's cubes in the order
@@ -114,5 +116,5 @@ def square_sum(mu: DiscreteMeasure, k_range, p=2) -> list[tuple[DyadicCube, floa
     for k in k_range:
         for Q, atoms, _mass in cache.mass_triples(k):
             b_set = beta_sup_set(mu.points[atoms], Q.triple())
-            rows.append((Q, b_set, beta_multi(mu, Q, p, "star_star", cache=cache).value))
+            rows.append((Q, b_set, beta_multi(mu, Q, variant="star_star", cache=cache).value))
     return rows

@@ -148,10 +148,10 @@ class DrawResult:
     coverage: dict
 
 
-def _witness_line_alpha(mu, cache, nets, p, c, key):
+def _witness_line_alpha(mu, cache, nets, c, key):
     """The star_c line of a net vertex's witness cube and its theoretical alpha."""
     k, i = key
-    bv = beta_multi(mu, nets.witnesses[k][i], p, "star_c", c=c, refine=False, cache=cache)
+    bv = beta_multi(mu, nets.witnesses[k][i], variant="star_c", c=c, refine=False, cache=cache)
     return bv.line, 4.0 * max(c ** -0.5, 1.0) * bv.value
 
 
@@ -159,7 +159,6 @@ def draw_through_tree(
     mu: DiscreteMeasure,
     tree: CubeTree,
     c: float,
-    p=2,
     cache: BetaCache | None = None,
 ) -> DrawResult:
     """Draw a curve through a lower-regular tree's centers of mass.
@@ -184,7 +183,7 @@ def draw_through_tree(
         cache = BetaCache(mu)
     nets = nets_from_tree(mu, tree)
     keys = [(k, i) for k in range(1, nets.K + 1) for i in range(len(nets.levels[k]))]
-    fitted = pmap(lambda key: _witness_line_alpha(mu, cache, nets, p, c, key), keys)
+    fitted = pmap(lambda key: _witness_line_alpha(mu, cache, nets, c, key), keys)
     lines = {key: line for key, (line, _) in zip(keys, fitted)}
     theory = {key: alpha for key, (_, alpha) in zip(keys, fitted)}
     alphas = fit_alphas(nets, lines=lines)
@@ -208,7 +207,7 @@ def draw_through_tree(
         raise CertificateError(f"leaf coverage failed: {max_dist} > {tol}")
     acct = dict(curve.accounting)
     regime_sum = float(sum(
-        beta_multi(mu, Q, p, "star_c", c=c, refine=False, cache=cache).value ** 2 * Q.diameter
+        beta_multi(mu, Q, variant="star_c", c=c, refine=False, cache=cache).value ** 2 * Q.diameter
         for Q in tree
     ))
     acct["regime_budget"] = 48.0 * max(1.0 / c, 1.0) * regime_sum
@@ -222,7 +221,6 @@ def draw_through_tree(
 
 def decompose_estimate(
     mu: DiscreteMeasure,
-    p=2,
     c_ladder=(0.01, 0.1, 1.0),
     N_cap: float = 1e3,
     eps_ladder=(0.5, 0.1),
@@ -279,7 +277,7 @@ def decompose_estimate(
     for c in c_ladder:
         cleared = np.all(masses >= c * diams, axis=1)
         todo = [i for i in np.flatnonzero(cleared).tolist() if i not in c_used]
-        values, _ = jones_at(mu, todo, p=p, variant="star_c", c=c, k_max=k_max, cache=cache, refine=False)
+        values, _ = jones_at(mu, todo, variant="star_c", c=c, k_max=k_max, cache=cache, refine=False)
         for i, jval in zip(todo, values.tolist()):
             if jval <= N_cap:
                 jones[i], c_used[i] = jval, c
@@ -307,7 +305,7 @@ def decompose_estimate(
         tree = grow_tree(mu, base, c=c, k_max=k_max)
         b_map = {}
         for Q in tree.members:
-            bv = beta_multi(mu, Q, p, "star_c", c=c, refine=False, cache=cache)
+            bv = beta_multi(mu, Q, variant="star_c", c=c, refine=False, cache=cache)
             b_map[Q] = bv.value**2 * Q.diameter
         for eps in eps_ladder:
             good = localize(tree, b_map, mu, N=N_cap, eps=eps)
@@ -315,7 +313,7 @@ def decompose_estimate(
                 tree = good
                 break
         try:
-            draws.append(draw_through_tree(mu, tree, c, p=p, cache=cache))
+            draws.append(draw_through_tree(mu, tree, c, cache=cache))
         except (TreeStructureError, CertificateError) as exc:
             dropped.append({"atom": i, "c": c, "base_cube": base.as_dict(),
                             "reason": f"{type(exc).__name__}: {exc}"})

@@ -9,9 +9,9 @@ agreement tests.
 `offset_envelope_min` shares no path with `_Family.offset_profile`: it scores
 one angle from the family's atom slots and takes the least envelope value over
 every vertex and pairwise breakpoint of the entries' capped parabolas.
-`moment_grid_cell` is the p = 2 angle x offset grid from the entry moments
-that the profile replaced; `_Family.slot_grid_cell`, the grid of other p,
-must pick its cell.
+`moment_grid_cell` is the angle x offset grid from the entry moments that
+the profile replaced; `slot_grid_cell`, the same grid scored one angle at a
+time from the atom slots, must pick its cell.
 
 `nearby_cubes` and `nearby_count` share no path: the first filters a box
 of candidate indices through the family's defining inequalities, the second
@@ -40,8 +40,8 @@ objective call, the moment objective of one line, and the per-edge strip scan
 over a hull built on numpy scalars. The batched code must match them bit for
 bit. `rows` adapts a one-point objective to the batched `pattern_search`.
 
-`slot_score_many` is the one-pass p = 2 slot scorer that the p = 2
-`_Family.score_many` replaced with per-entry moments; the two must agree to
+`slot_score_many` is the one-pass slot scorer that `_Family.score_many`
+replaced with per-entry moments; the two must agree to
 rounding. `slot_score` is the exact objective of one line, one slot pass with
 no batch axis; `_Family.slot_scores` must match it bit for bit, row by row.
 
@@ -283,13 +283,12 @@ def offset_envelope(fam, th, ts):
 
 
 def moment_grid_cell(fam, thetas, ts) -> tuple[int, int]:
-    """The (angle, offset) cell of least planar p = 2 objective, first in row-major order.
+    """The (angle, offset) cell of least planar objective, first in row-major order.
 
     Cell (i, j) is the line {cen + ts[j] nu + r (cos th_i, sin th_i)}, where
     entry e scores f_e min(M0 (t - c)^2 + v, 1) (star_star: the square root)
     in the vertex form of `_Family._planar`, every cell in one array. This
-    is the p = 2 grid that `_Family.slot_grid_cell` scores from the atom
-    slots for other p.
+    is the grid that `slot_grid_cell` scores from the atom slots.
     """
     M0, c, v = fam._planar(thetas)
     f = fam.entry_factor
@@ -298,6 +297,30 @@ def moment_grid_cell(fam, thetas, ts) -> tuple[int, int]:
     worst = (b2 * f[:, None, None] if f is not None else np.sqrt(b2)).max(axis=0)
     i, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
     return int(i), int(j)
+
+
+def slot_grid_cell(fam, thetas, ts) -> tuple[int, int]:
+    """The (angle, offset) cell of least planar objective, from the atom slots.
+
+    Cell (i, j) is the line {cen + ts[j] nu + r (cos th_i, sin th_i)},
+    nu = (-sin th_i, cos th_i), scored one angle at a time from every slot's
+    offset against every ts; a later angle wins only when strictly lower.
+    """
+    ts = np.asarray(ts, dtype=float)
+    best, cell = np.inf, (0, 0)
+    for i, th in enumerate(thetas):
+        nrm = np.array([-np.sin(th), np.cos(th)])
+        s = fam.P @ nrm - fam.cen @ nrm
+        devs = np.abs(s[:, None] - ts[None, :])
+        contrib = fam.W[:, None] * (devs * fam.slot_inv_diam[:, None]) ** 2
+        sums = np.add.reduceat(contrib, fam.starts, axis=0)
+        b = np.minimum(np.sqrt(sums * fam.inv_mass[:, None]), 1.0)
+        vals = b * b * fam.entry_factor[:, None] if fam.entry_factor is not None else b
+        worst = vals.max(axis=0)
+        j = int(np.argmin(worst))
+        if worst[j] < best:
+            best, cell = worst[j], (i, j)
+    return cell
 
 
 def offset_envelope_min(fam, th) -> tuple[float, float]:
@@ -558,14 +581,13 @@ def min_width_strip_loop(points) -> tuple[float, Line]:
 
 def slot_score(fam, line) -> float:
     """The exact coupled objective of one line, from the family's atom slots."""
-    p = fam.p
     Y = fam.P - line.base
     t = Y @ line.direction
     resid = Y - t[:, None] * line.direction
     d = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-    contrib = fam.W * (d * fam.slot_inv_diam) ** p
+    contrib = fam.W * (d * fam.slot_inv_diam) ** 2
     sums = np.bincount(fam.entry_id, weights=contrib, minlength=len(fam.entries))
-    b = np.minimum((sums * fam.inv_mass) ** (1.0 / p), 1.0)
+    b = np.minimum(np.sqrt(sums * fam.inv_mass), 1.0)
     vals = b * b * fam.entry_factor if fam.entry_factor is not None else b
     return float(vals.max())
 

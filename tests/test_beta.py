@@ -31,6 +31,7 @@ from _oracle import (
     offset_envelope,
     offset_envelope_min,
     sequential_pattern_search,
+    slot_grid_cell,
     slot_score,
     slot_score_many,
 )
@@ -185,8 +186,10 @@ class TestBetaMulti:
             beta_multi(mu, Q, 2, "star_c", c=0.0)
         with pytest.raises(ValueError):
             beta_multi(mu, Q, 2, "star_c")
-        with pytest.raises(ValueError):
-            beta_multi(mu, Q, "sup", "star")
+        # the coupled betas take the L^2 gauge only
+        for p in (1, 3, "sup"):
+            with pytest.raises(ValueError, match="p = 2 only"):
+                beta_multi(mu, Q, p, "star")
 
     def test_star_c_without_qualifying_cube(self):
         # total mass 1 can never reach c * diam 3R at unit scale with c = 1
@@ -205,16 +208,6 @@ class TestBetaMulti:
             for c in (0.05, 0.5):
                 sc = beta_multi(mu, Q, 2, "star_c", c=c, cache=cache)
                 assert sc.value <= star.value + 1e-12
-
-    def test_monotone_in_p(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            mu = random_measure(rng, m=6)
-            cache = BetaCache(mu)
-            Q = cube_at(mu.points[0], int(rng.integers(1, 4)))
-            b1 = beta_multi(mu, Q, 1, "star", cache=cache)
-            b2 = beta_multi(mu, Q, 2, "star", cache=cache)
-            assert b1.value <= b2.value + 1e-12
 
     def test_value_is_exact_witness_score(self):
         # recompute the variant objective at the witness line from scratch
@@ -284,19 +277,19 @@ class TestBetaMulti:
         Q = cube_at(mu.points[0], 1)
         bv = beta_multi(mu, Q, 2, "star", cache=cache)
         # the cube key holds its family's value object, not a copy of it
-        assert family_beta(mu, Q, 2, "star", None, True, cache) is bv
+        assert family_beta(mu, Q, "star", None, True, cache) is bv
         assert cache.get((Q, 2, "star", None, True)) is bv
 
 
-def family_beta(mu, Q, p, variant, c, refine, cache):
+def family_beta(mu, Q, variant, c, refine, cache):
     """The family memo's value for the raw family of Q, looked up by its member positions."""
     same, coarse = beta_mod._nearby_members(cache, Q)
-    return beta_mod._family_beta(mu, Q.k, same, coarse, p, variant, c, refine, cache)
+    return beta_mod._family_beta(mu, Q.k, same, coarse, variant, c, refine, cache)
 
 
-def cube_family(mu, Q, p, variant, c, cache=None):
+def cube_family(mu, Q, variant, c, cache=None):
     """The family beta_multi solves for cube Q."""
-    return _family(mu, Q.k, nearby_cubes_with_mass(mu, Q, cache), p, variant, c)
+    return _family(mu, Q.k, nearby_cubes_with_mass(mu, Q, cache), variant, c)
 
 
 class TestMomentObjective:
@@ -311,7 +304,7 @@ class TestMomentObjective:
         mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=24))
         c = 0.05 if variant == "star_c" else None
         for k in (1, 2, 3):
-            fam = cube_family(mu, cube_at(pts[0], k), 2, variant, c, None)
+            fam = cube_family(mu, cube_at(pts[0], k), variant, c, None)
             assert fam is not None
             lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
             # bases inside and beyond the family, so some entries hit the cap
@@ -334,7 +327,7 @@ class TestMomentObjective:
         c = 0.05 if variant == "star_c" else None
         sizes = set()
         for k in (-1, 1, 2, 3):
-            fam = cube_family(mu, cube_at(pts[0], k), 2, variant, c, None)
+            fam = cube_family(mu, cube_at(pts[0], k), variant, c, None)
             sizes.add(len(fam.entries))
             lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
             bases = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(33, n))
@@ -354,7 +347,7 @@ class TestMomentObjective:
         mu = lipschitz_graph_measure(40)
         c = 0.05 if variant == "star_c" else None
         k, n = 1, 2
-        fam = cube_family(mu, cube_at(mu.points[0], k), 2, variant, c, None)
+        fam = cube_family(mu, cube_at(mu.points[0], k), variant, c, None)
         steps = np.concatenate([np.full(n, 0.25 * 2.0**-k * np.sqrt(n)), np.full(n, 0.05)])
 
         def one_line(x):
@@ -376,39 +369,42 @@ class TestMomentObjective:
 
 
 def grid_families(variant):
-    """p = 2 planar families of a random measure, at the origin and translated by 2048, and of a graph."""
+    """Planar families of a random measure, at the origin and translated by 2048, and of a graph."""
     c = 0.05 if variant == "star_c" else None
     for shift in (0.0, 2048.0):
         rng = np.random.default_rng(90)
         pts = shift + rng.uniform(0.0, 1.0, size=(40, 2))
         mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=40))
         for k in (1, 2, 3):
-            yield cube_family(mu, cube_at(pts[0], k), 2, variant, c, None), k
+            yield cube_family(mu, cube_at(pts[0], k), variant, c, None), k
     mu = lipschitz_graph_measure(40)
-    yield cube_family(mu, cube_at(mu.points[0], 1), 2, variant, c, None), 1
+    yield cube_family(mu, cube_at(mu.points[0], 1), variant, c, None), 1
 
 
 def grid_offsets(fam, k):
     # the offsets beta_multi scores: the family's radius plus one cube diameter
     rad = float(np.max(np.linalg.norm(fam.Pc, axis=1))) + 2.0**-k * np.sqrt(2.0)
-    return np.linspace(-rad, rad, beta_mod._GRID_OFFSETS)
+    return np.linspace(-rad, rad, GRID_OFFSETS)
 
 
 GRID_ANGLES = np.pi * np.arange(beta_mod._GRID_ANGLES) / beta_mod._GRID_ANGLES
+# offsets per angle of the reference grid that the offset profile replaced
+GRID_OFFSETS = 48
 
 
 class TestMomentGrid:
-    """The p = 2 grid and candidate ranking from entry moments agree with the slot forms.
+    """The grid and candidate ranking from entry moments agree with the slot forms.
 
-    `slot_grid_cell` is the grid that other p score from the atom slots, and
-    `moment_grid_cell` the p = 2 grid that the offset profile replaced.
+    `moment_grid_cell` is the grid from the entry moments that the offset
+    profile replaced, and `slot_grid_cell` the same grid scored from the
+    atom slots.
     """
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_grid_picks_slot_cell(self, variant):
         for fam, k in grid_families(variant):
             ts = grid_offsets(fam, k)
-            assert moment_grid_cell(fam, GRID_ANGLES, ts) == fam.slot_grid_cell(GRID_ANGLES, ts)
+            assert moment_grid_cell(fam, GRID_ANGLES, ts) == slot_grid_cell(fam, GRID_ANGLES, ts)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_profile_is_no_worse_than_grid(self, variant):
@@ -436,44 +432,32 @@ class TestMomentGrid:
 class TestSlotScores:
     """The batched slot score equals a one-line slot pass bit for bit, row by row."""
 
-    @pytest.mark.parametrize("p", (1, 1.5, 2, 3))
+    # k = -1 gives one-entry families, k = 2 many entries
+    @pytest.mark.parametrize("k", (-1, 2))
     @pytest.mark.parametrize("n", (2, 3))
     @pytest.mark.parametrize("shift", (0.0, 2048.0))
-    def test_rows_match_score(self, p, n, shift):
+    def test_rows_match_score(self, k, n, shift):
         rng = np.random.default_rng(60 + n)
         pts = shift + rng.uniform(0.0, 1.0, size=(24, n))
         mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=24))
         for variant in VARIANTS:
             c = 0.05 if variant == "star_c" else None
-            for k in (-1, 2):
-                fam = cube_family(mu, cube_at(pts[0], k), p, variant, c, None)
-                lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
-                bases = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(17, n))
-                dirs = rng.normal(size=(17, n))
-                dirs /= np.sqrt(np.einsum("ij,ij->i", dirs, dirs))[:, None]
-                want = [slot_score(fam, Line(b, u)) for b, u in zip(bases, dirs)]
-                for rows in (slice(0, 1), slice(3, 9), slice(None)):
-                    assert fam.slot_scores(bases[rows], dirs[rows]).tolist() == want[rows]
-                assert [fam.score(Line(b, u)) for b, u in zip(bases, dirs)] == want
-
-    @pytest.mark.parametrize("p", (1, 3))
-    def test_score_many_is_exact_for_p_other_than_2(self, p, monkeypatch):
-        # other p rank candidates by their exact scores, in blocks of lines
-        mu = lipschitz_graph_measure(40)
-        fam = cube_family(mu, cube_at(mu.points[0], 1), p, "star", None, None)
-        rng = np.random.default_rng(63)
-        lines = [Line(b, u) for b, u in zip(rng.uniform(0.0, 1.0, size=(25, 2)), rng.normal(size=(25, 2)))]
-        want = [fam.score(ln) for ln in lines]
-        for block in (1, 7 * len(fam.slots), 1 << 30):
-            monkeypatch.setattr(beta_mod, "_GRID_BLOCK", block)
-            assert fam.score_many(lines).tolist() == want
+            fam = cube_family(mu, cube_at(pts[0], k), variant, c, None)
+            lo, hi = fam.P.min(axis=0), fam.P.max(axis=0)
+            bases = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(17, n))
+            dirs = rng.normal(size=(17, n))
+            dirs /= np.sqrt(np.einsum("ij,ij->i", dirs, dirs))[:, None]
+            want = [slot_score(fam, Line(b, u)) for b, u in zip(bases, dirs)]
+            for rows in (slice(0, 1), slice(3, 9), slice(None)):
+                assert fam.slot_scores(bases[rows], dirs[rows]).tolist() == want[rows]
+            assert [fam.score(Line(b, u)) for b, u in zip(bases, dirs)] == want
 
     def test_refine_objective_scores_each_row(self):
-        # the p = 1 refine objective: raw directions of any length, and rows
-        # too short to name a direction
+        # the refine objective: raw directions of any length, and rows too
+        # short to name a direction
         mu = lipschitz_graph_measure(40)
         n = 2
-        fam = cube_family(mu, cube_at(mu.points[0], 1), 1, "star", None, None)
+        fam = cube_family(mu, cube_at(mu.points[0], 1), "star", None, None)
         rng = np.random.default_rng(62)
         X = np.column_stack([rng.uniform(0.0, 1.0, size=(12, n)), rng.normal(scale=3.0, size=(12, n))])
         X[4, n:] = 0.0
@@ -481,19 +465,19 @@ class TestSlotScores:
         got = _refine_objective(fam, n)(X)
         for x, value in zip(X, got):
             nrm = float(np.linalg.norm(x[n:]))
-            assert value == (1e30 if nrm < 1e-9 else fam.score(Line(x[:n], x[n:] / nrm)))
+            assert value == (1e30 if nrm < 1e-9 else moment_score(fam, x[:n], x[n:] / nrm))
 
 
 DENSE_ANGLES = np.pi * np.arange(720) / 720
 
 
 def random_family(seed, variant, shift=0.0, m=10, k=2):
-    """The p = 2 nearby family of a random planar measure, shifted by `shift`."""
+    """The nearby family of a random planar measure, shifted by `shift`."""
     rng = np.random.default_rng(seed)
     pts = shift + rng.uniform(0.0, 1.0, size=(m, 2))
     mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, size=m))
     c = 0.05 if variant == "star_c" else None
-    return cube_family(mu, cube_at(pts[0], k), 2, variant, c, None)
+    return cube_family(mu, cube_at(pts[0], k), variant, c, None)
 
 
 def three_clusters():
@@ -533,7 +517,7 @@ class TestOffsetProfile:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_flat_family_matches_oracle(self, variant):
         mu, Q = three_clusters()
-        fam = cube_family(mu, Q, 2, variant, 0.05 if variant == "star_c" else None, None)
+        fam = cube_family(mu, Q, variant, 0.05 if variant == "star_c" else None, None)
         assert_profile_matches_oracle(fam, DENSE_ANGLES)
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -553,7 +537,7 @@ class TestOffsetProfile:
         mu, Q = three_clusters()
         for variant in VARIANTS:
             c = 0.05 if variant == "star_c" else None
-            fam = cube_family(mu, Q, 2, variant, c, None)
+            fam = cube_family(mu, Q, variant, c, None)
             with np.errstate(all="raise"):
                 vals, ts = fam.offset_profile(DENSE_ANGLES)
                 bv = beta_multi(mu, Q, 2, variant, c=c)
@@ -568,7 +552,7 @@ class TestOffsetProfile:
         along = np.arctan2(d[1], d[0])
         for k in (0, 1, 3):
             Q = cube_at(mu.points[3], k)
-            fam = cube_family(mu, Q, 2, "star", None, None)
+            fam = cube_family(mu, Q, "star", None, None)
             with np.errstate(all="raise"):
                 vals, ts = fam.offset_profile(np.append(DENSE_ANGLES, along))
                 bv = beta_multi(mu, Q, 2, "star")
@@ -582,7 +566,7 @@ class TestOffsetProfile:
         # on the line through it
         mu = DiscreteMeasure([[0.3, 0.4]], [1.0])
         Q = cube_at([0.3, 0.4], 2)
-        fam = cube_family(mu, Q, 2, "star", None, None)
+        fam = cube_family(mu, Q, "star", None, None)
         assert len(fam.entries) == 1
         with np.errstate(all="raise"):
             vals, ts = fam.offset_profile(DENSE_ANGLES)
@@ -594,7 +578,7 @@ class TestOffsetProfile:
         mu = DiscreteMeasure(rng.uniform(0.0, 1.0, size=(6, 2)), rng.uniform(0.2, 1.0, size=6))
         Q = DyadicCube(0, (0, 0))
         atoms = mu.atoms_in_triple(Q)
-        fam = _Family(mu, Q.k, 2, "star", None, [(Q, atoms, float(mu.weights[atoms].sum()))])
+        fam = _Family(mu, Q.k, "star", None, [(Q, atoms, float(mu.weights[atoms].sum()))])
         with np.errstate(all="raise"):
             vals, ts = fam.offset_profile(DENSE_ANGLES)
         S0, m, C, _ = fam.moments()
@@ -609,9 +593,9 @@ class TestGoldenDenseBeta:
     """Dense-path values never rise above those the breakpoint sweep recorded.
 
     `beta_dense_golden.json` holds `beta_multi` of `four_corner_cantor(2)` at
-    every mass-carrying cube of one scale, for p in {1, 2} and every variant
-    (c = 0.05), computed with the 720-angle breakpoint sweep and its basin
-    pattern searches.
+    every mass-carrying cube of one scale, for every variant (c = 0.05), at
+    p = 2, computed with the 720-angle breakpoint sweep and its basin pattern
+    searches.
     """
 
     GOLDEN = FIXTURES_DIR / "beta_dense_golden.json"
@@ -621,12 +605,12 @@ class TestGoldenDenseBeta:
         want = json.loads(self.GOLDEN.read_text())[case]
         mu = four_corner_cantor(2, offset=(want["offset"], want["offset"]))
         cache = BetaCache(mu)
-        assert len(want["betas"]) == 6 * len(cache.mass_triples(want["scale"]))
+        assert len(want["betas"]) == 3 * len(cache.mass_triples(want["scale"]))
         for row in want["betas"]:
             Q = DyadicCube(row["k"], tuple(row["index"]))
             bv = beta_multi(mu, Q, row["p"], row["variant"], c=row["c"], cache=cache)
             assert bv.value <= row["value"] * (1.0 + 1e-12)
-            score = cube_family(mu, Q, row["p"], row["variant"], row["c"], cache).score(bv.line)
+            score = cube_family(mu, Q, row["variant"], row["c"], cache).score(bv.line)
             assert bv.value == (score if row["variant"] == "star_star" else float(np.sqrt(score)))
 
 
@@ -641,22 +625,19 @@ class TestBasinZoom:
         mu = lipschitz_graph_measure(16)
         Q = DyadicCube(3, (0, 3))
         c = 0.05 if variant == "star_c" else None
-        fam = cube_family(mu, Q, 2, variant, c)
+        fam = cube_family(mu, Q, variant, c)
         assert len(np.unique(fam.P, axis=0)) <= 16
         vals, _ = fam.offset_profile(np.pi * np.arange(64 * 720) / (64 * 720))
         bv = beta_multi(mu, Q, 2, variant, c=c, refine=False)
         assert bv.value <= float(np.sqrt(vals.min()))
 
 
-def solve_keys(mu, Q, p, variant, c, refine, cache):
-    """The family keys a beta_multi call solves: its own and its witnesses'."""
+def solve_keys(mu, Q, variant, c, refine, cache):
+    """The family keys a beta_multi call solves: its own and its witness's."""
     family = nearby_cubes_with_mass(mu, Q, cache)
-    keys = {(Q.k, tuple(R for (R, _, _) in family), p, variant, c, refine)}
-    if _family(mu, Q.k, family, p, variant, c) is not None:
-        if p == 1:
-            keys |= solve_keys(mu, Q, 2, variant, c, refine, cache)
-        if variant == "star_c":
-            keys |= solve_keys(mu, Q, p, "star", None, refine, cache)
+    keys = {(Q.k, tuple(R for (R, _, _) in family), variant, c, refine)}
+    if variant == "star_c" and _family(mu, Q.k, family, variant, c) is not None:
+        keys |= solve_keys(mu, Q, "star", None, refine, cache)
     return keys
 
 
@@ -665,10 +646,10 @@ def count_solves(monkeypatch):
     solved = []
     solve = beta_mod._beta_multi
 
-    def counted(mu, k, same, coarse, p, variant, c, refine, cache):
+    def counted(mu, k, same, coarse, variant, c, refine, cache):
         family = beta_mod._members(cache, k, same, coarse)
-        solved.append((k, tuple(R for (R, _, _) in family), p, variant, c, refine))
-        return solve(mu, k, same, coarse, p, variant, c, refine, cache)
+        solved.append((k, tuple(R for (R, _, _) in family), variant, c, refine))
+        return solve(mu, k, same, coarse, variant, c, refine, cache)
 
     monkeypatch.setattr(beta_mod, "_beta_multi", counted)
     return solved
@@ -699,16 +680,15 @@ class TestFamilyMemo:
         "mixture": lambda: segment_cantor_mixture(1)[0],
         "straddle": lambda: segment_cantor_mixture(1, separation=1128.0)[0],
     }
-    # (p, variant, c, refine): every variant on the two samples, and on the
+    # (variant, c, refine): every variant on the two samples, and on the
     # straddle the star_c filter that makes raw and filtered keys differ
     COMBOS = {
         "all": [
-            (p, variant, c, refine)
-            for p in (1, 2)
+            (variant, c, refine)
             for variant, c in (("star", None), ("star_star", None), ("star_c", 0.05))
             for refine in (True, False)
         ],
-        "star_c": [(2, "star_c", c, refine) for c in (0.05, 0.2) for refine in (True, False)],
+        "star_c": [("star_c", c, refine) for c in (0.05, 0.2) for refine in (True, False)],
     }
 
     @staticmethod
@@ -732,11 +712,11 @@ class TestFamilyMemo:
         values = {}
         for Q in cubes:
             for combo in combos:
-                p, variant, c, refine = combo
-                bv = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=shared)
-                assert bv is family_beta(mu, Q, p, variant, c, refine, shared)
+                variant, c, refine = combo
+                bv = beta_multi(mu, Q, 2, variant, c=c, refine=refine, cache=shared)
+                assert bv is family_beta(mu, Q, variant, c, refine, shared)
                 # the tracer's per-cube probe still sees the cube's value
-                assert shared.get((Q, p, variant, c, refine)) is bv
+                assert shared.get((Q, 2, variant, c, refine)) is bv
                 values[Q, combo] = bv
         want = set().union(*(solve_keys(mu, Q, *combo, shared) for Q in cubes for combo in combos))
         assert len(solved) == len(want) and set(solved) == want
@@ -747,8 +727,8 @@ class TestFamilyMemo:
         for fam, Q in last.items():
             fresh = BetaCache(mu)
             for combo in combos:
-                p, variant, c, refine = combo
-                alone[fam, combo] = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=fresh)
+                variant, c, refine = combo
+                alone[fam, combo] = beta_multi(mu, Q, 2, variant, c=c, refine=refine, cache=fresh)
         for Q in cubes:
             for combo in combos:
                 self.assert_same_bits(values[Q, combo], alone[family[Q], combo])

@@ -246,13 +246,13 @@ def test_curve_and_validate_golden(tmp_path, command):
     assert rendered(rep, tmp_path) == (FIXTURES_DIR / f"{command}_polyline20_golden.json").read_text()
 
 
-def test_beta_star_c_p1_golden(tmp_path):
-    # per-cube star_c betas at p = 1 with their lines; the fixture, without
-    # the input path, was written before the CLI shared one report envelope
+def test_beta_star_c_golden(tmp_path):
+    # per-cube star_c betas with their lines; the fixture is the report of
+    # a run, without the input path
     measure = tmp_path / "measure.json"
     save_measure(polyline_measure(20), measure)
     out = tmp_path / "report.json"
-    args = ["--k-hi", "2", "--variant", "star_c", "--c", "0.5", "--p", "1"]
+    args = ["--k-hi", "2", "--variant", "star_c", "--c", "0.5"]
     assert main(["beta", str(measure), *args, "-o", str(out)]) == 0
     rep = json.loads(out.read_text())
     del rep["config"]["input"]
@@ -275,15 +275,13 @@ def test_failed_nets_golden(tmp_path, command):
 
 @pytest.mark.parametrize(
     "text, args",
-    [(text, args)
-     for text in ("0.3,0.4,1\n", "0.3,0.4,1\n0.3,0.4,2\n")
-     for args in (["beta", "--k-hi", "1"], ["jones"], ["tst"], ["decompose"])]
+    [(text, ["jones", "--variant", "tilde"]) for text in ("0.3,0.4,1\n", "0.3,0.4,1\n0.3,0.4,2\n")]
     + [("0,0,1\n1,0,1\n", ["jones", "--variant", "tilde", "--k-max", "4"])],
-    ids=["beta-one", "jones-one", "tst-one", "decompose-one", "beta-coincident",
-         "jones-coincident", "tst-coincident", "decompose-coincident", "jones-tilde-two"],
+    ids=["jones-one", "jones-coincident", "jones-tilde-two"],
 )
 def test_p1_on_equal_atoms(tmp_path, text, args):
-    # every family of one atom, or of equal atoms, gets the p = 1 line through them
+    # the tilde beta's p = 1 fit gets the line through one atom, through equal
+    # atoms and through two atoms
     measure = tmp_path / "measure.csv"
     measure.write_text(text)
     assert main([args[0], str(measure), "--p", "1", *args[1:], "-o", str(tmp_path / "report.json")]) == 0
@@ -431,7 +429,7 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", "0"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", ","], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--eps-ladder", ""], None, 2, "input", "InputFormatError"),
-        ("0.1,0.2,1\n", ["beta", "--p", "inf"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["jones", "--p", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta", "--variant", "star_c", "--c", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--n-cap", "inf"], None, 2, "input", "InputFormatError"),
@@ -454,18 +452,20 @@ def _raise_runtime_error(*_args):
         ('{"atoms": [[0.1, 0.2, 1], [0.3, 0.4, 0.5, 1]]}', ["beta"], None, 2, "input", "InputFormatError"),
         ("# dim=2\n", ["beta"], None, 2, "input", "InputFormatError"),
         ('{"dim": 2, "atoms": []}', ["beta"], None, 2, "input", "InputFormatError"),
-        ("0.1,0.2,1\n", ["beta", "--p", "abc"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["jones", "--p", "abc"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta", "--bogus"], None, 2, "input", "InputFormatError: unrecognized arguments"),
         ("0.1,0.2,1\n", ["beta", "--variant", "tilde"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", "x,1"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["jones", "--seed", "1"], None, 2, "input", "InputFormatError: unrecognized arguments"),
         ("0.1,0.2,1\n", ["validate", "--depth", "1", "--k-hi", "3"], None, 2, "input",
          "InputFormatError: unrecognized arguments"),
+        ("0.1,0.2,1\n", ["beta", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
+        ("0.1,0.2,1\n", ["tst", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
+        ("0.1,0.2,1\n", ["decompose", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
+        ("0.1,0.2,1\n", ["jones", "--variant", "star", "--p", "1"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", [], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
-        ("0,0,1\n1e-300,0,1\n", ["beta", "--p", "1", "--k-hi", "1"], None, 0, None, None),
         ("0,0,1\n1e-300,0,1\n", ["jones", "--variant", "tilde", "--p", "1", "--k-max", "2"], None, 0, None, None),
-        ("1,0,1\n1,1e-300,1\n", ["beta", "--p", "1", "--k-hi", "1"], None, 0, None, None),
         ("1,0,1\n1,1e-300,1\n", ["jones", "--variant", "tilde", "--p", "1", "--k-max", "2"], None, 0, None, None),
         ("0.1,0.1,0.001\n0.9,0.9,0.001\n", ["decompose"], None, 0, None, None),
         (b"\xff\xfe0,0,1\n", ["beta"], None, 2, "input", "InputFormatError"),
@@ -483,9 +483,9 @@ def _raise_runtime_error(*_args):
          "one-field-row", "json-nonpositive-weight", "json-wrong-dimension", "empty-csv",
          "empty-json", "non-numeric-p", "unknown-option", "variant-of-another-command",
          "non-numeric-c-ladder", "removed-seed-option", "removed-validate-k-hi-option",
+         "removed-beta-p-option", "removed-tst-p-option", "removed-decompose-p-option", "jones-star-p1",
          "missing-subcommand", "internal-error",
-         "near-coincident-beta-p1", "near-coincident-jones-p1", "offset-near-coincident-beta-p1",
-         "offset-near-coincident-jones-p1", "decompose-below-every-density-test", "non-utf8-file",
+         "near-coincident-jones-p1", "offset-near-coincident-jones-p1", "decompose-below-every-density-test", "non-utf8-file",
          "output-in-missing-directory"],
 )
 def test_exit_codes(tmp_path, monkeypatch, capsys, text, args, broken, code, kind, cls):

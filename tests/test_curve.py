@@ -115,6 +115,24 @@ class TestHandBuiltT2:
             length_certificate(result)
 
 
+def initial_bridge_nets():
+    """Two points 100 apart at every level: past the stage-0 edge threshold 30 Cstar r0 = 60, inside the window 130 Cstar r0."""
+    lv = np.array([[0.0, 0.0], [100.0, 0.0]])
+    return NetSequence([lv, lv.copy(), lv.copy()], r0=1.0, cstar=2.0)
+
+
+class TestHandBuiltInitialBridge:
+    def test_initial_stage_bridges_the_far_pair(self):
+        nets = initial_bridge_nets()
+        result = construct_curve(nets, fit_alphas(nets))
+        k0 = nets.k0
+        assert k0 == 0 and len(result.bridges) == 1
+        rec = next(iter(result.bridges.values()))
+        assert rec.gen == k0 and "initial" in rec.cases
+        assert rec.index_set <= result.ledger.stages[k0]
+        assert length_certificate(result)["bridges_checked"] == 1
+
+
 class TestMovingExtensionChains:
     """A T2 bridge whose endpoints are missing from every finer level."""
 
