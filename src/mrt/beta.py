@@ -1,14 +1,14 @@
-"""Beta numbers: normalized L^p distances from a measure to a line.
+"""Beta numbers: normalized L^2 distances from a measure to a line.
 
 For a region E with diameter diam E and a line l,
 
-    beta_p(mu, E, l) = ( integral_E (dist(x, l) / diam E)^p dmu / mu(E) )^(1/p)
+    beta_2(mu, E, l) = ( integral_E (dist(x, l) / diam E)^2 dmu / mu(E) )^(1/2)
 
-with the convention beta = 0 when mu(E) = 0. beta_best takes the infimum over
-lines for a single region. beta_multi takes the coupled infimum for a dyadic
-cube Q over its nearby-cube family Delta*(Q) (same scale and one coarser,
-triples inside the closed 1600 sqrt(n) dilate of Q), in the L^2 gauge (p = 2)
-in which the characterization is stated:
+with the convention beta = 0 when mu(E) = 0: the L^2 gauge in which the
+characterization is stated. beta_best takes the infimum over lines for a
+single region. beta_multi takes the coupled infimum for a dyadic cube Q over
+its nearby-cube family Delta*(Q) (same scale and one coarser, triples inside
+the closed 1600 sqrt(n) dilate of Q):
 
     variant "star":       inf_l max_R bhat_2(mu, 3R, l)^2 * min(mu(3R)/diam 3R, 1)
     variant "star_star":  inf_l max_R bhat_2(mu, 3R, l)
@@ -118,41 +118,28 @@ def _diameter(region: Region) -> float:
     return checked_length(region.diameter, f"triple diameter at scale {region.triple_of.k}")
 
 
-def beta_fixed_line(mu: DiscreteMeasure, region: Region, line: Line, p=2) -> float:
-    """beta_p(mu, E, l) for a fixed line; 0 when mu(E) = 0."""
-    if not (isinstance(p, (int, float)) and p >= 1):
-        raise ValueError("beta_fixed_line needs numeric p >= 1")
+def beta_fixed_line(mu: DiscreteMeasure, region: Region, line: Line) -> float:
+    """beta_2(mu, E, l) for a fixed line; 0 when mu(E) = 0."""
     idx = mu.atoms_in(region)
     if len(idx) == 0:
         return 0.0
     diam = _diameter(region)
     w = mu.weights[idx]
     d = line.distances(mu.points[idx])
-    return float((np.sum(w * (d / diam) ** p) / w.sum()) ** (1.0 / p))
+    return float((np.sum(w * (d / diam) ** 2) / w.sum()) ** 0.5)
 
 
-def beta_best(mu: DiscreteMeasure, region: Region, p=2) -> BetaValue:
-    """Best-line beta of a single region: inf_l beta_p(mu, E, l).
+def beta_best(mu: DiscreteMeasure, region: Region) -> BetaValue:
+    """Best-line beta of a single region: inf_l beta_2(mu, E, l).
 
-    Exact for p=2 (principal line); p=1 uses the multistart reweighted fit.
-    The value is the witness line's exact objective.
+    Exact: the witness is the weighted principal line of the region's atoms,
+    and the value is its exact objective.
     """
     idx = mu.atoms_in(region)
     if len(idx) == 0:
         return BetaValue(0.0, None)
-    X = mu.points[idx]
-    w = mu.weights[idx]
-    line, _ = fit_line(X, w, p if p in (1, 2) else 2)
-    value = beta_fixed_line(mu, region, line, p)
-    if p == 1:
-        # score the p=2 witness too; keeps the computed values nondecreasing
-        # in p (power-mean inequality at the shared line) regardless of how
-        # well the reweighted fit converged
-        line2, _ = fit_line(X, w, 2)
-        value2 = beta_fixed_line(mu, region, line2, 1)
-        if value2 < value:
-            value, line = value2, line2
-    return BetaValue(value, line)
+    line, _ = fit_line(mu.points[idx], mu.weights[idx], 2)
+    return BetaValue(beta_fixed_line(mu, region, line), line)
 
 
 def beta_sup_set(points, region: Region) -> float:

@@ -218,7 +218,6 @@ def _ladder(entry):
     return convert
 
 
-_P = _checked(float, lambda v: math.isfinite(v) and v >= 1, "a finite number >= 1")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _UNIT = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _CSTAR = _checked(float, lambda v: math.isfinite(v) and v > 1, "a finite number > 1")
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("jones", help="per-atom truncated Jones function values")
     common(sp)
-    sp.add_argument("--p", type=_P, default=2.0, help="exponent of the tilde beta; the star variants take 2 only")
     sp.add_argument("--variant", default="star", choices=JONES_VARIANTS)
     sp.add_argument("--c", type=_POSITIVE, default=None)
     sp.add_argument("--k-max", type=_SCALE, default=None,
@@ -285,10 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_options(args: argparse.Namespace) -> None:
     """The checks that span two options; the option types check each value on its own."""
-    if getattr(args, "variant", None) == "star_c" and args.c is None:
+    variant = getattr(args, "variant", None)
+    if variant == "star_c" and args.c is None:
         raise InputFormatError("variant star_c needs --c")
-    if args.command == "jones" and args.variant != "tilde" and args.p != 2:
-        raise InputFormatError(f"variant {args.variant} takes p = 2 only, got {args.p}")
+    if variant not in (None, "star_c") and args.c is not None:
+        raise InputFormatError(f"--c needs variant star_c: got {variant}")
     if hasattr(args, "k_lo") and args.k_lo > args.k_hi:
         raise InputFormatError(f"need k_lo <= k_hi, got {args.k_lo}..{args.k_hi}")
 
@@ -327,7 +326,7 @@ def cmd_beta(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
 
 
 def cmd_jones(cfg: argparse.Namespace, mu: DiscreteMeasure) -> tuple[dict, int]:
-    values, k_max = jones_at(mu, range(len(mu)), p=cfg.p, variant=cfg.variant, c=cfg.c, k_max=cfg.k_max)
+    values, k_max = jones_at(mu, range(len(mu)), variant=cfg.variant, c=cfg.c, k_max=cfg.k_max)
     rows = [
         {
             "atom": i,

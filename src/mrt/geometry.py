@@ -1,14 +1,10 @@
 """Lines, line fitting, and point-set comparison primitives.
 
 Lines are stored as (base point, unit direction). Fitting minimizes the
-weighted L^p mean distance for p in {1, 2} or the maximum distance for
-p = "sup":
+weighted L^2 mean distance (p = 2) or the maximum distance (p = "sup"):
 
 * p=2 is exact: weighted centroid + principal direction of the weighted
   second-moment matrix.
-* p=1 runs iteratively reweighted least squares from the p=2 seed plus
-  deterministic perturbed restarts (heuristic; certified against a grid
-  oracle in tests).
 * sup is exact in the plane (the minimum-width strip, from one scan of the
   convex hull's edges). For n >= 3 the direction is heuristic: the seed and
   atom-pair directions are scored at once by the enclosing_balls radius of
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegion, DimensionMismatch, EmptyInput, InvalidWeight
+from .errors import DegenerateRegion, DimensionMismatch, InvalidWeight
 
 _EIG_TIE_REL = 1e-12
 
@@ -296,18 +292,18 @@ def enclosing_balls(Z, start, first_step, iters) -> tuple[np.ndarray, np.ndarray
 
 
 def fit_line(points, weights=None, p=2) -> tuple[Line, float]:
-    """Fit a line minimizing the weighted L^p mean distance.
+    """Fit a line minimizing the weighted L^2 mean distance or the maximum distance.
 
     Parameters
     ----------
     points : (m, n) array
     weights : (m,) positive array, optional (ignored by p="sup")
-    p : 1, 2, or "sup"
+    p : 2 or "sup"
 
     Returns
     -------
-    (line, objective) where objective is (sum w d^p / sum w)^(1/p) for
-    numeric p and max d for "sup".
+    (line, objective) where objective is (sum w d^2 / sum w)^(1/2) for
+    p=2 and max d for "sup".
 
     p=2 is exact. Ties between equal principal directions break toward the
     lexicographically largest canonical eigenvector. p="sup" is exact for
@@ -318,30 +314,23 @@ def fit_line(points, weights=None, p=2) -> tuple[Line, float]:
     largest coordinate, and scales the base and the objective back. Scaling
     by a power of two is exact, so in the normal range the fit keeps its
     bits, and a set whose coordinates are all tiny (below about 1e-296)
-    fits as a unit-scale one does: the p=1 reweighting w / floor does not
-    overflow, nor the scatter matrix underflow. A spread that small around
-    a larger coordinate still underflows.
+    fits as a unit-scale one does: the scatter matrix does not underflow.
+    A spread that small around a larger coordinate still underflows.
     """
     X = _as_points(points)
     w = _as_weights(weights, len(X))
-    if p not in (1, 2, "sup"):
-        raise ValueError(f"p must be 1, 2, or 'sup', got {p!r}")
+    if p not in (2, "sup"):
+        raise ValueError(f"p must be 2 or 'sup', got {p!r}")
     _, e = math.frexp(float(np.abs(X).max()))
     X = np.ldexp(X, -e)
     if p == 2:
-        line = _pca_line(X, w)
-        value = _objective(X, w, line, 2)
-    elif p == 1:
-        line, value = _fit_l1(X, w)
+        line = Line(*_principal(X, w)[:2])
+        d = line.distances(X)
+        value = float((np.sum(w * d**2) / float(w.sum())) ** 0.5)
     else:
         line, value = _fit_sup(X)
     line.base = np.ldexp(line.base, e)
     return line, math.ldexp(value, e)
-
-
-def _pca_line(X: np.ndarray, w: np.ndarray) -> Line:
-    z, d, _ = _principal(X, w)
-    return Line(z, d)
 
 
 def _principal(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,69 +354,22 @@ def _principal(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return z, unit(max(cands, key=lambda v: tuple(v))), vecs
 
 
-def _objective(X, w, line: Line, p) -> float:
-    d = line.distances(X)
-    W = float(w.sum())
-    return float((np.sum(w * d**p) / W) ** (1.0 / p))
+def _seed_directions(X) -> list[np.ndarray]:
+    """The sup fit's 9 seed directions of the points X, n >= 2.
 
-
-def _perturbed_seeds(X, w):
-    z, d, vecs = _principal(X, w)
-    base = Line(z, d)
-    n = X.shape[1]
-    seeds = [base]
-    if n < 2:
-        return seeds
-    d1 = base.direction
+    The principal direction d1, then d1 tilted toward the second principal
+    direction by +-k pi / 20 for k = 1..4.
+    """
+    _, d1, vecs = _principal(X, np.ones(len(X)))
     d2 = vecs[:, -2]
     d2 = d2 - (d2 @ d1) * d1
     if np.linalg.norm(d2) < 1e-12:
-        d2 = np.zeros(n)
+        d2 = np.zeros(X.shape[1])
         d2[int(np.argmin(np.abs(d1)))] = 1.0
         d2 = d2 - (d2 @ d1) * d1
     d2 = unit(d2)
     angles = [a * np.pi / 20.0 for a in (1, -1, 2, -2, 3, -3, 4, -4)]
-    for a in angles:
-        seeds.append(Line(z, np.cos(a) * d1 + np.sin(a) * d2))
-    return seeds
-
-
-def _fit_l1(X, w):
-    if (X == X[0]).all():
-        # every point is equal: the principal line meets them all, where the
-        # reweighting below would overflow dividing by its floor
-        line = _pca_line(X, w)
-        return line, _objective(X, w, line, 1)
-    best: tuple[Line, float] | None = None
-    scale = float(np.max(np.abs(X - X.mean(axis=0)))) + 1e-300
-    floor = 1e-12 * scale
-    # reweight by w / max(d, floor) times 2^e: a power-of-two multiple of
-    # the same weights, so the same line, that stays finite when floor is
-    # subnormal
-    e = math.frexp(floor)[1]
-    for seed in _perturbed_seeds(X, w):
-        line = seed
-        prev = np.inf
-        for _ in range(60):
-            d = line.distances(X)
-            obj = _objective(X, w, line, 1)
-            if prev - obj < 1e-15 * scale:
-                break
-            prev = obj
-            line = _pca_line(X, w / np.ldexp(np.maximum(d, floor), -e))
-        obj = _objective(X, w, line, 1)
-        if best is None or obj < best[1]:
-            best = (line, obj)
-    if best is None:
-        raise EmptyInput("no seed line for the L1 fit")
-    # a planar L1 optimum passes through two data points; on small inputs
-    # sweeping the pairs beats any local descent
-    for a, u in zip(*_pair_lines(X)):
-        line = Line(a, u)
-        obj = _objective(X, w, line, 1)
-        if obj < best[1]:
-            best = (line, obj)
-    return best
+    return [d1] + [np.cos(a) * d1 + np.sin(a) * d2 for a in angles]
 
 
 def _pair_lines(X) -> tuple[np.ndarray, np.ndarray]:
@@ -464,8 +406,7 @@ def _fit_sup(X):
         return line, width / 2.0
     z = X.mean(axis=0)
     Y = X - z
-    seeds = [line.direction for line in _perturbed_seeds(X, np.ones(len(X)))]
-    dirs = np.vstack([seeds, _pair_lines(X)[1]])
+    dirs = np.vstack([_seed_directions(X), _pair_lines(X)[1]])
     # the scoring and centring runs start at the centroid, the origin of Y
     _, radii = _projected_balls(Y, dirs, np.zeros(n), 1, _SCORE_STEPS)
     top = np.argsort(radii, kind="stable")[:_POLISHED]

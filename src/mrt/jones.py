@@ -25,8 +25,6 @@ triple carries mass; the caller forms each term and total from the rows.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .beta import BetaCache, beta_best, beta_multi, beta_sup_set
@@ -43,7 +41,6 @@ _KMAX_CAP = 40
 def jones_at(
     mu: DiscreteMeasure,
     atoms,
-    p=2,
     variant: str = "star",
     k_max: int | None = None,
     c: float | None = None,
@@ -54,10 +51,8 @@ def jones_at(
 
     k_max=None truncates each atom at the first scale whose cell holds at
     most one atom of mu, and at scale 40 if none does (coincident atoms).
-    p is the exponent of the tilde variant's best-line beta, and p > 2
-    triggers a warning (the p=2 theory is the sharp one; larger p only
-    weakens the statistics). The star variants' coupled betas take p = 2
-    only, and beta_multi raises ValueError on any other p.
+    Every variant's beta is in the L^2 gauge: the tilde variant's best line
+    of the triple is the weighted principal line, exactly.
 
     One pass runs coarse to fine. At each scale the atoms still summing are
     grouped by the cell that holds them, read from the measure's `cells(k)`;
@@ -69,8 +64,6 @@ def jones_at(
     """
     if variant not in JONES_VARIANTS:
         raise ValueError(f"variant must be one of {JONES_VARIANTS}")
-    if isinstance(p, (int, float)) and p > 2:
-        warnings.warn("p > 2 beta numbers are larger and the sums may diverge faster")
     atoms = np.asarray(atoms, dtype=np.int64).reshape(-1)
     last = _KMAX_CAP if k_max is None else k_max
     kmax = np.full(len(atoms), last, dtype=np.int64)
@@ -85,9 +78,9 @@ def jones_at(
         for idx, rows in group_rows(mu.cells(k)[atoms[live]], live).items():
             Q = DyadicCube(k, idx)
             if variant == "tilde":
-                beta = beta_best(mu, Q.triple(), p).value
+                beta = beta_best(mu, Q.triple()).value
             else:
-                beta = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache).value
+                beta = beta_multi(mu, Q, variant=variant, c=c, refine=refine, cache=cache).value
             values[rows] += beta * beta * Q.diameter / mu.mass(Q)
             if k_max is None and len(mu.cell_table(k)[idx]) <= 1:
                 kmax[rows] = k

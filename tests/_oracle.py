@@ -86,6 +86,8 @@ def brute_force_line_oracle(
 ) -> tuple[float, Line]:
     """Exhaustive (angle x offset) grid search for the best-fit line, n=2 or 3.
 
+    p is 2 (the weighted L^2 mean distance) or "sup" (the maximum distance).
+
     In the plane, candidate lines run over n_angles directions in [0, pi) and,
     per direction, n_offsets evenly spaced signed offsets spanning the data.
     In n=3 a Fibonacci direction sphere replaces the angle sweep and the
@@ -107,14 +109,7 @@ def brute_force_line_oracle(
 def _agg(devs, w, p):
     if p == "sup":
         return float(np.max(devs, axis=-1)) if devs.ndim == 1 else np.max(devs, axis=-1)
-    W = float(w.sum())
-    if p == 2:
-        out = np.sqrt(np.sum(w * devs**2, axis=-1) / W)
-    elif p == 1:
-        out = np.sum(w * devs, axis=-1) / W
-    else:
-        out = (np.sum(w * devs**p, axis=-1) / W) ** (1.0 / p)
-    return out
+    return np.sqrt(np.sum(w * devs**2, axis=-1) / float(w.sum()))
 
 
 def _oracle_2d(X, w, p, n_angles, n_offsets, refine):
@@ -616,7 +611,7 @@ def slot_score_many(fam, lines) -> np.ndarray:
     return vals.max(axis=0)
 
 
-def chain_jones(mu, x, p=2, variant="star", k_max=None, c=None, refine=True):
+def chain_jones(mu, x, variant="star", k_max=None, c=None, refine=True):
     """(value, k_max) of the truncated Jones sum at an atom x.
 
     Tilde terms take the best line of the triple; the others beta_multi.
@@ -629,9 +624,9 @@ def chain_jones(mu, x, p=2, variant="star", k_max=None, c=None, refine=True):
     for k in range(k_max + 1):
         Q = cube_at(x, k)
         if variant == "tilde":
-            beta = beta_best(mu, Q.triple(), p).value
+            beta = beta_best(mu, Q.triple()).value
         else:
-            beta = beta_multi(mu, Q, p, variant, c=c, refine=refine, cache=cache).value
+            beta = beta_multi(mu, Q, variant=variant, c=c, refine=refine, cache=cache).value
         total += beta * beta * Q.diameter / mu.mass(Q)
     return float(total), k_max
 

@@ -59,44 +59,37 @@ class TestBetaFixedLine:
     def test_atoms_on_line(self):
         mu = segment_measure(20)
         ln = Line([0.0, 0.5], [1.0, 0.0])
-        assert beta_fixed_line(mu, UNIT_TRIPLE, ln, 2) <= 1e-15
+        assert beta_fixed_line(mu, UNIT_TRIPLE, ln) <= 1e-15
 
     def test_hand_value(self):
         # both atoms at distance 1 from the axis, in the triple [-2, 1]^2 of diameter 3 sqrt 2
         mu = symmetric_pair()
         ln = Line([0.0, 0.0], [1.0, 0.0])
         region = DyadicCube(0, (-1, -1)).triple()
-        for p in (1, 2, 3):
-            assert beta_fixed_line(mu, region, ln, p) == pytest.approx(1.0 / (3.0 * np.sqrt(2.0)))
+        assert beta_fixed_line(mu, region, ln) == pytest.approx(1.0 / (3.0 * np.sqrt(2.0)))
 
     def test_zero_mass_region(self):
         mu = symmetric_pair()
         ln = Line([0.0, 0.0], [1.0, 0.0])
-        assert beta_fixed_line(mu, FAR_CUBE, ln, 2) == 0.0
+        assert beta_fixed_line(mu, FAR_CUBE, ln) == 0.0
 
     def test_degenerate_region(self):
         # at scale 1100 the side 2^-1100 rounds to 0; the origin's index stays 0
         mu = DiscreteMeasure([[0.0, 0.0]], [1.0])
         with pytest.raises(ScaleOverflow, match="cube diameter at scale 1100 underflows"):
-            beta_fixed_line(mu, DyadicCube(1100, (0, 0)), Line([0, 0], [1, 0]), 2)
-
-    def test_rejects_bad_p(self):
-        mu = symmetric_pair()
-        with pytest.raises(ValueError):
-            beta_fixed_line(mu, UNIT_TRIPLE, Line([0, 0], [1, 0]), 0.5)
+            beta_fixed_line(mu, DyadicCube(1100, (0, 0)), Line([0, 0], [1, 0]))
 
 
 class TestBetaBest:
     def test_collinear_atoms(self):
         mu = segment_measure(15)
-        for p in (1, 2):
-            bv = beta_best(mu, UNIT_TRIPLE, p)
-            assert bv.value <= 1e-12
-            assert bv.line is not None
+        bv = beta_best(mu, UNIT_TRIPLE)
+        assert bv.value <= 1e-12
+        assert bv.line is not None
 
     def test_zero_mass(self):
         mu = symmetric_pair()
-        bv = beta_best(mu, FAR_CUBE, 2)
+        bv = beta_best(mu, FAR_CUBE)
         assert bv.value == 0.0
         assert bv.line is None
 
@@ -104,28 +97,19 @@ class TestBetaBest:
         rng = np.random.default_rng(5)
         mu = random_measure(rng)
         region = DyadicCube(0, (0, 0))
-        bv = beta_best(mu, region, 2)
+        bv = beta_best(mu, region)
         for _ in range(25):
             base = rng.uniform(size=2)
             ang = rng.uniform(0, np.pi)
             ln = Line(base, [np.cos(ang), np.sin(ang)])
-            assert bv.value <= beta_fixed_line(mu, region, ln, 2) + 1e-12
-
-    def test_monotone_in_p(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            mu = random_measure(rng)
-            region = DyadicCube(0, (0, 0))
-            b1 = beta_best(mu, region, 1).value
-            b2 = beta_best(mu, region, 2).value
-            assert b1 <= b2 + 1e-12
+            assert bv.value <= beta_fixed_line(mu, region, ln) + 1e-12
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             mu = random_measure(rng, m=6)
             region = DyadicCube(0, (0, 0))
-            bv = beta_best(mu, region, 2)
+            bv = beta_best(mu, region)
             oval, _ = brute_force_line_oracle(
                 mu.points, mu.weights, p=2, n_angles=180, n_offsets=60, refine=True
             )
@@ -218,7 +202,7 @@ class TestBetaMulti:
             bv = beta_multi(mu, Q, 2, "star")
             worst = 0.0
             for R, atoms, mass in nearby_cubes_with_mass(mu, Q):
-                b = min(beta_fixed_line(mu, R.triple(), bv.line, 2), 1.0)
+                b = min(beta_fixed_line(mu, R.triple(), bv.line), 1.0)
                 worst = max(worst, b * b * min(mass / R.triple().diameter, 1.0))
             assert bv.value == pytest.approx(np.sqrt(worst), abs=1e-12)
 
@@ -228,7 +212,7 @@ class TestBetaMulti:
         Q = cube_at(mu.points[0], 2)
         bv = beta_multi(mu, Q, 2, "star_star")
         worst = max(
-            min(beta_fixed_line(mu, R.triple(), bv.line, 2), 1.0)
+            min(beta_fixed_line(mu, R.triple(), bv.line), 1.0)
             for R, _, _ in nearby_cubes_with_mass(mu, Q)
         )
         assert bv.value == pytest.approx(worst, abs=1e-12)

@@ -279,12 +279,12 @@ def test_failed_nets_golden(tmp_path, command):
     + [("0,0,1\n1,0,1\n", ["jones", "--variant", "tilde", "--k-max", "4"])],
     ids=["jones-one", "jones-coincident", "jones-tilde-two"],
 )
-def test_p1_on_equal_atoms(tmp_path, text, args):
-    # the tilde beta's p = 1 fit gets the line through one atom, through equal
-    # atoms and through two atoms
+def test_tilde_on_equal_atoms(tmp_path, text, args):
+    # the tilde beta's best line passes through one atom, through equal atoms
+    # and through two atoms
     measure = tmp_path / "measure.csv"
     measure.write_text(text)
-    assert main([args[0], str(measure), "--p", "1", *args[1:], "-o", str(tmp_path / "report.json")]) == 0
+    assert main([args[0], str(measure), *args[1:], "-o", str(tmp_path / "report.json")]) == 0
 
 
 def test_csv_and_json_load_equal(tmp_path):
@@ -429,7 +429,6 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", "0"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", ","], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--eps-ladder", ""], None, 2, "input", "InputFormatError"),
-        ("0.1,0.2,1\n", ["jones", "--p", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta", "--variant", "star_c", "--c", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", "inf"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--n-cap", "inf"], None, 2, "input", "InputFormatError"),
@@ -452,7 +451,6 @@ def _raise_runtime_error(*_args):
         ('{"atoms": [[0.1, 0.2, 1], [0.3, 0.4, 0.5, 1]]}', ["beta"], None, 2, "input", "InputFormatError"),
         ("# dim=2\n", ["beta"], None, 2, "input", "InputFormatError"),
         ('{"dim": 2, "atoms": []}', ["beta"], None, 2, "input", "InputFormatError"),
-        ("0.1,0.2,1\n", ["jones", "--p", "abc"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta", "--bogus"], None, 2, "input", "InputFormatError: unrecognized arguments"),
         ("0.1,0.2,1\n", ["beta", "--variant", "tilde"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["decompose", "--c-ladder", "x,1"], None, 2, "input", "InputFormatError"),
@@ -462,11 +460,15 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n", ["beta", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
         ("0.1,0.2,1\n", ["tst", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
         ("0.1,0.2,1\n", ["decompose", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
-        ("0.1,0.2,1\n", ["jones", "--variant", "star", "--p", "1"], None, 2, "input", "InputFormatError"),
+        ("0.1,0.2,1\n", ["jones", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
+        ("0.1,0.2,1\n", ["beta", "--variant", "star", "--c", "0.5"], None, 2, "input",
+         "InputFormatError: --c needs variant star_c"),
+        ("0.1,0.2,1\n", ["jones", "--variant", "tilde", "--c", "0.5"], None, 2, "input",
+         "InputFormatError: --c needs variant star_c"),
         ("0.1,0.2,1\n", [], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta"], "cmd_beta", 3, "internal", "RuntimeError"),
-        ("0,0,1\n1e-300,0,1\n", ["jones", "--variant", "tilde", "--p", "1", "--k-max", "2"], None, 0, None, None),
-        ("1,0,1\n1,1e-300,1\n", ["jones", "--variant", "tilde", "--p", "1", "--k-max", "2"], None, 0, None, None),
+        ("0,0,1\n1e-300,0,1\n", ["jones", "--variant", "tilde", "--k-max", "2"], None, 0, None, None),
+        ("1,0,1\n1,1e-300,1\n", ["jones", "--variant", "tilde", "--k-max", "2"], None, 0, None, None),
         ("0.1,0.1,0.001\n0.9,0.9,0.001\n", ["decompose"], None, 0, None, None),
         (b"\xff\xfe0,0,1\n", ["beta"], None, 2, "input", "InputFormatError"),
         ("0.1,0.2,1\n", ["beta", "-o", "<tmp>/missing/report.json"], None, 2, "input", "InputFormatError"),
@@ -474,16 +476,17 @@ def _raise_runtime_error(*_args):
     ids=["missing-file", "malformed-row", "nonpositive-weight", "nan-coordinate",
          "dim-header-conflict", "json-boolean-entry", "json-string-entry", "json-null-entry",
          "json-boolean-dim", "json-int-past-float-range", "zero-c-ladder", "empty-c-ladder",
-         "empty-eps-ladder", "infinite-p", "infinite-c", "infinite-c-ladder",
+         "empty-eps-ladder", "infinite-c", "infinite-c-ladder",
          "infinite-n-cap", "infinite-cstar", "infinite-r0", "scale-overflow", "scale-past-float-range",
          "curve-separation-underflow", "validate-separation-underflow", "decompose-radius-underflow",
          "origin-jones-subnormal-diameter", "origin-jones-past-1024", "origin-decompose-subnormal-radius",
          "origin-jones-tilde-subnormal-diameter", "origin-jones-tilde-past-1024", "origin-tst-past-1024",
          "origin-tst-subnormal-diameter",
          "one-field-row", "json-nonpositive-weight", "json-wrong-dimension", "empty-csv",
-         "empty-json", "non-numeric-p", "unknown-option", "variant-of-another-command",
+         "empty-json", "unknown-option", "variant-of-another-command",
          "non-numeric-c-ladder", "removed-seed-option", "removed-validate-k-hi-option",
-         "removed-beta-p-option", "removed-tst-p-option", "removed-decompose-p-option", "jones-star-p1",
+         "removed-beta-p-option", "removed-tst-p-option", "removed-decompose-p-option",
+         "removed-jones-p-option", "beta-star-with-c", "jones-tilde-with-c",
          "missing-subcommand", "internal-error",
          "near-coincident-jones-p1", "offset-near-coincident-jones-p1", "decompose-below-every-density-test", "non-utf8-file",
          "output-in-missing-directory"],

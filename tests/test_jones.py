@@ -63,7 +63,7 @@ class TestJonesAt:
         mu = segment_measure(12)
         values, k_max = jones_at(mu, [4], variant="tilde", k_max=4)
         assert k_max.tolist() == [4]
-        assert values[0] == chain_jones(mu, mu.points[4], 2, "tilde", 4)[0]
+        assert values[0] == chain_jones(mu, mu.points[4], "tilde", 4)[0]
 
     def test_star_c_at_most_star(self):
         rng = np.random.default_rng(21)
@@ -79,15 +79,10 @@ class TestJonesAt:
         with pytest.raises(ValueError):
             jones_at(mu, [0], variant="best")
 
-    def test_large_p_warns(self):
-        mu = segment_measure(5)
-        with pytest.warns(UserWarning):
-            jones_at(mu, [0], p=4, variant="tilde", k_max=1)
-
     def test_cantor_depth3_value(self):
         mu = four_corner_cantor(3)
         corner = int(np.argmin(mu.points.sum(axis=1)))
-        values, _ = jones_at(mu, [corner], variant="tilde", p=2)
+        values, _ = jones_at(mu, [corner], variant="tilde")
         assert values[0] == pytest.approx(0.311129, abs=5e-6)
 
 
@@ -117,7 +112,7 @@ class TestChainMemo:
             values, k_maxes = jones_at(mu, range(len(mu)), variant=variant, c=cv, k_max=k_max, cache=cache,
                                        refine=refine)
             for i, x in enumerate(mu.points):
-                assert (values[i], k_maxes[i]) == chain_jones(mu, x, 2, variant, k_max, cv, refine)
+                assert (values[i], k_maxes[i]) == chain_jones(mu, x, variant, k_max, cv, refine)
                 one, one_k = jones_at(mu, [i], variant=variant, c=cv, k_max=k_max, cache=cache, refine=refine)
                 assert (one[0], one_k[0]) == (values[i], k_maxes[i])
 
@@ -148,7 +143,7 @@ class TestDefaultTruncation:
         walks = {}
         for i, x in enumerate(mu.points):
             if x.tobytes() not in walks:
-                walks[x.tobytes()] = chain_jones(mu, x, 2, variant, None, None, False)
+                walks[x.tobytes()] = chain_jones(mu, x, variant, None, None, False)
             assert (values[i], k_maxes[i]) == walks[x.tobytes()]
 
 

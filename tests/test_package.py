@@ -215,6 +215,8 @@ UNSET_OPTIONS_ALLOWED = {
     "cli.main(argv)",
     # perfbench's tracer forwards (fn, items, threads) positionally
     "_parallel.pmap(_unused)",
+    # perfbench's tracer binds p into its beta_multi cube key
+    "beta.beta_multi(p)",
     # the family enumeration perfbench traces by name (see UNREFERENCED_ALLOWED)
     "beta.nearby_cubes_with_mass(cache)",
 }
