@@ -460,7 +460,10 @@ def _raise_runtime_error(*_args):
         ("0.1,0.2,1\n", ["beta", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
         ("0.1,0.2,1\n", ["tst", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
         ("0.1,0.2,1\n", ["decompose", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
-        ("0.1,0.2,1\n", ["jones", "--p", "2"], None, 2, "input", "InputFormatError: unrecognized arguments"),
+        ("0.1,0.2,1\n", ["jones", "--p", "inf"], None, 2, "input", "InputFormatError: unrecognized arguments"),
+        ("0.1,0.2,1\n", ["jones", "--p", "abc"], None, 2, "input", "InputFormatError: unrecognized arguments"),
+        ("0.1,0.2,1\n", ["jones", "--variant", "star", "--p", "1"], None, 2, "input",
+         "InputFormatError: unrecognized arguments"),
         ("0.1,0.2,1\n", ["beta", "--variant", "star", "--c", "0.5"], None, 2, "input",
          "InputFormatError: --c needs variant star_c"),
         ("0.1,0.2,1\n", ["jones", "--variant", "tilde", "--c", "0.5"], None, 2, "input",
@@ -486,7 +489,7 @@ def _raise_runtime_error(*_args):
          "empty-json", "unknown-option", "variant-of-another-command",
          "non-numeric-c-ladder", "removed-seed-option", "removed-validate-k-hi-option",
          "removed-beta-p-option", "removed-tst-p-option", "removed-decompose-p-option",
-         "removed-jones-p-option", "beta-star-with-c", "jones-tilde-with-c",
+         "infinite-p", "non-numeric-p", "jones-star-p1", "beta-star-with-c", "jones-tilde-with-c",
          "missing-subcommand", "internal-error",
          "near-coincident-jones-p1", "offset-near-coincident-jones-p1", "decompose-below-every-density-test", "non-utf8-file",
          "output-in-missing-directory"],
